@@ -51,6 +51,16 @@ def _add_param_flags(sp):
     )
 
 
+def _jobs_arg(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _cmd_count(args) -> int:
     params = _params_from_args(args)
     groups = [GroupTag(args.group)] if args.group else None
@@ -227,7 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--field", required=True, help="field spec JSON file")
     sp.add_argument("--m-max", type=int, required=True)
     sp.add_argument("--oracle", choices=["density", "tower", "dedup", "all"], default="all")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument(
+        "--jobs",
+        type=_jobs_arg,
+        default=1,
+        help="density-oracle worker processes (at least 1; reduced to the number "
+        "of cores this process may run on)",
+    )
     sp.add_argument("--cache", default=None, help="cache directory for oracle results")
     sp.add_argument("--format", choices=["json", "table"], default="table")
     sp.set_defaults(func=_cmd_verify)

@@ -28,15 +28,36 @@ from integer valuation data of the node's zero-extended representative:
 
 delta grows whenever the weakest coordinate is refined and all thresholds
 are bounded in terms of 8e+3, so the recursion terminates.
+
+Root orbit.  The q-1 roots of the tree differ only in the leading digit t
+of a0/pi.  For a Teichmueller unit u the map f(X) -> u^4 f(X/u) scales a_i
+by u^(4-i); Teichmueller digits are multiplicative, so the map sends a
+cylinder of coefficient digits to a cylinder of the same depth (same
+measure) and keeps the stem field (roots scale by u), hence (m, G).  Since
+q-1 is odd, u -> u^4 permutes F_q^*, so the map carries the root t = 1 to
+every other root.  Only that root is enumerated; its measures and its
+dropped measure are multiplied by q-1 before the (q-1)/q^5 conservation
+check.  ``leaves``, ``pruned`` and the root-count cross-checks in the
+metadata count the enumerated root only.
+
+Parallel split.  With jobs > 1 the parent expands the tree breadth-first
+until at least 16 nodes per worker are open, then hands them out one at a
+time (``imap_unordered``, chunksize 1), so a worker that finishes a small
+subtree takes the next open node.  Workers are forked after the
+enumerator is built and inherit it, so fields without a spec file run in
+parallel too; each keeps its enumerator for the life of the pool, so the
+1-in-``cross_check_every`` leaf sample counts across its tasks.  ``jobs``
+is clamped to the cores this process may use.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from fractions import Fraction
 
-from ..errors import FormulationMismatch, NonIntegralCount
-from ..padic.field import LocalField, field_from_spec
+from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount
+from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
     classify_by_invariants,
@@ -75,6 +96,9 @@ def _v2(n: int) -> int:
 
 
 _INF = 10**9
+
+# The pool's parent opens this many nodes per worker before it hands them out.
+_NODES_PER_JOB = 16
 
 
 def _build_bound_table(e: int):
@@ -224,49 +248,77 @@ class _Enumerator:
     # -- main loop ---------------------------------------------------------
 
     def run(self, roots):
-        q, m_max, e = self.q, self.m_max, self.e
         stack = list(roots)
         while stack:
-            digits = stack.pop()
-            cs = (len(digits[0]), len(digits[1]), len(digits[2]), len(digits[3]))
-            depth = cs[0] + cs[1] + cs[2] + cs[3]
-            if depth > self.max_depth:
-                self.max_depth = depth
-            vrep = (
-                1,
-                self._rep_val(digits[1]),
-                self._rep_val(digits[2]),
-                self._rep_val(digits[3]),
-            )
-            vh = tuple(min(v, c) for v, c in zip(vrep, cs))
-            bound = self._disc_bound(cs, vh)
-            m_lo, unique = self._disc_monomial_val(vrep)
-            m_rep = m_lo if unique else None
-            if m_rep is None and m_lo < bound:
-                m_rep = disc_valuation(self._build(digits))
-            if m_rep is not None and m_rep < bound:
-                if m_rep > m_max:
-                    self.dropped += Fraction(1, q**depth)
-                    self.pruned += 1
-                    continue
-            else:
-                m_rep = None
-            delta = min(4 * cs[0], 4 * cs[1] + 1, 4 * cs[2] + 2, 4 * cs[3] + 3)
-            if delta > 4 * self._distance_polygon_max(vrep):
-                fq = self._build(digits)
-                self._add_leaf(classify_by_invariants(fq, m_rep), fq, depth)
-                continue
-            if m_rep is not None and bound >= m_rep + 2 * e + 1 and self._visibly_non_one_aut(
-                cs, vrep, m_rep
-            ):
-                got = self._try_tower_cert(digits, cs, vh, vrep, m_rep)
-                if got is not None:
-                    continue
-            split = min(range(4), key=lambda i: 4 * cs[i] + i)
-            for t in range(q):
-                stack.append(
-                    tuple(d + (t,) if i == split else d for i, d in enumerate(digits))
-                )
+            children = self._expand(stack.pop())
+            if children:
+                stack.extend(children)
+
+    def open_frontier(self, roots, width: int):
+        """Expand breadth-first until at least ``width`` nodes are open; return them.
+
+        Leaves and pruned nodes met on the way are recorded as in ``run``, so
+        running the returned nodes completes exactly the tree ``run`` walks.
+        """
+        queue = deque(roots)
+        while queue and len(queue) < width:
+            children = self._expand(queue.popleft())
+            if children:
+                queue.extend(children)
+        return list(queue)
+
+    def _expand(self, digits):
+        """Certify the node (as a leaf or a pruned class) and return None, or
+        return the q children it splits into."""
+        q, m_max, e = self.q, self.m_max, self.e
+        cs = (len(digits[0]), len(digits[1]), len(digits[2]), len(digits[3]))
+        depth = cs[0] + cs[1] + cs[2] + cs[3]
+        if depth > self.max_depth:
+            self.max_depth = depth
+        vrep = (
+            1,
+            self._rep_val(digits[1]),
+            self._rep_val(digits[2]),
+            self._rep_val(digits[3]),
+        )
+        vh = tuple(min(v, c) for v, c in zip(vrep, cs))
+        bound = self._disc_bound(cs, vh)
+        m_lo, unique = self._disc_monomial_val(vrep)
+        m_rep = m_lo if unique else None
+        if m_rep is None and m_lo < bound:
+            m_rep = disc_valuation(self._build(digits))
+        if m_rep is not None and m_rep < bound:
+            if m_rep > m_max:
+                self.dropped += Fraction(1, q**depth)
+                self.pruned += 1
+                return None
+        else:
+            m_rep = None
+        delta = min(4 * cs[0], 4 * cs[1] + 1, 4 * cs[2] + 2, 4 * cs[3] + 3)
+        if delta > 4 * self._distance_polygon_max(vrep):
+            fq = self._build(digits)
+            self._add_leaf(classify_by_invariants(fq, m_rep), fq, depth)
+            return None
+        if m_rep is not None and bound >= m_rep + 2 * e + 1 and self._visibly_non_one_aut(
+            cs, vrep, m_rep
+        ):
+            if self._try_tower_cert(digits, cs, vh, vrep, m_rep):
+                return None
+        split = min(range(4), key=lambda i: 4 * cs[i] + i)
+        return [
+            tuple(d + (t,) if i == split else d for i, d in enumerate(digits)) for t in range(q)
+        ]
+
+    def merge(self, part):
+        """Add a ``_worker_run`` result to this enumerator's totals."""
+        measures, dropped, leaves, pruned, max_depth, checked = part
+        for key, v in measures.items():
+            self.measures[key] = self.measures.get(key, Fraction(0)) + v
+        self.dropped += dropped
+        self.leaves += leaves
+        self.pruned += pruned
+        self.max_depth = max(self.max_depth, max_depth)
+        self.cross_checked += checked
 
     def _try_tower_cert(self, digits, cs, vh, vrep, m):
         """Certify a visibly-non-1-Aut node via square-class windows; None = split."""
@@ -357,66 +409,88 @@ def _root_nodes(q: int):
     return [((0, t), (0,), (0,), (0,)) for t in range(1, q)]
 
 
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _effective_jobs(jobs: int) -> int:
+    """``jobs`` clamped to the cores this process may run on (1 without fork)."""
+    if jobs < 1:
+        raise InvalidParams(f"jobs must be at least 1, got {jobs}")
+    cores = _available_cores() if hasattr(os, "fork") else 1
+    if jobs > cores:
+        import logging  # deferred: its import costs a fifth of the package's
+
+        logging.getLogger(__name__).warning(
+            "density: jobs=%d reduced to %d (available cores)", jobs, cores
+        )
+        return cores
+    return jobs
+
+
+# Filled by the parent before it forks the pool; each worker inherits a copy
+# and keeps it for the life of the pool.
 _WORKER_STATE = {}
 
 
-def _worker_init(spec, m_max, cce):
-    _WORKER_STATE["field"] = field_from_spec(spec)
-    _WORKER_STATE["m_max"] = m_max
-    _WORKER_STATE["cce"] = cce
-
-
-def _worker_run(chunk):
-    enum = _Enumerator(_WORKER_STATE["field"], _WORKER_STATE["m_max"], _WORKER_STATE["cce"])
-    enum.run(chunk)
+def _worker_run(node):
+    """Pool task: enumerate the subtree under one open node; return what it added."""
+    enum = _WORKER_STATE["enum"]
+    leaves, pruned, checked = enum.leaves, enum.pruned, enum.cross_checked
+    enum.measures, enum.dropped, enum.max_depth = {}, Fraction(0), 0
+    enum.run([node])
     return (
-        {(m, g.value): v for (m, g), v in enum.measures.items()},
+        enum.measures,
         enum.dropped,
-        enum.leaves,
-        enum.pruned,
+        enum.leaves - leaves,
+        enum.pruned - pruned,
         enum.max_depth,
-        enum.cross_checked,
+        enum.cross_checked - checked,
     )
+
+
+def _run_pool(enum: _Enumerator, root, jobs: int) -> int:
+    """Enumerate below ``root`` with ``jobs`` processes; return the processes used."""
+    from multiprocessing import get_context
+
+    frontier = enum.open_frontier([root], _NODES_PER_JOB * jobs)
+    if not frontier:
+        return 1
+    _WORKER_STATE["enum"] = enum
+    try:
+        with get_context("fork").Pool(jobs) as pool:
+            for part in pool.imap_unordered(_worker_run, frontier, chunksize=1):
+                enum.merge(part)
+    finally:
+        _WORKER_STATE.clear()
+    return jobs
 
 
 def density_measures(
     field: LocalField, m_max: int | None = None, jobs: int = 1, cross_check_every: int = 64
 ):
-    """Exact measures mu(P_m^G) per (m, group) plus enumeration metadata."""
+    """Exact measures mu(P_m^G) per (m, group) plus enumeration metadata.
+
+    Only the first root node is enumerated; its measures are scaled by the
+    size q-1 of the root orbit (see the module docstring).
+    """
     e = field.e_abs
     if m_max is None:
         m_max = 8 * e + 3
     q = field.q
-    roots = _root_nodes(q)
-    if jobs > 1 and field.spec is not None and hasattr(os, "fork"):
-        from multiprocessing import get_context
-
-        frontier = []
-        for digits in roots:
-            for t in range(q):
-                frontier.append((digits[0], digits[1] + (t,), digits[2], digits[3]))
-        chunks = [frontier[i::jobs] for i in range(jobs)]
-        with get_context("fork").Pool(
-            jobs, initializer=_worker_init, initargs=(field.spec, m_max, cross_check_every)
-        ) as pool:
-            parts = pool.map(_worker_run, chunks)
-        measures: dict[tuple[int, GroupTag], Fraction] = {}
-        dropped, leaves, pruned, max_depth, checked = Fraction(0), 0, 0, 0, 0
-        for meas, drop, lv, pr, md, cc in parts:
-            for (m, gval), v in meas.items():
-                key = (m, GroupTag(gval))
-                measures[key] = measures.get(key, Fraction(0)) + v
-            dropped += drop
-            leaves += lv
-            pruned += pr
-            checked += cc
-            max_depth = max(max_depth, md)
+    jobs = _effective_jobs(jobs)
+    root = _root_nodes(q)[0]
+    enum = _Enumerator(field, m_max, cross_check_every)
+    if jobs > 1:
+        jobs = _run_pool(enum, root, jobs)
     else:
-        enum = _Enumerator(field, m_max, cross_check_every)
-        enum.run(roots)
-        measures, dropped = enum.measures, enum.dropped
-        leaves, pruned, max_depth = enum.leaves, enum.pruned, enum.max_depth
-        checked = enum.cross_checked
+        enum.run([root])
+    orbit = q - 1
+    measures = {key: orbit * v for key, v in enum.measures.items()}
+    dropped = orbit * enum.dropped
     total = sum(measures.values(), Fraction(0)) + dropped
     expected = Fraction(q - 1, q**5)
     if total != expected:
@@ -424,11 +498,13 @@ def density_measures(
             f"density enumeration lost measure: {total} != (q-1)/q^5 = {expected}"
         )
     meta = {
-        "leaves": leaves,
-        "pruned": pruned,
-        "max_depth": max_depth,
+        "leaves": enum.leaves,
+        "pruned": enum.pruned,
+        "max_depth": enum.max_depth,
         "m_max": m_max,
-        "root_count_cross_checks": checked,
+        "root_count_cross_checks": enum.cross_checked,
+        "root_orbit": orbit,
+        "jobs": jobs,
         "certification": "monomial disc bound + krasner delta>4D + resolvent windows",
     }
     return measures, meta

@@ -226,7 +226,17 @@ class LocalField:
         return p
 
     def spec_hash(self) -> str:
-        blob = json.dumps(self.spec, sort_keys=True) if self.spec else self.label
+        """Hash of the data that defines the field, for cache keys.
+
+        A spec-backed field hashes its spec; a quadratic step built in code
+        hashes its base field's hash and its defining coefficients (B, C).
+        """
+        if self.spec:
+            blob = json.dumps(self.spec, sort_keys=True)
+        elif self.base_field is not None:
+            blob = json.dumps([self.base_field.spec_hash(), repr(self._norm_coeffs)])
+        else:
+            blob = self.label
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def __repr__(self):

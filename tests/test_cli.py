@@ -66,6 +66,20 @@ def test_verify_cli(tmp_path, capsys):
     assert blob["passed"] is True
 
 
+def test_verify_jobs_below_one_exit_2(tmp_path, capsys):
+    spec = tmp_path / "q2.json"
+    spec.write_text('{"f": 1, "e": 1}')
+    for bad in ("0", "-3", "two"):
+        code = run(["verify", "--field", str(spec), "--m-max", "11", "--jobs", bad])
+        assert code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+
+def test_verify_help_documents_jobs_clamp(capsys):
+    assert run(["verify", "--help"]) == 0
+    assert "cores" in capsys.readouterr().out
+
+
 def test_derive_params_cli(tmp_path, capsys):
     spec = tmp_path / "k.json"
     spec.write_text(json.dumps({"f": 1, "eisenstein": [-2, 0, 1]}))

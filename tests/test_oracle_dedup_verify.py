@@ -47,6 +47,33 @@ def test_verify_q2_all_oracles(Q2, tmp_path):
     assert any(p.name.startswith("q2quartic-density") for p in tmp_path.iterdir())
 
 
+def test_truncated_cache_file_is_recomputed(Q2, tmp_path, caplog):
+    report = verify(Q2, 11, methods=("density",), cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with caplog.at_level("WARNING", logger="q2quartic.oracle.cache"):
+        again = verify(Q2, 11, methods=("density",), cache_dir=str(tmp_path))
+    assert "unreadable" in caplog.text
+    assert again.to_json() == report.to_json()
+    assert json.loads(path.read_text())["counts"]  # rewritten whole
+
+
+def test_cache_key_separates_derived_fields(Q2, tmp_path):
+    from q2quartic.oracle import cache
+    from q2quartic.padic.field import ramified_quadratic
+    from q2quartic.params import GroupTag
+
+    E2 = ramified_quadratic(Q2, Q2.from_int(2))
+    E6 = ramified_quadratic(Q2, Q2.from_int(6))
+    counts = {(4, GroupTag.S4): 1}
+    cache.store(str(tmp_path), E2, "density", 4, counts)
+    assert cache.load(str(tmp_path), E2, "density", 4)[0] == counts
+    assert cache.load(str(tmp_path), E6, "density", 4) is None
+    (path,) = tmp_path.iterdir()
+    assert f"-s{cache.ORACLE_SCHEMA}.json" in path.name
+
+
 def test_verify_tower_only_scope(Q2):
     report = verify(Q2, 11, methods=("tower",))
     assert report.passed

@@ -1,9 +1,11 @@
+import logging
 from fractions import Fraction
 
 import pytest
 
 from q2quartic import counts as C
-from q2quartic.errors import ClassInstability
+from q2quartic.errors import ClassInstability, InvalidParams
+from q2quartic.oracle import density as D
 from q2quartic.oracle.density import density_counts, density_measures
 from q2quartic.oracle.measure import (
     cubic_congruence_measure,
@@ -12,7 +14,10 @@ from q2quartic.oracle.measure import (
     one_aut_measure,
     t_m_measure,
 )
+from q2quartic.padic.field import ramified_quadratic
 from q2quartic.params import GROUP_ORDER
+
+_RUN_KEYS = ("leaves", "pruned", "max_depth")
 
 
 def test_density_counts_q2_m8_full_cross_check(Q2):
@@ -54,6 +59,68 @@ def test_density_jobs_parallel_matches_serial(Q2):
     serial, _ = density_counts(Q2, 8, jobs=1)
     parallel, _ = density_counts(Q2, 8, jobs=2)
     assert serial == parallel
+
+
+def test_root_orbit_symmetry_u2(U2):
+    # the guard for enumerating one root: all q-1 roots measure the same
+    runs = []
+    for root in D._root_nodes(U2.q):
+        enum = D._Enumerator(U2, 6, cross_check_every=0)
+        enum.run([root])
+        runs.append(enum)
+    assert len(runs) == 3
+    for enum in runs[1:]:
+        assert enum.measures == runs[0].measures
+        assert (enum.leaves, enum.pruned) == (runs[0].leaves, runs[0].pruned)
+    summed = {}
+    for enum in runs:
+        for key, v in enum.measures.items():
+            summed[key] = summed.get(key, Fraction(0)) + v
+    measures, meta = density_measures(U2, 6, cross_check_every=0)
+    assert measures == summed
+    assert meta["root_orbit"] == 3
+    assert meta["leaves"] == runs[0].leaves
+
+
+@pytest.mark.parametrize("field, m_max", [("U2", 6), ("K_sqrt2", 8)])
+def test_density_jobs2_matches_serial(request, field, m_max):
+    K = request.getfixturevalue(field)
+    serial, smeta = density_counts(K, m_max, jobs=1)
+    parallel, pmeta = density_counts(K, m_max, jobs=2)
+    assert serial == parallel
+    assert [smeta[k] for k in _RUN_KEYS] == [pmeta[k] for k in _RUN_KEYS]
+    assert smeta["jobs"] == 1
+    assert pmeta["jobs"] == min(2, D._available_cores())
+
+
+def test_density_jobs2_cross_checks_every_leaf(U2):
+    _, meta = density_counts(U2, 6, jobs=2, cross_check_every=1)
+    assert meta["root_count_cross_checks"] == meta["leaves"] > 0
+
+
+def test_density_jobs2_field_without_spec(Q2):
+    E = ramified_quadratic(Q2, Q2.from_int(2))
+    assert E.spec is None
+    serial, _ = density_counts(E, 6, jobs=1)
+    parallel, meta = density_counts(E, 6, jobs=2)
+    assert serial == parallel
+    assert meta["jobs"] == min(2, D._available_cores())
+
+
+def test_effective_jobs_clamped_to_cores(monkeypatch, caplog):
+    # only the helper runs: no process is started
+    monkeypatch.setattr(D, "_available_cores", lambda: 4)
+    with caplog.at_level(logging.WARNING, logger=D.__name__):
+        assert D._effective_jobs(10000) == 4
+    assert "jobs=10000 reduced to 4" in caplog.text
+    caplog.clear()
+    assert D._effective_jobs(3) == 3
+    assert D._effective_jobs(1) == 1
+    assert caplog.text == ""
+    for bad in (0, -1):
+        with pytest.raises(InvalidParams):
+            D._effective_jobs(bad)
+
 
 
 def test_measure_set_basics(Q2):

@@ -137,6 +137,15 @@ def test_ramified_quadratic_structure(Q2):
         ramified_quadratic(Q2, Q2.from_int(5))
 
 
+def test_spec_hash_of_derived_fields(Q2):
+    E2 = ramified_quadratic(Q2, Q2.from_int(2))
+    E6 = ramified_quadratic(Q2, Q2.from_int(6))
+    assert E2.label == E6.label
+    assert E2.spec_hash() != E6.spec_hash()
+    assert E2.spec_hash() == ramified_quadratic(Q2, Q2.from_int(2)).spec_hash()
+    assert E2.spec_hash() != Q2.spec_hash()
+
+
 def test_field_spec_validation():
     with pytest.raises(InvalidParams):
         field_from_spec({"f": 1, "eisenstein": [3, 0, 1]})  # constant not valuation 1
