@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-3 precision or budget failure.
+3 precision or budget failure, 4 internal inconsistency (two derivations
+of one quantity disagree, a count is not an integer, or a coefficient
+class changed verdict under refinement).
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from . import counts as _counts
 from . import masses as _masses
 from .errors import (
     BudgetExceeded,
+    ClassInstability,
     FormulationMismatch,
     InvalidParams,
+    NonIntegralCount,
     PrecisionExhausted,
     SerreIdentityViolation,
 )
@@ -179,17 +183,14 @@ def _cmd_sweep(args) -> int:
                 _masses.serre_total(params)
             if "tower-identity" in checks:
                 _masses.tower_mass_sum(params)
-                for m in range(0, _counts.max_support(params) + 1):
-                    lhs = (
-                        _counts.count_C4(params, m)
-                        + 2 * _counts.count_D4(params, m)
-                        + 3 * _counts.count_V4(params, m)
-                    )
-                    if lhs != _counts.count_tow(params, m):
-                        raise FormulationMismatch(f"tower identity fails at m={m}")
             if "c4-dual" in checks:
                 for m in range(0, _counts.max_support(params) + 1):
-                    _counts.count_C4(params, m)  # cross-asserts both formulations
+                    explicit = _counts.count_C4(params, m)
+                    towers = _counts.count_C4_towers(params, m)
+                    if explicit != towers:
+                        raise FormulationMismatch(
+                            f"C4 at m={m}: explicit form {explicit} != tower form {towers}"
+                        )
             if "a4-total" in checks:
                 if params.f % 2 == 1:
                     total = sum(
@@ -204,7 +205,7 @@ def _cmd_sweep(args) -> int:
                             raise FormulationMismatch("S4 nonzero for even f")
                         if _counts.count_one_aut(params, m) != _counts.count_A4(params, m):
                             raise FormulationMismatch("1-Aut != A4 for even f")
-        except (FormulationMismatch, SerreIdentityViolation) as exc:
+        except (FormulationMismatch, NonIntegralCount, SerreIdentityViolation) as exc:
             failures += 1
             print(f"FAIL {params.to_json()}: {exc}")
     label = "formal parameter-space sweep (tuples need not be realized by a field)"
@@ -279,6 +280,9 @@ def run(argv) -> int:
     except (PrecisionExhausted, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (FormulationMismatch, NonIntegralCount, ClassInstability) as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

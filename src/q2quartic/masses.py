@@ -10,13 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import counts
-from .counts import ind
+from .counts import _qp, ind
 from .errors import FormulationMismatch, SerreIdentityViolation
-from .params import GROUP_ORDER, FieldParams, GroupTag, MinusOneClass, aut_order, validate
-
-
-def _qp(q: int, n: int) -> Fraction:
-    return Fraction(q) ** n
+from .params import GROUP_ORDER, FieldParams, GroupTag, MinusOneClass, aut_order
 
 
 def _mass_S4(p: FieldParams) -> Fraction:
@@ -163,33 +159,29 @@ _CLOSED = {
 
 def mass_closed_form(params: FieldParams, g: GroupTag) -> Fraction:
     """The published closed form for the mass of the closure-group-g stratum."""
-    validate(params)
     return _CLOSED[g](params)
+
+
+def _support_sum(params: FieldParams, fn, denom: int) -> Fraction:
+    """sum_m fn(params, m) / (denom * q^m) over m <= 8e+3, with one integer numerator."""
+    q = params.q
+    top = counts.max_support(params)
+    num = 0
+    for m in range(1, top + 1):
+        c = fn(params, m)
+        if c:
+            num += c * q ** (top - m)
+    return Fraction(num, denom * q**top)
 
 
 def mass_from_counts(params: FieldParams, g: GroupTag) -> Fraction:
     """Sum count(m, g) / (#Aut * q^m) over the group's full support."""
-    validate(params)
-    q = params.q
-    aut = aut_order(g)
-    total = Fraction(0)
-    for m in range(1, counts.max_support(params) + 1):
-        c = counts.count(params, m, g)
-        if c:
-            total += Fraction(c, aut * q**m)
-    return total
+    return _support_sum(params, counts._DISPATCH[g], aut_order(g))
 
 
 def tower_mass_sum(params: FieldParams) -> Fraction:
     """(1/4) * sum_m q^-m * #Tow_m, asserted equal to its closed form."""
-    validate(params)
-    q = params.q
-    total = Fraction(0)
-    for m in range(1, counts.max_support(params) + 1):
-        t = counts.count_tow(params, m)
-        if t:
-            total += Fraction(t, q**m)
-    total /= 4
+    total = _support_sum(params, counts.count_tow, 4)
     closed = _tower_mass_closed(params)
     if total != closed:
         raise FormulationMismatch(
@@ -200,7 +192,6 @@ def tower_mass_sum(params: FieldParams) -> Fraction:
 
 def serre_total(params: FieldParams) -> Fraction:
     """Sum of the five closed-form masses; must equal q^-3 exactly."""
-    validate(params)
     total = sum((mass_closed_form(params, g) for g in GROUP_ORDER), Fraction(0))
     expected = Fraction(1, params.q**3)
     if total != expected:

@@ -10,9 +10,6 @@ and formula counts disagree.
 
 from __future__ import annotations
 
-from itertools import product
-
-from ..errors import BudgetExceeded
 from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
@@ -22,6 +19,7 @@ from ..padic.quartic import (
     stem_ring,
 )
 from ..params import GroupTag
+from .measure import eisenstein_classes
 
 
 def _has_root_in(stem, fq: EisensteinQuartic) -> bool:
@@ -38,33 +36,19 @@ def dedup_counts(
     budget: int = 300_000,
 ) -> dict[tuple[int, GroupTag], int]:
     """Isomorphism-class counts per (m, g) for m <= m_max."""
-    q = field.q
     if c is None:
         c = m_max // 3 + 2
-    n_classes = (q - 1) * q ** (4 * c - 5)
-    if n_classes > budget:
-        raise BudgetExceeded(f"{n_classes} classes at depth {c} exceed budget {budget}")
     groups: dict[tuple[int, GroupTag], list] = {}
-    span0 = c - 2
-    span = c - 1
-    for lead in range(1, q):
-        for rest0 in product(range(q), repeat=span0):
-            a0 = field.from_digits((0, lead) + rest0)
-            for d1 in product(range(q), repeat=span):
-                a1 = field.from_digits((0,) + d1)
-                for d2 in product(range(q), repeat=span):
-                    a2 = field.from_digits((0,) + d2)
-                    for d3 in product(range(q), repeat=span):
-                        fq = EisensteinQuartic(field, a0, a1, a2, field.from_digits((0,) + d3))
-                        if disc_valuation(fq) > m_max:
-                            continue
-                        m, g = classify_quartic(fq)
-                        bucket = groups.setdefault((m, g), [])
-                        for _, leader_stem in bucket:
-                            if _has_root_in(leader_stem, fq):
-                                break
-                        else:
-                            bucket.append((fq, stem_ring(fq)))
+    for fq in eisenstein_classes(field, c, budget):
+        if disc_valuation(fq) > m_max:
+            continue
+        m, g = classify_quartic(fq)
+        bucket = groups.setdefault((m, g), [])
+        for _, leader_stem in bucket:
+            if _has_root_in(leader_stem, fq):
+                break
+        else:
+            bucket.append((fq, stem_ring(fq)))
     return {key: len(bucket) for key, bucket in sorted(
         groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
     )}

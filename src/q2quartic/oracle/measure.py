@@ -14,11 +14,39 @@ from itertools import product
 
 from ..errors import BudgetExceeded, ClassInstability
 from ..padic.field import LocalField
-from ..padic.quartic import EisensteinQuartic, count_roots_in_stem, disc_valuation, in_Tm
+from ..padic.quartic import (
+    EisensteinQuartic,
+    _power,
+    count_roots_in_stem,
+    disc_valuation,
+    in_Tm,
+)
 
 
 def _digit_tuples(q: int, span: int):
     return product(range(q), repeat=span)
+
+
+def eisenstein_classes(field: LocalField, c: int, budget: int):
+    """Yield one EisensteinQuartic per Eisenstein coefficient class modulo pi^c.
+
+    There are (q-1) q^(4c-5) classes; BudgetExceeded is raised before the
+    first one if that exceeds budget.  a0, a1 and a2 are built once per
+    digit tuple, outside the loops below them.
+    """
+    q = field.q
+    n_classes = (q - 1) * q ** (4 * c - 5)
+    if n_classes > budget:
+        raise BudgetExceeded(f"{n_classes} classes at depth {c} exceed budget {budget}")
+    for lead in range(1, q):
+        for rest0 in _digit_tuples(q, c - 2):
+            a0 = field.from_digits((0, lead) + rest0)
+            for d1 in _digit_tuples(q, c - 1):
+                a1 = field.from_digits((0,) + d1)
+                for d2 in _digit_tuples(q, c - 1):
+                    a2 = field.from_digits((0,) + d2)
+                    for d3 in _digit_tuples(q, c - 1):
+                        yield EisensteinQuartic(field, a0, a1, a2, field.from_digits((0,) + d3))
 
 
 def measure_set(
@@ -29,32 +57,14 @@ def measure_set(
     budget: int = 4_000_000,
 ) -> Fraction:
     """Measure (relative to mu(O_K^4) = 1) of the Eisenstein set cut out by predicate."""
-    q = field.q
-    n_classes = (q - 1) * q ** (4 * c - 5)
-    if n_classes > budget:
-        raise BudgetExceeded(f"{n_classes} classes at depth {c} exceed budget {budget}")
-    total = Fraction(0)
-    weight = Fraction(1, q ** (4 * c))
-    idx = 0
-    for lead in range(1, q):
-        for rest0 in _digit_tuples(q, c - 2):
-            d0 = (0, lead) + rest0
-            a0 = field.from_digits(d0)
-            for d1 in _digit_tuples(q, c - 1):
-                a1 = field.from_digits((0,) + d1)
-                for d2 in _digit_tuples(q, c - 1):
-                    a2 = field.from_digits((0,) + d2)
-                    for d3 in _digit_tuples(q, c - 1):
-                        fq = EisensteinQuartic(
-                            field, a0, a1, a2, field.from_digits((0,) + d3)
-                        )
-                        verdict = predicate(fq)
-                        if verdict:
-                            total += weight
-                        idx += 1
-                        if idx % sample_stride == 0:
-                            _check_stability(field, predicate, fq, verdict, c)
-    return total
+    hits = 0
+    for idx, fq in enumerate(eisenstein_classes(field, c, budget), start=1):
+        verdict = predicate(fq)
+        if verdict:
+            hits += 1
+        if idx % sample_stride == 0:
+            _check_stability(field, predicate, fq, verdict, c)
+    return Fraction(hits, field.q ** (4 * c))
 
 
 def _check_stability(field, predicate, fq, verdict, c):
@@ -70,11 +80,6 @@ def _check_stability(field, predicate, fq, verdict, c):
             raise ClassInstability(
                 f"predicate flipped under refinement at depth {c} (coefficient {i})"
             )
-
-
-def eisenstein_measure(field: LocalField) -> Fraction:
-    """mu of all monic Eisenstein quartics: (q-1) q^-5."""
-    return Fraction(field.q - 1, field.q**5)
 
 
 def t_m_measure(field: LocalField, m: int) -> Fraction:
@@ -115,8 +120,8 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
     for lead in range(1, q):
         for rest in _digit_tuples(q, depth - 2):
             x0 = field.from_digits((0, lead) + rest)
-            x0_a = _pow(ring, x0, a)
-            x0_ab = _pow(ring, x0, a + b)
+            x0_a = _power(ring, x0, a)
+            x0_ab = _power(ring, x0, a + b)
             for d2 in _digit_tuples(q, a + 1):
                 x2 = field.from_digits((0,) * b + d2)
                 mid = ring.mul(x2, x0_a)
@@ -132,10 +137,3 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
                     if hit:
                         count += 1
     return Fraction(count, q ** (3 * depth))
-
-
-def _pow(ring, x, n):
-    out = ring.one
-    for _ in range(n):
-        out = ring.mul(out, x)
-    return out

@@ -1,4 +1,4 @@
-from .field import LocalField, LocalElement, ramified_quadratic
+from .field import LocalField, ramified_quadratic
 from .quartic import EisensteinQuartic
 
-__all__ = ["LocalField", "LocalElement", "EisensteinQuartic", "ramified_quadratic"]
+__all__ = ["LocalField", "EisensteinQuartic", "ramified_quadratic"]

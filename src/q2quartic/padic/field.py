@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 
 from ..errors import DivisionByNonUnit, InvalidParams, PrecisionExhausted
 from ..params import FieldParams, MinusOneClass
@@ -174,24 +173,6 @@ class LocalField:
         self._sqreps = reps
         return reps
 
-    def hilbert_symbol(self, a, b) -> int:
-        """+1 if b is a norm from F(sqrt(a)), else -1."""
-        va, vb = self.val(a), self.val(b)
-        if va is None or vb is None:
-            raise PrecisionExhausted("hilbert symbol of uncertified zero")
-        da = self.hecke_disc(a)
-        if da == TRIVIAL:
-            return 1
-        if da == UNRAMIFIED:
-            return 1 if vb % 2 == 0 else -1
-        E = ramified_quadratic(self, a)
-        for z in E.square_class_reps():
-            n = E.norm(z)
-            if self.is_square(self.ring.mul(n, b)):
-                # b = n * square => b in the norm group
-                return 1
-        return -1
-
     # -- quadratic-step extras ------------------------------------------
 
     def norm(self, z):
@@ -203,11 +184,6 @@ class LocalField:
         x, y = z
         n = K.sub(K.mul(x, x), K.mul(B, K.mul(x, y)))
         return K.add(n, K.mul(C, K.mul(y, y)))
-
-    def norm_pair(self, x, y, d):
-        """Norm of x + y*sqrt(d) down to the base: x^2 - d y^2 in base arithmetic."""
-        ring = self.base_field.ring if self.base_field is not None else self.ring
-        return ring.sub(ring.mul(x, x), ring.mul(d, ring.mul(y, y)))
 
     # -- parameter derivation -------------------------------------------
 
@@ -221,9 +197,7 @@ class LocalField:
                 cls, d = MinusOneClass.UNRAMIFIED, 0
             else:
                 cls, d = MinusOneClass.RAMIFIED, h
-        p = FieldParams(self.e_abs, self.f, self.q, d, cls)
-        p.validate()
-        return p
+        return FieldParams(self.e_abs, self.f, self.q, d, cls)
 
     def spec_hash(self) -> str:
         """Hash of the data that defines the field, for cache keys.
@@ -248,17 +222,15 @@ def ramified_quadratic(K: LocalField, d) -> LocalField:
 
     E is presented as K[theta]/(theta^2 + B theta + C) for a uniformiser
     theta, so valuations in E stay exact.  The returned field knows its
-    norm map and the image of sqrt(d) in the theta-basis.
+    norm map.
     """
     ring = K.ring
     v = K.val(d)
     if v is None:
         raise PrecisionExhausted("cannot certify d nonzero")
-    k, rem = divmod(v, 2)
-    if rem:
+    if v % 2:
         u = ring.shift(d, -(v - 1))  # pi * unit
         B, C = ring.zero, ring.neg(u)
-        sqrt_d_x, sqrt_d_y = ring.zero, ring.shift(ring.one, k)
     else:
         u = ring.shift(d, -v)
         reach, x = K.square_reach(u)
@@ -266,24 +238,18 @@ def ramified_quadratic(K: LocalField, d) -> LocalField:
             raise InvalidParams("d is a square; no quadratic extension")
         if reach == 2 * K.e_abs:
             raise InvalidParams("d generates the unramified quadratic extension")
-        kappa = reach
-        j = (kappa - 1) // 2
+        j = (reach - 1) // 2  # reach is the Hecke invariant kappa
         r = ring.sub(ring.mul(u, ring.inv_unit(ring.mul(x, x))), ring.one)
         B = ring.shift(ring.from_int(2), -j)
         C = ring.neg(ring.shift(r, -2 * j))
-        sqrt_d_x = ring.shift(x, k)
-        sqrt_d_y = ring.shift(x, j + k)
     ext = EisensteinStep(ring, [C, B])
-    E = LocalField(
+    return LocalField(
         ext,
         spec=None,
         base_field=K,
         norm_coeffs=(B, C),
         label=f"{K.label}(sqrt)",
     )
-    E.d = d
-    E.sqrt_d = (sqrt_d_x, sqrt_d_y)
-    return E
 
 
 # -- field specification files ------------------------------------------
@@ -379,96 +345,3 @@ def q2(precision: int | None = None) -> LocalField:
     if precision is not None:
         spec["precision"] = precision
     return field_from_spec(spec)
-
-
-# -- public element wrapper -------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalElement:
-    """A field element with an explicit absolute precision (in pi-digits).
-
-    Precision propagation: add keeps the min; mul keeps
-    min(prec_a + v(b), prec_b + v(a)); inverting a unit keeps the
-    precision; shifting by pi^k moves it by k.
-    """
-
-    field: LocalField
-    data: object
-    prec: int
-
-    def _lift(self, other):
-        if isinstance(other, LocalElement):
-            if other.field is not self.field:
-                raise InvalidParams("elements from different fields")
-            return other
-        if isinstance(other, int):
-            return LocalElement(self.field, self.field.from_int(other), self.field.ring.cap)
-        return NotImplemented
-
-    def valuation(self):
-        v = self.field.val(self.data)
-        if v is None or v > self.prec:
-            raise PrecisionExhausted(f"valuation exceeds known precision {self.prec}")
-        return v
-
-    def _val_floor(self):
-        # valuation if visible, else the precision (a lower bound)
-        v = self.field.val(self.data)
-        return self.prec if v is None or v > self.prec else v
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return LocalElement(
-            self.field, self.field.ring.add(self.data, o.data), min(self.prec, o.prec)
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LocalElement(self.field, self.field.ring.neg(self.data), self.prec)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return self + (-o)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        prec = min(self.prec + o._val_floor(), o.prec + self._val_floor())
-        prec = min(prec, self.field.ring.cap)
-        return LocalElement(self.field, self.field.ring.mul(self.data, o.data), prec)
-
-    __rmul__ = __mul__
-
-    def inv(self):
-        v = self.field.val(self.data)
-        if v != 0:
-            raise DivisionByNonUnit("inv is defined for units; use shift first")
-        return LocalElement(self.field, self.field.ring.inv_unit(self.data), self.prec)
-
-    def shift(self, k: int):
-        if k < 0 and self._val_floor() < -k:
-            raise DivisionByNonUnit(f"cannot shift down by {-k}")
-        return LocalElement(self.field, self.field.ring.shift(self.data, k), self.prec + k)
-
-    def residue(self):
-        if self.prec < 1:
-            raise PrecisionExhausted("no certified digits")
-        return self.field.ring.residue(self.data)
-
-
-def element(field: LocalField, n: int) -> LocalElement:
-    return LocalElement(field, field.from_int(n), field.ring.cap)
-
-
-def arith(op: str, a: LocalElement, b: LocalElement | None = None) -> LocalElement:
-    """Dispatch {add, mul, neg, inv} on precision-tracked elements."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inv()
-    raise InvalidParams(f"unknown arithmetic op {op!r}")

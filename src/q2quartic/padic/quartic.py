@@ -452,11 +452,3 @@ def classify_tower_from_norm(K: LocalField, d, alpha_norm) -> GroupTag:
     if K.is_square(K.ring.mul(alpha_norm, d)):
         return GroupTag.C4
     return GroupTag.D4
-
-
-def classify_tower(K: LocalField, d, alpha) -> GroupTag:
-    """Closure group of K(sqrt(d), sqrt(alpha)) for alpha = (x, y) = x + y sqrt(d)."""
-    x, y = alpha
-    R = K.ring
-    norm = R.sub(R.mul(x, x), R.mul(d, R.mul(y, y)))
-    return classify_tower_from_norm(K, d, norm)

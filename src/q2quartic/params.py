@@ -10,8 +10,10 @@ the tuple (e, f, q, d_minus_one, minus_one_class):
 * ``minus_one_class`` -- whether -1 is a square in K, or K(sqrt(-1))/K is a
   ramified or unramified quadratic extension.
 
-The validator enforces only the necessary invariants; it does not attempt
-to decide which tuples are realised by an actual 2-adic field.  The padic
+Construction runs the validator, so every FieldParams in existence
+satisfies its invariants.  The validator enforces only the necessary
+invariants; it does not attempt to decide which tuples are realised by an
+actual 2-adic field.  The padic
 module derives the tuple from a concrete field.
 """
 
@@ -63,7 +65,7 @@ class FieldParams:
     d_minus_one: int
     minus_one_class: MinusOneClass
 
-    def validate(self) -> None:
+    def __post_init__(self):
         validate(self)
 
     def to_json(self) -> dict:
@@ -82,18 +84,15 @@ class FieldParams:
         except (KeyError, ValueError) as exc:
             raise InvalidParams(f"bad minus_one_class: {obj.get('minus_one_class')!r}") from exc
         try:
-            p = cls(int(obj["e"]), int(obj["f"]), int(obj["q"]), int(obj["d_minus_one"]), cls_val)
+            fields = (int(obj["e"]), int(obj["f"]), int(obj["q"]), int(obj["d_minus_one"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidParams(f"missing or non-integer field in {obj!r}") from exc
-        p.validate()
-        return p
+        return cls(*fields, cls_val)
 
 
 def make_params(e: int, f: int, d_minus_one: int, minus_one_class: MinusOneClass) -> FieldParams:
-    """Build a validated FieldParams with q computed from f."""
-    p = FieldParams(e, f, 2**f, d_minus_one, minus_one_class)
-    p.validate()
-    return p
+    """Build a FieldParams with q computed from f."""
+    return FieldParams(e, f, 2**f, d_minus_one, minus_one_class)
 
 
 def validate(params: FieldParams) -> None:

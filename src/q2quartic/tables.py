@@ -50,7 +50,6 @@ def count_table(
     m_min: int = 0,
     m_max: int | None = None,
     groups=None,
-    keep_zero: bool = False,
 ) -> CountTable:
     if m_max is None:
         m_max = _counts.max_support(params)
@@ -61,7 +60,7 @@ def count_table(
             if g not in groups:
                 continue
             n = _counts.count(params, m, g)
-            if n or keep_zero:
+            if n:
                 rows[(m, g)] = n
     return CountTable(params, rows)
 

@@ -113,8 +113,8 @@ def test_criterion_06_c4_dual_formulation_sweep():
     t0 = time.time()
     for p in valid_param_sweep(20, 8):
         for m in range(0, 8 * p.e + 4):
-            explicit = C._count_C4_explicit(p, m)
-            tow = C._count_C4_towers(p, m)
+            explicit = C.count_C4(p, m)
+            tow = C.count_C4_towers(p, m)
             assert explicit == tow, (p, m)
     _report(6, f"C4 explicit form equals N_ext/N_C4 form over the sweep [{time.time()-t0:.0f}s]")
 

@@ -2,7 +2,12 @@ import csv
 import io
 import json
 
+import pytest
+
+from q2quartic import counts as C
 from q2quartic.cli import run
+from q2quartic.errors import ClassInstability, FormulationMismatch, NonIntegralCount
+from q2quartic.params import MinusOneClass
 
 Q2_FLAGS = ["--e", "1", "--f", "1", "--d-minus-one", "2", "--minus-one-class", "ramified"]
 
@@ -173,3 +178,64 @@ def test_verify_exit_1_on_mismatch(monkeypatch, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("error", [FormulationMismatch, NonIntegralCount, ClassInstability])
+def test_internal_inconsistency_exit_4(monkeypatch, tmp_path, capsys, error):
+    import q2quartic.cli as cli
+
+    spec = tmp_path / "q2.json"
+    spec.write_text('{"f": 1, "e": 1}')
+
+    def boom(*a, **k):
+        raise error("two derivations disagree")
+
+    monkeypatch.setattr(cli, "verify", boom)
+    assert cli.run(["verify", "--field", str(spec), "--m-max", "11"]) == 4
+    err = capsys.readouterr().err
+    assert "internal inconsistency" in err
+    assert "Traceback" not in err
+
+
+def _raise_at_one_cell(monkeypatch, name, error):
+    real = getattr(C, name)
+
+    def patched(params, m):
+        if (params.e, params.minus_one_class, m) == (1, MinusOneClass.RAMIFIED, 11):
+            raise error(f"{name} failed at m={m}")
+        return real(params, m)
+
+    monkeypatch.setattr(C, name, patched)
+
+
+@pytest.mark.parametrize("error", [FormulationMismatch, NonIntegralCount])
+def test_sweep_counts_failing_tuple(monkeypatch, capsys, error):
+    _raise_at_one_cell(monkeypatch, "count_C4", error)
+    code, out = _run(capsys, ["sweep", "--e-max", "2", "--f-max", "1", "--check", "c4-dual"])
+    assert code == 1
+    assert out.count("FAIL ") == 1
+    assert "failures=1" in out
+
+
+def test_sweep_internal_error_exit_4(monkeypatch, capsys):
+    _raise_at_one_cell(monkeypatch, "count_C4", ClassInstability)
+    code = run(["sweep", "--e-max", "2", "--f-max", "1", "--check", "c4-dual"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "internal inconsistency" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_sweep_c4_dual_compares_both_forms(monkeypatch, capsys):
+    # the explicit form is left alone; the tower form is off by one at one cell
+    real = C.count_C4_towers
+
+    def skewed(params, m):
+        n = real(params, m)
+        return n + 1 if (params.e, params.minus_one_class, m) == (1, MinusOneClass.RAMIFIED, 11) else n
+
+    monkeypatch.setattr(C, "count_C4_towers", skewed)
+    code, out = _run(capsys, ["sweep", "--e-max", "2", "--f-max", "1", "--check", "c4-dual"])
+    assert code == 1
+    assert "failures=1" in out
+    assert "explicit form 8 != tower form 9" in out

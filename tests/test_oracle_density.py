@@ -9,7 +9,6 @@ from q2quartic.oracle import density as D
 from q2quartic.oracle.density import density_counts, density_measures
 from q2quartic.oracle.measure import (
     cubic_congruence_measure,
-    eisenstein_measure,
     measure_set,
     one_aut_measure,
     t_m_measure,
@@ -124,7 +123,9 @@ def test_effective_jobs_clamped_to_cores(monkeypatch, caplog):
 
 
 def test_measure_set_basics(Q2):
-    assert measure_set(Q2, lambda fq: True, 3) == eisenstein_measure(Q2)
+    q = Q2.q
+    # all monic Eisenstein quartics: (q-1) q^-5
+    assert measure_set(Q2, lambda fq: True, 3) == Fraction(q - 1, q**5)
     assert measure_set(Q2, lambda fq: False, 3) == 0
 
 

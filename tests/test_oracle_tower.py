@@ -49,13 +49,20 @@ def test_tower_counts_match_formulas(spec):
 
 def test_tower_criterion_matches_quartic_classifier(Q2):
     # the two classification routes agree on the worked tower witnesses
-    from q2quartic.padic.quartic import EisensteinQuartic, classify_quartic, classify_tower
+    from q2quartic.padic.quartic import (
+        EisensteinQuartic,
+        classify_quartic,
+        classify_tower_from_norm,
+    )
     from q2quartic.params import GroupTag
 
-    two = Q2.from_int(2)
-    assert classify_tower(Q2, two, (Q2.from_int(2), Q2.from_int(1))) is GroupTag.C4
+    def tower(d, x, y):
+        # closure group of Q2(sqrt(d), sqrt(x + y sqrt(d))) from N(alpha) = x^2 - d y^2
+        return classify_tower_from_norm(Q2, Q2.from_int(d), Q2.from_int(x * x - d * y * y))
+
+    assert tower(2, 2, 1) is GroupTag.C4
     assert classify_quartic(EisensteinQuartic.from_ints(Q2, 2, 0, -4, 0))[1] is GroupTag.C4
-    assert classify_tower(Q2, two, (Q2.ring.zero, Q2.ring.one)) is GroupTag.D4
+    assert tower(2, 0, 1) is GroupTag.D4
     assert classify_quartic(EisensteinQuartic.from_ints(Q2, -2, 0, 0, 0))[1] is GroupTag.D4
-    assert classify_tower(Q2, Q2.from_int(-1), (Q2.ring.zero, Q2.ring.one)) is GroupTag.V4
+    assert tower(-1, 0, 1) is GroupTag.V4
     assert classify_quartic(EisensteinQuartic.from_ints(Q2, 2, 4, 6, 4))[1] is GroupTag.V4

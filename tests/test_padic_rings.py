@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from q2quartic.errors import DivisionByNonUnit, PrecisionExhausted
-from q2quartic.padic.field import LocalElement, element, field_from_spec, q2
+from q2quartic.errors import DivisionByNonUnit
+from q2quartic.padic.field import field_from_spec, q2
 from q2quartic.padic.rings import eq_mod
 
 
@@ -72,30 +72,6 @@ def test_random_ring_algebra(K_sqrt2):
             assert R.sub(R.add(a, b), b) == a
     a, b, c = elts[:3]
     assert R.mul(a, R.add(b, c)) == R.add(R.mul(a, b), R.mul(a, c))
-
-
-def test_local_element_precision_rules(Q2):
-    cap = Q2.ring.cap
-    a = element(Q2, 6)
-    b = element(Q2, 10)
-    assert (a + b).prec == cap
-    assert a.valuation() == 1 and b.valuation() == 1
-    prod = a * b
-    assert prod.prec == cap  # full-precision inputs stay capped
-    lowered = LocalElement(Q2, Q2.from_int(6), 5)
-    assert (lowered + a).prec == 5
-    # mul keeps min precision + valuation of the other factor
-    assert (lowered * a).prec == min(5 + 1, cap + 1, cap)
-    u = element(Q2, 3)
-    assert u.inv().prec == cap
-    with pytest.raises(DivisionByNonUnit):
-        a.inv()
-    assert a.shift(-1).prec == cap - 1
-    with pytest.raises(DivisionByNonUnit):
-        element(Q2, 3).shift(-1)
-    tiny = LocalElement(Q2, Q2.from_int(0), 3)
-    with pytest.raises(PrecisionExhausted):
-        tiny.valuation()
 
 
 def test_precision_guard_on_spec():

@@ -63,4 +63,14 @@ def test_sweep_is_valid_and_deduplicated():
     seen = set(valid_param_sweep(6, 3))
     assert len(seen) == sum(1 for _ in valid_param_sweep(6, 3))
     for p in seen:
-        p.validate()
+        validate(p)
+
+
+def test_construction_validates():
+    # every FieldParams in existence satisfies the invariants
+    with pytest.raises(InvalidParams, match="q"):
+        FieldParams(1, 1, 4, 2, MinusOneClass.RAMIFIED)
+    with pytest.raises(InvalidParams, match="positive"):
+        make_params(0, 1, 2, MinusOneClass.RAMIFIED)
+    with pytest.raises(InvalidParams, match="bound"):
+        FieldParams.from_json({"e": 1, "f": 1, "q": 2, "d_minus_one": 4, "minus_one_class": "ramified"})
