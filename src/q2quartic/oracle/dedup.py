@@ -14,6 +14,7 @@ from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
     _count_roots_in_ring,
+    _stem_lift,
     classify_quartic,
     disc_valuation,
     stem_ring,
@@ -23,10 +24,8 @@ from .measure import eisenstein_classes
 
 
 def _has_root_in(stem, fq: EisensteinQuartic) -> bool:
-    lift = lambda c: (c,) + (fq.field.ring.zero,) * 3
-    coeffs = [lift(fq.a0), lift(fq.a1), lift(fq.a2), lift(fq.a3), stem.one]
-    cap = 4 * (8 * fq.field.e_abs + 3) + 64
-    return _count_roots_in_ring(stem, coeffs, cap) > 0
+    coeffs = [_stem_lift(stem, c) for c in fq.coeffs()] + [stem.one]
+    return _count_roots_in_ring(stem, coeffs) > 0
 
 
 def dedup_counts(
@@ -43,12 +42,9 @@ def dedup_counts(
         if disc_valuation(fq) > m_max:
             continue
         m, g = classify_quartic(fq)
-        bucket = groups.setdefault((m, g), [])
-        for _, leader_stem in bucket:
-            if _has_root_in(leader_stem, fq):
-                break
-        else:
-            bucket.append((fq, stem_ring(fq)))
-    return {key: len(bucket) for key, bucket in sorted(
+        stems = groups.setdefault((m, g), [])  # one stem ring per class found
+        if not any(_has_root_in(stem, fq) for stem in stems):
+            stems.append(stem_ring(fq))
+    return {key: len(stems) for key, stems in sorted(
         groups.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
     )}

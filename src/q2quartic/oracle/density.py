@@ -45,9 +45,11 @@ until at least 16 nodes per worker are open, then hands them out one at a
 time (``imap_unordered``, chunksize 1), so a worker that finishes a small
 subtree takes the next open node.  Workers are forked after the
 enumerator is built and inherit it, so fields without a spec file run in
-parallel too; each keeps its enumerator for the life of the pool, so the
-1-in-``cross_check_every`` leaf sample counts across its tasks.  ``jobs``
-is clamped to the cores this process may use.
+parallel too.  ``jobs`` is clamped to the cores this process may use.
+
+Cross-checks.  A leaf is re-classified by stem root counting when the hash
+of its digits is divisible by ``cross_check_every`` (1: every leaf, 0: none).
+Hashes of int tuples do not depend on PYTHONHASHSEED or on ``jobs``.
 """
 
 from __future__ import annotations
@@ -59,36 +61,18 @@ from fractions import Fraction
 from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount
 from ..padic.field import LocalField
 from ..padic.quartic import (
+    _DISC_MONOMIALS,
     EisensteinQuartic,
+    _disc_val,
+    _poly_deriv,
+    _poly_eval,
+    _resolvent_split,
     classify_by_invariants,
     classify_quartic,
-    cubic_k_roots,
     disc_raw,
-    disc_valuation,
     resolvent_cubic,
 )
 from ..params import GroupTag, aut_order
-
-# discriminant monomials of X^4 + p X^3 + q X^2 + r X + s as
-# (integer coefficient, (exp_s, exp_r, exp_q, exp_p)) in the a0,a1,a2,a3 order
-_DISC_MONOMIALS = (
-    (256, (3, 0, 0, 0)),
-    (-192, (2, 1, 0, 1)),
-    (-128, (2, 0, 2, 0)),
-    (144, (1, 2, 1, 0)),
-    (-27, (0, 4, 0, 0)),
-    (144, (2, 0, 1, 2)),
-    (-6, (1, 2, 0, 2)),
-    (-80, (1, 1, 2, 1)),
-    (18, (0, 3, 1, 1)),
-    (16, (1, 0, 4, 0)),
-    (-4, (0, 2, 3, 0)),
-    (-27, (2, 0, 0, 4)),
-    (18, (1, 1, 1, 3)),
-    (-4, (0, 3, 0, 3)),
-    (-4, (1, 0, 3, 2)),
-    (1, (0, 2, 2, 2)),
-)
 
 
 def _v2(n: int) -> int:
@@ -135,7 +119,6 @@ def _build_bound_table(e: int):
                     oa + ob <= ca + cb and ob <= cb
                     for oa, ob, ca, cb in zip(other[1], other[2], cand[1], cand[2])
                 )
-                and other != cand
             ):
                 dominated = True
                 break
@@ -285,8 +268,11 @@ class _Enumerator:
         bound = self._disc_bound(cs, vh)
         m_lo, unique = self._disc_monomial_val(vrep)
         m_rep = m_lo if unique else None
+        fq = disc = None
         if m_rep is None and m_lo < bound:
-            m_rep = disc_valuation(self._build(digits))
+            fq = self._build(digits)
+            disc = disc_raw(self.K, *fq.coeffs())
+            m_rep = _disc_val(self.K, disc)
         if m_rep is not None and m_rep < bound:
             if m_rep > m_max:
                 self.dropped += Fraction(1, q**depth)
@@ -296,13 +282,16 @@ class _Enumerator:
             m_rep = None
         delta = min(4 * cs[0], 4 * cs[1] + 1, 4 * cs[2] + 2, 4 * cs[3] + 3)
         if delta > 4 * self._distance_polygon_max(vrep):
-            fq = self._build(digits)
-            self._add_leaf(classify_by_invariants(fq, m_rep), fq, depth)
+            if fq is None:
+                fq = self._build(digits)
+            self._add_leaf(classify_by_invariants(fq, m_rep), fq, digits)
             return None
         if m_rep is not None and bound >= m_rep + 2 * e + 1 and self._visibly_non_one_aut(
             cs, vrep, m_rep
         ):
-            if self._try_tower_cert(digits, cs, vh, vrep, m_rep):
+            if fq is None:
+                fq = self._build(digits)
+            if self._try_tower_cert(fq, disc, digits, cs, vh, m_rep):
                 return None
         split = min(range(4), key=lambda i: 4 * cs[i] + i)
         return [
@@ -320,15 +309,13 @@ class _Enumerator:
         self.max_depth = max(self.max_depth, max_depth)
         self.cross_checked += checked
 
-    def _try_tower_cert(self, digits, cs, vh, vrep, m):
+    def _try_tower_cert(self, fq, disc, digits, cs, vh, m):
         """Certify a visibly-non-1-Aut node via square-class windows; None = split."""
         K, R, e = self.K, self.K.ring, self.e
-        q = self.q
-        depth = sum(cs)
-        fq = self._build(digits)
-        disc = disc_raw(K, *fq.coeffs())
+        if disc is None:
+            disc = disc_raw(K, *fq.coeffs())
         if K.is_square(disc):
-            self._add_leaf((m, GroupTag.V4), fq, depth)
+            self._add_leaf((m, GroupTag.V4), fq, digits)
             return True
         # resolvent-root windows for the C4/D4 split
         c0, c1, c2, c3 = cs
@@ -347,47 +334,44 @@ class _Enumerator:
             2 * e + c2 + c0,
         )
         rescubic = resolvent_cubic(fq)
-        roots = cubic_k_roots(K, rescubic, 24 * e + 32)
-        if len(roots) != 1:
-            raise FormulationMismatch(
-                f"resolvent of a certified {{C4,D4}} class has {len(roots)} roots in K"
-            )
-        w = roots[0]
-        vw = R.val(w)
-        if vw is None:
-            vw = 24 * e + 32
-        rp = _poly_eval_deriv3(R, rescubic, w)
-        v_rp = R.val(rp)
-        if v_rp is None:
+
+        def window(w, W):
+            vw = R.val(w)
+            if vw is None:
+                vw = 24 * e + 32
+            v_rp = R.val(_poly_eval(R, _poly_deriv(R, rescubic), w))
+            if v_rp is None:
+                return False
+            eta_w = min(b_r2 + 2 * vw, b_r1 + vw, b_r0)
+            eta_wp = min(b_r2 + vw, b_r1)
+            if not (eta_w > 2 * v_rp and eta_wp > v_rp):
+                return False
+            dw = eta_w - v_rp
+            vW = R.val(W)
+            if vW is None:
+                return False
+            eta_W = min(dw + min(e + vw, dw), 2 * e + c0)
+            return eta_W >= vW + 2 * e + 1
+
+        g = _resolvent_split(fq, disc, rescubic, window)
+        if g is None:
             return None
-        eta_w = min(b_r2 + 2 * vw, b_r1 + vw, b_r0)
-        eta_wp = min(b_r2 + vw, b_r1)
-        if not (eta_w > 2 * v_rp and eta_wp > v_rp):
-            return None
-        dw = eta_w - v_rp
-        W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
-        vW = R.val(W)
-        if vW is None:
-            return None
-        eta_W = min(dw + min(e + vw, dw), 2 * e + c0)
-        if eta_W < vW + 2 * e + 1:
-            return None
-        g = GroupTag.C4 if K.is_square(R.mul(disc, W)) else GroupTag.D4
-        self._add_leaf((m, g), fq, depth)
+        self._add_leaf((m, g), fq, digits)
         return True
 
     def _build(self, digits):
         K = self.K
         return EisensteinQuartic(K, *(K.from_digits(d) for d in digits))
 
-    def _add_leaf(self, mg, fq, depth):
+    def _add_leaf(self, mg, fq, digits):
         m, g = mg
+        depth = sum(map(len, digits))
         if m > self.m_max:
             self.dropped += Fraction(1, self.q**depth)
             self.pruned += 1
             return
         self.leaves += 1
-        if self.cross_check_every and self.leaves % self.cross_check_every == 0:
+        if self.cross_check_every and hash(digits) % self.cross_check_every == 0:
             full = classify_quartic(fq)
             self.cross_checked += 1
             if full != (m, g):
@@ -396,13 +380,6 @@ class _Enumerator:
                 )
         key = (m, g)
         self.measures[key] = self.measures.get(key, Fraction(0)) + Fraction(1, self.q**depth)
-
-
-def _poly_eval_deriv3(R, poly, x):
-    # derivative of a monic cubic [c0, c1, c2, 1]: 3x^2 + 2 c2 x + c1
-    three_x2 = R.mul(R.from_int(3), R.mul(x, x))
-    two_c2x = R.mul(R.from_int(2), R.mul(poly[2], x))
-    return R.add(three_x2, R.add(two_c2x, poly[1]))
 
 
 def _root_nodes(q: int):

@@ -110,36 +110,32 @@ def verify(
 ) -> VerificationReport:
     """Run the requested oracles and compare them to the closed forms.
 
-    Mismatches become failing rows, not exceptions.
+    Mismatches become failing rows, not exceptions.  With ``cache_dir``,
+    ``meta["cache"]`` maps each oracle run to "hit" or "miss".
     """
     params = field.derive_params()
     rows: list[VerificationRow] = []
     meta: dict = {"m_max": m_max}
+
+    def fetch(name, key, compute):
+        cached = _cache.load(cache_dir, field, name, key)
+        if cache_dir:
+            meta.setdefault("cache", {})[name] = "miss" if cached is None else "hit"
+        if cached is not None:
+            return cached
+        counts, oracle_meta = _with_retry(field, compute)
+        _cache.store(cache_dir, field, name, key, counts, oracle_meta)
+        return counts, oracle_meta
+
     if "tower" in methods:
-        cached = _cache.load(cache_dir, field, "tower", 8 * field.e_abs + 3)
-        if cached is None:
-            tc = _with_retry(field, tower_counts)
-            _cache.store(cache_dir, field, "tower", 8 * field.e_abs + 3, tc)
-        else:
-            tc = cached[0]
+        tc, _ = fetch("tower", 8 * field.e_abs + 3, lambda K: (tower_counts(K), None))
         rows.extend(_rows_from(params, "tower", tc, m_max, _TOWER_GROUPS))
     if "density" in methods:
-        cached = _cache.load(cache_dir, field, "density", m_max)
-        if cached is None:
-            dc, dmeta = _with_retry(field, lambda K: density_counts(K, m_max, jobs=jobs))
-            _cache.store(cache_dir, field, "density", m_max, dc, dmeta)
-        else:
-            dc, dmeta = cached
-        meta["density"] = dmeta
+        dc, meta["density"] = fetch("density", m_max, lambda K: density_counts(K, m_max, jobs=jobs))
         rows.extend(_rows_from(params, "density", dc, m_max, set(GROUP_ORDER)))
     if "dedup" in methods:
         dmax = min(m_max, DEDUP_DEFAULT_M_MAX if dedup_m_max is None else dedup_m_max)
-        cached = _cache.load(cache_dir, field, "dedup", dmax)
-        if cached is None:
-            xc = _with_retry(field, lambda K: dedup_counts(K, dmax))
-            _cache.store(cache_dir, field, "dedup", dmax, xc)
-        else:
-            xc = cached[0]
+        xc, _ = fetch("dedup", dmax, lambda K: (dedup_counts(K, dmax), None))
         meta["dedup_m_max"] = dmax
         rows.extend(_rows_from(params, "dedup", xc, dmax, set(GROUP_ORDER)))
     rows.sort(key=lambda r: ({"density": 0, "tower": 1, "dedup": 2}[r.method], r.m, r.group))

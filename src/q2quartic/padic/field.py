@@ -309,15 +309,7 @@ def field_from_spec(spec: dict) -> LocalField:
     coeffs = [_coeff_from_entry(ring, c) for c in eis]
     if coeffs[-1] != ring.one:
         raise InvalidParams("eisenstein polynomial must be monic (last entry 1)")
-    lower = coeffs[:-1]
-    v0 = ring.val(lower[0])
-    if v0 != 1:
-        raise InvalidParams(f"constant term must have valuation 1, got {v0}")
-    for c in lower[1:]:
-        v = ring.val(c)
-        if v is not None and v < 1:
-            raise InvalidParams("all lower coefficients need positive valuation")
-    step = EisensteinStep(ring, lower)
+    step = EisensteinStep(ring, coeffs[:-1])
     field = LocalField(step, spec=spec, label=f"K(e={e},f={f})")
     field.precision = prec
     return field

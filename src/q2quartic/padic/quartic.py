@@ -21,9 +21,30 @@ from fractions import Fraction
 from ..errors import FormulationMismatch, PrecisionExhausted
 from ..params import GroupTag
 from .field import LocalField
-from .rings import EisensteinStep, eq_mod
+from .rings import EisensteinStep, _check_eisenstein, eq_mod
 
 _PANAYI_DEPTH_SLACK = 64
+
+# discriminant monomials of X^4 + p X^3 + q X^2 + r X + s as
+# (integer coefficient, (exp_s, exp_r, exp_q, exp_p)) in the a0,a1,a2,a3 order
+_DISC_MONOMIALS = (
+    (256, (3, 0, 0, 0)),
+    (-192, (2, 1, 0, 1)),
+    (-128, (2, 0, 2, 0)),
+    (144, (1, 2, 1, 0)),
+    (-27, (0, 4, 0, 0)),
+    (144, (2, 0, 1, 2)),
+    (-6, (1, 2, 0, 2)),
+    (-80, (1, 1, 2, 1)),
+    (18, (0, 3, 1, 1)),
+    (16, (1, 0, 4, 0)),
+    (-4, (0, 2, 3, 0)),
+    (-27, (2, 0, 0, 4)),
+    (18, (1, 1, 1, 3)),
+    (-4, (0, 3, 0, 3)),
+    (-4, (1, 0, 3, 2)),
+    (1, (0, 2, 2, 2)),
+)
 
 
 @dataclass(frozen=True)
@@ -37,13 +58,7 @@ class EisensteinQuartic:
     a3: object
 
     def __post_init__(self):
-        K = self.field
-        if K.val(self.a0) != 1:
-            raise ValueError("constant term must have valuation exactly 1")
-        for c in (self.a1, self.a2, self.a3):
-            v = K.val(c)
-            if v is not None and v < 1:
-                raise ValueError("middle coefficients need positive valuation")
+        _check_eisenstein(self.field.ring, self.coeffs())
 
     @classmethod
     def from_ints(cls, field: LocalField, a0: int, a1: int, a2: int, a3: int):
@@ -57,46 +72,36 @@ class EisensteinQuartic:
 def disc_raw(field: LocalField, a0, a1, a2, a3):
     """Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0 as a raw element."""
     R = field.ring
-    mul, add = R.mul, R.add
-
-    def term(k: int, *factors):
-        t = R.from_int(k)
-        for x in factors:
-            t = mul(t, x)
-        return t
-
-    s, r, q, p = a0, a1, a2, a3
+    mul = R.mul
+    powers = []  # powers[i][n] = a_i^n
+    for a in (a0, a1, a2, a3):
+        row = [R.one, a]
+        for _ in range(3):
+            row.append(mul(row[-1], a))
+        powers.append(row)
     total = R.zero
-    for t in (
-        term(256, s, s, s),
-        term(-192, p, r, s, s),
-        term(-128, q, q, s, s),
-        term(144, q, r, r, s),
-        term(-27, r, r, r, r),
-        term(144, p, p, q, s, s),
-        term(-6, p, p, r, r, s),
-        term(-80, p, q, q, r, s),
-        term(18, p, q, r, r, r),
-        term(16, q, q, q, q, s),
-        term(-4, q, q, q, r, r),
-        term(-27, p, p, p, p, s, s),
-        term(18, p, p, p, q, r, s),
-        term(-4, p, p, p, r, r, r),
-        term(-4, p, p, q, q, q, s),
-        term(1, p, p, q, q, r, r),
-    ):
-        total = add(total, t)
+    for k, exps in _DISC_MONOMIALS:
+        t = R.from_int(k)
+        for row, n in zip(powers, exps):
+            if n:
+                t = mul(t, row[n])
+        total = R.add(total, t)
     return total
 
 
-def disc_valuation(fq: EisensteinQuartic) -> int:
-    K = fq.field
-    v = K.val(disc_raw(K, *fq.coeffs()))
+def _disc_val(K: LocalField, disc) -> int:
+    """v_K(disc) of an Eisenstein quartic, checked to be certified and at most 8e+3."""
+    v = K.val(disc)
     if v is None:
         raise PrecisionExhausted("discriminant vanishes to working precision")
     if v > 8 * K.e_abs + 3:
         raise AssertionError(f"Eisenstein quartic with disc valuation {v} > 8e+3")
     return v
+
+
+def disc_valuation(fq: EisensteinQuartic) -> int:
+    K = fq.field
+    return _disc_val(K, disc_raw(K, *fq.coeffs()))
 
 
 def newton_slopes(points):
@@ -122,13 +127,6 @@ def newton_slopes(points):
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
     return out
-
-
-def quartic_newton_slopes(fq: EisensteinQuartic):
-    K = fq.field
-    a0, a1, a2, a3 = fq.coeffs()
-    pts = [(0, K.val(a0)), (1, K.val(a1)), (2, K.val(a2)), (3, K.val(a3)), (4, 0)]
-    return newton_slopes(pts)
 
 
 def in_Tm(fq: EisensteinQuartic, m: int) -> bool:
@@ -190,18 +188,17 @@ def stem_ring(fq: EisensteinQuartic) -> EisensteinStep:
     return EisensteinStep(fq.field.ring, list(fq.coeffs()))
 
 
-def deformation_cubic(fq: EisensteinQuartic, stem=None):
-    """Coefficients (b0, b1, b2) of f(Z + pi)/Z = Z^3 + b2 Z^2 + b1 Z + b0 in the stem."""
-    L = stem if stem is not None else stem_ring(fq)
-    K = fq.field
+def _stem_lift(L, c):
+    """The element c of O_K as a constant of the stem ring L = O_K[X]/(f)."""
+    return (c,) + L.zero[1:]
 
-    def lift(c):
-        return (c,) + (K.ring.zero,) * 3
 
+def deformation_cubic(fq: EisensteinQuartic, L):
+    """Coefficients (b0, b1, b2) of f(Z + pi)/Z = Z^3 + b2 Z^2 + b1 Z + b0 in the stem L."""
     pi = L.shift(L.one, 1)
     pi2 = L.mul(pi, pi)
     pi3 = L.mul(pi2, pi)
-    a1, a2, a3 = lift(fq.a1), lift(fq.a2), lift(fq.a3)
+    a1, a2, a3 = (_stem_lift(L, c) for c in (fq.a1, fq.a2, fq.a3))
     b2 = L.add(a3, L.shift(L.from_int(4), 1))
     b1 = L.add(L.add(a2, L.mul(L.from_int(3), L.mul(pi, a3))), L.mul(L.from_int(6), pi2))
     b0 = L.add(
@@ -223,42 +220,40 @@ def root_distances(fq: EisensteinQuartic, stem=None):
     return out
 
 
-def _count_roots_in_ring(L, coeffs, depth_cap):
-    """Number of roots in O_L of the polynomial with the given coefficients.
+def _simple_residue_roots(R, coeffs, depth_cap, search="root refinement"):
+    """Yield (p, path) once for each root in O_R of the polynomial ``coeffs``.
 
     Residue refinement: normalise by the minimal coefficient valuation, read
-    the residue polynomial, certify simple residue roots by Hensel, recurse
-    on repeated ones with X -> [t] + pi*X.
+    the residue polynomial, and recurse on repeated residue roots t with
+    X -> [t] + pi*X.  A simple residue root path[-1] of the normalised ``p``
+    lifts uniquely (Hensel); the root is sum_i [path_i] pi^i + O(pi^len(path)).
     """
-    res = L.res
-    count = 0
-    stack = [(list(coeffs), 0)]
+    res = R.res
+    stack = [(list(coeffs), ())]
     while stack:
-        poly, depth = stack.pop()
-        if depth > depth_cap:
-            raise PrecisionExhausted("root refinement exceeded its depth budget")
-        vals = [L.val(c) for c in poly]
+        poly, path = stack.pop()
+        if len(path) > depth_cap:
+            raise PrecisionExhausted(f"{search} exceeded its depth budget")
+        vals = [R.val(c) for c in poly]
         finite = [v for v in vals if v is not None]
         if not finite:
             raise PrecisionExhausted("polynomial vanished to working precision")
         s = min(finite)
-        poly = [L.shift(c, -s) for c in poly]
-        rbar = [L.residue(c) if v is not None and v == s else 0 for c, v in zip(poly, vals)]
+        poly = [R.shift(c, -s) for c in poly]
+        rbar = [R.residue(c) if v is not None and v == s else 0 for c, v in zip(poly, vals)]
         for t in res.elements():
-            if _poly_eval_res(res, rbar, t) != 0:
+            if _poly_eval(res, rbar, t) != 0:
                 continue
             if _poly_eval_res_deriv(res, rbar, t) != 0:
-                count += 1  # simple residue root lifts uniquely (Hensel)
-                continue
-            stack.append((_poly_shift_scale(L, poly, t), depth + 1))
-    return count
+                yield poly, path + (t,)
+            else:
+                stack.append((_poly_shift_scale(R, poly, t), path + (t,)))
 
 
-def _poly_eval_res(res, coeffs, t):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = res.add(res.mul(acc, t), c)
-    return acc
+def _count_roots_in_ring(L, coeffs):
+    """Number of roots in O_L of a polynomial over the stem ring L of a quartic."""
+    cap = 4 * (8 * L.base.e_abs + 3) + _PANAYI_DEPTH_SLACK
+    return sum(1 for _ in _simple_residue_roots(L, coeffs, cap))
 
 
 def _poly_eval_res_deriv(res, coeffs, t):
@@ -290,21 +285,20 @@ def count_roots_in_stem(fq: EisensteinQuartic, stem=None) -> int:
     """#roots of f in its stem field K[X]/(f); equals #Aut(L_f/K), one of 1, 2, 4."""
     L = stem if stem is not None else stem_ring(fq)
     b0, b1, b2 = deformation_cubic(fq, L)
-    cubic = [b0, b1, b2, L.one]
-    cap = 4 * (8 * fq.field.e_abs + 3) + _PANAYI_DEPTH_SLACK
-    r = 1 + _count_roots_in_ring(L, cubic, cap)
+    r = 1 + _count_roots_in_ring(L, [b0, b1, b2, L.one])
     if r not in (1, 2, 4):
         raise FormulationMismatch(f"stem root count {r} outside {{1, 2, 4}}")
     return r
 
 
-def classify_quartic(fq: EisensteinQuartic, cross_check: bool = True):
-    """Return (m, GroupTag) for the stem field of f."""
+def classify_quartic(fq: EisensteinQuartic):
+    """Return (m, GroupTag) for the stem field of f, cross-checked against is_one_aut."""
     K = fq.field
-    m = disc_valuation(fq)
+    disc = disc_raw(K, *fq.coeffs())
+    m = _disc_val(K, disc)
     r = count_roots_in_stem(fq)
-    square_disc = K.is_square(disc_raw(K, *fq.coeffs()))
-    if cross_check and (r == 1) != is_one_aut(fq, m):
+    square_disc = K.is_square(disc)
+    if (r == 1) != is_one_aut(fq, m):
         raise FormulationMismatch(
             f"root count {r} disagrees with the 1-Aut congruence test at m={m}"
         )
@@ -335,8 +329,9 @@ def resolvent_cubic(fq: EisensteinQuartic):
 
 
 def _poly_eval(R, coeffs, x):
-    acc = R.zero
-    for c in reversed(coeffs):
+    """Horner evaluation over a ring or a residue field R."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
         acc = R.add(R.mul(acc, x), c)
     return acc
 
@@ -344,12 +339,8 @@ def _poly_eval(R, coeffs, x):
 def _poly_deriv(R, coeffs):
     out = []
     for i in range(1, len(coeffs)):
-        out.append(_int_scale(R, coeffs[i], i))
+        out.append(R.mul(R.from_int(i), coeffs[i]))
     return out
-
-
-def _int_scale(R, c, k):
-    return R.mul(R.from_int(k), c)
 
 
 def _newton_refine(K, poly, x, want_val, max_iter=64):
@@ -381,34 +372,37 @@ def cubic_k_roots(K: LocalField, poly, want_val: int):
     original polynomial).
     """
     R = K.ring
-    res = K.res
     out = []
-    cap = 8 * (8 * K.e_abs + 3) + 64
-    stack = [(list(poly), R.zero, 0)]
-    while stack:
-        p, base, level = stack.pop()
-        if level > cap:
-            raise PrecisionExhausted("cubic root search exceeded its depth budget")
-        vals = [R.val(c) for c in p]
-        finite = [v for v in vals if v is not None]
-        if not finite:
-            raise PrecisionExhausted("cubic vanished to working precision")
-        s = min(finite)
-        p = [R.shift(c, -s) for c in p]
-        rbar = [R.residue(c) if v is not None and v == s else 0 for c, v in zip(p, vals)]
-        for t in res.elements():
-            if _poly_eval_res(res, rbar, t) != 0:
-                continue
-            x0 = R.add(base, K.digit_elt(t, level)) if t else base
-            if _poly_eval_res_deriv(res, rbar, t) != 0:
-                # unique lift in this disc: polish in normalised coordinates,
-                # where the Hensel condition holds from the simple residue root
-                y = _newton_refine(K, p, R.teich(t), max(1, want_val))
-                x = R.add(base, R.shift(y, level)) if level else y
-                out.append(_newton_refine(K, poly, x, want_val))
-            else:
-                stack.append((_poly_shift_scale(R, p, t), x0, level + 1))
+    cap = 8 * (8 * K.e_abs + 3) + _PANAYI_DEPTH_SLACK
+    for p, path in _simple_residue_roots(R, poly, cap, "cubic root search"):
+        # unique lift in this disc: polish in normalised coordinates, where
+        # the Hensel condition holds from the simple residue root
+        *digits, t = path
+        x = _newton_refine(K, p, R.teich(t), max(1, want_val))
+        x = R.add(K.from_digits(digits), R.shift(x, len(digits)))
+        out.append(_newton_refine(K, poly, x, want_val))
     return out
+
+
+def _resolvent_split(fq: EisensteinQuartic, disc, rescubic, window=None):
+    """C4 or D4 for a quartic whose closure group is one of them.
+
+    The resolvent cubic has a unique root w in K, the stem's quadratic
+    subfield is K(sqrt(W)) with W = w^2 - 4 a0, and the closure is cyclic
+    exactly when disc * W is a square.  None when ``window(w, W)`` is false.
+    """
+    K = fq.field
+    R = K.ring
+    roots = cubic_k_roots(K, rescubic, 24 * K.e_abs + 32)
+    if len(roots) != 1:
+        raise FormulationMismatch(
+            f"resolvent of a {{C4,D4}} quartic has {len(roots)} roots in K, expected 1"
+        )
+    w = roots[0]
+    W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
+    if window is not None and not window(w, W):
+        return None
+    return GroupTag.C4 if K.is_square(R.mul(disc, W)) else GroupTag.D4
 
 
 def classify_by_invariants(fq: EisensteinQuartic, m: int | None = None):
@@ -416,30 +410,19 @@ def classify_by_invariants(fq: EisensteinQuartic, m: int | None = None):
 
     Route: the trivial-automorphism congruence test separates S4/A4 (split
     by the discriminant square class); a square discriminant otherwise
-    forces V4; for the remaining {C4, D4} the resolvent cubic has a unique
-    root w in K, the stem's quadratic subfield is K(sqrt(w^2 - 4 a0)), and
-    the closure is cyclic exactly when that field coincides with
-    K(sqrt(disc)), i.e. when disc * (w^2 - 4 a0) is a square.
+    forces V4; the remaining {C4, D4} are split by the resolvent cubic
+    (see ``_resolvent_split``).
     """
     K = fq.field
-    R = K.ring
-    if m is None:
-        m = disc_valuation(fq)
     disc = disc_raw(K, *fq.coeffs())
+    if m is None:
+        m = _disc_val(K, disc)
     square_disc = K.is_square(disc)
     if is_one_aut(fq, m):
         return m, (GroupTag.A4 if square_disc else GroupTag.S4)
     if square_disc:
         return m, GroupTag.V4
-    roots = cubic_k_roots(K, resolvent_cubic(fq), 24 * K.e_abs + 32)
-    if len(roots) != 1:
-        raise FormulationMismatch(
-            f"resolvent of a {{C4,D4}} quartic has {len(roots)} roots in K, expected 1"
-        )
-    w = roots[0]
-    W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
-    g = GroupTag.C4 if K.is_square(R.mul(disc, W)) else GroupTag.D4
-    return m, g
+    return m, _resolvent_split(fq, disc, resolvent_cubic(fq))
 
 
 def classify_tower_from_norm(K: LocalField, d, alpha_norm) -> GroupTag:

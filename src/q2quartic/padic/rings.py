@@ -22,7 +22,7 @@ consumers budget their downward shifts against the guard digits instead.
 
 from __future__ import annotations
 
-from ..errors import DivisionByNonUnit, PrecisionExhausted
+from ..errors import DivisionByNonUnit, InvalidParams, PrecisionExhausted
 from ..residue import ResidueField
 
 
@@ -175,12 +175,7 @@ class EisensteinStep:
         self.n = len(self.g)
         if self.n < 1:
             raise ValueError("defining polynomial must have positive degree")
-        if base.val(self.g[0]) != 1:
-            raise ValueError("constant term must have valuation exactly 1")
-        for c in self.g[1:]:
-            v = base.val(c)
-            if v is not None and v < 1:
-                raise ValueError("non-constant lower coefficients need positive valuation")
+        _check_eisenstein(base, self.g)
         self.f = base.f
         self.res = base.res
         self.e_abs = self.n * base.e_abs
@@ -294,6 +289,17 @@ class EisensteinStep:
 
     def __repr__(self):
         return f"EisensteinStep(n={self.n}, base={self.base!r})"
+
+
+def _check_eisenstein(ring, lower_coeffs):
+    """Raise InvalidParams unless v(c_0) = 1 and v(c_i) >= 1 (an Eisenstein polynomial)."""
+    v0 = ring.val(lower_coeffs[0])
+    if v0 != 1:
+        raise InvalidParams(f"constant term must have valuation exactly 1, got {v0}")
+    for c in lower_coeffs[1:]:
+        v = ring.val(c)
+        if v is not None and v < 1:
+            raise InvalidParams("non-constant lower coefficients need positive valuation")
 
 
 def eq_mod(ring, a, b, l: int) -> bool:

@@ -85,6 +85,14 @@ def test_verify_help_documents_jobs_clamp(capsys):
     assert "cores" in capsys.readouterr().out
 
 
+def test_non_eisenstein_field_spec_exits_2(tmp_path, capsys):
+    spec = tmp_path / "k.json"
+    for eis in ([4, 0, 1], [2, 1, 1]):  # v(c0) = 2; a unit middle coefficient
+        spec.write_text(json.dumps({"f": 1, "eisenstein": eis}))
+        assert run(["derive-params", "--field", str(spec)]) == 2
+        assert "valuation" in capsys.readouterr().err
+
+
 def test_derive_params_cli(tmp_path, capsys):
     spec = tmp_path / "k.json"
     spec.write_text(json.dumps({"f": 1, "eisenstein": [-2, 0, 1]}))

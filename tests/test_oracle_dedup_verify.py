@@ -43,7 +43,11 @@ def test_verify_q2_all_oracles(Q2, tmp_path):
     blob = json.loads(report.to_json())
     assert blob["passed"] is True
     report2 = verify(Q2, 11, methods=("density", "tower", "dedup"), cache_dir=str(tmp_path))
-    assert report2.to_json() == report.to_json()
+    assert report2.rows == report.rows
+    meta, meta2 = dict(report.meta), dict(report2.meta)
+    assert meta.pop("cache") == dict.fromkeys(("density", "tower", "dedup"), "miss")
+    assert meta2.pop("cache") == dict.fromkeys(("density", "tower", "dedup"), "hit")
+    assert meta2 == meta
     assert any(p.name.startswith("q2quartic-density") for p in tmp_path.iterdir())
 
 
@@ -55,6 +59,7 @@ def test_truncated_cache_file_is_recomputed(Q2, tmp_path, caplog):
     with caplog.at_level("WARNING", logger="q2quartic.oracle.cache"):
         again = verify(Q2, 11, methods=("density",), cache_dir=str(tmp_path))
     assert "unreadable" in caplog.text
+    assert again.meta["cache"] == {"density": "miss"}
     assert again.to_json() == report.to_json()
     assert json.loads(path.read_text())["counts"]  # rewritten whole
 

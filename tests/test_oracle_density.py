@@ -16,7 +16,7 @@ from q2quartic.oracle.measure import (
 from q2quartic.padic.field import ramified_quadratic
 from q2quartic.params import GROUP_ORDER
 
-_RUN_KEYS = ("leaves", "pruned", "max_depth")
+_RUN_KEYS = ("leaves", "pruned", "max_depth", "root_count_cross_checks")
 
 
 def test_density_counts_q2_m8_full_cross_check(Q2):
@@ -81,7 +81,7 @@ def test_root_orbit_symmetry_u2(U2):
     assert meta["leaves"] == runs[0].leaves
 
 
-@pytest.mark.parametrize("field, m_max", [("U2", 6), ("K_sqrt2", 8)])
+@pytest.mark.parametrize("field, m_max", [("Q2", 11), ("U2", 6), ("K_sqrt2", 8)])
 def test_density_jobs2_matches_serial(request, field, m_max):
     K = request.getfixturevalue(field)
     serial, smeta = density_counts(K, m_max, jobs=1)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from q2quartic.errors import InvalidParams
 from q2quartic.padic.field import q2
 from q2quartic.padic.quartic import (
     EisensteinQuartic,
@@ -16,7 +17,7 @@ from q2quartic.padic.quartic import (
     disc_valuation,
     in_Tm,
     is_one_aut,
-    quartic_newton_slopes,
+    newton_slopes,
     resolvent_cubic,
     root_distances,
     stem_ring,
@@ -55,6 +56,13 @@ def test_disc_valuation_examples(Q2):
     assert disc_valuation(EisensteinQuartic.from_ints(Q2, 2, 2, 0, 0)) == 4  # disc 1616
     assert disc_valuation(EisensteinQuartic.from_ints(Q2, 2, 0, 0, 0)) == 11  # disc 2^11
     assert disc_valuation(EisensteinQuartic.from_ints(Q2, 2, 0, -4, 0)) == 11
+
+
+def test_non_eisenstein_coefficients_rejected(Q2):
+    with pytest.raises(InvalidParams):
+        EisensteinQuartic.from_ints(Q2, 4, 0, 0, 0)  # v(a0) = 2
+    with pytest.raises(InvalidParams):
+        EisensteinQuartic.from_ints(Q2, 2, 1, 0, 0)  # a1 a unit
 
 
 @pytest.mark.parametrize("coeffs,m,group", WITNESSES)
@@ -117,8 +125,8 @@ def test_newton_polygon_single_segment(Q2):
         a0 = 2 * rng.randrange(1, 64, 2)
         a1, a2, a3 = (2 * rng.randrange(0, 64) for _ in range(3))
         fq = EisensteinQuartic.from_ints(Q2, a0, a1, a2, a3)
-        slopes = quartic_newton_slopes(fq)
-        assert slopes == [(Fraction(1, 4), 4)]
+        pts = [(i, Q2.val(a)) for i, a in enumerate(fq.coeffs())] + [(4, 0)]
+        assert newton_slopes(pts) == [(Fraction(1, 4), 4)]
 
 
 def test_root_distances_sum_to_disc_valuation(Q2):

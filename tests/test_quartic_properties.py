@@ -1,0 +1,81 @@
+"""Property tests of the quartic layer over random Eisenstein quartics.
+
+The witnesses in test_padic_quartic.py are hand-picked quartics over Q2;
+these draw quartics over ramified and unramified base fields, with each
+middle coefficient's valuation drawn before its digits so that every
+closure group is reached.
+"""
+
+from functools import lru_cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from q2quartic.oracle.density import _INF, _Enumerator
+from q2quartic.padic.field import field_from_spec
+from q2quartic.padic.quartic import (
+    EisensteinQuartic,
+    classify_by_invariants,
+    classify_quartic,
+    root_distances,
+)
+
+_SPECS = {
+    "Q2": {"f": 1},
+    "U2": {"f": 2},
+    "sqrt2": {"f": 1, "eisenstein": [-2, 0, 1]},
+    "x^3-2": {"f": 1, "eisenstein": [-2, 0, 0, 1]},
+}
+
+
+@lru_cache(maxsize=None)
+def _field(name):
+    return field_from_spec(_SPECS[name])
+
+
+@lru_cache(maxsize=None)
+def _enumerator(name):
+    K = _field(name)
+    return _Enumerator(K, 8 * K.e_abs + 3)
+
+
+@st.composite
+def _coefficient(draw, K, v, n):
+    """Digits of an element of valuation exactly v (None: zero), n digits long."""
+    if v is None:
+        return None
+    lead = draw(st.integers(1, K.q - 1))
+    rest = draw(st.lists(st.integers(0, K.q - 1), min_size=n - v - 1, max_size=n - v - 1))
+    return (0,) * v + (lead,) + tuple(rest)
+
+
+@st.composite
+def eisenstein_quartics(draw, names, allow_zero):
+    """(field name, quartic, coefficient valuations with None for zero)."""
+    name = draw(st.sampled_from(names))
+    K = _field(name)
+    e = K.e_abs
+    n = 8 * e + 4
+    vals = [1]
+    for _ in range(3):
+        v = st.integers(1, 2 * e + 2)
+        vals.append(draw(st.one_of(st.none(), v) if allow_zero else v))
+    digits = [draw(_coefficient(K, v, n)) for v in vals]
+    coeffs = [K.ring.zero if d is None else K.from_digits(d) for d in digits]
+    return name, EisensteinQuartic(K, *coeffs), vals
+
+
+@settings(max_examples=200, deadline=None)
+@given(eisenstein_quartics(("Q2", "U2", "sqrt2"), allow_zero=False))
+def test_classifiers_agree(case):
+    _, fq, _ = case
+    assert classify_quartic(fq) == classify_by_invariants(fq)
+
+
+@settings(max_examples=80, deadline=None)
+@given(eisenstein_quartics(tuple(_SPECS), allow_zero=True))
+def test_distance_polygon_is_largest_root_distance(case):
+    # the Krasner certificate of the density oracle relies on this equality
+    name, fq, vals = case
+    vrep = tuple(_INF if v is None else v for v in vals)
+    assert _enumerator(name)._distance_polygon_max(vrep) == max(root_distances(fq))
