@@ -70,6 +70,7 @@ from ..padic.quartic import (
     classify_by_invariants,
     classify_quartic,
     disc_raw,
+    in_Tm_domain,
     resolvent_cubic,
 )
 from ..params import GroupTag, aut_order
@@ -206,8 +207,7 @@ class _Enumerator:
 
     def _visibly_non_one_aut(self, cs, vrep, m) -> bool:
         """True when every member of the node fails the 1-Aut valuation pattern."""
-        e = self.e
-        if m % 2 != 0 or not (4 <= m <= 6 * e + 2):
+        if not in_Tm_domain(m, self.e):
             return True
         v1, v2, v3 = vrep[1], vrep[2], vrep[3]
         c1, c3 = cs[1], cs[3]

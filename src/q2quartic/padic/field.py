@@ -8,12 +8,15 @@ a norm map), so all predicates below work uniformly at both levels of a
 tower.
 
 The central primitive is :meth:`LocalField.square_reach`: for a unit u it
-finds how closely u can be approximated by squares, by repairing the digit
-of u/x^2 - 1 one level at a time.  Even levels below 2*v(2) are always
-repairable (residue fields of characteristic two are perfect), an odd
-level is a permanent obstruction, and level 2*v(2) is an Artin-Schreier
-condition.  Squares, the unramified quadratic class, and Hecke's
-discriminant-exponent formula all read off from the stopping level.
+finds how closely u can be approximated by squares, by repairing the
+leading digit of u - x^2 one level at a time.  Even levels below 2*v(2)
+are always repairable (residue fields of characteristic two are perfect),
+an odd level is a permanent obstruction, and level 2*v(2) is an
+Artin-Schreier condition.  Squares, the unramified quadratic class, and
+Hecke's discriminant-exponent formula all read off from the stopping level.
+The walk never divides: x^2 keeps the residue of u, so u - x^2 and
+u/x^2 - 1 share their valuation, and their leading digits differ by the
+fixed factor res(u)^-1.
 """
 
 from __future__ import annotations
@@ -44,14 +47,13 @@ class LocalField:
         self.label = label or "K"
         self._sqreps = None
         self._digit_table = {}
+        # res(2 / pi^v(2)), the linear coefficient of the Artin-Schreier step
+        self._gamma = ring.residue(ring.shift(ring.from_int(2), -self.e_abs))
 
     # -- basic raw-element helpers -------------------------------------
 
     def from_int(self, n: int):
         return self.ring.from_int(n)
-
-    def pi(self):
-        return self.ring.shift(self.ring.one, 1)
 
     def val(self, a):
         return self.ring.val(a)
@@ -80,40 +82,45 @@ class LocalField:
         reach = 2*v(2)+1 means u = x^2 * (1 + O(pi^{2v(2)+1})), hence a
         square; reach = 2*v(2) marks the unramified quadratic class; an odd
         reach < 2*v(2) is the Hecke invariant kappa, with witness x.
+
+        Each step reads l = v(u - x^2).  x starts as the Teichmueller lift
+        of sqrt(res u) and every correction multiplies it by a 1-unit, so
+        res(x^2) = res(u) throughout: l = v(u/x^2 - 1), and the leading
+        digit of u/x^2 - 1 is that of u - x^2 times res(u)^-1.
         """
-        ring = self.ring
+        ring, res = self.ring, self.res
         w = self.e_abs
         r0 = ring.residue(u)
         if r0 == 0:
             raise DivisionByNonUnit("square_reach needs a unit")
-        x = ring.teich(self.res.sqrt(r0))
+        r0_inv = res.inv(r0)
+        x = ring.teich(res.sqrt(r0))
         top = 2 * w + 1
         if top + 2 > ring.cap:
             raise PrecisionExhausted("field precision below 2*v(2)+3")
         for _ in range(top + 2):
-            r = ring.sub(ring.mul(u, ring.inv_unit(ring.mul(x, x))), ring.one)
-            l = ring.val(r)
+            d = ring.sub(u, ring.mul(x, x))
+            l = ring.val(d)
             if l is None or l >= top:
                 return top, x
+            if l % 2 == 1:
+                return l, x
+            rbar = res.mul(leading_residue(ring, d, l), r0_inv)
             if l == 2 * w:
-                s = self._artin_schreier_fix(r, l)
+                s = self._artin_schreier_fix(rbar)
                 if s is None:
                     return 2 * w, x
                 x = ring.mul(x, ring.add(ring.one, self.digit_elt(s, w)))
                 continue
-            if l % 2 == 1:
-                return l, x
-            s = self.res.sqrt(leading_residue(ring, r, l))
+            s = res.sqrt(rbar)
             x = ring.mul(x, ring.add(ring.one, self.digit_elt(s, l // 2)))
         raise PrecisionExhausted("square_reach failed to terminate within budget")
 
-    def _artin_schreier_fix(self, r, l):
-        # solve s^2 + gamma*s = rbar in the residue field, gamma = res(2/pi^v(2))
-        ring = self.ring
-        rbar = leading_residue(ring, r, l)
-        gamma = ring.residue(ring.shift(ring.from_int(2), -self.e_abs))
-        for s in self.res.elements():
-            if self.res.add(self.res.mul(s, s), self.res.mul(gamma, s)) == rbar:
+    def _artin_schreier_fix(self, rbar):
+        """A residue s with s^2 + gamma*s = rbar, or None."""
+        res, gamma = self.res, self._gamma
+        for s in res.elements():
+            if res.add(res.mul(s, s), res.mul(gamma, s)) == rbar:
                 return s
         return None
 
@@ -167,8 +174,7 @@ class LocalField:
                 stack = new
             units.extend(stack)
         reps = list(units)
-        pi = self.pi()
-        reps.extend(ring.mul(pi, u) for u in units)
+        reps.extend(ring.shift(u, 1) for u in units)
         assert len(reps) == 1 << (self.e_abs * self.f + 2)
         self._sqreps = reps
         return reps
@@ -203,18 +209,26 @@ class LocalField:
         """Hash of the data that defines the field, for cache keys.
 
         A spec-backed field hashes its spec; a quadratic step built in code
-        hashes its base field's hash and its defining coefficients (B, C).
+        hashes its base field's hash and its defining coefficients (B, C);
+        a field built straight from a ring hashes the ring's defining data.
         """
         if self.spec:
             blob = json.dumps(self.spec, sort_keys=True)
         elif self.base_field is not None:
             blob = json.dumps([self.base_field.spec_hash(), repr(self._norm_coeffs)])
         else:
-            blob = self.label
+            blob = json.dumps(_ring_data(self.ring))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def __repr__(self):
         return f"LocalField({self.label}, e={self.e_abs}, f={self.f})"
+
+
+def _ring_data(ring):
+    """f, the residue modulus and, step by step, the Eisenstein lower coefficients."""
+    if isinstance(ring, EisensteinStep):
+        return [_ring_data(ring.base), repr(ring.g)]
+    return [ring.f, ring.res.modulus]
 
 
 def ramified_quadratic(K: LocalField, d) -> LocalField:

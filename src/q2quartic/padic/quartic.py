@@ -129,10 +129,15 @@ def newton_slopes(points):
     return out
 
 
+def in_Tm_domain(m: int, e: int) -> bool:
+    """Whether T_m is defined: m even and 4 <= m <= 6e+2 (e = v_K(2))."""
+    return m % 2 == 0 and 4 <= m <= 6 * e + 2
+
+
 def in_Tm(fq: EisensteinQuartic, m: int) -> bool:
     """The coefficient-valuation congruence set containing all 1-Aut quartics."""
     K = fq.field
-    if m % 2 != 0 or not (4 <= m <= 6 * K.e_abs + 2):
+    if not in_Tm_domain(m, K.e_abs):
         raise ValueError(f"T_m is defined for even 4 <= m <= 6e+2, got m={m}")
     v1, v2, v3 = K.val(fq.a1), K.val(fq.a2), K.val(fq.a3)
     lo2 = -(m // -6)  # ceil(m/6)
@@ -152,7 +157,7 @@ def is_one_aut(fq: EisensteinQuartic, m: int | None = None) -> bool:
     K = fq.field
     if m is None:
         m = disc_valuation(fq)
-    if m % 2 != 0 or not (4 <= m <= 6 * K.e_abs + 2):
+    if not in_Tm_domain(m, K.e_abs):
         return False
     if not in_Tm(fq, m):
         return False
@@ -347,9 +352,14 @@ def _newton_refine(K, poly, x, want_val, max_iter=64):
     """Newton-refine a root approximation of a monic poly over O_K.
 
     Requires v(p(x)) > 2 v(p'(x)) on entry; refines until v(p(x)) >= want_val.
+    The inverse z of the unit part of p'(x) is computed once and then carried
+    along by one Newton step z <- z(2 - d z) per round; it is recomputed
+    only if v(p'(x)) changes.
     """
     R = K.ring
     deriv = _poly_deriv(R, poly)
+    two = R.from_int(2)
+    z = z_val = None
     for _ in range(max_iter):
         px = _poly_eval(R, poly, x)
         vp = R.val(px)
@@ -359,8 +369,12 @@ def _newton_refine(K, poly, x, want_val, max_iter=64):
         vd = R.val(dpx)
         if vd is None or vp <= 2 * vd:
             raise PrecisionExhausted("approximation left the Newton basin")
-        corr = R.mul(R.shift(px, -vd), R.inv_unit(R.shift(dpx, -vd)))
-        x = R.sub(x, corr)
+        d = R.shift(dpx, -vd)
+        if vd != z_val:
+            z, z_val = R.inv_unit(d), vd
+        else:
+            z = R.mul(z, R.sub(two, R.mul(d, z)))
+        x = R.sub(x, R.mul(R.shift(px, -vd), z))
     raise PrecisionExhausted("Newton refinement did not reach the target valuation")
 
 

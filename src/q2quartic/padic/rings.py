@@ -257,7 +257,8 @@ class EisensteinStep:
         # solve x * t = a coefficientwise; needs v(a) >= 1, i.e. v_B(a_0) >= 1
         base, n = self.base, self.n
         a0 = a[0]
-        if base.val(a0) not in (None,) and base.val(a0) < 1:
+        v0 = base.val(a0)
+        if v0 is not None and v0 < 1:
             raise DivisionByNonUnit("element not divisible by the uniformiser")
         x_top = base.mul(base.shift(a0, -1), self._inv_unit_of_neg_g0_shifted)
         out = [base.zero] * n

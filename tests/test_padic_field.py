@@ -4,9 +4,11 @@ from q2quartic.errors import InvalidParams
 from q2quartic.padic.field import (
     TRIVIAL,
     UNRAMIFIED,
+    LocalField,
     field_from_spec,
     ramified_quadratic,
 )
+from q2quartic.padic.rings import EisensteinStep, UnramifiedRing
 from q2quartic.params import MinusOneClass
 
 
@@ -156,6 +158,43 @@ def test_spec_hash_of_derived_fields(Q2):
     assert E2.spec_hash() != E6.spec_hash()
     assert E2.spec_hash() == ramified_quadratic(Q2, Q2.from_int(2)).spec_hash()
     assert E2.spec_hash() != Q2.spec_hash()
+
+
+def test_spec_hash_of_bare_ring_fields():
+    # fields built straight from a ring hash its defining data, not their label
+    def eis(c1):
+        base = UnramifiedRing(1, 40)
+        return LocalField(EisensteinStep(base, [base.from_int(-2), base.from_int(c1)]), label="K")
+
+    assert eis(0).spec_hash() != eis(2).spec_hash()  # x^2 - 2 and x^2 + 2x - 2
+    assert eis(0).spec_hash() == eis(0).spec_hash()
+    U2, U3 = (LocalField(UnramifiedRing(f, 40), label="U") for f in (2, 3))
+    assert U2.spec_hash() != U3.spec_hash()
+    over_u2 = LocalField(EisensteinStep(U2.ring, [U2.from_int(2)]), label="K")
+    over_u3 = LocalField(EisensteinStep(U3.ring, [U3.from_int(2)]), label="K")
+    assert over_u2.spec_hash() != over_u3.spec_hash()
+    E = eis(0).ring
+    assert LocalField(EisensteinStep(E, [E.shift(E.one, 1)])).spec_hash() != eis(0).spec_hash()
+
+
+@pytest.mark.parametrize("spec", [
+    {"f": 1, "eisenstein": [-2, 0, 1]},
+    {"f": 1, "eisenstein": [-2, 0, 0, 1]},
+])
+def test_square_class_predicates_never_invert(spec, monkeypatch):
+    # square_reach reads u - x^2; hecke_disc and is_square must not divide
+    K = field_from_spec(spec)
+    reps = K.square_class_reps()
+
+    def no_inverse(self, a):
+        raise AssertionError("inv_unit called")
+
+    monkeypatch.setattr(UnramifiedRing, "inv_unit", no_inverse)
+    monkeypatch.setattr(EisensteinStep, "inv_unit", no_inverse)
+    hecke = [K.hecke_disc(d) for d in reps]
+    squares = [K.is_square(d) for d in reps]
+    assert squares.count(True) == 1 and hecke.count(TRIVIAL) == 1
+    assert hecke.count(UNRAMIFIED) == 1
 
 
 def test_field_spec_validation():

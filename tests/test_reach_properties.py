@@ -1,0 +1,159 @@
+"""Property tests of square_reach and the Newton refinement of cubic roots.
+
+square_reach reads the leading digit of u - x^2 and never inverts, so these
+check what the predicates built on it rely on: the reach is a square-class
+invariant, the witness x attains it, and it does not depend on the working
+precision.  cubic_k_roots carries the inverse of p'(x) along by Newton
+steps; its roots must still reach the target valuation, and their number
+must not depend on the working precision either.
+"""
+
+from functools import lru_cache
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from q2quartic.padic.field import field_from_spec, ramified_quadratic, with_doubled_precision
+from q2quartic.padic.quartic import _poly_deriv, _poly_eval, cubic_k_roots
+
+_SPECS = {
+    "Q2": {"f": 1},
+    "U2": {"f": 2},
+    "sqrt2": {"f": 1, "eisenstein": [-2, 0, 1]},
+    "x^3-2": {"f": 1, "eisenstein": [-2, 0, 0, 1]},
+}
+_STEP = "Q2(sqrt(-1))"  # a ramified quadratic step built in code, e = 2
+
+
+@lru_cache(maxsize=None)
+def _field(name, doubled=False):
+    if name == _STEP:
+        Q2 = _field("Q2")
+        return ramified_quadratic(Q2, Q2.from_int(-1))
+    K = field_from_spec(_SPECS[name])
+    return with_doubled_precision(K) if doubled else K
+
+
+def _digits(K, n, unit=False):
+    lead = st.integers(1 if unit else 0, K.q - 1)
+    rest = st.lists(st.integers(0, K.q - 1), min_size=n - 1, max_size=n - 1)
+    return st.tuples(lead, rest).map(lambda t: (t[0], *t[1]))
+
+
+@st.composite
+def unit_recipes(draw, names):
+    """(field name, recipe): u = y^2 * (1 + [t] pi^k) when y is given, else u from digits.
+
+    A recipe is digit lists and small integers only, so the same recipe
+    builds the same unit in a field at any precision.
+    """
+    name = draw(st.sampled_from(names))
+    K = _field(name)
+    n = 2 * K.e_abs + 4
+    if draw(st.booleans()):
+        return name, ("digits", draw(_digits(K, n, unit=True)))
+    y = draw(_digits(K, n, unit=True))
+    t = draw(st.integers(0, K.q - 1))
+    k = draw(st.integers(1, 2 * K.e_abs + 2))
+    return name, ("near-square", y, t, k)
+
+
+def _build(K, recipe):
+    if recipe[0] == "digits":
+        return K.from_digits(recipe[1])
+    _, y, t, k = recipe
+    R = K.ring
+    y = K.from_digits(y)
+    return R.mul(R.mul(y, y), R.add(R.one, K.digit_elt(t, k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_recipes((*_SPECS, _STEP)), st.data())
+def test_reach_is_a_square_class_invariant(case, data):
+    name, recipe = case
+    K = _field(name)
+    R = K.ring
+    u = _build(K, recipe)
+    y = K.from_digits(data.draw(_digits(K, 2 * K.e_abs + 4, unit=True)))
+    assert K.square_reach(R.mul(u, R.mul(y, y)))[0] == K.square_reach(u)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_recipes((*_SPECS, _STEP)))
+def test_reach_witness_attains_the_reach(case):
+    name, recipe = case
+    K = _field(name)
+    R = K.ring
+    u = _build(K, recipe)
+    reach, x = K.square_reach(u)
+    top = 2 * K.e_abs + 1
+    v = R.val(R.sub(u, R.mul(x, x)))
+    if reach < top:
+        assert v == reach
+    else:
+        assert v is None or v >= top
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_recipes(tuple(_SPECS)))
+def test_reach_is_invariant_under_precision_doubling(case):
+    name, recipe = case
+    K, K2 = _field(name), _field(name, doubled=True)
+    assert K2.ring.cap > K.ring.cap
+    assert K2.square_reach(_build(K2, recipe))[0] == K.square_reach(_build(K, recipe))[0]
+
+
+@st.composite
+def cubic_recipes(draw):
+    """(field name, digits of a, b, c) for the cubic (X - a)(X^2 + b X + c)."""
+    name = draw(st.sampled_from(tuple(_SPECS)))
+    K = _field(name)
+    n = 2 * K.e_abs + 4
+    return name, tuple(draw(_digits(K, n)) for _ in range(3))
+
+
+def _cubic(K, recipe):
+    R = K.ring
+    a, b, c = (K.from_digits(d) for d in recipe)
+    # (X - a)(X^2 + b X + c), ascending
+    return [
+        R.neg(R.mul(a, c)),
+        R.sub(c, R.mul(a, b)),
+        R.sub(b, a),
+        R.one,
+    ], a
+
+
+def _cubic_disc(R, p):
+    a0, a1, a2, _ = p
+    mul, add, sub = R.mul, R.add, R.sub
+    i = R.from_int
+    t = sub(mul(mul(a2, a2), mul(a1, a1)), mul(i(4), mul(a1, mul(a1, a1))))
+    t = sub(t, mul(i(4), mul(mul(a2, mul(a2, a2)), a0)))
+    t = sub(t, mul(i(27), mul(a0, a0)))
+    return add(t, mul(i(18), mul(a2, mul(a1, a0))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cubic_recipes(), st.integers(1, 40))
+def test_cubic_roots_reach_target_and_survive_precision_doubling(case, want):
+    name, recipe = case
+    K = _field(name)
+    R = K.ring
+    p, a = _cubic(K, recipe)
+    vdisc = R.val(_cubic_disc(R, p))
+    # a separable cubic whose roots part within the search depth
+    assume(vdisc is not None and vdisc <= 6 * K.e_abs + 6)
+    want = want * K.e_abs
+    roots = cubic_k_roots(K, p, want)
+    for x in roots:
+        v = R.val(_poly_eval(R, p, x))
+        assert v is None or v >= want
+    # the known root a is one of them, to the accuracy Hensel allows
+    vd = R.val(_poly_eval(R, _poly_deriv(R, p), a))
+    assert any(
+        (v is None or v >= want - vd) for v in (R.val(R.sub(x, a)) for x in roots)
+    )
+    K2 = _field(name, doubled=True)
+    p2, _ = _cubic(K2, recipe)
+    assert len(cubic_k_roots(K2, p2, want)) == len(roots)
