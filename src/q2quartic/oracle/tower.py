@@ -8,52 +8,117 @@ d of K (giving E = K(sqrt(d))), then ramified square classes alpha of E
 m = 2 m1 + m2 by the discriminant tower law, the closure group comes from
 the norm criterion on N_{E/K}(alpha), and pair counts divide by the fibre
 sizes 1/2/3 (C4/D4/V4) of the tower-to-field forgetful map.
+
+The enumeration is linear algebra over F_2.  A square class is its
+coordinate vector in the basis of :mod:`q2quartic.padic.field`, and the
+norm E^x/E^x2 -> K^x/K^x2 is linear, so per E only the norms of E's
+basis units are computed; the norm class of every alpha is the XOR of
+their coordinates, and m1, m2 read off the coordinate bits.  No ring
+arithmetic is done per pair.
+
+Cross-checks.  A pair (d, alpha) with coordinates (cd, c) is checked by
+the direct route when hash((cd, c)) is divisible by ``cross_check_every``
+(1: every pair, 0: none): alpha is built from E's basis, and
+``K.hecke_disc(d)``, ``E.hecke_disc(alpha)`` and
+``classify_tower_from_norm`` on ``E.norm(alpha)`` must agree with what the
+coordinates gave; a disagreement raises ``FormulationMismatch``.  Hashes
+of int tuples do not depend on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
 
-from ..errors import NonIntegralCount
+from ..errors import FormulationMismatch, NonIntegralCount
 from ..padic.field import TRIVIAL, UNRAMIFIED, LocalField, ramified_quadratic
 from ..padic.quartic import classify_tower_from_norm
 from ..params import GroupTag
 
 _FIBRE = {GroupTag.C4: 1, GroupTag.D4: 2, GroupTag.V4: 3}
+_SKIP = (TRIVIAL, UNRAMIFIED)
 
 
-def _tower_pairs(K: LocalField):
+def _norm_images(K: LocalField, E: LocalField) -> list[int]:
+    """K-coordinates of the norms of E's square-class basis units."""
+    return [K.square_class_coords(E.norm(b)) for b in E.square_class_basis()]
+
+
+def _basis_product(E: LocalField, c: int):
+    """The element of E whose square-class coordinates are c, built from E's basis."""
+    ring, basis = E.ring, E.square_class_basis()
+    a = ring.one
+    for i in range(1, len(basis)):
+        if c >> i & 1:
+            a = ring.mul(a, basis[i])
+    return ring.shift(a, 1) if c & 1 else a
+
+
+def _cross_check(K, d, E, c, m1, m2, g):
+    """Re-derive (m1, m2, g) of one pair from d and alpha themselves."""
+    alpha = _basis_product(E, c)
+    coords = (m1, m2, g)
+    direct = (K.hecke_disc(d), E.hecke_disc(alpha), classify_tower_from_norm(K, d, E.norm(alpha)))
+    if direct != coords:
+        raise FormulationMismatch(
+            f"tower pair {c:#b} over {E.label}: coordinates give (m1, m2, group) = "
+            f"{coords}, the direct route {direct}"
+        )
+
+
+def _hecke_table(F: LocalField) -> list:
+    """``hecke_disc`` of each square class of F, indexed by coordinate vector."""
+    return [F.coords_hecke_disc(c) for c in range(1 << F.square_class_dim)]
+
+
+def _tower_pairs(K: LocalField, cross_check_every: int = 64):
     pairs: dict[tuple[int, GroupTag], int] = {}
-    for d in K.square_class_reps():
-        m1 = K.hecke_disc(d)
-        if m1 in (TRIVIAL, UNRAMIFIED):
+    n_pairs = n_checks = 0
+    reps = K.square_class_reps()
+    m2_table = None  # every E = K(sqrt(d)) has v(2) = 2 v_K(2) and K's residue field
+    for cd, m1 in enumerate(_hecke_table(K)):
+        if m1 in _SKIP:
             continue
+        d = reps[cd]
         E = ramified_quadratic(K, d)
-        for alpha in E.square_class_reps():
-            m2 = E.hecke_disc(alpha)
-            if m2 in (TRIVIAL, UNRAMIFIED):
+        if m2_table is None:
+            m2_table = _hecke_table(E)
+        nb = _norm_images(K, E)
+        ncls = [0] * len(m2_table)
+        for c in range(1, len(ncls)):
+            low = c & -c
+            n = ncls[c] = ncls[c ^ low] ^ nb[low.bit_length() - 1]
+            m2 = m2_table[c]
+            if m2 in _SKIP:
                 continue
-            m = 2 * m1 + m2
-            g = classify_tower_from_norm(K, d, E.norm(alpha))
-            key = (m, g)
+            g = GroupTag.V4 if n == 0 else GroupTag.C4 if n == cd else GroupTag.D4
+            key = (2 * m1 + m2, g)
             pairs[key] = pairs.get(key, 0) + 1
-    return pairs
+            n_pairs += 1
+            if cross_check_every and hash((cd, c)) % cross_check_every == 0:
+                _cross_check(K, d, E, c, m1, m2, g)
+                n_checks += 1
+    return pairs, {"pairs": n_pairs, "cross_checks": n_checks}
 
 
 def tower_pair_totals(K: LocalField) -> dict[int, int]:
     """Number of m-towers per m (before fibre division); equals #Tow_m."""
     totals: dict[int, int] = {}
-    for (m, _), n in _tower_pairs(K).items():
+    for (m, _), n in _tower_pairs(K)[0].items():
         totals[m] = totals.get(m, 0) + n
     return totals
 
 
-def tower_counts(K: LocalField) -> dict[tuple[int, GroupTag], int]:
-    """Field counts per (m, g) for g in {V4, C4, D4} from tower enumeration."""
+def tower_counts(K: LocalField, cross_check_every: int = 64):
+    """Field counts per (m, g) for g in {V4, C4, D4} from tower enumeration.
+
+    Returns (counts, meta); meta counts the ramified pairs enumerated and
+    the pairs cross-checked by the direct route.
+    """
+    pairs, meta = _tower_pairs(K, cross_check_every)
     counts: dict[tuple[int, GroupTag], int] = {}
-    for (m, g), n in sorted(_tower_pairs(K).items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
+    for (m, g), n in sorted(pairs.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
         fibre = _FIBRE[g]
         if n % fibre:
             raise NonIntegralCount(
                 f"{n} towers at (m={m}, {g.value}) not divisible by fibre size {fibre}"
             )
         counts[(m, g)] = n // fibre
-    return counts
+    return counts, meta

@@ -110,7 +110,8 @@ def verify(
 ) -> VerificationReport:
     """Run the requested oracles and compare them to the closed forms.
 
-    Mismatches become failing rows, not exceptions.  With ``cache_dir``,
+    Mismatches become failing rows, not exceptions.  ``meta["tower"]`` and
+    ``meta["density"]`` hold those oracles' metadata.  With ``cache_dir``,
     ``meta["cache"]`` maps each oracle run to "hit" or "miss".
     """
     params = field.derive_params()
@@ -128,7 +129,7 @@ def verify(
         return counts, oracle_meta
 
     if "tower" in methods:
-        tc, _ = fetch("tower", 8 * field.e_abs + 3, lambda K: (tower_counts(K), None))
+        tc, meta["tower"] = fetch("tower", 8 * field.e_abs + 3, tower_counts)
         rows.extend(_rows_from(params, "tower", tc, m_max, _TOWER_GROUPS))
     if "density" in methods:
         dc, meta["density"] = fetch("density", m_max, lambda K: density_counts(K, m_max, jobs=jobs))

@@ -17,6 +17,23 @@ Hecke's discriminant-exponent formula all read off from the stopping level.
 The walk never divides: x^2 keeps the residue of u, so u - x^2 and
 u/x^2 - 1 share their valuation, and their leading digits differ by the
 fixed factor res(u)^-1.
+
+F^x / F^x2 is an F_2-vector space of dimension [F:Q_2] + 2, and
+:meth:`LocalField.square_class_coords` gives every element its coordinate
+vector, an int, in one fixed basis:
+
+* bit 0 is the uniformiser pi;
+* bit 1 + j*f + k is 1 + [2^k] pi^(2j+1), one residue-basis digit at each
+  odd level 2j+1 < 2*v(2);
+* the last bit is 1 + [c*] pi^(2*v(2)), the unramified class, where c* is
+  a residue outside the image of s -> s^2 + gamma*s.
+
+The coordinate walk is ``square_reach`` continued past the odd levels: it
+records an odd level's digit and multiplies the basis units in, instead of
+stopping there.  Products and norms of elements then become XORs of
+coordinate vectors, which is how the tower oracle classifies its pairs.
+``is_square``, ``hecke_disc`` and ``square_reach`` keep the shorter walk
+that stops at the first obstruction.
 """
 
 from __future__ import annotations
@@ -46,9 +63,13 @@ class LocalField:
         self._norm_coeffs = norm_coeffs  # (B, C) with theta^2 + B theta + C = 0
         self.label = label or "K"
         self._sqreps = None
+        self._sqbasis = None
         self._digit_table = {}
+        self._odd_units = {}  # (level, residue) -> product of the basis units it selects
+        self._digit_squares = {}  # (residue, level) -> (1 + [s] pi^level)^2
         # res(2 / pi^v(2)), the linear coefficient of the Artin-Schreier step
         self._gamma = ring.residue(ring.shift(ring.from_int(2), -self.e_abs))
+        self.square_class_dim = self.e_abs * self.f + 2
 
     # -- basic raw-element helpers -------------------------------------
 
@@ -148,34 +169,124 @@ class LocalField:
             return UNRAMIFIED
         return 2 * w + 1 - reach
 
+    def square_class_coords(self, a) -> int:
+        """The coordinate vector of a in F^x / F^x2, in the basis of the module docstring.
+
+        The walk keeps y = x^2 * (product of the basis units recorded so far)
+        with res(y) = res(u) and reads l = v(u - y) and the leading digit of
+        u/y - 1, as ``square_reach`` does.  An odd level records its digit's
+        bits and multiplies their basis units into y; an even level below
+        2*v(2) multiplies in the square of a digit; level 2*v(2) multiplies in
+        an Artin-Schreier square or, failing one, records the unramified bit.
+        The walk ends when u/y = 1 + O(pi^{2v(2)+1}), a square.
+        """
+        ring, res = self.ring, self.res
+        v = ring.val(a)
+        if v is None:
+            raise PrecisionExhausted("cannot certify element nonzero")
+        u = ring.shift(a, -v)
+        w, f = self.e_abs, self.f
+        top = 2 * w + 1
+        if top + 2 > ring.cap:
+            raise PrecisionExhausted("field precision below 2*v(2)+3")
+        r0 = ring.residue(u)
+        r0_inv = res.inv(r0)
+        y = ring.teich(r0)
+        coords = v & 1
+        for _ in range(top + 2):
+            d = ring.sub(u, y)
+            l = ring.val(d)
+            if l is None or l >= top:
+                return coords
+            rbar = res.mul(leading_residue(ring, d, l), r0_inv)
+            if l % 2 == 1:
+                coords |= rbar << (1 + (l // 2) * f)
+                y = ring.mul(y, self._odd_unit(l, rbar))
+            elif l < 2 * w:
+                y = ring.mul(y, self._digit_square(res.sqrt(rbar), l // 2))
+            else:
+                s = self._artin_schreier_fix(rbar)
+                if s is None:
+                    coords |= 1 << (1 + w * f)
+                    y = ring.mul(y, self.square_class_basis()[-1])
+                else:
+                    y = ring.mul(y, self._digit_square(s, w))
+        raise PrecisionExhausted("square_class_coords failed to terminate within budget")
+
+    def _odd_unit(self, l, rbar):
+        """The product of the basis units 1 + [2^k] pi^l over the bits k of rbar, cached."""
+        key = (l, rbar)
+        p = self._odd_units.get(key)
+        if p is None:
+            ring, basis = self.ring, self.square_class_basis()
+            first = 1 + (l // 2) * self.f
+            p = ring.one
+            for k in range(self.f):
+                if rbar >> k & 1:
+                    p = ring.mul(p, basis[first + k])
+            self._odd_units[key] = p
+        return p
+
+    def _digit_square(self, s, i):
+        """(1 + [s] pi^i)^2, cached."""
+        key = (s, i)
+        sq = self._digit_squares.get(key)
+        if sq is None:
+            ring = self.ring
+            x = ring.add(ring.one, self.digit_elt(s, i))
+            sq = self._digit_squares[key] = ring.mul(x, x)
+        return sq
+
+    def coords_hecke_disc(self, c: int):
+        """``hecke_disc`` of any element whose square-class coordinates are c.
+
+        Odd valuation gives 2*v(2)+1; otherwise the lowest odd level l with a
+        nonzero digit is the reach, giving 2*v(2)+1-l; the unramified bit
+        alone gives UNRAMIFIED, and c = 0 gives TRIVIAL.
+        """
+        w, f = self.e_abs, self.f
+        if c & 1:
+            return 2 * w + 1
+        odd = c & ((1 << (1 + w * f)) - 2)
+        if odd:
+            return 2 * w - 2 * (((odd & -odd).bit_length() - 2) // f)
+        return UNRAMIFIED if c else TRIVIAL
+
+    def square_class_basis(self):
+        """The basis of F^x / F^x2 that ``square_class_coords`` reads; entry i is bit i."""
+        if self._sqbasis is None:
+            ring, res, w = self.ring, self.res, self.e_abs
+            basis = [ring.shift(ring.one, 1)]
+            for j in range(w):
+                basis.extend(
+                    ring.add(ring.one, self.digit_elt(1 << k, 2 * j + 1)) for k in range(self.f)
+                )
+            # s^2 + gamma*s = gamma^2 ((s/gamma)^2 + s/gamma) covers gamma^2 * ker(trace),
+            # so c* = gamma^2 times a trace-one residue lies outside it
+            cstar = res.mul(res.mul(self._gamma, self._gamma), res.artin_schreier_nonzero())
+            basis.append(ring.add(ring.one, self.digit_elt(cstar, 2 * w)))
+            self._sqbasis = basis
+        return self._sqbasis
+
     def square_class_reps(self):
         """A complete duplicate-free system of representatives of F^x / F^x2.
 
-        Built from the unit filtration: one Teichmueller digit at every odd
-        level below 2*v(2), the Artin-Schreier class at level 2*v(2), and
-        the uniformiser.  Size 2^{[F:Q_2] + 2}.
+        reps[c] is the product of the basis units selected by the bits of c
+        (``square_class_coords(reps[c]) == c``), built from reps[c] without
+        its lowest bit by one multiplication or, for bit 0, one shift.
+        Size 2^{[F:Q_2] + 2}.
         """
         if self._sqreps is not None:
             return self._sqreps
-        ring = self.ring
-        w = self.e_abs
-        odd_levels = list(range(1, 2 * w, 2))
-        cstar = self.res.artin_schreier_nonzero()
-        units = []
-        for eps in (0, 1):
-            stack = [ring.one]
-            if eps:
-                stack = [ring.add(ring.one, self.digit_elt(cstar, 2 * w))]
-            for i in odd_levels:
-                new = []
-                for u in stack:
-                    for t in self.res.elements():
-                        new.append(ring.mul(u, ring.add(ring.one, self.digit_elt(t, i))) if t else u)
-                stack = new
-            units.extend(stack)
-        reps = list(units)
-        reps.extend(ring.shift(u, 1) for u in units)
-        assert len(reps) == 1 << (self.e_abs * self.f + 2)
+        ring, basis = self.ring, self.square_class_basis()
+        reps = [ring.one]
+        for c in range(1, 1 << self.square_class_dim):
+            low = c & -c
+            prev = reps[c ^ low]
+            if low == 1:
+                reps.append(ring.shift(prev, 1))
+            else:
+                reps.append(ring.mul(prev, basis[low.bit_length() - 1]))
         self._sqreps = reps
         return reps
 

@@ -60,11 +60,6 @@ class EisensteinQuartic:
     def __post_init__(self):
         _check_eisenstein(self.field.ring, self.coeffs())
 
-    @classmethod
-    def from_ints(cls, field: LocalField, a0: int, a1: int, a2: int, a3: int):
-        fi = field.from_int
-        return cls(field, fi(a0), fi(a1), fi(a2), fi(a3))
-
     def coeffs(self):
         return (self.a0, self.a1, self.a2, self.a3)
 

@@ -7,14 +7,16 @@ lines; every tolerance is exact (integer or rational equality).
 import time
 from fractions import Fraction
 
+from helpers import quartic_from_ints
+
 from q2quartic import counts as C
 from q2quartic import masses as M
 from q2quartic.oracle.density import density_counts
 from q2quartic.oracle.measure import cubic_congruence_measure, one_aut_measure, t_m_measure
 from q2quartic.oracle.tower import tower_counts
 from q2quartic.padic.field import field_from_spec, q2
-from q2quartic.padic.quartic import EisensteinQuartic, classify_quartic
-from q2quartic.params import GROUP_ORDER, GroupTag, valid_param_sweep
+from q2quartic.padic.quartic import classify_quartic
+from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, valid_param_sweep
 from q2quartic.residue import ResidueField, cubic_image_size, quad_root_count
 
 TOWER_GROUPS = (GroupTag.V4, GroupTag.C4, GroupTag.D4)
@@ -54,7 +56,7 @@ def test_criterion_01_q2_table_three_ways(Q2):
             assert C.count(p, m, g) == Q2_TABLE.get((m, g), 0)
     dc, _ = density_counts(Q2, 11, cross_check_every=1)
     assert dc == Q2_TABLE
-    tc = tower_counts(Q2)
+    tc, _ = tower_counts(Q2)
     assert tc == {k: v for k, v in Q2_TABLE.items() if k[1] in TOWER_GROUPS}
     _report(1, f"Q2 table by closed form, density oracle, tower oracle [{time.time()-t0:.1f}s]")
 
@@ -188,7 +190,7 @@ def test_criterion_10_degree_le3_bases():
     for spec, label in DEGREE3_SPECS:
         K = field_from_spec(spec)
         p = K.derive_params()
-        tc = tower_counts(K)
+        tc, _ = tower_counts(K)
         for m in range(0, 8 * p.e + 4):
             for g in TOWER_GROUPS:
                 assert tc.get((m, g), 0) == C.count(p, m, g), (label, m, g)
@@ -214,7 +216,7 @@ def test_criterion_10_degree_le3_bases():
 
 def test_criterion_11_worked_witnesses(Q2):
     for coeffs, m, g in WITNESSES:
-        assert classify_quartic(EisensteinQuartic.from_ints(Q2, *coeffs)) == (m, g)
+        assert classify_quartic(quartic_from_ints(Q2, *coeffs)) == (m, g)
     _report(11, "six worked witnesses classify to the stated (m, group)")
 
 
@@ -223,11 +225,38 @@ def test_criterion_12_precision_stability():
     doubled = q2(precision=2 * (16 * 1 + 16))
     for K in (base, doubled):
         for coeffs, m, g in WITNESSES:
-            assert classify_quartic(EisensteinQuartic.from_ints(K, *coeffs)) == (m, g)
+            assert classify_quartic(quartic_from_ints(K, *coeffs)) == (m, g)
         p = K.derive_params()
         dc, _ = density_counts(K, 11)
         assert dc == Q2_TABLE
-        tc = tower_counts(K)
+        tc, _ = tower_counts(K)
         assert tc == {k: v for k, v in Q2_TABLE.items() if k[1] in TOWER_GROUPS}
         assert all(C.count(p, m, g) == n for (m, g), n in Q2_TABLE.items())
     _report(12, "criterion-1 table and witnesses unchanged at doubled precision")
+
+
+MINUS_ONE_AND_DEGREE4_SPECS = [
+    ({"f": 1, "eisenstein": [2, 2, 1]}, "Q2(i)"),
+    ({"f": 1, "eisenstein": [-2, -2, 1]}, "Q2(sqrt3)"),
+    ({"f": 1, "eisenstein": [-2, 0, 0, 0, 1]}, "x^4-2"),
+    ({"f": 4}, "unramified f=4"),
+    ({"f": 2, "eisenstein": [-2, 0, 1]}, "x^2-2 over f=2"),
+]
+
+
+def test_criterion_13_minus_one_classes_and_degree4_bases():
+    t0 = time.time()
+    classes = set()
+    for spec, label in MINUS_ONE_AND_DEGREE4_SPECS:
+        K = field_from_spec(spec)
+        p = K.derive_params()
+        classes.add(p.minus_one_class)
+        tc, _ = tower_counts(K)
+        for m in range(0, 8 * p.e + 4):
+            for g in TOWER_GROUPS:
+                assert tc.get((m, g), 0) == C.count(p, m, g), (label, m, g)
+    # the SQUARE and UNRAMIFIED branches of n_ext and count_C4 are reached
+    assert classes == set(MinusOneClass)
+    dt = time.time() - t0
+    assert dt < 60
+    _report(13, f"-1 square/unramified and degree-4 bases: tower rows all m [{dt:.1f}s]")

@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from helpers import quartic_from_ints
 
 from q2quartic.errors import BudgetExceeded
 from q2quartic.oracle.dedup import _has_root_in, dedup_counts
 from q2quartic.oracle.verify import verify
-from q2quartic.padic.quartic import EisensteinQuartic, stem_ring
+from q2quartic.padic.quartic import stem_ring
 
 
 def test_dedup_counts_q2_m6(Q2):
@@ -19,14 +20,14 @@ def test_dedup_budget_guard(Q2):
 
 
 def test_isomorphism_root_test(Q2):
-    f = EisensteinQuartic.from_ints(Q2, 2, 2, 0, 0)
+    f = quartic_from_ints(Q2, 2, 2, 0, 0)
     stem = stem_ring(f)
     # a different representative of the same coefficient class: same stem field
-    g = EisensteinQuartic.from_ints(Q2, 2 + 32, 2, 32, 0)
+    g = quartic_from_ints(Q2, 2 + 32, 2, 32, 0)
     assert _has_root_in(stem, g)
     # D4 vs C4 at m = 11: not isomorphic
-    d4 = EisensteinQuartic.from_ints(Q2, 2, 0, 0, 0)
-    c4 = EisensteinQuartic.from_ints(Q2, 2, 0, -4, 0)
+    d4 = quartic_from_ints(Q2, 2, 0, 0, 0)
+    c4 = quartic_from_ints(Q2, 2, 0, -4, 0)
     assert not _has_root_in(stem_ring(d4), c4)
     assert not _has_root_in(stem_ring(c4), d4)
     assert _has_root_in(stem_ring(d4), d4)
@@ -106,3 +107,14 @@ def test_precision_retry_rebuilds_field(Q2, monkeypatch):
     out = V._with_retry(Q2, flaky)
     assert out == {"ok": 2 * Q2.precision}
     assert calls == [Q2.precision, 2 * Q2.precision]
+
+
+def test_tower_meta_in_report_and_cache(Q2, tmp_path):
+    report = verify(Q2, 11, methods=("tower",), cache_dir=str(tmp_path))
+    # Q2 has 6 ramified classes d, each with 14 ramified classes alpha
+    assert report.meta["tower"]["pairs"] == 84
+    assert report.meta["tower"]["cross_checks"] >= 0
+    again = verify(Q2, 11, methods=("tower",), cache_dir=str(tmp_path))
+    assert again.meta["cache"] == {"tower": "hit"}
+    assert again.meta["tower"] == report.meta["tower"]
+    assert verify(Q2, 11, methods=("tower",)).meta["tower"] == report.meta["tower"]

@@ -165,7 +165,7 @@ def test_density_equals_tower_on_common_scope(Q2):
     from q2quartic.oracle.tower import tower_counts
 
     dc, _ = density_counts(Q2)
-    tc = tower_counts(Q2)
+    tc, _ = tower_counts(Q2)
     for key, n in tc.items():
         assert dc.get(key, 0) == n
     for (m, g), n in dc.items():

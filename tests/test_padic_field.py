@@ -182,7 +182,8 @@ def test_spec_hash_of_bare_ring_fields():
     {"f": 1, "eisenstein": [-2, 0, 0, 1]},
 ])
 def test_square_class_predicates_never_invert(spec, monkeypatch):
-    # square_reach reads u - x^2; hecke_disc and is_square must not divide
+    # square_reach reads u - x^2; hecke_disc, is_square and the coordinate
+    # walk must not divide
     K = field_from_spec(spec)
     reps = K.square_class_reps()
 
@@ -195,6 +196,7 @@ def test_square_class_predicates_never_invert(spec, monkeypatch):
     squares = [K.is_square(d) for d in reps]
     assert squares.count(True) == 1 and hecke.count(TRIVIAL) == 1
     assert hecke.count(UNRAMIFIED) == 1
+    assert [K.square_class_coords(d) for d in reps] == list(range(len(reps)))
 
 
 def test_field_spec_validation():

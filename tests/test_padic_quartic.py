@@ -3,11 +3,11 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from helpers import quartic_from_ints
 
 from q2quartic.errors import InvalidParams
 from q2quartic.padic.field import q2
 from q2quartic.padic.quartic import (
-    EisensteinQuartic,
     classify_by_invariants,
     classify_quartic,
     count_roots_in_stem,
@@ -45,7 +45,7 @@ def test_disc_matches_sympy_on_random_integer_quartics(Q2):
     for _ in range(30):
         a0 = 2 * rng.randrange(1, 50, 2)  # valuation exactly 1
         a1, a2, a3 = (2 * rng.randrange(0, 50) for _ in range(3))
-        fq = EisensteinQuartic.from_ints(Q2, a0, a1, a2, a3)
+        fq = quartic_from_ints(Q2, a0, a1, a2, a3)
         d = int(sympy.discriminant(x**4 + a3 * x**3 + a2 * x**2 + a1 * x + a0, x))
         got = Q2.val(disc_raw(Q2, *fq.coeffs()))
         assert d != 0
@@ -53,43 +53,43 @@ def test_disc_matches_sympy_on_random_integer_quartics(Q2):
 
 
 def test_disc_valuation_examples(Q2):
-    assert disc_valuation(EisensteinQuartic.from_ints(Q2, 2, 2, 0, 0)) == 4  # disc 1616
-    assert disc_valuation(EisensteinQuartic.from_ints(Q2, 2, 0, 0, 0)) == 11  # disc 2^11
-    assert disc_valuation(EisensteinQuartic.from_ints(Q2, 2, 0, -4, 0)) == 11
+    assert disc_valuation(quartic_from_ints(Q2, 2, 2, 0, 0)) == 4  # disc 1616
+    assert disc_valuation(quartic_from_ints(Q2, 2, 0, 0, 0)) == 11  # disc 2^11
+    assert disc_valuation(quartic_from_ints(Q2, 2, 0, -4, 0)) == 11
 
 
 def test_non_eisenstein_coefficients_rejected(Q2):
     with pytest.raises(InvalidParams):
-        EisensteinQuartic.from_ints(Q2, 4, 0, 0, 0)  # v(a0) = 2
+        quartic_from_ints(Q2, 4, 0, 0, 0)  # v(a0) = 2
     with pytest.raises(InvalidParams):
-        EisensteinQuartic.from_ints(Q2, 2, 1, 0, 0)  # a1 a unit
+        quartic_from_ints(Q2, 2, 1, 0, 0)  # a1 a unit
 
 
 @pytest.mark.parametrize("coeffs,m,group", WITNESSES)
 def test_witness_classification(Q2, coeffs, m, group):
-    fq = EisensteinQuartic.from_ints(Q2, *coeffs)
+    fq = quartic_from_ints(Q2, *coeffs)
     assert classify_quartic(fq) == (m, group)
     assert classify_by_invariants(fq) == (m, group)
 
 
 def test_count_roots_examples(Q2):
-    assert count_roots_in_stem(EisensteinQuartic.from_ints(Q2, 2, 2, 0, 0)) == 1
-    assert count_roots_in_stem(EisensteinQuartic.from_ints(Q2, 2, 0, 2, 0)) == 2
-    assert count_roots_in_stem(EisensteinQuartic.from_ints(Q2, 2, 0, -4, 0)) == 4
+    assert count_roots_in_stem(quartic_from_ints(Q2, 2, 2, 0, 0)) == 1
+    assert count_roots_in_stem(quartic_from_ints(Q2, 2, 0, 2, 0)) == 2
+    assert count_roots_in_stem(quartic_from_ints(Q2, 2, 0, -4, 0)) == 4
 
 
 def test_in_Tm_examples(Q2):
-    f1 = EisensteinQuartic.from_ints(Q2, 2, 2, 0, 0)
+    f1 = quartic_from_ints(Q2, 2, 2, 0, 0)
     assert in_Tm(f1, 4)
     assert not in_Tm(f1, 6)
-    f2 = EisensteinQuartic.from_ints(Q2, 2, 0, 0, 2)
+    f2 = quartic_from_ints(Q2, 2, 0, 0, 2)
     assert in_Tm(f2, 6)
 
 
 def test_is_one_aut_examples(Q2):
-    assert is_one_aut(EisensteinQuartic.from_ints(Q2, 2, 2, 0, 0))
-    assert not is_one_aut(EisensteinQuartic.from_ints(Q2, 2, 0, 0, 2))
-    assert is_one_aut(EisensteinQuartic.from_ints(Q2, 2, 0, 2, 2))
+    assert is_one_aut(quartic_from_ints(Q2, 2, 2, 0, 0))
+    assert not is_one_aut(quartic_from_ints(Q2, 2, 0, 0, 2))
+    assert is_one_aut(quartic_from_ints(Q2, 2, 0, 2, 2))
 
 
 def test_one_aut_congruence_agrees_with_b0_valuation(Q2):
@@ -98,7 +98,7 @@ def test_one_aut_congruence_agrees_with_b0_valuation(Q2):
     # (stem units); the exceptional case starts one digit higher
     checked = 0
     for coeffs in [(2, 0, 0, 2), (2, 0, 2, 2), (6, 0, 2, 2), (2, 0, 4, 2), (2, 0, 6, 6)]:
-        fq = EisensteinQuartic.from_ints(Q2, *coeffs)
+        fq = quartic_from_ints(Q2, *coeffs)
         m = disc_valuation(fq)
         if m % 6 != 0 or not in_Tm(fq, m):
             continue
@@ -124,7 +124,7 @@ def test_newton_polygon_single_segment(Q2):
     for _ in range(40):
         a0 = 2 * rng.randrange(1, 64, 2)
         a1, a2, a3 = (2 * rng.randrange(0, 64) for _ in range(3))
-        fq = EisensteinQuartic.from_ints(Q2, a0, a1, a2, a3)
+        fq = quartic_from_ints(Q2, a0, a1, a2, a3)
         pts = [(i, Q2.val(a)) for i, a in enumerate(fq.coeffs())] + [(4, 0)]
         assert newton_slopes(pts) == [(Fraction(1, 4), 4)]
 
@@ -132,7 +132,7 @@ def test_newton_polygon_single_segment(Q2):
 def test_root_distances_sum_to_disc_valuation(Q2):
     # sum of the three distances = v_L(f'(pi)) = the different exponent = m
     for coeffs, m, _ in WITNESSES:
-        fq = EisensteinQuartic.from_ints(Q2, *coeffs)
+        fq = quartic_from_ints(Q2, *coeffs)
         dist = root_distances(fq)
         assert sum(dist) == m
 
@@ -140,14 +140,14 @@ def test_root_distances_sum_to_disc_valuation(Q2):
 def test_resolvent_root_and_subfield_witnesses(Q2):
     R = Q2.ring
     # x^4 - 4x^2 + 2 is cyclic: disc * (w^2 - 4 a0) is a square
-    fq = EisensteinQuartic.from_ints(Q2, 2, 0, -4, 0)
+    fq = quartic_from_ints(Q2, 2, 0, -4, 0)
     roots = cubic_k_roots(Q2, resolvent_cubic(fq), 48)
     assert len(roots) == 1
     w = roots[0]
     W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
     assert Q2.is_square(R.mul(disc_raw(Q2, *fq.coeffs()), W))
     # x^4 + 2 is dihedral: the two quadratic resolvents differ
-    fq = EisensteinQuartic.from_ints(Q2, 2, 0, 0, 0)
+    fq = quartic_from_ints(Q2, 2, 0, 0, 0)
     roots = cubic_k_roots(Q2, resolvent_cubic(fq), 48)
     assert len(roots) == 1
     w = roots[0]
@@ -158,7 +158,7 @@ def test_resolvent_root_and_subfield_witnesses(Q2):
 
 
 def test_deformation_cubic_closed_coefficients(Q2):
-    fq = EisensteinQuartic.from_ints(Q2, 2, 2, 0, 0)
+    fq = quartic_from_ints(Q2, 2, 2, 0, 0)
     L = stem_ring(fq)
     b0, b1, b2 = deformation_cubic(fq, L)
     lift = lambda c: (c,) + (Q2.ring.zero,) * 3
@@ -178,5 +178,5 @@ def test_precision_stability_witnesses():
     lo = q2()
     hi = q2(precision=64)
     for coeffs, m, g in WITNESSES:
-        assert classify_quartic(EisensteinQuartic.from_ints(lo, *coeffs)) == (m, g)
-        assert classify_quartic(EisensteinQuartic.from_ints(hi, *coeffs)) == (m, g)
+        assert classify_quartic(quartic_from_ints(lo, *coeffs)) == (m, g)
+        assert classify_quartic(quartic_from_ints(hi, *coeffs)) == (m, g)

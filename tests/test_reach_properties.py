@@ -1,18 +1,25 @@
-"""Property tests of square_reach and the Newton refinement of cubic roots.
+"""Property tests of square_reach, the square-class coordinates, and the
+Newton refinement of cubic roots.
 
 square_reach reads the leading digit of u - x^2 and never inverts, so these
 check what the predicates built on it rely on: the reach is a square-class
 invariant, the witness x attains it, and it does not depend on the working
-precision.  cubic_k_roots carries the inverse of p'(x) along by Newton
-steps; its roots must still reach the target valuation, and their number
-must not depend on the working precision either.
+precision.  square_class_coords continues that walk past the odd levels;
+its coordinates must be those of the basis products, additive under
+multiplication, blind to squares, consistent with is_square and
+hecke_disc, compatible with the norm of a quadratic step, and independent
+of the working precision.  cubic_k_roots carries the inverse of p'(x)
+along by Newton steps; its roots must still reach the target valuation,
+and their number must not depend on the working precision either.
 """
 
 from functools import lru_cache
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from q2quartic.oracle.tower import _norm_images
 from q2quartic.padic.field import field_from_spec, ramified_quadratic, with_doubled_precision
 from q2quartic.padic.quartic import _poly_deriv, _poly_eval, cubic_k_roots
 
@@ -22,14 +29,23 @@ _SPECS = {
     "sqrt2": {"f": 1, "eisenstein": [-2, 0, 1]},
     "x^3-2": {"f": 1, "eisenstein": [-2, 0, 0, 1]},
 }
-_STEP = "Q2(sqrt(-1))"  # a ramified quadratic step built in code, e = 2
+# ramified quadratic steps built in code: (base field, d)
+_STEPS = {
+    "Q2(sqrt(-1))": ("Q2", lambda K: K.from_int(-1)),
+    "sqrt2(sqrt(pi))": ("sqrt2", lambda K: K.from_digits([0, 1])),
+    # res(2 / pi^v(2)) is not 1 here, so the unramified class is not 1 + [c] pi^4
+    # for a trace-one c
+    "U2(sqrt(1+2w))": ("U2", lambda K: K.from_digits([1, 2])),
+}
+_STEP = "Q2(sqrt(-1))"
 
 
 @lru_cache(maxsize=None)
 def _field(name, doubled=False):
-    if name == _STEP:
-        Q2 = _field("Q2")
-        return ramified_quadratic(Q2, Q2.from_int(-1))
+    if name in _STEPS:
+        base, d = _STEPS[name]
+        K = _field(base)
+        return ramified_quadratic(K, d(K))
     K = field_from_spec(_SPECS[name])
     return with_doubled_precision(K) if doubled else K
 
@@ -101,6 +117,79 @@ def test_reach_is_invariant_under_precision_doubling(case):
     K, K2 = _field(name), _field(name, doubled=True)
     assert K2.ring.cap > K.ring.cap
     assert K2.square_reach(_build(K2, recipe))[0] == K.square_reach(_build(K, recipe))[0]
+
+
+_COORD_FIELDS = (*_SPECS, *_STEPS)
+
+
+@pytest.mark.parametrize("name", _COORD_FIELDS)
+def test_coords_of_every_basis_product(name):
+    K = _field(name)
+    reps = K.square_class_reps()
+    assert len(reps) == 1 << (K.e_abs * K.f + 2)
+    assert [K.square_class_coords(r) for r in reps] == list(range(len(reps)))
+
+
+@st.composite
+def element_recipes(draw, names):
+    """(field name, valuation, unit recipe): the element pi^v * u."""
+    name, recipe = draw(unit_recipes(names))
+    return name, draw(st.integers(0, 3)), recipe
+
+
+def _element(K, v, recipe):
+    return K.ring.shift(_build(K, recipe), v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_recipes(_COORD_FIELDS), st.data())
+def test_coords_are_additive_and_blind_to_squares(case, data):
+    name, v, recipe = case
+    K = _field(name)
+    R = K.ring
+    a = _element(K, v, recipe)
+    _, w, other = data.draw(element_recipes((name,)))
+    b = _element(K, w, other)
+    y = _element(K, data.draw(st.integers(0, 2)), data.draw(unit_recipes((name,)))[1])
+    ca = K.square_class_coords(a)
+    assert K.square_class_coords(R.mul(a, b)) == ca ^ K.square_class_coords(b)
+    assert K.square_class_coords(R.mul(a, R.mul(y, y))) == ca
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_recipes(_COORD_FIELDS))
+def test_coords_agree_with_is_square_and_hecke_disc(case):
+    name, v, recipe = case
+    K = _field(name)
+    a = _element(K, v, recipe)
+    c = K.square_class_coords(a)
+    assert (c == 0) == K.is_square(a)
+    assert K.coords_hecke_disc(c) == K.hecke_disc(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_recipes(tuple(_STEPS)))
+def test_norm_coords_are_xor_of_basis_norm_images(case):
+    name, v, recipe = case
+    E = _field(name)
+    K = E.base_field
+    images = _norm_images(K, E)
+    c = E.square_class_coords(_element(E, v, recipe))
+    want = 0
+    for i, image in enumerate(images):
+        if c >> i & 1:
+            want ^= image
+    assert K.square_class_coords(E.norm(_element(E, v, recipe))) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_recipes(tuple(_SPECS)))
+def test_coords_are_invariant_under_precision_doubling(case):
+    name, v, recipe = case
+    K, K2 = _field(name), _field(name, doubled=True)
+    assert K2.square_class_coords(_element(K2, v, recipe)) == K.square_class_coords(
+        _element(K, v, recipe)
+    )
 
 
 @st.composite
