@@ -55,14 +55,14 @@ def _add_param_flags(sp):
     )
 
 
-def _jobs_arg(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
-        jobs = int(text)
+        n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _cmd_count(args) -> int:
@@ -184,9 +184,8 @@ def _cmd_sweep(args) -> int:
             if "tower-identity" in checks:
                 _masses.tower_mass_sum(params)
             if "c4-dual" in checks:
-                for m in range(0, _counts.max_support(params) + 1):
+                for m, towers in enumerate(_counts.count_C4_towers(params)):
                     explicit = _counts.count_C4(params, m)
-                    towers = _counts.count_C4_towers(params, m)
                     if explicit != towers:
                         raise FormulationMismatch(
                             f"C4 at m={m}: explicit form {explicit} != tower form {towers}"
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--oracle", choices=["density", "tower", "dedup", "all"], default="all")
     sp.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_positive_int,
         default=1,
         help="density-oracle worker processes (at least 1; reduced to the number "
         "of cores this process may run on)",
@@ -259,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_lmfdb_check)
 
     sp = sub.add_parser("sweep", help="identity sweeps over the abstract parameter space")
-    sp.add_argument("--e-max", type=int, required=True)
-    sp.add_argument("--f-max", type=int, required=True)
+    sp.add_argument("--e-max", type=_positive_int, required=True)
+    sp.add_argument("--f-max", type=_positive_int, required=True)
     sp.add_argument("--check", action="append", choices=list(_SWEEP_CHECKS))
     sp.set_defaults(func=_cmd_sweep)
     return ap

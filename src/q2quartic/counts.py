@@ -1,7 +1,9 @@
 """Closed-form counts of totally ramified quartic extensions per (m, group).
 
-All arithmetic is exact: intermediate values are ``fractions.Fraction`` and
-every count is asserted integral and non-negative before being returned.
+All arithmetic is in Python integers.  A formula that divides or subtracts
+is evaluated as one integer numerator over one integer denominator, a
+power of q (times 3 where the formula divides by 3), and :func:`_exact`
+checks that the quotient is a non-negative integer before it is returned.
 Out-of-range m yields 0 rather than an error, so tables and sums can be
 taken over arbitrary ranges.
 
@@ -14,14 +16,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
 from .errors import NonIntegralCount
 from .params import FieldParams, GroupTag, MinusOneClass
-
-# counts are pure in (params, m); sweeps revisit the same cells constantly
-_memo = lru_cache(maxsize=1 << 17)
 
 
 def ind(cond: bool) -> int:
@@ -29,93 +25,74 @@ def ind(cond: bool) -> int:
     return 1 if cond else 0
 
 
-def _as_count(x: Fraction, what: str) -> int:
-    if x.denominator != 1:
-        raise NonIntegralCount(f"{what} evaluated to non-integer {x}")
-    n = int(x)
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den for den > 0, raising NonIntegralCount unless it is a non-negative integer."""
+    n, rem = divmod(num, den)
+    if rem:
+        raise NonIntegralCount(f"{what} evaluated to non-integer {num}/{den}")
     if n < 0:
         raise NonIntegralCount(f"{what} evaluated to negative {n}")
     return n
 
 
-def _qp(q: int, n) -> Fraction:
-    """q**n for an integer (or integral Fraction) n of either sign, as an exact Fraction."""
-    if type(n) is not int:
-        if n.denominator != 1:
-            raise NonIntegralCount(f"non-integral exponent {n} for q-power")
-        n = n.numerator
-    return Fraction(q) ** n
-
-
-@_memo
 def count_one_aut(params: FieldParams, m: int) -> int:
     """Number of quartics with trivial automorphism group (S4 plus A4 closures)."""
     q, e = params.q, params.e
     if m % 2 != 0 or not (4 <= m <= 6 * e + 2):
         return 0
-    val = _qp(q, m // 3 - 1) * (q - 1) * (1 + ind(m % 6 == 0) * Fraction(1 - 2 * q, 3 * q))
-    return _as_count(val, f"count_one_aut(m={m})")
+    # q^(m//3-1) (q-1) (1 + [6 | m] (1-2q)/(3q)), over 3q
+    num = q ** (m // 3 - 1) * (q - 1) * (3 * q + ind(m % 6 == 0) * (1 - 2 * q))
+    return _exact(num, 3 * q, f"count_one_aut(m={m})")
 
 
-@_memo
 def count_S4(params: FieldParams, m: int) -> int:
     q, e = params.q, params.e
     if params.f % 2 == 0:
         return 0
     if m % 2 != 0 or m % 6 == 0 or not (4 <= m <= 6 * e + 2):
         return 0
-    return _as_count(_qp(q, m // 3 - 1) * (q - 1), f"count_S4(m={m})")
+    return q ** (m // 3 - 1) * (q - 1)
 
 
-@_memo
 def count_A4(params: FieldParams, m: int) -> int:
     q, e = params.q, params.e
     if params.f % 2 == 0:
         if m % 2 != 0 or not (4 <= m <= 6 * e + 2):
             return 0
-        if m % 3 == 0:
-            val = Fraction(1, 3) * _qp(q, m // 3 - 2) * (q * q - 1)
-        else:
-            val = _qp(q, m // 3 - 1) * (q - 1)
-        return _as_count(val, f"count_A4(m={m})")
-    if m % 6 != 0 or not (6 <= m <= 6 * e):
+        if m % 3 != 0:
+            return q ** (m // 3 - 1) * (q - 1)
+    elif m % 6 != 0 or not (6 <= m <= 6 * e):
         return 0
-    val = Fraction(1, 3) * _qp(q, m // 3 - 2) * (q * q - 1)
-    return _as_count(val, f"count_A4(m={m})")
+    return _exact(q ** (m // 3 - 2) * (q * q - 1), 3, f"count_A4(m={m})")
 
 
-@_memo
 def count_V4(params: FieldParams, m: int) -> int:
     q, e = params.q, params.e
     if m % 2 != 0 or not (6 <= m <= 6 * e + 2):
         return 0
-    inner = _qp(q, -(m // 6)) * (1 + ind(m % 3 == 0) * Fraction(q - 2, 3))
-    inner -= ind(m <= 4 * e + 2) * _qp(q, -((m - 2) // 4))
-    val = 2 * (q - 1) * _qp(q, (m - 4) // 2) * inner
-    return _as_count(val, f"count_V4(m={m})")
+    # 2 (q-1) q^((m-4)/2) (q^-a (1 + [3 | m] (q-2)/3) - [m <= 4e+2] q^-b), over 3 q^s
+    a, b = m // 6, (m - 2) // 4
+    s = max(a, b)
+    inner = q ** (s - a) * (3 + ind(m % 3 == 0) * (q - 2)) - ind(m <= 4 * e + 2) * 3 * q ** (s - b)
+    num = 2 * (q - 1) * q ** ((m - 4) // 2) * inner
+    return _exact(num, 3 * q**s, f"count_V4(m={m})")
 
 
-@_memo
 def n_ext(params: FieldParams, m1: int) -> int:
     """Number of totally ramified quadratic E/K with v(d) = m1 that extend to a C4 quartic."""
     q, e, d = params.q, params.e, params.d_minus_one
     if m1 == 2 * e + 1:
         if params.minus_one_class is MinusOneClass.SQUARE:
-            return _as_count(2 * _qp(q, e), "n_ext")
+            return 2 * q**e
         if params.minus_one_class is MinusOneClass.RAMIFIED:
-            return _as_count(_qp(q, e), "n_ext")
+            return q**e
         return 0
     if m1 % 2 != 0 or not (2 <= m1 <= 2 * e):
         return 0
-    val = (
-        (1 + ind(m1 <= 2 * e - d))
-        * _qp(q, m1 // 2 - 1)
-        * (q - 1 - ind(m1 == 2 * e - d + 2))
-    )
-    return _as_count(val, f"n_ext(m1={m1})")
+    num = (1 + ind(m1 <= 2 * e - d)) * q ** (m1 // 2 - 1) * (q - 1 - ind(m1 == 2 * e - d + 2))
+    return _exact(num, 1, f"n_ext(m1={m1})")
 
 
-@_memo
 def n_c4(params: FieldParams, m1: int, m2: int) -> int:
     """Number of quadratic L/E with v_E(d) = m2 making L/K cyclic quartic.
 
@@ -124,21 +101,18 @@ def n_c4(params: FieldParams, m1: int, m2: int) -> int:
     """
     q, e = params.q, params.e
     if m1 == 2 * e + 1 or (m1 % 2 == 0 and e < m1 <= 2 * e):
-        if m2 == m1 + 2 * e:
-            return _as_count(2 * _qp(q, e), "n_c4")
-        return 0
+        return 2 * q**e if m2 == m1 + 2 * e else 0
     if m1 % 2 != 0 or not (2 <= m1 <= e):
         return 0
     if m2 == 3 * m1 - 2:
-        return _as_count(_qp(q, m1 - 1), "n_c4")
+        return q ** (m1 - 1)
     if m2 % 2 == 0 and 3 * m1 <= m2 <= 4 * e - m1:
-        return _as_count(_qp(q, (m1 + m2) // 4) - _qp(q, (m1 + m2 - 2) // 4), "n_c4")
+        return _exact(q ** ((m1 + m2) // 4) - q ** ((m1 + m2 - 2) // 4), 1, "n_c4")
     if m2 == 4 * e - m1 + 2:
-        return _as_count(_qp(q, e), "n_c4")
+        return q**e
     return 0
 
 
-@_memo
 def count_C4(params: FieldParams, m: int) -> int:
     """Cyclic quartic count, explicit form.
 
@@ -148,21 +122,22 @@ def count_C4(params: FieldParams, m: int) -> int:
     q, e, d = params.q, params.e, params.d_minus_one
     if m == 8 * e + 3:
         if params.minus_one_class is MinusOneClass.SQUARE:
-            return _as_count(4 * _qp(q, 2 * e), "C4 at 8e+3")
+            return 4 * q ** (2 * e)
         if params.minus_one_class is MinusOneClass.RAMIFIED:
-            return _as_count(2 * _qp(q, 2 * e), "C4 at 8e+3")
+            return 2 * q ** (2 * e)
         return 0
     if m % 2 != 0 or not (8 <= m <= 8 * e):
         return 0
-    total = Fraction(0)
+    # every exponent below is non-negative on its range of m
+    total = 0
     if 8 <= m <= 5 * e - 2 and m % 5 == 3:
-        total += 2 * _qp(q, Fraction(3 * m - 14, 10)) * (q - 1)
+        total += 2 * q ** ((3 * m - 14) // 10) * (q - 1)
     if 4 * e + 4 <= m <= 5 * e + 2:
-        total += 2 * _qp(q, m // 2 - e - 2) * (q - 1)
+        total += 2 * q ** (m // 2 - e - 2) * (q - 1)
     if 5 * e + 3 <= m <= 8 * e and m % 3 == (2 * e) % 3:
         total += (
             2
-            * _qp(q, Fraction(m + 4 * e, 6) - 1)
+            * q ** ((m + 4 * e) // 6 - 1)
             * (1 + ind(m <= 8 * e - 3 * d))
             * (q - 1 - ind(m == 8 * e - 3 * d + 6))
         )
@@ -170,38 +145,40 @@ def count_C4(params: FieldParams, m: int) -> int:
         total += (
             2
             * (q - 1)
-            * (_qp(q, (3 * m) // 10 - 1) - _qp(q, max(-((m + 2) // -4), m // 2 - e) - 2))
+            * (q ** ((3 * m) // 10 - 1) - q ** (max(-((m + 2) // -4), m // 2 - e) - 2))
         )
-    return _as_count(total, f"count_C4(m={m})")
+    return _exact(total, 1, f"count_C4(m={m})")
 
 
-def count_C4_towers(params: FieldParams, m: int) -> int:
-    """Cyclic quartic count as the sum over m1 of N_ext(m1) * N_C4(m1, m - 2 m1)."""
+def count_C4_towers(params: FieldParams) -> list[int]:
+    """Cyclic quartic counts for m = 0 .. 8e+3, as sum over m1 of N_ext(m1) * N_C4(m1, m - 2 m1)."""
     e = params.e
-    total = 0
+    row = [0] * (max_support(params) + 1)
     for m1 in list(range(2, 2 * e + 1, 2)) + [2 * e + 1]:
-        total += n_ext(params, m1) * n_c4(params, m1, m - 2 * m1)
-    return total
+        n = n_ext(params, m1)
+        if n:
+            for m in range(2 * m1, len(row)):
+                row[m] += n * n_c4(params, m1, m - 2 * m1)
+    return row
 
 
-@_memo
 def count_tow(params: FieldParams, m: int) -> int:
     """Number of m-towers: pairs (E, L) of totally ramified quadratic steps with total exponent m."""
     q, e = params.q, params.e
     if m % 2 == 0 and 6 <= m <= 8 * e + 2:
-        inner = ind(m >= 4 * e + 4) * _qp(q, -e)
-        inner += ind(m <= 8 * e) * (
-            _qp(q, min(0, e + 1 - (-(m // -4)))) - _qp(q, -min((m - 2) // 4, e))
-        )
-        return _as_count(4 * (q - 1) * _qp(q, m // 2 - 2) * inner, f"count_tow(m={m})")
+        # 4 (q-1) q^(m/2-2) ([m >= 4e+4] q^-e + [m <= 8e] (q^u - q^-v)), over q^e;
+        # -e <= u <= 0 and 1 <= v <= e
+        u = min(0, e + 1 - (-(m // -4)))
+        v = min((m - 2) // 4, e)
+        inner = ind(m >= 4 * e + 4) + ind(m <= 8 * e) * (q ** (e + u) - q ** (e - v))
+        return _exact(4 * (q - 1) * q ** (m // 2 - 2) * inner, q**e, f"count_tow(m={m})")
     if m % 4 == 1 and 4 * e + 5 <= m <= 8 * e + 1:
-        return _as_count(4 * (q - 1) * _qp(q, e + (m - 1) // 4 - 1), f"count_tow(m={m})")
+        return 4 * (q - 1) * q ** (e + (m - 1) // 4 - 1)
     if m == 8 * e + 3:
-        return _as_count(4 * _qp(q, 3 * e), "count_tow(8e+3)")
+        return 4 * q ** (3 * e)
     return 0
 
 
-@_memo
 def count_D4(params: FieldParams, m: int) -> int:
     """Dihedral quartic count from the tower identity #C4 + 2 #D4 + 3 #V4 = #Tow.
 
@@ -217,14 +194,13 @@ def count_D4(params: FieldParams, m: int) -> int:
     return diff // 2
 
 
-@_memo
 def count_quad_ext(params: FieldParams, m1: int) -> int:
     """Number of totally ramified quadratic extensions of K with v(d) = m1."""
     q, e = params.q, params.e
     if m1 % 2 == 0 and 2 <= m1 <= 2 * e:
-        return _as_count(2 * (q - 1) * _qp(q, m1 // 2 - 1), f"count_quad_ext(m1={m1})")
+        return 2 * (q - 1) * q ** (m1 // 2 - 1)
     if m1 == 2 * e + 1:
-        return _as_count(2 * _qp(q, e), "count_quad_ext(2e+1)")
+        return 2 * q**e
     return 0
 
 

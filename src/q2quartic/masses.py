@@ -10,9 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import counts
-from .counts import _qp, ind
+from .counts import ind
 from .errors import FormulationMismatch, SerreIdentityViolation
 from .params import GROUP_ORDER, FieldParams, GroupTag, MinusOneClass, aut_order
+
+
+def _qp(q: int, n: int) -> Fraction:
+    """q**n for an integer n of either sign, as an exact Fraction."""
+    return Fraction(q) ** n
 
 
 def _mass_S4(p: FieldParams) -> Fraction:

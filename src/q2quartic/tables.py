@@ -51,11 +51,12 @@ def count_table(
     m_max: int | None = None,
     groups=None,
 ) -> CountTable:
-    if m_max is None:
-        m_max = _counts.max_support(params)
+    # every count is 0 outside 0 <= m <= max_support
+    top = _counts.max_support(params)
+    m_max = top if m_max is None else min(m_max, top)
     groups = tuple(groups) if groups else GROUP_ORDER
     rows = {}
-    for m in range(m_min, m_max + 1):
+    for m in range(max(m_min, 0), m_max + 1):
         for g in GROUP_ORDER:
             if g not in groups:
                 continue

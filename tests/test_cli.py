@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -59,6 +60,31 @@ def test_usage_errors_exit_2(capsys):
     assert run(["count", "--e", "0", "--f", "1", "--minus-one-class", "ramified",
                 "--d-minus-one", "2"]) == 2  # invalid params
     assert run(["nonsense"]) == 2
+
+
+def test_count_m_max_far_above_support_prints_default_table(monkeypatch, capsys):
+    real = C.count
+
+    def within_support(params, m, g):
+        assert 0 <= m <= C.max_support(params), m
+        return real(params, m, g)
+
+    _, default = _run(capsys, ["count", *Q2_FLAGS])
+    monkeypatch.setattr(C, "count", within_support)
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["count", *Q2_FLAGS, "--m-min", "-5", "--m-max", "100000000"])
+    assert time.perf_counter() - t0 < 5
+    assert code == 0
+    assert out == default
+
+
+@pytest.mark.parametrize("bounds", [("0", "3"), ("2", "-1")])
+def test_sweep_bounds_below_one_exit_2(capsys, bounds):
+    e_max, f_max = bounds
+    assert run(["sweep", "--e-max", e_max, "--f-max", f_max]) == 2
+    captured = capsys.readouterr()
+    assert "must be at least 1" in captured.err
+    assert "tuples" not in captured.out
 
 
 def test_verify_cli(tmp_path, capsys):
@@ -235,12 +261,14 @@ def test_sweep_internal_error_exit_4(monkeypatch, capsys):
 
 
 def test_sweep_c4_dual_compares_both_forms(monkeypatch, capsys):
-    # the explicit form is left alone; the tower form is off by one at one cell
+    # the explicit form is left alone; the tower row is off by one at one cell
     real = C.count_C4_towers
 
-    def skewed(params, m):
-        n = real(params, m)
-        return n + 1 if (params.e, params.minus_one_class, m) == (1, MinusOneClass.RAMIFIED, 11) else n
+    def skewed(params):
+        row = real(params)
+        if (params.e, params.minus_one_class) == (1, MinusOneClass.RAMIFIED):
+            row[11] += 1
+        return row
 
     monkeypatch.setattr(C, "count_C4_towers", skewed)
     code, out = _run(capsys, ["sweep", "--e-max", "2", "--f-max", "1", "--check", "c4-dual"])

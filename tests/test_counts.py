@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from q2quartic import counts as C
+from q2quartic.errors import NonIntegralCount
 from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, make_params, valid_param_sweep
 
 Q2P = make_params(1, 1, 2, MinusOneClass.RAMIFIED)
@@ -21,6 +22,17 @@ Q2_TABLE = {
     (11, GroupTag.C4): 8,
     (11, GroupTag.D4): 12,
 }
+
+
+def test_exact_division_rejects_remainder_and_negative_quotient():
+    assert C._exact(12, 3, "x") == 4
+    assert C._exact(0, 8, "x") == 0
+    with pytest.raises(NonIntegralCount, match="non-integer"):
+        C._exact(13, 3, "x")
+    with pytest.raises(NonIntegralCount, match="non-integer"):
+        C._exact(-13, 3, "x")
+    with pytest.raises(NonIntegralCount, match="negative"):
+        C._exact(-12, 3, "x")
 
 
 def test_q2_closed_form_table():

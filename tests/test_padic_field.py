@@ -1,6 +1,11 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from q2quartic.errors import InvalidParams
+from q2quartic.oracle.cache import _cache_path
 from q2quartic.padic.field import (
     TRIVIAL,
     UNRAMIFIED,
@@ -175,6 +180,44 @@ def test_spec_hash_of_bare_ring_fields():
     assert over_u2.spec_hash() != over_u3.spec_hash()
     E = eis(0).ring
     assert LocalField(EisensteinStep(E, [E.shift(E.one, 1)])).spec_hash() != eis(0).spec_hash()
+
+
+@st.composite
+def sibling_specs(draw):
+    """2 to 4 distinct Eisenstein specs of one (e, f), over Q2 or U(f), in integers or digit lists.
+
+    Every field built from them gets the same label, so only the spec tells them apart.
+    """
+    f = draw(st.integers(1, 3))
+    e = draw(st.integers(1, 4))
+    tail = st.lists(st.integers(0, 2**f - 1), max_size=3)
+    digit_lists = st.builds(
+        lambda c0, middle: [c0, *middle, 1],
+        st.builds(lambda t, rest: [0, t, *rest], st.integers(1, 2**f - 1), tail),
+        st.lists(tail.map(lambda rest: [0, *rest]), min_size=e - 1, max_size=e - 1),
+    )
+    coeffs = digit_lists
+    if f == 1:
+        integers = st.builds(
+            lambda c0, middle: [c0, *middle, 1],
+            st.integers(-20, 20).map(lambda k: 4 * k + 2),
+            st.lists(st.integers(-20, 20).map(lambda k: 2 * k), min_size=e - 1, max_size=e - 1),
+        )
+        coeffs = st.one_of(digit_lists, integers)
+    lists = draw(st.lists(coeffs, min_size=2, max_size=4, unique_by=json.dumps))
+    return [{"f": f, "eisenstein": c} for c in lists]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sibling_specs())
+def test_distinct_specs_give_distinct_hashes_and_cache_paths(siblings):
+    specs = [*siblings, *({"f": f} for f in (1, 2, 3))]
+    fields = [field_from_spec(spec) for spec in specs]
+    assert len({K.spec_hash() for K in fields}) == len(specs)
+    assert len({_cache_path("cache", K, "density", 11) for K in fields}) == len(specs)
+    for spec, K in zip(specs, fields):
+        reordered = dict(reversed(list(spec.items())))
+        assert field_from_spec(reordered).spec_hash() == K.spec_hash()
 
 
 @pytest.mark.parametrize("spec", [

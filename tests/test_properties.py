@@ -55,8 +55,11 @@ def test_random_tuple_rejected_or_counts_integral(t):
 @settings(max_examples=25, deadline=None)
 @given(valid_params(64, 12))
 def test_c4_explicit_equals_tower_form(p):
-    for m in range(0, C.max_support(p) + 2):
-        assert C.count_C4(p, m) == C.count_C4_towers(p, m), m
+    row = C.count_C4_towers(p)
+    assert len(row) == C.max_support(p) + 1
+    for m in range(0, C.max_support(p) + 1):
+        assert C.count_C4(p, m) == row[m], m
+    assert C.count_C4(p, C.max_support(p) + 1) == 0
 
 
 @settings(max_examples=25, deadline=None)
