@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 precision or budget failure, 4 internal inconsistency (two derivations
 of one quantity disagree, a count is not an integer, or a coefficient
-class changed verdict under refinement).
+class changed verdict under refinement) or any other package error.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     InvalidParams,
     NonIntegralCount,
     PrecisionExhausted,
+    Q2QuarticError,
     SerreIdentityViolation,
 )
 from .oracle.verify import verify
@@ -281,6 +282,9 @@ def run(argv) -> int:
         return 3
     except (FormulationMismatch, NonIntegralCount, ClassInstability) as exc:
         print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return 4
+    except Q2QuarticError as exc:
+        print(f"error: internal error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 4
 
 

@@ -8,11 +8,13 @@ is no floating point in this module.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import counts
 from .counts import ind
 from .errors import FormulationMismatch, SerreIdentityViolation
-from .params import GROUP_ORDER, FieldParams, GroupTag, MinusOneClass, aut_order
+from .params import FieldParams, GroupTag, MinusOneClass, aut_order
 
 
 def _qp(q: int, n: int) -> Fraction:
@@ -149,22 +151,27 @@ def _tower_mass_closed(p: FieldParams) -> Fraction:
     return Fraction(1, q**2 + q + 1) * (_qp(q, -3 * e - 3) + _qp(q, -3 * e - 1) + _qp(q, -2))
 
 
-def _mass_D4(p: FieldParams) -> Fraction:
-    return _tower_mass_closed(p) - _mass_C4(p) - 3 * _mass_V4(p)
+@lru_cache(maxsize=1)
+def closed_masses(params: FieldParams):
+    """The five closed-form masses of one tuple, by group, each formula evaluated once.
 
-
-_CLOSED = {
-    GroupTag.S4: _mass_S4,
-    GroupTag.A4: _mass_A4,
-    GroupTag.V4: _mass_V4,
-    GroupTag.C4: _mass_C4,
-    GroupTag.D4: _mass_D4,
-}
+    D4 is the tower mass less the C4 mass and three times the V4 mass.  The
+    last tuple's masses are kept, so asking for its groups one at a time
+    evaluates the formulas once.
+    """
+    v4, c4 = _mass_V4(params), _mass_C4(params)
+    return MappingProxyType({
+        GroupTag.S4: _mass_S4(params),
+        GroupTag.A4: _mass_A4(params),
+        GroupTag.V4: v4,
+        GroupTag.C4: c4,
+        GroupTag.D4: _tower_mass_closed(params) - c4 - 3 * v4,
+    })
 
 
 def mass_closed_form(params: FieldParams, g: GroupTag) -> Fraction:
     """The published closed form for the mass of the closure-group-g stratum."""
-    return _CLOSED[g](params)
+    return closed_masses(params)[g]
 
 
 def _support_sum(params: FieldParams, fn, denom: int) -> Fraction:
@@ -197,7 +204,7 @@ def tower_mass_sum(params: FieldParams) -> Fraction:
 
 def serre_total(params: FieldParams) -> Fraction:
     """Sum of the five closed-form masses; must equal q^-3 exactly."""
-    total = sum((mass_closed_form(params, g) for g in GROUP_ORDER), Fraction(0))
+    total = sum(closed_masses(params).values(), Fraction(0))
     expected = Fraction(1, params.q**3)
     if total != expected:
         raise SerreIdentityViolation(total - expected)

@@ -14,7 +14,6 @@ from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
     _count_roots_in_ring,
-    _stem_lift,
     classify_quartic,
     disc_valuation,
     stem_ring,
@@ -24,7 +23,7 @@ from .measure import eisenstein_classes
 
 
 def _has_root_in(stem, fq: EisensteinQuartic) -> bool:
-    coeffs = [_stem_lift(stem, c) for c in fq.coeffs()] + [stem.one]
+    coeffs = [stem.lift(c) for c in fq.coeffs()] + [stem.one]
     return _count_roots_in_ring(stem, coeffs) > 0
 
 

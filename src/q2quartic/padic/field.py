@@ -298,7 +298,7 @@ class LocalField:
             raise InvalidParams("norm only defined on a quadratic step")
         B, C = self._norm_coeffs
         K = self.base_field.ring
-        x, y = z
+        x, y = self.ring.coeffs(z)
         n = K.sub(K.mul(x, x), K.mul(B, K.mul(x, y)))
         return K.add(n, K.mul(C, K.mul(y, y)))
 
@@ -326,7 +326,8 @@ class LocalField:
         if self.spec:
             blob = json.dumps(self.spec, sort_keys=True)
         elif self.base_field is not None:
-            blob = json.dumps([self.base_field.spec_hash(), repr(self._norm_coeffs)])
+            K = self.base_field
+            blob = json.dumps([K.spec_hash(), _coeffs_repr(K.ring, self._norm_coeffs)])
         else:
             blob = json.dumps(_ring_data(self.ring))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
@@ -338,8 +339,19 @@ class LocalField:
 def _ring_data(ring):
     """f, the residue modulus and, step by step, the Eisenstein lower coefficients."""
     if isinstance(ring, EisensteinStep):
-        return [_ring_data(ring.base), repr(ring.g)]
+        return [_ring_data(ring.base), _coeffs_repr(ring.base, ring.g)]
     return [ring.f, ring.res.modulus]
+
+
+def _coeffs_repr(ring, elements) -> str:
+    """repr of the elements as nested coefficient tuples, the form cache keys hash."""
+
+    def unpacked(ring, a):
+        if isinstance(ring, EisensteinStep):
+            return tuple(unpacked(ring.base, c) for c in ring.coeffs(a))
+        return a if ring.f == 1 else ring.coeffs(a)
+
+    return repr(tuple(unpacked(ring, a) for a in elements))
 
 
 def ramified_quadratic(K: LocalField, d) -> LocalField:

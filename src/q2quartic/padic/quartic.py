@@ -188,17 +188,12 @@ def stem_ring(fq: EisensteinQuartic) -> EisensteinStep:
     return EisensteinStep(fq.field.ring, list(fq.coeffs()))
 
 
-def _stem_lift(L, c):
-    """The element c of O_K as a constant of the stem ring L = O_K[X]/(f)."""
-    return (c,) + L.zero[1:]
-
-
 def deformation_cubic(fq: EisensteinQuartic, L):
     """Coefficients (b0, b1, b2) of f(Z + pi)/Z = Z^3 + b2 Z^2 + b1 Z + b0 in the stem L."""
     pi = L.shift(L.one, 1)
     pi2 = L.mul(pi, pi)
     pi3 = L.mul(pi2, pi)
-    a1, a2, a3 = (_stem_lift(L, c) for c in (fq.a1, fq.a2, fq.a3))
+    a1, a2, a3 = (L.lift(c) for c in (fq.a1, fq.a2, fq.a3))
     b2 = L.add(a3, L.shift(L.from_int(4), 1))
     b1 = L.add(L.add(a2, L.mul(L.from_int(3), L.mul(pi, a3))), L.mul(L.from_int(6), pi2))
     b0 = L.add(

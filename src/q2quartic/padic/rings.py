@@ -3,18 +3,55 @@
 Two ring shapes cover everything the package needs:
 
 * ``UnramifiedRing`` -- the ring of integers of the unramified extension of
-  Q_2 with residue field F_{2^f}, elements stored as polynomials in the
-  residue generator with integer coefficients mod 2^n2 (an int when f = 1,
-  else a tuple of f ints).
-* ``EisensteinStep`` -- O_B[t]/(g) for a monic Eisenstein polynomial g over
-  a base ring B, elements stored as tuples of deg(g) base elements.
+  Q_2 with residue field F_{2^f}: polynomials of degree < f in the residue
+  generator with integer coefficients mod 2^N, N = n2.
+* ``EisensteinStep`` -- O_B[t]/(g) for a monic Eisenstein polynomial g of
+  degree n over a base ring B: polynomials of degree < n in t with
+  coefficients in B.
+
+Layout.  Every element of every ring is one non-negative Python int, by
+Kronecker substitution.  The integers mod 2^N at the bottom of a tower sit
+in slots, each N bits wide and W = 2N + H bits apart (H = ``_HEADROOM``):
+
+* U(f = 1): the element is its coefficient, a plain int below 2^N;
+* U(f >= 2): coefficient i sits at bit i*W;
+* O_B[t]/(g): base element i sits in block i, at bit i*S, where S is the
+  width of a raw base product, the base's own layout of a product of two
+  base elements before reduction (W for U(1), (2f-1)*W for U(f),
+  (2n_B-1)*S_B for a step).
+
+Block 0 sits at bit 0, so a base element is its own constant in the ring
+above (``lift`` is the identity), and 0 and 1 are 0 and 1 in every ring.
+
+Arithmetic.  ``add``, ``sub`` and ``neg`` are one int operation and one AND
+with the element mask; ``sub`` and ``neg`` first add 2^N to every slot, so
+no slot borrows from its neighbour.  ``mul`` is one int multiplication,
+which leaves the raw product: block k holds sum_{i+j=k} a_i b_j as a raw
+base value.  A top-down reduction then takes each block k = 2n-2 .. n,
+reduces it in the base, masks it to a base element and adds it times the
+packed -g into block k-n (t^n = -g_0 - ... - g_{n-1} t^{n-1}); finally it
+reduces the n low blocks in the base, all at once, and ANDs with the
+element mask.  Each ring compiles this into a flat list of stages
+``(src, select, multiplier, dst)`` from its base's list, and ``_fold`` runs
+it.  The f >= 2 reduction row of U(f) is x^f = -(h - x^f), h the 0/1 lift
+of the residue modulus.
+
+Bound on W.  Let D = [K:Q_2] = f * n_1 * ... * n_k be the absolute degree
+of the ring.  Each slot of a raw product is a sum of at most D products of
+two coefficients below 2^N, and the reductions at all levels together add
+fewer than D more, so no slot reaches 2D(2^N - 1)^2 < 2^{2N+H} while
+2D <= 2^H.  Both classes refuse a ring above that degree, so no slot ever
+carries into its neighbour; a block is masked to a reduced base element
+before it enters a reduction multiplication.
 
 Valuations are exact: for a = sum a_i t^i the candidate valuations
 n*v_B(a_i) + i are pairwise distinct mod n, so the minimum is attained by a
-single term and min() computes v(a) with no cancellation analysis.
+single term and min() computes v(a) with no cancellation analysis.  Each
+ring lists its slots with the weight v(slot) of their position and reads
+the valuation as the least e*v_2(coefficient) + weight.
 
-Raw data here carries no per-element precision; every element is exact
-modulo pi^cap provided it was produced from exact inputs by ring
+Precision.  Raw data here carries no per-element precision; every element
+is exact modulo pi^cap provided it was produced from exact inputs by ring
 operations, minus one unit of cap per downward shift.  The public wrapper
 in :mod:`q2quartic.padic.field` tracks precision explicitly; internal
 consumers budget their downward shifts against the guard digits instead.
@@ -25,8 +62,93 @@ from __future__ import annotations
 from ..errors import DivisionByNonUnit, InvalidParams, PrecisionExhausted
 from ..residue import ResidueField
 
+# Bits above 2N in every bottom slot; towers of absolute degree up to
+# 2^(H-1) fit (see the module docstring).
+_HEADROOM = 12
 
-class UnramifiedRing:
+
+def _replicate(word: int, count: int, stride: int) -> int:
+    """``word`` copied into ``count`` blocks ``stride`` bits apart."""
+    return sum(word << (stride * i) for i in range(count))
+
+
+def _fold(x: int, stages, mask: int) -> int:
+    """Reduce a raw value: run the reduction stages top-down, then AND with the mask."""
+    for src, sel, mult, dst in stages:
+        c = (x >> src) & sel
+        if c:
+            x += (c * mult) << dst
+    return x & mask
+
+
+class _PackedRing:
+    """What both ring shapes share: their elements are ints in one slot layout.
+
+    A subclass sets ``_coef`` (2^N - 1) and ``_degree`` ([K:Q_2]) and calls
+    ``_layout`` with its slots ((bit offset, weight) per bottom coefficient),
+    the offsets of its residue digits and the mask, stride and number of the
+    entries ``coeffs`` returns; ``_layout`` derives the element mask
+    ``_mask`` and ``_two_n``, 2^N in every slot.
+    """
+
+    def from_int(self, n: int):
+        return n & self._coef
+
+    def from_coeffs(self, cs):
+        """The element whose ``coeffs`` are cs."""
+        pm, stride, _ = self._part
+        return sum((c & pm) << (stride * i) for i, c in enumerate(cs))
+
+    def coeffs(self, a) -> tuple:
+        """The entries of a: f ints mod 2^N for U(f), the base elements a_i of
+        a = sum a_i t^i for a step."""
+        pm, stride, count = self._part
+        return tuple((a >> (stride * i)) & pm for i in range(count))
+
+    def add(self, a, b):
+        return (a + b) & self._mask
+
+    def sub(self, a, b):
+        return (a + self._two_n - b) & self._mask
+
+    def neg(self, a):
+        return (self._two_n - a) & self._mask
+
+    def val(self, a):
+        """pi-adic valuation, or None if a vanishes to working precision."""
+        if not a:
+            return None
+        e, coef = self.e_abs, self._coef
+        v = None
+        for off, wt in self._slots:
+            if v is not None and v <= wt:
+                break
+            x = (a >> off) & coef
+            if x:
+                cand = e * ((x & -x).bit_length() - 1) + wt
+                if v is None or cand < v:
+                    v = cand
+        return v
+
+    def residue(self, a) -> int:
+        if self.f == 1:
+            return a & 1
+        r = 0
+        for i, off in enumerate(self._res_offsets):
+            r |= ((a >> off) & 1) << i
+        return r
+
+    def _layout(self, slots, res_offsets, part):
+        if 2 * self._degree > 1 << _HEADROOM:
+            raise InvalidParams(f"degree {self._degree} over Q_2 exceeds the slot headroom")
+        self._slots = tuple(sorted(slots, key=lambda s: s[1]))
+        self._res_offsets = res_offsets
+        self._part = part
+        self._mask = sum(self._coef << off for off, _ in slots)
+        self._two_n = sum((self._coef + 1) << off for off, _ in slots)
+
+
+class UnramifiedRing(_PackedRing):
     """O_U for the unramified U/Q_2 with residue field F_{2^f}; uniformiser 2."""
 
     def __init__(self, f: int, n2: int):
@@ -34,62 +156,26 @@ class UnramifiedRing:
         self.n2 = n2  # coefficients live mod 2^n2
         self.cap = n2  # pi-adic precision equals coefficient precision
         self.e_abs = 1  # v_U(2)
+        self._degree = f  # [U:Q_2]
         self.res = ResidueField(f)
-        self._mask = (1 << n2) - 1
-        self._teich_cache: dict[int, object] = {}
-        if f == 1:
-            self.zero, self.one = 0, 1
-        else:
-            self.zero = (0,) * f
-            self.one = (1,) + (0,) * (f - 1)
-            # reduction row for x^f = -(h - x^f), h the 0/1 lift of the modulus
-            self._red = tuple(
-                (-((self.res.modulus >> i) & 1)) & self._mask for i in range(f)
-            )
-
-    def from_int(self, n: int):
-        n &= self._mask
-        if self.f == 1:
-            return n
-        return (n,) + (0,) * (self.f - 1)
-
-    def add(self, a, b):
-        if self.f == 1:
-            return (a + b) & self._mask
-        m = self._mask
-        return tuple((x + y) & m for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        if self.f == 1:
-            return (a - b) & self._mask
-        m = self._mask
-        return tuple((x - y) & m for x, y in zip(a, b))
-
-    def neg(self, a):
-        if self.f == 1:
-            return (-a) & self._mask
-        m = self._mask
-        return tuple((-x) & m for x in a)
+        self._coef = (1 << n2) - 1
+        self._teich_cache: dict[int, int] = {}
+        self.zero, self.one = 0, 1
+        w = 2 * n2 + _HEADROOM
+        self._width = (2 * f - 1) * w  # bits of a raw product
+        offsets = tuple(w * i for i in range(f))
+        self._layout([(off, 0) for off in offsets], offsets, (self._coef, w, f))
+        # reduction row for x^f = -(h - x^f), h the 0/1 lift of the modulus
+        red = self.from_coeffs([-((self.res.modulus >> i) & 1) for i in range(f)])
+        self._stages = tuple(
+            (w * k, self._coef, red, w * (k - f)) for k in range(2 * f - 2, f - 1, -1)
+        )
+        self._low_bits = _replicate(1, f, w)  # bit 0 of every slot
 
     def mul(self, a, b):
         if self.f == 1:
             return (a * b) & self._mask
-        f, m = self.f, self._mask
-        prod = [0] * (2 * f - 1)
-        for i in range(f):
-            ai = a[i]
-            if ai:
-                for j in range(f):
-                    prod[i + j] += ai * b[j]
-        red = self._red
-        for k in range(2 * f - 2, f - 1, -1):
-            c = prod[k]
-            if c:
-                base = k - f
-                for i in range(f):
-                    prod[base + i] += c * red[i]
-                prod[k] = 0
-        return tuple(prod[i] & m for i in range(f))
+        return _fold(a * b, self._stages, self._mask)
 
     def val(self, a):
         """2-adic valuation, or None if a vanishes mod 2^n2."""
@@ -97,21 +183,7 @@ class UnramifiedRing:
             if a == 0:
                 return None
             return (a & -a).bit_length() - 1
-        v = None
-        for x in a:
-            if x:
-                w = (x & -x).bit_length() - 1
-                if v is None or w < v:
-                    v = w
-        return v
-
-    def residue(self, a) -> int:
-        if self.f == 1:
-            return a & 1
-        r = 0
-        for i, x in enumerate(a):
-            r |= (x & 1) << i
-        return r
+        return _PackedRing.val(self, a)
 
     def teich(self, t: int):
         """Teichmueller lift of the residue t: the unique lift with x^q = x."""
@@ -121,7 +193,7 @@ class UnramifiedRing:
         if self.f == 1:
             x = t & 1  # 0 and 1 are their own lifts
         else:
-            x = tuple((t >> i) & 1 for i in range(self.f))
+            x = self.from_coeffs([(t >> i) & 1 for i in range(self.f)])
             for _ in range(self.n2):
                 y = x
                 for _ in range(self.f):
@@ -136,19 +208,21 @@ class UnramifiedRing:
         """a * 2^k; for k < 0 requires v(a) >= -k (exact division)."""
         if k == 0:
             return a
-        m = self._mask
-        if self.f == 1:
-            if k > 0:
-                return (a << k) & m
-            if a & ((1 << -k) - 1):
-                raise DivisionByNonUnit(f"2^{-k} does not divide element")
-            return a >> -k
         if k > 0:
-            return tuple((x << k) & m for x in a)
-        low = (1 << -k) - 1
-        if any(x & low for x in a):
-            raise DivisionByNonUnit(f"2^{-k} does not divide element")
-        return tuple(x >> -k for x in a)
+            return (a << k) & self._mask if k < self.n2 else 0
+        k = -k
+        if k >= self.n2:
+            if a:
+                raise DivisionByNonUnit(f"2^{k} does not divide element")
+            return 0
+        if a & (self._low_bits * ((1 << k) - 1)):
+            raise DivisionByNonUnit(f"2^{k} does not divide element")
+        return (a >> k) & self._mask
+
+    def _div_by_pi(self, a):
+        if a & self._low_bits:
+            raise DivisionByNonUnit("2 does not divide element")
+        return (a >> 1) & self._mask
 
     def inv_unit(self, a):
         r = self.residue(a)
@@ -166,115 +240,75 @@ class UnramifiedRing:
         return f"UnramifiedRing(f={self.f}, n2={self.n2})"
 
 
-class EisensteinStep:
+class EisensteinStep(_PackedRing):
     """O_B[t]/(g) for monic Eisenstein g = t^n + g_{n-1} t^{n-1} + ... + g_0."""
 
     def __init__(self, base, lower_coeffs):
         self.base = base
         self.g = tuple(lower_coeffs)  # g_0 .. g_{n-1}
-        self.n = len(self.g)
-        if self.n < 1:
+        self.n = n = len(self.g)
+        if n < 1:
             raise ValueError("defining polynomial must have positive degree")
         _check_eisenstein(base, self.g)
         self.f = base.f
         self.res = base.res
-        self.e_abs = self.n * base.e_abs
-        self.cap = self.n * base.cap
-        self.zero = (base.zero,) * self.n
-        self.one = (base.one,) + (base.zero,) * (self.n - 1)
-        self._neg_g = tuple(base.neg(c) for c in self.g)
-        # 1 / (g_0 / 2-part): used when dividing by the uniformiser
+        self.e_abs = n * base.e_abs
+        self.cap = n * base.cap
+        self._degree = n * base._degree
+        self.zero, self.one = 0, 1
+        self._coef = base._coef
+        s = self._s = base._width  # a block has room for a raw base product
+        self._width = (2 * n - 1) * s
+        self._layout(
+            [(s * i + off, n * wt + i) for i in range(n) for off, wt in base._slots],
+            base._res_offsets,
+            (base._mask, s, n),
+        )
+        # t^n = -g_0 - g_1 t - ... - g_{n-1} t^{n-1}, the reduction multiplier
+        self._t_n = self.from_coeffs([base.neg(c) for c in self.g])
+        sub = base._stages
+        top = []
+        for k in range(2 * n - 2, n - 1, -1):
+            top.extend((src + s * k, sel, mult, dst + s * k) for src, sel, mult, dst in sub)
+            top.append((s * k, base._mask, self._t_n, s * (k - n)))
+        self._final = tuple((src, _replicate(sel, n, s), mult, dst) for src, sel, mult, dst in sub)
+        self._stages = tuple(top) + self._final
+        # a / t: top coefficient (a_0 / pi_B) / (-g_0 / pi_B), then a_j + that * g_j
         self._inv_unit_of_neg_g0_shifted = base.inv_unit(base.shift(base.neg(self.g[0]), -1))
+        self._g_over_t = self.from_coeffs(list(self.g[1:]) + [base.one])
 
-    def from_int(self, n: int):
-        return (self.base.from_int(n),) + (self.base.zero,) * (self.n - 1)
-
-    def add(self, a, b):
-        ba = self.base.add
-        return tuple(ba(x, y) for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        bs = self.base.sub
-        return tuple(bs(x, y) for x, y in zip(a, b))
-
-    def neg(self, a):
-        bn = self.base.neg
-        return tuple(bn(x) for x in a)
+    def lift(self, c):
+        """The base element c as a constant of this ring (block 0 sits at bit 0)."""
+        return c
 
     def mul(self, a, b):
-        base, n = self.base, self.n
-        zero = base.zero
-        prod = [zero] * (2 * n - 1)
-        for i in range(n):
-            ai = a[i]
-            if ai != zero:
-                for j in range(n):
-                    bj = b[j]
-                    if bj != zero:
-                        prod[i + j] = base.add(prod[i + j], base.mul(ai, bj))
-        ng = self._neg_g
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c != zero:
-                off = k - n
-                for i in range(n):
-                    prod[off + i] = base.add(prod[off + i], base.mul(c, ng[i]))
-                prod[k] = zero
-        return tuple(prod[:n])
-
-    def val(self, a):
-        n, bval = self.n, self.base.val
-        v = None
-        for i in range(n):
-            w = bval(a[i])
-            if w is not None:
-                cand = n * w + i
-                if v is None or cand < v:
-                    v = cand
-        return v
-
-    def residue(self, a) -> int:
-        return self.base.residue(a[0])
+        return _fold(a * b, self._stages, self._mask)
 
     def teich(self, t: int):
-        return (self.base.teich(t),) + (self.base.zero,) * (self.n - 1)
+        return self.base.teich(t)
 
-    def _mul_by_t(self, a):
-        base, n = self.base, self.n
-        top = a[n - 1]
-        out = [base.zero] * n
-        if top != base.zero:
-            ng = self._neg_g
-            out[0] = base.mul(top, ng[0])
-            for i in range(1, n):
-                out[i] = base.add(a[i - 1], base.mul(top, ng[i]))
-        else:
-            for i in range(1, n):
-                out[i] = a[i - 1]
-        return tuple(out)
-
-    def _div_by_t(self, a):
-        # solve x * t = a coefficientwise; needs v(a) >= 1, i.e. v_B(a_0) >= 1
-        base, n = self.base, self.n
-        a0 = a[0]
-        v0 = base.val(a0)
-        if v0 is not None and v0 < 1:
-            raise DivisionByNonUnit("element not divisible by the uniformiser")
-        x_top = base.mul(base.shift(a0, -1), self._inv_unit_of_neg_g0_shifted)
-        out = [base.zero] * n
-        out[n - 1] = x_top
-        g = self.g
-        for j in range(1, n):
-            out[j - 1] = base.add(a[j], base.mul(x_top, g[j]))
-        return tuple(out)
+    def _div_by_pi(self, a):
+        # solve x * t = a; needs v(a) >= 1, i.e. v_B(a_0) >= 1
+        base = self.base
+        x_top = _fold(
+            base._div_by_pi(a & base._mask) * self._inv_unit_of_neg_g0_shifted,
+            base._stages,
+            base._mask,
+        )
+        return _fold((a >> self._s) + x_top * self._g_over_t, self._final, self._mask)
 
     def shift(self, a, k: int):
-        if k > 0:
-            for _ in range(k):
-                a = self._mul_by_t(a)
+        """a * t^k; for k < 0 requires v(a) >= -k (exact division)."""
+        if k < 0:
+            for _ in range(-k):
+                a = self._div_by_pi(a)
             return a
-        for _ in range(-k):
-            a = self._div_by_t(a)
+        n = self.n
+        while k >= n:
+            a = _fold(a * self._t_n, self._stages, self._mask)
+            k -= n
+        if k:
+            a = _fold(a << (self._s * k), self._stages, self._mask)
         return a
 
     def inv_unit(self, a):

@@ -231,6 +231,47 @@ def test_internal_inconsistency_exit_4(monkeypatch, tmp_path, capsys, error):
     assert "Traceback" not in err
 
 
+def _ring_division():
+    from q2quartic.padic.field import q2
+
+    R = q2().ring
+    return R.inv_unit(R.from_int(2))
+
+
+def _degenerate_quadratic():
+    from q2quartic.residue import ResidueField, quad_root_count
+
+    return quad_root_count(ResidueField(1), 0, 1, 1)
+
+
+def _serre_violation():
+    from q2quartic.errors import SerreIdentityViolation
+
+    raise SerreIdentityViolation(1)
+
+
+@pytest.mark.parametrize(
+    "raiser, name",
+    [
+        (_ring_division, "DivisionByNonUnit"),
+        (_degenerate_quadratic, "DegenerateLeadingCoefficient"),
+        (_serre_violation, "SerreIdentityViolation"),
+    ],
+)
+def test_other_package_errors_exit_4(monkeypatch, tmp_path, capsys, raiser, name):
+    # DivisionByNonUnit, DegenerateLeadingCoefficient and a Serre violation
+    # outside sweep/check reach the user as exit 4, not as a traceback
+    import q2quartic.cli as cli
+
+    spec = tmp_path / "q2.json"
+    spec.write_text('{"f": 1, "e": 1}')
+    monkeypatch.setattr(cli, "verify", lambda *a, **k: raiser())
+    assert cli.run(["verify", "--field", str(spec), "--m-max", "11"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: internal error ({name}): ")
+    assert "Traceback" not in err
+
+
 def _raise_at_one_cell(monkeypatch, name, error):
     real = getattr(C, name)
 

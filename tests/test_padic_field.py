@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import quad_elt
+
 from q2quartic.errors import InvalidParams
 from q2quartic.oracle.cache import _cache_path
 from q2quartic.padic.field import (
@@ -11,6 +13,7 @@ from q2quartic.padic.field import (
     UNRAMIFIED,
     LocalField,
     field_from_spec,
+    q2,
     ramified_quadratic,
 )
 from q2quartic.padic.rings import EisensteinStep, UnramifiedRing
@@ -142,7 +145,7 @@ def test_ramified_quadratic_structure(Q2):
     R = Q2.ring
     E = ramified_quadratic(Q2, Q2.from_int(2))
     # in the theta-basis theta = sqrt(2), so N(theta) = -2
-    assert E.norm((R.zero, R.one)) == Q2.from_int(-2)
+    assert E.norm(quad_elt(E, R.zero, R.one)) == Q2.from_int(-2)
     # d becomes a square in E = K(sqrt(d)); -1 does not
     assert E.is_square(E.from_int(2))
     assert not E.is_square(E.from_int(-1))
@@ -180,6 +183,27 @@ def test_spec_hash_of_bare_ring_fields():
     assert over_u2.spec_hash() != over_u3.spec_hash()
     E = eis(0).ring
     assert LocalField(EisensteinStep(E, [E.shift(E.one, 1)])).spec_hash() != eis(0).spec_hash()
+
+
+def test_spec_hash_pinned():
+    # cache keys of code-built fields: existing oracle cache files stay valid
+    # only while these values do not change
+    Q2 = q2()
+    U2 = field_from_spec({"f": 2})
+    K = field_from_spec({"f": 1, "eisenstein": [-2, 0, 1]})
+    R = UnramifiedRing(2, 40)
+    hashes = [
+        ramified_quadratic(Q2, Q2.from_int(2)).spec_hash(),
+        ramified_quadratic(U2, U2.from_int(2)).spec_hash(),
+        ramified_quadratic(K, K.ring.shift(K.ring.one, 1)).spec_hash(),
+        LocalField(EisensteinStep(R, [R.from_int(2)])).spec_hash(),
+    ]
+    assert hashes == [
+        "ef9752da9de6ea18",
+        "4f5bae7811902fa4",
+        "965e83d706e05871",
+        "88375870dfd02fe0",
+    ]
 
 
 @st.composite
@@ -263,13 +287,13 @@ def test_norm_quad_examples(Q2):
     R = Q2.ring
     # odd-valuation d: theta = sqrt(d), and N(x + y theta) = x^2 - d y^2
     E2 = ramified_quadratic(Q2, Q2.from_int(2))
-    assert E2.norm((Q2.from_int(2), R.one)) == Q2.from_int(2)  # N(2 + sqrt 2)
+    assert E2.norm(quad_elt(E2, Q2.from_int(2), R.one)) == Q2.from_int(2)  # N(2 + sqrt 2)
     Em = ramified_quadratic(Q2, Q2.from_int(-10))
-    assert Em.norm((R.zero, R.one)) == Q2.from_int(10)  # N(sqrt(d)) = -d
+    assert Em.norm(quad_elt(Em, R.zero, R.one)) == Q2.from_int(10)  # N(sqrt(d)) = -d
     # d = -1: theta^2 + 2 theta + 2 = 0, so theta = -1 + i up to conjugation
     Ei = ramified_quadratic(Q2, Q2.from_int(-1))
-    assert Ei.norm((R.zero, R.one)) == Q2.from_int(2)  # N(-1 + i)
-    assert Ei.norm((R.one, R.one)) == R.one  # N(i)
+    assert Ei.norm(quad_elt(Ei, R.zero, R.one)) == Q2.from_int(2)  # N(-1 + i)
+    assert Ei.norm(quad_elt(Ei, R.one, R.one)) == R.one  # N(i)
 
 
 def test_classify_tower_examples(Q2):

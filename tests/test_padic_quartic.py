@@ -104,7 +104,7 @@ def test_one_aut_congruence_agrees_with_b0_valuation(Q2):
             continue
         checked += 1
         L = stem_ring(fq)
-        lift = lambda c: (c,) + (Q2.ring.zero,) * 3
+        lift = L.lift
         pi = L.shift(L.one, 1)
         found = False
         for t in range(1, Q2.q):
@@ -161,7 +161,7 @@ def test_deformation_cubic_closed_coefficients(Q2):
     fq = quartic_from_ints(Q2, 2, 2, 0, 0)
     L = stem_ring(fq)
     b0, b1, b2 = deformation_cubic(fq, L)
-    lift = lambda c: (c,) + (Q2.ring.zero,) * 3
+    lift = L.lift
     pi = L.shift(L.one, 1)
     pi2 = L.mul(pi, pi)
     assert b2 == L.add(lift(fq.a3), L.mul(L.from_int(4), pi))

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from q2quartic.errors import DivisionByNonUnit
+from q2quartic.errors import DivisionByNonUnit, InvalidParams
 from q2quartic.padic.field import field_from_spec, q2
-from q2quartic.padic.rings import eq_mod
+from q2quartic.padic.rings import _HEADROOM, EisensteinStep, eq_mod
 
 
 def test_basic_arith_q2(Q2):
@@ -77,3 +77,11 @@ def test_random_ring_algebra(K_sqrt2):
 def test_precision_guard_on_spec():
     small = field_from_spec({"f": 1, "e": 1, "precision": 4})
     assert small.ring.cap >= 4
+
+
+def test_degree_beyond_slot_headroom_is_refused(Q2):
+    # a slot holds 2D products of two coefficients only while 2D <= 2^H
+    R = Q2.ring
+    n = (1 << (_HEADROOM - 1)) + 1
+    with pytest.raises(InvalidParams):
+        EisensteinStep(R, [R.from_int(2)] + [R.zero] * (n - 1))

@@ -79,3 +79,20 @@ def test_distance_polygon_is_largest_root_distance(case):
     name, fq, vals = case
     vrep = tuple(_INF if v is None else v for v in vals)
     assert _enumerator(name)._distance_polygon_max(vrep) == max(root_distances(fq))
+
+
+@settings(max_examples=150, deadline=None)
+@given(eisenstein_quartics(("Q2", "sqrt2"), allow_zero=True), st.data())
+def test_class_stable_below_certified_depth(case, data):
+    # dedup_counts and one_aut_measure classify one representative per
+    # coefficient class mod pi^c, c = m//3 + 2: any digit at or below that
+    # depth must leave (m, g) unchanged
+    _, fq, _ = case
+    K = fq.field
+    m, g = classify_quartic(fq)
+    c = m // 3 + 2 + data.draw(st.integers(0, 2), label="extra depth")
+    i = data.draw(st.integers(0, 3), label="coefficient")
+    t = data.draw(st.integers(1, K.q - 1), label="digit")
+    coeffs = list(fq.coeffs())
+    coeffs[i] = K.ring.add(coeffs[i], K.digit_elt(t, c))
+    assert classify_quartic(EisensteinQuartic(K, *coeffs)) == (m, g)
