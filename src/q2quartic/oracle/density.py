@@ -57,6 +57,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from fractions import Fraction
+from functools import cache
 
 from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount
 from ..padic.field import LocalField
@@ -69,7 +70,6 @@ from ..padic.quartic import (
     _resolvent_split,
     classify_by_invariants,
     classify_quartic,
-    disc_raw,
     in_Tm_domain,
     resolvent_cubic,
 )
@@ -86,13 +86,17 @@ _INF = 10**9
 _NODES_PER_JOB = 16
 
 
-def _build_bound_table(e: int):
+@cache
+def _bound_table():
     """Perturbation terms of the discriminant under coefficient changes.
 
     For each monomial k * prod a_j^alpha_j and each nonzero beta <= alpha the
     binomial term k * prod C(alpha_j, beta_j) * a^(alpha-beta) * delta^beta
     has valuation >= e*v2(k*prod C) + sum_j ((alpha_j-beta_j) vhat_j + beta_j c_j).
-    Entries dominated for every admissible (vhat, c) are discarded.
+    Entries dominated for every admissible (vhat, c) are discarded.  The
+    table holds v2(k*prod C) without the factor e, which scales every
+    constant alike and so keeps the same entries for every e >= 1; it is
+    built on first use and kept for the life of the process.
     """
     from itertools import product as iproduct
     from math import comb
@@ -105,7 +109,7 @@ def _build_bound_table(e: int):
             c = abs(k)
             for a, b in zip(exps, beta):
                 c *= comb(a, b)
-            const = _v2(c) * e
+            const = _v2(c)
             amb = tuple(a - b for a, b in zip(exps, beta))
             raw.append((const, amb, beta))
     kept = []
@@ -125,7 +129,7 @@ def _build_bound_table(e: int):
                 break
         if not dominated:
             kept.append(cand)
-    return kept
+    return tuple(kept)
 
 
 class _Enumerator:
@@ -142,7 +146,7 @@ class _Enumerator:
         self.max_depth = 0
         self.cross_checked = 0
         self._mono_vk = [_v2(abs(k)) * field.e_abs for k, _ in _DISC_MONOMIALS]
-        self._bound_table = _build_bound_table(field.e_abs)
+        self._bound_table = [(const * self.e, amb, beta) for const, amb, beta in _bound_table()]
 
     # -- integer-only node analysis --------------------------------------
 
@@ -268,11 +272,10 @@ class _Enumerator:
         bound = self._disc_bound(cs, vh)
         m_lo, unique = self._disc_monomial_val(vrep)
         m_rep = m_lo if unique else None
-        fq = disc = None
+        fq = None
         if m_rep is None and m_lo < bound:
             fq = self._build(digits)
-            disc = disc_raw(self.K, *fq.coeffs())
-            m_rep = _disc_val(self.K, disc)
+            m_rep = _disc_val(self.K, fq.disc)
         if m_rep is not None and m_rep < bound:
             if m_rep > m_max:
                 self.dropped += Fraction(1, q**depth)
@@ -284,14 +287,14 @@ class _Enumerator:
         if delta > 4 * self._distance_polygon_max(vrep):
             if fq is None:
                 fq = self._build(digits)
-            self._add_leaf(classify_by_invariants(fq, m_rep), fq, digits)
+            self._add_leaf(classify_by_invariants(fq), fq, digits)
             return None
         if m_rep is not None and bound >= m_rep + 2 * e + 1 and self._visibly_non_one_aut(
             cs, vrep, m_rep
         ):
             if fq is None:
                 fq = self._build(digits)
-            if self._try_tower_cert(fq, disc, digits, cs, vh, m_rep):
+            if self._try_tower_cert(fq, digits, cs, vh, m_rep):
                 return None
         split = min(range(4), key=lambda i: 4 * cs[i] + i)
         return [
@@ -309,12 +312,10 @@ class _Enumerator:
         self.max_depth = max(self.max_depth, max_depth)
         self.cross_checked += checked
 
-    def _try_tower_cert(self, fq, disc, digits, cs, vh, m):
+    def _try_tower_cert(self, fq, digits, cs, vh, m):
         """Certify a visibly-non-1-Aut node via square-class windows; None = split."""
         K, R, e = self.K, self.K.ring, self.e
-        if disc is None:
-            disc = disc_raw(K, *fq.coeffs())
-        if K.is_square(disc):
+        if K.is_square(fq.disc):
             self._add_leaf((m, GroupTag.V4), fq, digits)
             return True
         # resolvent-root windows for the C4/D4 split
@@ -353,7 +354,7 @@ class _Enumerator:
             eta_W = min(dw + min(e + vw, dw), 2 * e + c0)
             return eta_W >= vW + 2 * e + 1
 
-        g = _resolvent_split(fq, disc, rescubic, window)
+        g = _resolvent_split(fq, rescubic, window)
         if g is None:
             return None
         self._add_leaf((m, g), fq, digits)

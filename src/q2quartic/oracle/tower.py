@@ -41,19 +41,9 @@ def _norm_images(K: LocalField, E: LocalField) -> list[int]:
     return [K.square_class_coords(E.norm(b)) for b in E.square_class_basis()]
 
 
-def _basis_product(E: LocalField, c: int):
-    """The element of E whose square-class coordinates are c, built from E's basis."""
-    ring, basis = E.ring, E.square_class_basis()
-    a = ring.one
-    for i in range(1, len(basis)):
-        if c >> i & 1:
-            a = ring.mul(a, basis[i])
-    return ring.shift(a, 1) if c & 1 else a
-
-
 def _cross_check(K, d, E, c, m1, m2, g):
     """Re-derive (m1, m2, g) of one pair from d and alpha themselves."""
-    alpha = _basis_product(E, c)
+    alpha = E.square_class_rep(c)
     coords = (m1, m2, g)
     direct = (K.hecke_disc(d), E.hecke_disc(alpha), classify_tower_from_norm(K, d, E.norm(alpha)))
     if direct != coords:

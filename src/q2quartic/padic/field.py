@@ -7,16 +7,14 @@ are again ``LocalField`` instances (with a ``base_field`` back-pointer and
 a norm map), so all predicates below work uniformly at both levels of a
 tower.
 
-The central primitive is :meth:`LocalField.square_reach`: for a unit u it
-finds how closely u can be approximated by squares, by repairing the
-leading digit of u - x^2 one level at a time.  Even levels below 2*v(2)
-are always repairable (residue fields of characteristic two are perfect),
-an odd level is a permanent obstruction, and level 2*v(2) is an
-Artin-Schreier condition.  Squares, the unramified quadratic class, and
-Hecke's discriminant-exponent formula all read off from the stopping level.
-The walk never divides: x^2 keeps the residue of u, so u - x^2 and
-u/x^2 - 1 share their valuation, and their leading digits differ by the
-fixed factor res(u)^-1.
+The central primitive is one walk over the square classes: for a unit u
+it finds how closely u can be approximated by squares, by repairing the
+leading digit of u - y one level at a time, y a square times the basis
+units recorded so far.  Even levels below 2*v(2) are always repairable
+(residue fields of characteristic two are perfect), an odd level is an
+obstruction, and level 2*v(2) is an Artin-Schreier condition.  The walk
+never divides: y keeps the residue of u, so u - y and u/y - 1 share their
+valuation, and their leading digits differ by the fixed factor res(u)^-1.
 
 F^x / F^x2 is an F_2-vector space of dimension [F:Q_2] + 2, and
 :meth:`LocalField.square_class_coords` gives every element its coordinate
@@ -28,12 +26,13 @@ vector, an int, in one fixed basis:
 * the last bit is 1 + [c*] pi^(2*v(2)), the unramified class, where c* is
   a residue outside the image of s -> s^2 + gamma*s.
 
-The coordinate walk is ``square_reach`` continued past the odd levels: it
-records an odd level's digit and multiplies the basis units in, instead of
-stopping there.  Products and norms of elements then become XORs of
-coordinate vectors, which is how the tower oracle classifies its pairs.
-``is_square``, ``hecke_disc`` and ``square_reach`` keep the shorter walk
-that stops at the first obstruction.
+``square_class_coords`` runs the walk to its end: at each obstruction it
+records the digit's bits and multiplies their basis units into y.
+Products and norms of elements then become XORs of coordinate vectors,
+which is how the tower oracle classifies its pairs.
+:meth:`LocalField.square_reach` stops the walk at its first obstruction;
+squares, the unramified quadratic class and Hecke's discriminant-exponent
+formula (``is_square``, ``hecke_disc``) read off from that level.
 """
 
 from __future__ import annotations
@@ -62,10 +61,9 @@ class LocalField:
         self.base_field = base_field  # set for quadratic steps E/K
         self._norm_coeffs = norm_coeffs  # (B, C) with theta^2 + B theta + C = 0
         self.label = label or "K"
-        self._sqreps = None
         self._sqbasis = None
+        self._reps = {0: ring.one}  # square-class coordinates -> square_class_rep
         self._digit_table = {}
-        self._odd_units = {}  # (level, residue) -> product of the basis units it selects
         self._digit_squares = {}  # (residue, level) -> (1 + [s] pi^level)^2
         # res(2 / pi^v(2)), the linear coefficient of the Artin-Schreier step
         self._gamma = ring.residue(ring.shift(ring.from_int(2), -self.e_abs))
@@ -97,45 +95,61 @@ class LocalField:
 
     # -- squares, Hecke, square classes --------------------------------
 
-    def square_reach(self, u):
-        """For a unit u, return (reach, x).
+    def _square_walk(self, u):
+        """Walk a unit u towards the squares; yield (l, coords, y) at each obstruction.
 
-        reach = 2*v(2)+1 means u = x^2 * (1 + O(pi^{2v(2)+1})), hence a
-        square; reach = 2*v(2) marks the unramified quadratic class; an odd
-        reach < 2*v(2) is the Hecke invariant kappa, with witness x.
-
-        Each step reads l = v(u - x^2).  x starts as the Teichmueller lift
-        of sqrt(res u) and every correction multiplies it by a 1-unit, so
-        res(x^2) = res(u) throughout: l = v(u/x^2 - 1), and the leading
-        digit of u/x^2 - 1 is that of u - x^2 times res(u)^-1.
+        y = x^2 * (the basis units recorded so far) keeps res(y) = res(u), and
+        each step reads l = v(u - y).  An even level is cleared by the square
+        of a digit below 2*v(2), and at 2*v(2) by an Artin-Schreier square if
+        one exists; the digit is the leading digit of u - y times res(u)^-1.
+        Any other level is an obstruction: the walk yields l, the coordinates
+        recorded so far and y, and only when resumed reads the level's bits
+        (an odd level's digit, or the unramified bit) and multiplies their
+        basis units into y.  Once u/y = 1 + O(pi^{2v(2)+1}) it yields
+        (2*v(2)+1, the coordinates of u, y) and ends.
         """
         ring, res = self.ring, self.res
-        w = self.e_abs
+        w, f = self.e_abs, self.f
         r0 = ring.residue(u)
         if r0 == 0:
             raise DivisionByNonUnit("square_reach needs a unit")
-        r0_inv = res.inv(r0)
-        x = ring.teich(res.sqrt(r0))
         top = 2 * w + 1
         if top + 2 > ring.cap:
             raise PrecisionExhausted("field precision below 2*v(2)+3")
+        r0_inv = res.inv(r0)
+        y = ring.teich(r0)
+        coords = 0
         for _ in range(top + 2):
-            d = ring.sub(u, ring.mul(x, x))
+            d = ring.sub(u, y)
             l = ring.val(d)
             if l is None or l >= top:
-                return top, x
+                yield top, coords, y
+                return
+            if l % 2 == 0:
+                rbar = res.mul(leading_residue(ring, d, l), r0_inv)
+                s = res.sqrt(rbar) if l < 2 * w else self._artin_schreier_fix(rbar)
+                if s is not None:
+                    y = ring.mul(y, self._digit_square(s, l // 2))
+                    continue
+            yield l, coords, y
             if l % 2 == 1:
-                return l, x
-            rbar = res.mul(leading_residue(ring, d, l), r0_inv)
-            if l == 2 * w:
-                s = self._artin_schreier_fix(rbar)
-                if s is None:
-                    return 2 * w, x
-                x = ring.mul(x, ring.add(ring.one, self.digit_elt(s, w)))
-                continue
-            s = res.sqrt(rbar)
-            x = ring.mul(x, ring.add(ring.one, self.digit_elt(s, l // 2)))
-        raise PrecisionExhausted("square_reach failed to terminate within budget")
+                c = res.mul(leading_residue(ring, d, l), r0_inv) << (1 + (l // 2) * f)
+            else:
+                c = 1 << (1 + w * f)
+            coords |= c
+            y = ring.mul(y, self.square_class_rep(c))
+        raise PrecisionExhausted("the square-class walk failed to terminate within budget")
+
+    def square_reach(self, u):
+        """For a unit u, return (reach, y): the square-class walk stopped at its first obstruction.
+
+        reach = 2*v(2)+1 means u = y * (1 + O(pi^{2v(2)+1})), hence a square;
+        reach = 2*v(2) marks the unramified quadratic class; an odd
+        reach < 2*v(2) is the Hecke invariant kappa.  y is a square, and
+        v(u - y) = reach when reach < 2*v(2)+1.
+        """
+        reach, _, y = next(self._square_walk(u))
+        return reach, y
 
     def _artin_schreier_fix(self, rbar):
         """A residue s with s^2 + gamma*s = rbar, or None."""
@@ -172,60 +186,16 @@ class LocalField:
     def square_class_coords(self, a) -> int:
         """The coordinate vector of a in F^x / F^x2, in the basis of the module docstring.
 
-        The walk keeps y = x^2 * (product of the basis units recorded so far)
-        with res(y) = res(u) and reads l = v(u - y) and the leading digit of
-        u/y - 1, as ``square_reach`` does.  An odd level records its digit's
-        bits and multiplies their basis units into y; an even level below
-        2*v(2) multiplies in the square of a digit; level 2*v(2) multiplies in
-        an Artin-Schreier square or, failing one, records the unramified bit.
-        The walk ends when u/y = 1 + O(pi^{2v(2)+1}), a square.
+        The square-class walk of the unit part of a, run to its end: the
+        coordinates are the valuation's parity and the bits every
+        obstruction records.
         """
-        ring, res = self.ring, self.res
-        v = ring.val(a)
+        v = self.val(a)
         if v is None:
             raise PrecisionExhausted("cannot certify element nonzero")
-        u = ring.shift(a, -v)
-        w, f = self.e_abs, self.f
-        top = 2 * w + 1
-        if top + 2 > ring.cap:
-            raise PrecisionExhausted("field precision below 2*v(2)+3")
-        r0 = ring.residue(u)
-        r0_inv = res.inv(r0)
-        y = ring.teich(r0)
-        coords = v & 1
-        for _ in range(top + 2):
-            d = ring.sub(u, y)
-            l = ring.val(d)
-            if l is None or l >= top:
-                return coords
-            rbar = res.mul(leading_residue(ring, d, l), r0_inv)
-            if l % 2 == 1:
-                coords |= rbar << (1 + (l // 2) * f)
-                y = ring.mul(y, self._odd_unit(l, rbar))
-            elif l < 2 * w:
-                y = ring.mul(y, self._digit_square(res.sqrt(rbar), l // 2))
-            else:
-                s = self._artin_schreier_fix(rbar)
-                if s is None:
-                    coords |= 1 << (1 + w * f)
-                    y = ring.mul(y, self.square_class_basis()[-1])
-                else:
-                    y = ring.mul(y, self._digit_square(s, w))
-        raise PrecisionExhausted("square_class_coords failed to terminate within budget")
-
-    def _odd_unit(self, l, rbar):
-        """The product of the basis units 1 + [2^k] pi^l over the bits k of rbar, cached."""
-        key = (l, rbar)
-        p = self._odd_units.get(key)
-        if p is None:
-            ring, basis = self.ring, self.square_class_basis()
-            first = 1 + (l // 2) * self.f
-            p = ring.one
-            for k in range(self.f):
-                if rbar >> k & 1:
-                    p = ring.mul(p, basis[first + k])
-            self._odd_units[key] = p
-        return p
+        # the walk's last item carries the coordinates of the whole unit part
+        *_, (_, coords, _) = self._square_walk(self.ring.shift(a, -v))
+        return coords | (v & 1)
 
     def _digit_square(self, s, i):
         """(1 + [s] pi^i)^2, cached."""
@@ -268,27 +238,30 @@ class LocalField:
             self._sqbasis = basis
         return self._sqbasis
 
+    def square_class_rep(self, c: int):
+        """The product of the basis units selected by the bits of c, cached.
+
+        Built from the product without c's lowest bit by one multiplication
+        or, for bit 0, one shift; ``square_class_coords`` of it is c.
+        """
+        rep = self._reps.get(c)
+        if rep is None:
+            ring = self.ring
+            low = c & -c
+            prev = self.square_class_rep(c ^ low)
+            if low == 1:
+                rep = ring.shift(prev, 1)
+            else:
+                rep = ring.mul(prev, self.square_class_basis()[low.bit_length() - 1])
+            self._reps[c] = rep
+        return rep
+
     def square_class_reps(self):
         """A complete duplicate-free system of representatives of F^x / F^x2.
 
-        reps[c] is the product of the basis units selected by the bits of c
-        (``square_class_coords(reps[c]) == c``), built from reps[c] without
-        its lowest bit by one multiplication or, for bit 0, one shift.
-        Size 2^{[F:Q_2] + 2}.
+        reps[c] = ``square_class_rep(c)``; size 2^{[F:Q_2] + 2}.
         """
-        if self._sqreps is not None:
-            return self._sqreps
-        ring, basis = self.ring, self.square_class_basis()
-        reps = [ring.one]
-        for c in range(1, 1 << self.square_class_dim):
-            low = c & -c
-            prev = reps[c ^ low]
-            if low == 1:
-                reps.append(ring.shift(prev, 1))
-            else:
-                reps.append(ring.mul(prev, basis[low.bit_length() - 1]))
-        self._sqreps = reps
-        return reps
+        return [self.square_class_rep(c) for c in range(1 << self.square_class_dim)]
 
     # -- quadratic-step extras ------------------------------------------
 
@@ -370,13 +343,13 @@ def ramified_quadratic(K: LocalField, d) -> LocalField:
         B, C = ring.zero, ring.neg(u)
     else:
         u = ring.shift(d, -v)
-        reach, x = K.square_reach(u)
+        reach, y = K.square_reach(u)
         if reach == 2 * K.e_abs + 1:
             raise InvalidParams("d is a square; no quadratic extension")
         if reach == 2 * K.e_abs:
             raise InvalidParams("d generates the unramified quadratic extension")
         j = (reach - 1) // 2  # reach is the Hecke invariant kappa
-        r = ring.sub(ring.mul(u, ring.inv_unit(ring.mul(x, x))), ring.one)
+        r = ring.sub(ring.mul(u, ring.inv_unit(y)), ring.one)
         B = ring.shift(ring.from_int(2), -j)
         C = ring.neg(ring.shift(r, -2 * j))
     ext = EisensteinStep(ring, [C, B])

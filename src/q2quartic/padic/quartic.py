@@ -16,7 +16,7 @@ certificate, and f is separable so every branch terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 from ..errors import FormulationMismatch, PrecisionExhausted
 from ..params import GroupTag
@@ -63,6 +63,11 @@ class EisensteinQuartic:
     def coeffs(self):
         return (self.a0, self.a1, self.a2, self.a3)
 
+    @cached_property
+    def disc(self):
+        """The discriminant as a raw element, computed once per quartic."""
+        return disc_raw(self.field, *self.coeffs())
+
 
 def disc_raw(field: LocalField, a0, a1, a2, a3):
     """Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0 as a raw element."""
@@ -95,33 +100,7 @@ def _disc_val(K: LocalField, disc) -> int:
 
 
 def disc_valuation(fq: EisensteinQuartic) -> int:
-    K = fq.field
-    return _disc_val(K, disc_raw(K, *fq.coeffs()))
-
-
-def newton_slopes(points):
-    """Root valuations (slope, multiplicity) from the lower Newton polygon.
-
-    ``points`` is a list of (i, v_i) with v_i an int or None (= +infinity);
-    the first and last v must be finite.
-    """
-    finite = [(i, v) for i, v in points if v is not None]
-    if not finite or finite[0][0] != points[0][0] or finite[-1][0] != points[-1][0]:
-        raise PrecisionExhausted("Newton polygon endpoints not certified")
-    hull = []
-    for pt in finite:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop hull[-1] if it lies on or above the segment hull[-2] -> pt
-            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    out = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
-    return out
+    return _disc_val(fq.field, fq.disc)
 
 
 def in_Tm_domain(m: int, e: int) -> bool:
@@ -203,18 +182,6 @@ def deformation_cubic(fq: EisensteinQuartic, L):
     return b0, b1, b2
 
 
-def root_distances(fq: EisensteinQuartic, stem=None):
-    """Valuations (in stem units) of the three differences root - pi, via Newton polygon."""
-    L = stem if stem is not None else stem_ring(fq)
-    b0, b1, b2 = deformation_cubic(fq, L)
-    pts = [(0, L.val(b0)), (1, L.val(b1)), (2, L.val(b2)), (3, 0)]
-    slopes = newton_slopes(pts)
-    out = []
-    for s, mult in slopes:
-        out.extend([s] * mult)
-    return out
-
-
 def _simple_residue_roots(R, coeffs, depth_cap, search="root refinement"):
     """Yield (p, path) once for each root in O_R of the polynomial ``coeffs``.
 
@@ -276,9 +243,9 @@ def _poly_shift_scale(L, poly, t):
     return [L.shift(c, i) for i, c in enumerate(out)]
 
 
-def count_roots_in_stem(fq: EisensteinQuartic, stem=None) -> int:
+def count_roots_in_stem(fq: EisensteinQuartic) -> int:
     """#roots of f in its stem field K[X]/(f); equals #Aut(L_f/K), one of 1, 2, 4."""
-    L = stem if stem is not None else stem_ring(fq)
+    L = stem_ring(fq)
     b0, b1, b2 = deformation_cubic(fq, L)
     r = 1 + _count_roots_in_ring(L, [b0, b1, b2, L.one])
     if r not in (1, 2, 4):
@@ -289,10 +256,9 @@ def count_roots_in_stem(fq: EisensteinQuartic, stem=None) -> int:
 def classify_quartic(fq: EisensteinQuartic):
     """Return (m, GroupTag) for the stem field of f, cross-checked against is_one_aut."""
     K = fq.field
-    disc = disc_raw(K, *fq.coeffs())
-    m = _disc_val(K, disc)
+    m = _disc_val(K, fq.disc)
     r = count_roots_in_stem(fq)
-    square_disc = K.is_square(disc)
+    square_disc = K.is_square(fq.disc)
     if (r == 1) != is_one_aut(fq, m):
         raise FormulationMismatch(
             f"root count {r} disagrees with the 1-Aut congruence test at m={m}"
@@ -388,7 +354,7 @@ def cubic_k_roots(K: LocalField, poly, want_val: int):
     return out
 
 
-def _resolvent_split(fq: EisensteinQuartic, disc, rescubic, window=None):
+def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None):
     """C4 or D4 for a quartic whose closure group is one of them.
 
     The resolvent cubic has a unique root w in K, the stem's quadratic
@@ -406,10 +372,10 @@ def _resolvent_split(fq: EisensteinQuartic, disc, rescubic, window=None):
     W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
     if window is not None and not window(w, W):
         return None
-    return GroupTag.C4 if K.is_square(R.mul(disc, W)) else GroupTag.D4
+    return GroupTag.C4 if K.is_square(R.mul(fq.disc, W)) else GroupTag.D4
 
 
-def classify_by_invariants(fq: EisensteinQuartic, m: int | None = None):
+def classify_by_invariants(fq: EisensteinQuartic):
     """(m, GroupTag) via coefficient congruences and square classes only.
 
     Route: the trivial-automorphism congruence test separates S4/A4 (split
@@ -418,15 +384,13 @@ def classify_by_invariants(fq: EisensteinQuartic, m: int | None = None):
     (see ``_resolvent_split``).
     """
     K = fq.field
-    disc = disc_raw(K, *fq.coeffs())
-    if m is None:
-        m = _disc_val(K, disc)
-    square_disc = K.is_square(disc)
+    m = _disc_val(K, fq.disc)
+    square_disc = K.is_square(fq.disc)
     if is_one_aut(fq, m):
         return m, (GroupTag.A4 if square_disc else GroupTag.S4)
     if square_disc:
         return m, GroupTag.V4
-    return m, _resolvent_split(fq, disc, resolvent_cubic(fq))
+    return m, _resolvent_split(fq, resolvent_cubic(fq))
 
 
 def classify_tower_from_norm(K: LocalField, d, alpha_norm) -> GroupTag:

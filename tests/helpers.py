@@ -6,10 +6,16 @@ stored as nested tuples (an int for f = 1, a tuple of f ints for f >= 2, a
 tuple of n base elements for an Eisenstein step) and the arithmetic done
 coefficient by coefficient.  They are the oracle of the ring property
 test, not a second code path of the package.
+
+``root_distances`` reads the root distances of a quartic off the Newton
+polygon of its deformation cubic; it is the reference the tests hold the
+density oracle's integer-only ``_distance_polygon_max`` to.
 """
 
-from q2quartic.errors import DivisionByNonUnit
-from q2quartic.padic.quartic import EisensteinQuartic
+from fractions import Fraction
+
+from q2quartic.errors import DivisionByNonUnit, PrecisionExhausted
+from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
 from q2quartic.padic.rings import EisensteinStep
 from q2quartic.residue import ResidueField
 
@@ -25,6 +31,43 @@ def quad_elt(E, x, y):
     R = E.ring
     theta = R.shift(R.one, 1)
     return R.add(R.lift(x), R.mul(R.lift(y), theta))
+
+
+def newton_slopes(points):
+    """Root valuations (slope, multiplicity) from the lower Newton polygon.
+
+    ``points`` is a list of (i, v_i) with v_i an int or None (= +infinity);
+    the first and last v must be finite.
+    """
+    finite = [(i, v) for i, v in points if v is not None]
+    if not finite or finite[0][0] != points[0][0] or finite[-1][0] != points[-1][0]:
+        raise PrecisionExhausted("Newton polygon endpoints not certified")
+    hull = []
+    for pt in finite:
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            # drop hull[-1] if it lies on or above the segment hull[-2] -> pt
+            if (y2 - y1) * (pt[0] - x1) >= (pt[1] - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append(pt)
+    out = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        out.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
+    return out
+
+
+def root_distances(fq: EisensteinQuartic):
+    """Valuations (in stem units) of the three differences root - pi, via Newton polygon."""
+    L = stem_ring(fq)
+    b0, b1, b2 = deformation_cubic(fq, L)
+    pts = [(0, L.val(b0)), (1, L.val(b1)), (2, L.val(b2)), (3, 0)]
+    slopes = newton_slopes(pts)
+    out = []
+    for s, mult in slopes:
+        out.extend([s] * mult)
+    return out
 
 
 def unpack(ring, a):

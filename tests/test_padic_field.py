@@ -206,6 +206,25 @@ def test_spec_hash_pinned():
     ]
 
 
+@pytest.mark.parametrize("spec, d, reach, want", [
+    ({"f": 1, "e": 1}, -1, 1, "85ef66d9cd432ce1"),
+    ({"f": 1, "eisenstein": [-2, 0, 1]}, (1, 0, 1, 0, 0, 1), 3, "7d2e04e2181441db"),
+    ({"f": 1, "eisenstein": [-2, 0, 0, 1]}, (1, 0, 1, 1), 3, "a9a1bf54c9c30975"),
+    ({"f": 2, "eisenstein": [-2, 0, 1]}, (1, 0, 2, 1), 3, "6f37432d5fd5d6ff"),
+])
+def test_ramified_quadratic_pinned_for_even_valuation_d(spec, d, reach, want):
+    # for a unit d, E is presented through r = d * y^-1 - 1 with y the square
+    # square_reach stops at, so these hashes pin that square
+    K = field_from_spec(spec)
+    R = K.ring
+    d = K.from_int(d) if isinstance(d, int) else K.from_digits(d)
+    assert K.square_reach(d)[0] == reach
+    if reach == 3:
+        # the walk repairs level 2 before it stops
+        assert K.val(R.sub(d, R.teich(R.residue(d)))) == 2
+    assert ramified_quadratic(K, d).spec_hash() == want
+
+
 @st.composite
 def sibling_specs(draw):
     """2 to 4 distinct Eisenstein specs of one (e, f), over Q2 or U(f), in integers or digit lists.

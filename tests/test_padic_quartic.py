@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from helpers import quartic_from_ints
+from helpers import newton_slopes, quartic_from_ints, root_distances
 
 from q2quartic.errors import InvalidParams
 from q2quartic.padic.field import q2
@@ -17,9 +17,7 @@ from q2quartic.padic.quartic import (
     disc_valuation,
     in_Tm,
     is_one_aut,
-    newton_slopes,
     resolvent_cubic,
-    root_distances,
     stem_ring,
 )
 from q2quartic.params import GroupTag

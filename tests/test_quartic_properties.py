@@ -8,6 +8,7 @@ closure group is reached.
 
 from functools import lru_cache
 
+from helpers import root_distances
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from q2quartic.padic.quartic import (
     EisensteinQuartic,
     classify_by_invariants,
     classify_quartic,
-    root_distances,
 )
 
 _SPECS = {

@@ -1,16 +1,17 @@
 """Property tests of square_reach, the square-class coordinates, and the
 Newton refinement of cubic roots.
 
-square_reach reads the leading digit of u - x^2 and never inverts, so these
-check what the predicates built on it rely on: the reach is a square-class
-invariant, the witness x attains it, and it does not depend on the working
-precision.  square_class_coords continues that walk past the odd levels;
-its coordinates must be those of the basis products, additive under
-multiplication, blind to squares, consistent with is_square and
-hecke_disc, compatible with the norm of a quadratic step, and independent
-of the working precision.  cubic_k_roots carries the inverse of p'(x)
-along by Newton steps; its roots must still reach the target valuation,
-and their number must not depend on the working precision either.
+square_reach reads the leading digit of u - y, y a square, and never
+inverts, so these check what the predicates built on it rely on: the reach
+is a square-class invariant, the witness y is a square that attains it, and
+it does not depend on the working precision.  square_class_coords runs the
+same walk past the first obstruction; its coordinates must be those of the
+basis products, additive under multiplication, blind to squares,
+consistent with is_square and hecke_disc, compatible with the norm of a
+quadratic step, and independent of the working precision.
+cubic_k_roots carries the inverse of p'(x) along by Newton steps; its
+roots must still reach the target valuation, and their number must not
+depend on the working precision either.
 """
 
 from functools import lru_cache
@@ -101,13 +102,14 @@ def test_reach_witness_attains_the_reach(case):
     K = _field(name)
     R = K.ring
     u = _build(K, recipe)
-    reach, x = K.square_reach(u)
+    reach, y = K.square_reach(u)
     top = 2 * K.e_abs + 1
-    v = R.val(R.sub(u, R.mul(x, x)))
+    v = R.val(R.sub(u, y))
     if reach < top:
         assert v == reach
     else:
         assert v is None or v >= top
+    assert K.square_class_coords(y) == 0
 
 
 @settings(max_examples=100, deadline=None)
