@@ -29,6 +29,10 @@ from integer valuation data of the node's zero-extended representative:
 delta grows whenever the weakest coordinate is refined and all thresholds
 are bounded in terms of 8e+3, so the recursion terminates.
 
+The dedup oracle (:mod:`.dedup`) walks the same tree with the tower
+certificate off: ``_expand`` reaches the leaf certificates through the
+hooks ``_krasner_leaf`` and ``_tower_leaf``, which dedup overrides.
+
 Root orbit.  The q-1 roots of the tree differ only in the leading digit t
 of a0/pi.  For a Teichmueller unit u the map f(X) -> u^4 f(X/u) scales a_i
 by u^(4-i); Teichmueller digits are multiplicative, so the map sends a
@@ -257,7 +261,7 @@ class _Enumerator:
     def _expand(self, digits):
         """Certify the node (as a leaf or a pruned class) and return None, or
         return the q children it splits into."""
-        q, m_max, e = self.q, self.m_max, self.e
+        q, m_max = self.q, self.m_max
         cs = (len(digits[0]), len(digits[1]), len(digits[2]), len(digits[3]))
         depth = cs[0] + cs[1] + cs[2] + cs[3]
         if depth > self.max_depth:
@@ -287,15 +291,10 @@ class _Enumerator:
         if delta > 4 * self._distance_polygon_max(vrep):
             if fq is None:
                 fq = self._build(digits)
-            self._add_leaf(classify_by_invariants(fq), fq, digits)
+            self._krasner_leaf(fq, digits)
             return None
-        if m_rep is not None and bound >= m_rep + 2 * e + 1 and self._visibly_non_one_aut(
-            cs, vrep, m_rep
-        ):
-            if fq is None:
-                fq = self._build(digits)
-            if self._try_tower_cert(fq, digits, cs, vh, m_rep):
-                return None
+        if m_rep is not None and self._tower_leaf(fq, digits, cs, vrep, vh, m_rep, bound):
+            return None
         split = min(range(4), key=lambda i: 4 * cs[i] + i)
         return [
             tuple(d + (t,) if i == split else d for i, d in enumerate(digits)) for t in range(q)
@@ -312,8 +311,28 @@ class _Enumerator:
         self.max_depth = max(self.max_depth, max_depth)
         self.cross_checked += checked
 
-    def _try_tower_cert(self, fq, digits, cs, vh, m):
-        """Certify a visibly-non-1-Aut node via square-class windows; None = split."""
+    def check_conservation(self):
+        """Raise unless the root's leaves and pruned classes, times the root
+        orbit q-1, fill the Eisenstein measure (q-1)/q^5."""
+        q = self.q
+        total = (q - 1) * (sum(self.measures.values(), Fraction(0)) + self.dropped)
+        expected = Fraction(q - 1, q**5)
+        if total != expected:
+            raise NonIntegralCount(
+                f"enumeration lost measure: {total} != (q-1)/q^5 = {expected}"
+            )
+
+    def _krasner_leaf(self, fq, digits):
+        """Record a node on which every member generates the field of fq."""
+        self._add_leaf(classify_by_invariants(fq), fq, digits)
+
+    def _tower_leaf(self, fq, digits, cs, vrep, vh, m, bound) -> bool:
+        """Tower certificate of a node with v(disc) = m pinned below ``bound``:
+        record it as a leaf and return True, or return False to split it."""
+        if bound < m + 2 * self.e + 1 or not self._visibly_non_one_aut(cs, vrep, m):
+            return False
+        if fq is None:
+            fq = self._build(digits)
         K, R, e = self.K, self.K.ring, self.e
         if K.is_square(fq.disc):
             self._add_leaf((m, GroupTag.V4), fq, digits)
@@ -356,7 +375,7 @@ class _Enumerator:
 
         g = _resolvent_split(fq, rescubic, window)
         if g is None:
-            return None
+            return False
         self._add_leaf((m, g), fq, digits)
         return True
 
@@ -364,13 +383,14 @@ class _Enumerator:
         K = self.K
         return EisensteinQuartic(K, *(K.from_digits(d) for d in digits))
 
-    def _add_leaf(self, mg, fq, digits):
+    def _add_leaf(self, mg, fq, digits) -> bool:
+        """Add the node's measure to cell mg; False when m > m_max drops it."""
         m, g = mg
         depth = sum(map(len, digits))
         if m > self.m_max:
             self.dropped += Fraction(1, self.q**depth)
             self.pruned += 1
-            return
+            return False
         self.leaves += 1
         if self.cross_check_every and hash(digits) % self.cross_check_every == 0:
             full = classify_quartic(fq)
@@ -379,8 +399,8 @@ class _Enumerator:
                 raise FormulationMismatch(
                     f"fast classification {(m, g.value)} disagrees with root counting {full}"
                 )
-        key = (m, g)
-        self.measures[key] = self.measures.get(key, Fraction(0)) + Fraction(1, self.q**depth)
+        self.measures[mg] = self.measures.get(mg, Fraction(0)) + Fraction(1, self.q**depth)
+        return True
 
 
 def _root_nodes(q: int):
@@ -466,15 +486,9 @@ def density_measures(
         jobs = _run_pool(enum, root, jobs)
     else:
         enum.run([root])
+    enum.check_conservation()
     orbit = q - 1
     measures = {key: orbit * v for key, v in enum.measures.items()}
-    dropped = orbit * enum.dropped
-    total = sum(measures.values(), Fraction(0)) + dropped
-    expected = Fraction(q - 1, q**5)
-    if total != expected:
-        raise NonIntegralCount(
-            f"density enumeration lost measure: {total} != (q-1)/q^5 = {expected}"
-        )
     meta = {
         "leaves": enum.leaves,
         "pruned": enum.pruned,

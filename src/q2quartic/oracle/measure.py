@@ -27,7 +27,7 @@ def _digit_tuples(q: int, span: int):
     return product(range(q), repeat=span)
 
 
-def eisenstein_classes(field: LocalField, c: int, budget: int):
+def _eisenstein_classes(field: LocalField, c: int, budget: int):
     """Yield one EisensteinQuartic per Eisenstein coefficient class modulo pi^c.
 
     There are (q-1) q^(4c-5) classes; BudgetExceeded is raised before the
@@ -58,7 +58,7 @@ def measure_set(
 ) -> Fraction:
     """Measure (relative to mu(O_K^4) = 1) of the Eisenstein set cut out by predicate."""
     hits = 0
-    for idx, fq in enumerate(eisenstein_classes(field, c, budget), start=1):
+    for idx, fq in enumerate(_eisenstein_classes(field, c, budget), start=1):
         verdict = predicate(fq)
         if verdict:
             hits += 1

@@ -34,6 +34,9 @@ from ..params import GroupTag
 
 _FIBRE = {GroupTag.C4: 1, GroupTag.D4: 2, GroupTag.V4: 3}
 _SKIP = (TRIVIAL, UNRAMIFIED)
+# Pair counts are keyed by (m, code) with code an index into this tuple:
+# an int hashes in C, a GroupTag through Enum.__hash__.
+_TAGS = (GroupTag.V4, GroupTag.C4, GroupTag.D4)
 
 
 def _norm_images(K: LocalField, E: LocalField) -> list[int]:
@@ -59,7 +62,8 @@ def _hecke_table(F: LocalField) -> list:
 
 
 def _tower_pairs(K: LocalField, cross_check_every: int = 64):
-    pairs: dict[tuple[int, GroupTag], int] = {}
+    """Tower counts keyed by (m, index into ``_TAGS``), and the enumeration meta."""
+    pairs: dict[tuple[int, int], int] = {}
     n_pairs = n_checks = 0
     reps = K.square_class_reps()
     m2_table = None  # every E = K(sqrt(d)) has v(2) = 2 v_K(2) and K's residue field
@@ -78,12 +82,12 @@ def _tower_pairs(K: LocalField, cross_check_every: int = 64):
             m2 = m2_table[c]
             if m2 in _SKIP:
                 continue
-            g = GroupTag.V4 if n == 0 else GroupTag.C4 if n == cd else GroupTag.D4
+            g = 0 if n == 0 else 1 if n == cd else 2
             key = (2 * m1 + m2, g)
             pairs[key] = pairs.get(key, 0) + 1
             n_pairs += 1
             if cross_check_every and hash((cd, c)) % cross_check_every == 0:
-                _cross_check(K, d, E, c, m1, m2, g)
+                _cross_check(K, d, E, c, m1, m2, _TAGS[g])
                 n_checks += 1
     return pairs, {"pairs": n_pairs, "cross_checks": n_checks}
 
@@ -104,7 +108,8 @@ def tower_counts(K: LocalField, cross_check_every: int = 64):
     """
     pairs, meta = _tower_pairs(K, cross_check_every)
     counts: dict[tuple[int, GroupTag], int] = {}
-    for (m, g), n in sorted(pairs.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
+    tagged = ((m, _TAGS[g], n) for (m, g), n in pairs.items())
+    for m, g, n in sorted(tagged, key=lambda t: (t[0], t[1].value)):
         fibre = _FIBRE[g]
         if n % fibre:
             raise NonIntegralCount(

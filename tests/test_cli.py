@@ -194,6 +194,16 @@ def test_budget_and_precision_exit_code_3(monkeypatch, tmp_path):
     assert cli.run(["verify", "--field", str(spec), "--m-max", "11"]) == 3
 
 
+def test_verify_dedup_unramified_f2_passes(tmp_path, capsys):
+    spec = tmp_path / "u2.json"
+    spec.write_text('{"f": 2}')
+    argv = ["verify", "--field", str(spec), "--m-max", "6", "--oracle", "dedup", "--format", "json"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows and all(r["method"] == "dedup" and r["status"] == "pass" for r in rows)
+
+
 def test_verify_exit_1_on_mismatch(monkeypatch, tmp_path, capsys):
     # force a formula/oracle disagreement: exit code must be 1
     import importlib

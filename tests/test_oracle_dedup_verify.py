@@ -3,20 +3,31 @@ import json
 import pytest
 from helpers import quartic_from_ints
 
+from q2quartic import counts as C
 from q2quartic.errors import BudgetExceeded
 from q2quartic.oracle.dedup import _has_root_in, dedup_counts
+from q2quartic.oracle.measure import measure_set
 from q2quartic.oracle.verify import verify
 from q2quartic.padic.quartic import stem_ring
+from q2quartic.params import GROUP_ORDER
 
 
-def test_dedup_counts_q2_m6(Q2):
-    got = {(m, g.value): n for (m, g), n in dedup_counts(Q2, 6).items()}
-    assert got == {(4, "S4"): 1, (6, "A4"): 1, (6, "D4"): 2}
+@pytest.mark.parametrize("field, m_max", [("Q2", 6), ("K_sqrt2", 8), ("U2", 7)])
+def test_dedup_counts_match_closed_forms(request, field, m_max):
+    K = request.getfixturevalue(field)
+    p = K.derive_params()
+    got = dedup_counts(K, m_max)
+    assert got and all(m <= m_max for m, _ in got)
+    for m in range(m_max + 1):
+        for g in GROUP_ORDER:
+            assert got.get((m, g), 0) == C.count(p, m, g), (m, g)
 
 
-def test_dedup_budget_guard(Q2):
+def test_measure_set_budget_guard(Q2):
+    seen = []
     with pytest.raises(BudgetExceeded):
-        dedup_counts(Q2, 6, c=12)
+        measure_set(Q2, seen.append, c=12)
+    assert seen == []  # raised before the first class
 
 
 def test_isomorphism_root_test(Q2):

@@ -12,12 +12,14 @@ from helpers import root_distances
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from q2quartic.oracle.density import _INF, _Enumerator
+from q2quartic.oracle.dedup import _DedupWalk, _has_root_in
+from q2quartic.oracle.density import _INF, _Enumerator, _root_nodes
 from q2quartic.padic.field import field_from_spec
 from q2quartic.padic.quartic import (
     EisensteinQuartic,
     classify_by_invariants,
     classify_quartic,
+    stem_ring,
 )
 
 _SPECS = {
@@ -84,9 +86,9 @@ def test_distance_polygon_is_largest_root_distance(case):
 @settings(max_examples=150, deadline=None)
 @given(eisenstein_quartics(("Q2", "sqrt2"), allow_zero=True), st.data())
 def test_class_stable_below_certified_depth(case, data):
-    # dedup_counts and one_aut_measure classify one representative per
-    # coefficient class mod pi^c, c = m//3 + 2: any digit at or below that
-    # depth must leave (m, g) unchanged
+    # one_aut_measure classifies one representative per coefficient class
+    # mod pi^c, c = m//3 + 2: any digit at or below that depth must leave
+    # (m, g) unchanged
     _, fq, _ = case
     K = fq.field
     m, g = classify_quartic(fq)
@@ -96,3 +98,40 @@ def test_class_stable_below_certified_depth(case, data):
     coeffs = list(fq.coeffs())
     coeffs[i] = K.ring.add(coeffs[i], K.digit_elt(t, c))
     assert classify_quartic(EisensteinQuartic(K, *coeffs)) == (m, g)
+
+
+@lru_cache(maxsize=None)
+def _krasner_leaves(name):
+    """Digits of every Krasner leaf of the dedup walk over m <= 8."""
+    leaves = []
+
+    class Recorder(_DedupWalk):
+        def _krasner_leaf(self, fq, digits):
+            leaves.append(digits)
+
+    K = _field(name)
+    Recorder(K, 8).run(_root_nodes(K.q)[:1])
+    return leaves
+
+
+@lru_cache(maxsize=None)
+def _leaf_stem(name, index):
+    K = _field(name)
+    digits = _krasner_leaves(name)[index]
+    return stem_ring(EisensteinQuartic(K, *(K.from_digits(d) for d in digits)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("Q2", "sqrt2")), st.data())
+def test_krasner_leaf_members_share_the_stem_field(name, data):
+    # dedup_counts keeps one field per Krasner leaf: every member of the
+    # leaf must have a root in the stem field of its representative
+    K = _field(name)
+    leaves = _krasner_leaves(name)
+    index = data.draw(st.integers(0, len(leaves) - 1), label="leaf")
+    digit = st.integers(0, K.q - 1)
+    member = EisensteinQuartic(K, *(
+        K.from_digits(d + tuple(data.draw(st.lists(digit, min_size=1, max_size=6))))
+        for d in leaves[index]
+    ))
+    assert _has_root_in(_leaf_stem(name, index), member)
