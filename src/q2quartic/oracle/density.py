@@ -39,9 +39,13 @@ by u^(4-i); Teichmueller digits are multiplicative, so the map sends a
 cylinder of coefficient digits to a cylinder of the same depth (same
 measure) and keeps the stem field (roots scale by u), hence (m, G).  Since
 q-1 is odd, u -> u^4 permutes F_q^*, so the map carries the root t = 1 to
-every other root.  Only that root is enumerated; its measures and its
-dropped measure are multiplied by q-1 before the (q-1)/q^5 conservation
-check.  ``leaves``, ``pruned`` and the root-count cross-checks in the
+every other root.  Only that root is enumerated.  The walk keeps one
+integer tally: the number of terminal nodes per (cell, depth), where cell
+is (m, G) for a leaf and None for a class dropped because m > m_max.  A
+node of depth d has measure q^-d, so with top the greatest depth the root
+is filled exactly when sum n q^(top-d) = q^(top-5); the cell measures
+(numerators over q^top) are multiplied by q-1 only when they are
+returned.  ``leaves``, ``pruned`` and the root-count cross-checks in the
 metadata count the enumerated root only.
 
 Parallel split.  With jobs > 1 the parent expands the tree breadth-first
@@ -49,7 +53,9 @@ until at least 16 nodes per worker are open, then hands them out one at a
 time (``imap_unordered``, chunksize 1), so a worker that finishes a small
 subtree takes the next open node.  Workers are forked after the
 enumerator is built and inherit it, so fields without a spec file run in
-parallel too.  ``jobs`` is clamped to the cores this process may use.
+parallel too.  Each task returns the tally of its subtree and its
+cross-check count, which the parent adds to its own.  ``jobs`` is clamped
+to the cores this process may use.
 
 Cross-checks.  A leaf is re-classified by stem root counting when the hash
 of its digits is divisible by ``cross_check_every`` (1: every leaf, 0: none).
@@ -59,7 +65,7 @@ Hashes of int tuples do not depend on PYTHONHASHSEED or on ``jobs``.
 from __future__ import annotations
 
 import os
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cache
 
@@ -71,6 +77,7 @@ from ..padic.quartic import (
     _disc_val,
     _poly_deriv,
     _poly_eval,
+    _resolvent_root_target,
     _resolvent_split,
     classify_by_invariants,
     classify_quartic,
@@ -143,11 +150,8 @@ class _Enumerator:
         self.e = field.e_abs
         self.m_max = m_max
         self.cross_check_every = cross_check_every
-        self.measures: dict[tuple[int, GroupTag], Fraction] = {}
-        self.dropped = Fraction(0)
-        self.leaves = 0
-        self.pruned = 0
-        self.max_depth = 0
+        # terminal nodes per (cell, depth); cell is (m, g), or None when dropped
+        self.tally: Counter[tuple[tuple[int, GroupTag] | None, int]] = Counter()
         self.cross_checked = 0
         self._mono_vk = [_v2(abs(k)) * field.e_abs for k, _ in _DISC_MONOMIALS]
         self._bound_table = [(const * self.e, amb, beta) for const, amb, beta in _bound_table()]
@@ -192,26 +196,14 @@ class _Enumerator:
         return best
 
     def _distance_polygon_max(self, vrep):
-        """Largest root distance of the representative, in stem units (exact)."""
+        """12 D, D the largest root distance of the representative in stem
+        units (exact); each vertex valuation is capped by one of a power of 2."""
         e = self.e
         v1, v2, v3 = vrep[1], vrep[2], vrep[3]
-        y0 = min(
-            4 * v1 if v1 < _INF else _INF,
-            4 * (v2 + e) + 1 if v2 < _INF else _INF,
-            4 * v3 + 2 if v3 < _INF else _INF,
-            8 * e + 3,
-        )
-        y1 = min(4 * v2 if v2 < _INF else _INF, 4 * v3 + 1 if v3 < _INF else _INF, 4 * e + 2)
-        y2 = min(4 * v3 if v3 < _INF else _INF, 8 * e + 1)
-        best = Fraction(y0 - y1, 1) if y1 < _INF else Fraction(-1)
-        if y2 < _INF:
-            cand = Fraction(y0 - y2, 2)
-            if cand > best:
-                best = cand
-        cand = Fraction(y0, 3)
-        if cand > best:
-            best = cand
-        return best
+        y0 = min(4 * v1, 4 * (v2 + e) + 1, 4 * v3 + 2, 8 * e + 3)
+        y1 = min(4 * v2, 4 * v3 + 1, 4 * e + 2)
+        y2 = min(4 * v3, 8 * e + 1)
+        return max(12 * (y0 - y1), 6 * (y0 - y2), 4 * y0)
 
     def _visibly_non_one_aut(self, cs, vrep, m) -> bool:
         """True when every member of the node fails the 1-Aut valuation pattern."""
@@ -263,9 +255,6 @@ class _Enumerator:
         return the q children it splits into."""
         q, m_max = self.q, self.m_max
         cs = (len(digits[0]), len(digits[1]), len(digits[2]), len(digits[3]))
-        depth = cs[0] + cs[1] + cs[2] + cs[3]
-        if depth > self.max_depth:
-            self.max_depth = depth
         vrep = (
             1,
             self._rep_val(digits[1]),
@@ -282,13 +271,12 @@ class _Enumerator:
             m_rep = _disc_val(self.K, fq.disc)
         if m_rep is not None and m_rep < bound:
             if m_rep > m_max:
-                self.dropped += Fraction(1, q**depth)
-                self.pruned += 1
+                self.tally[None, sum(cs)] += 1
                 return None
         else:
             m_rep = None
         delta = min(4 * cs[0], 4 * cs[1] + 1, 4 * cs[2] + 2, 4 * cs[3] + 3)
-        if delta > 4 * self._distance_polygon_max(vrep):
+        if 3 * delta > self._distance_polygon_max(vrep):
             if fq is None:
                 fq = self._build(digits)
             self._krasner_leaf(fq, digits)
@@ -300,26 +288,22 @@ class _Enumerator:
             tuple(d + (t,) if i == split else d for i, d in enumerate(digits)) for t in range(q)
         ]
 
-    def merge(self, part):
-        """Add a ``_worker_run`` result to this enumerator's totals."""
-        measures, dropped, leaves, pruned, max_depth, checked = part
-        for key, v in measures.items():
-            self.measures[key] = self.measures.get(key, Fraction(0)) + v
-        self.dropped += dropped
-        self.leaves += leaves
-        self.pruned += pruned
-        self.max_depth = max(self.max_depth, max_depth)
-        self.cross_checked += checked
+    def numerators(self):
+        """(cell -> measure numerator over q^top, top) with top the greatest depth."""
+        top = max(depth for _, depth in self.tally)
+        nums: dict = {}
+        for (cell, depth), n in self.tally.items():
+            nums[cell] = nums.get(cell, 0) + n * self.q ** (top - depth)
+        return nums, top
 
     def check_conservation(self):
-        """Raise unless the root's leaves and pruned classes, times the root
-        orbit q-1, fill the Eisenstein measure (q-1)/q^5."""
-        q = self.q
-        total = (q - 1) * (sum(self.measures.values(), Fraction(0)) + self.dropped)
-        expected = Fraction(q - 1, q**5)
+        """Raise unless the root's leaves and pruned classes fill its measure
+        q^-5, i.e. sum n q^(top-d) = q^(top-5) over the tally."""
+        nums, top = self.numerators()
+        total, expected = sum(nums.values()), self.q ** (top - 5)
         if total != expected:
             raise NonIntegralCount(
-                f"enumeration lost measure: {total} != (q-1)/q^5 = {expected}"
+                f"enumeration lost measure: {total} != q^(top-5) = {expected} (top = {top})"
             )
 
     def _krasner_leaf(self, fq, digits):
@@ -358,7 +342,7 @@ class _Enumerator:
         def window(w, W):
             vw = R.val(w)
             if vw is None:
-                vw = 24 * e + 32
+                vw = _resolvent_root_target(e)
             v_rp = R.val(_poly_eval(R, _poly_deriv(R, rescubic), w))
             if v_rp is None:
                 return False
@@ -388,10 +372,8 @@ class _Enumerator:
         m, g = mg
         depth = sum(map(len, digits))
         if m > self.m_max:
-            self.dropped += Fraction(1, self.q**depth)
-            self.pruned += 1
+            self.tally[None, depth] += 1
             return False
-        self.leaves += 1
         if self.cross_check_every and hash(digits) % self.cross_check_every == 0:
             full = classify_quartic(fq)
             self.cross_checked += 1
@@ -399,7 +381,7 @@ class _Enumerator:
                 raise FormulationMismatch(
                     f"fast classification {(m, g.value)} disagrees with root counting {full}"
                 )
-        self.measures[mg] = self.measures.get(mg, Fraction(0)) + Fraction(1, self.q**depth)
+        self.tally[mg, depth] += 1
         return True
 
 
@@ -435,19 +417,11 @@ _WORKER_STATE = {}
 
 
 def _worker_run(node):
-    """Pool task: enumerate the subtree under one open node; return what it added."""
+    """Pool task: enumerate the subtree under one open node; return its tally."""
     enum = _WORKER_STATE["enum"]
-    leaves, pruned, checked = enum.leaves, enum.pruned, enum.cross_checked
-    enum.measures, enum.dropped, enum.max_depth = {}, Fraction(0), 0
+    enum.tally, enum.cross_checked = Counter(), 0
     enum.run([node])
-    return (
-        enum.measures,
-        enum.dropped,
-        enum.leaves - leaves,
-        enum.pruned - pruned,
-        enum.max_depth,
-        enum.cross_checked - checked,
-    )
+    return enum.tally, enum.cross_checked
 
 
 def _run_pool(enum: _Enumerator, root, jobs: int) -> int:
@@ -460,8 +434,9 @@ def _run_pool(enum: _Enumerator, root, jobs: int) -> int:
     _WORKER_STATE["enum"] = enum
     try:
         with get_context("fork").Pool(jobs) as pool:
-            for part in pool.imap_unordered(_worker_run, frontier, chunksize=1):
-                enum.merge(part)
+            for tally, checked in pool.imap_unordered(_worker_run, frontier, chunksize=1):
+                enum.tally.update(tally)
+                enum.cross_checked += checked
     finally:
         _WORKER_STATE.clear()
     return jobs
@@ -488,11 +463,14 @@ def density_measures(
         enum.run([root])
     enum.check_conservation()
     orbit = q - 1
-    measures = {key: orbit * v for key, v in enum.measures.items()}
+    nums, top = enum.numerators()
+    nums.pop(None, None)
+    measures = {key: Fraction(orbit * n, q**top) for key, n in nums.items()}
+    pruned = sum(n for (cell, _), n in enum.tally.items() if cell is None)
     meta = {
-        "leaves": enum.leaves,
-        "pruned": enum.pruned,
-        "max_depth": enum.max_depth,
+        "leaves": sum(enum.tally.values()) - pruned,
+        "pruned": pruned,
+        "max_depth": top,
         "m_max": m_max,
         "root_count_cross_checks": enum.cross_checked,
         "root_orbit": orbit,

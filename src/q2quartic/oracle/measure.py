@@ -23,21 +23,25 @@ from ..padic.quartic import (
 )
 
 
+# measure_set refuses to enumerate more coefficient classes than this
+_CLASS_BUDGET = 4_000_000
+
+
 def _digit_tuples(q: int, span: int):
     return product(range(q), repeat=span)
 
 
-def _eisenstein_classes(field: LocalField, c: int, budget: int):
+def _eisenstein_classes(field: LocalField, c: int):
     """Yield one EisensteinQuartic per Eisenstein coefficient class modulo pi^c.
 
     There are (q-1) q^(4c-5) classes; BudgetExceeded is raised before the
-    first one if that exceeds budget.  a0, a1 and a2 are built once per
-    digit tuple, outside the loops below them.
+    first one if that exceeds ``_CLASS_BUDGET``.  a0, a1 and a2 are built
+    once per digit tuple, outside the loops below them.
     """
     q = field.q
     n_classes = (q - 1) * q ** (4 * c - 5)
-    if n_classes > budget:
-        raise BudgetExceeded(f"{n_classes} classes at depth {c} exceed budget {budget}")
+    if n_classes > _CLASS_BUDGET:
+        raise BudgetExceeded(f"{n_classes} classes at depth {c} exceed budget {_CLASS_BUDGET}")
     for lead in range(1, q):
         for rest0 in _digit_tuples(q, c - 2):
             a0 = field.from_digits((0, lead) + rest0)
@@ -54,11 +58,10 @@ def measure_set(
     predicate,
     c: int,
     sample_stride: int = 97,
-    budget: int = 4_000_000,
 ) -> Fraction:
     """Measure (relative to mu(O_K^4) = 1) of the Eisenstein set cut out by predicate."""
     hits = 0
-    for idx, fq in enumerate(_eisenstein_classes(field, c, budget), start=1):
+    for idx, fq in enumerate(_eisenstein_classes(field, c), start=1):
         verdict = predicate(fq)
         if verdict:
             hits += 1

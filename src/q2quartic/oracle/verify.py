@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .. import counts as formulas
-from ..errors import PrecisionExhausted
+from ..errors import InvalidParams, PrecisionExhausted
 from ..padic.field import LocalField, with_doubled_precision
 from ..params import GROUP_ORDER, FieldParams, GroupTag
 from . import cache as _cache
@@ -15,6 +15,7 @@ from .density import density_counts
 from .tower import tower_counts
 
 _TOWER_GROUPS = (GroupTag.V4, GroupTag.C4, GroupTag.D4)
+_METHODS = ("density", "tower", "dedup")
 DEDUP_DEFAULT_M_MAX = 6
 _PRECISION_RETRIES = 3
 
@@ -103,7 +104,7 @@ def _rows_from(params, method, oracle_map, m_max, groups):
 def verify(
     field: LocalField,
     m_max: int,
-    methods=("density", "tower", "dedup"),
+    methods=_METHODS,
     jobs: int = 1,
     cache_dir=None,
     dedup_m_max: int | None = None,
@@ -112,8 +113,12 @@ def verify(
 
     Mismatches become failing rows, not exceptions.  ``meta["tower"]`` and
     ``meta["density"]`` hold those oracles' metadata.  With ``cache_dir``,
-    ``meta["cache"]`` maps each oracle run to "hit" or "miss".
+    ``meta["cache"]`` maps each oracle run to "hit" or "miss".  An unknown
+    oracle name raises InvalidParams.
     """
+    unknown = [name for name in methods if name not in _METHODS]
+    if unknown:
+        raise InvalidParams(f"unknown oracle {unknown[0]!r}; expected one of {', '.join(_METHODS)}")
     params = field.derive_params()
     rows: list[VerificationRow] = []
     meta: dict = {"m_max": m_max}
@@ -139,5 +144,5 @@ def verify(
         xc, _ = fetch("dedup", dmax, lambda K: (dedup_counts(K, dmax), None))
         meta["dedup_m_max"] = dmax
         rows.extend(_rows_from(params, "dedup", xc, dmax, set(GROUP_ORDER)))
-    rows.sort(key=lambda r: ({"density": 0, "tower": 1, "dedup": 2}[r.method], r.m, r.group))
+    rows.sort(key=lambda r: (_METHODS.index(r.method), r.m, r.group))
     return VerificationReport(field.spec_hash(), params, rows, meta)

@@ -387,7 +387,7 @@ def field_from_spec(spec: dict) -> LocalField:
         {"f": int,                  # residue degree of the unramified part
          "e": int,                  # optional; only e = 1 without "eisenstein"
          "eisenstein": [c0, ..., ce],  # optional; degree-ascending, monic
-         "precision": int}          # optional pi-adic digits, default 16e+16
+         "precision": int}          # optional positive pi-adic digits, default 16e+16
 
     Each coefficient is an integer, or a little-endian list of 2-adic
     digits whose entries encode residue-field elements (0 <= digit < 2^f).
@@ -410,6 +410,8 @@ def field_from_spec(spec: dict) -> LocalField:
         if "e" in spec and spec["e"] != e:
             raise InvalidParams(f"e={spec['e']} conflicts with eisenstein degree {e}")
     prec = spec.get("precision", 16 * e + 16)
+    if type(prec) is not int or prec < 1:
+        raise InvalidParams(f"precision must be a positive int, got {prec!r}")
     n2 = -((prec + 8 * e + _PREC_GUARD) // -e)
     ring = UnramifiedRing(f, n2)
     if eis is None:
@@ -430,7 +432,7 @@ def with_doubled_precision(field: LocalField) -> LocalField:
     if field.spec is None:
         raise PrecisionExhausted("cannot rebuild a derived field at higher precision")
     spec = dict(field.spec)
-    spec["precision"] = 2 * getattr(field, "precision", 16 * field.e_abs + 16)
+    spec["precision"] = 2 * field.precision
     return field_from_spec(spec)
 
 

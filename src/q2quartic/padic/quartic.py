@@ -354,6 +354,11 @@ def cubic_k_roots(K: LocalField, poly, want_val: int):
     return out
 
 
+def _resolvent_root_target(e: int) -> int:
+    """Valuation to which ``_resolvent_split`` refines the resolvent root."""
+    return 24 * e + 32
+
+
 def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None):
     """C4 or D4 for a quartic whose closure group is one of them.
 
@@ -363,7 +368,7 @@ def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None):
     """
     K = fq.field
     R = K.ring
-    roots = cubic_k_roots(K, rescubic, 24 * K.e_abs + 32)
+    roots = cubic_k_roots(K, rescubic, _resolvent_root_target(K.e_abs))
     if len(roots) != 1:
         raise FormulationMismatch(
             f"resolvent of a {{C4,D4}} quartic has {len(roots)} roots in K, expected 1"

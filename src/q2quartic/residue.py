@@ -77,14 +77,12 @@ def default_modulus(f: int) -> int:
 class ResidueField:
     """F_{2^f} with elements encoded as ints in [0, 2^f)."""
 
-    def __init__(self, f: int, modulus: int | None = None):
+    def __init__(self, f: int):
         if f < 1:
             raise ValueError("f must be >= 1")
         self.f = f
         self.q = 1 << f
-        self.modulus = default_modulus(f) if modulus is None else modulus
-        if not _is_irreducible(self.modulus, f):
-            raise ValueError(f"modulus {self.modulus:#b} is not irreducible of degree {f}")
+        self.modulus = default_modulus(f)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b

@@ -117,6 +117,10 @@ def test_non_eisenstein_field_spec_exits_2(tmp_path, capsys):
         spec.write_text(json.dumps({"f": 1, "eisenstein": eis}))
         assert run(["derive-params", "--field", str(spec)]) == 2
         assert "valuation" in capsys.readouterr().err
+    for prec in (-100, 0, "x", 2.5, True, None):
+        spec.write_text(json.dumps({"f": 1, "precision": prec}))
+        assert run(["derive-params", "--field", str(spec)]) == 2
+        assert "precision must be a positive int" in capsys.readouterr().err
 
 
 def test_derive_params_cli(tmp_path, capsys):

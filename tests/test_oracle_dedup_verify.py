@@ -4,7 +4,7 @@ import pytest
 from helpers import quartic_from_ints
 
 from q2quartic import counts as C
-from q2quartic.errors import BudgetExceeded
+from q2quartic.errors import BudgetExceeded, InvalidParams
 from q2quartic.oracle.dedup import _has_root_in, dedup_counts
 from q2quartic.oracle.measure import measure_set
 from q2quartic.oracle.verify import verify
@@ -28,6 +28,13 @@ def test_measure_set_budget_guard(Q2):
     with pytest.raises(BudgetExceeded):
         measure_set(Q2, seen.append, c=12)
     assert seen == []  # raised before the first class
+
+
+def test_verify_rejects_unknown_oracle(Q2):
+    # a misspelt oracle must not run nothing and pass
+    for methods in (("densty",), ("tower", "dedupe")):
+        with pytest.raises(InvalidParams, match="unknown oracle"):
+            verify(Q2, 11, methods=methods)
 
 
 def test_isomorphism_root_test(Q2):

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from q2quartic import counts as C
-from q2quartic.errors import ClassInstability, InvalidParams
+from q2quartic.errors import ClassInstability, InvalidParams, NonIntegralCount
 from q2quartic.oracle import density as D
+from q2quartic.oracle.dedup import dedup_counts
 from q2quartic.oracle.density import density_counts, density_measures
 from q2quartic.oracle.measure import (
     cubic_congruence_measure,
@@ -61,24 +62,51 @@ def test_density_jobs_parallel_matches_serial(Q2):
 
 
 def test_root_orbit_symmetry_u2(U2):
-    # the guard for enumerating one root: all q-1 roots measure the same
-    runs = []
+    # the guard for enumerating one root: all q-1 roots end in the same
+    # number of leaves and dropped classes per cell and depth
+    tallies = []
     for root in D._root_nodes(U2.q):
         enum = D._Enumerator(U2, 6, cross_check_every=0)
         enum.run([root])
-        runs.append(enum)
-    assert len(runs) == 3
-    for enum in runs[1:]:
-        assert enum.measures == runs[0].measures
-        assert (enum.leaves, enum.pruned) == (runs[0].leaves, runs[0].pruned)
+        tallies.append(enum.tally)
+    assert len(tallies) == 3
+    for tally in tallies[1:]:
+        assert tally == tallies[0]
     summed = {}
-    for enum in runs:
-        for key, v in enum.measures.items():
-            summed[key] = summed.get(key, Fraction(0)) + v
+    for tally in tallies:
+        for (cell, depth), n in tally.items():
+            if cell is not None:
+                summed[cell] = summed.get(cell, Fraction(0)) + Fraction(n, U2.q**depth)
     measures, meta = density_measures(U2, 6, cross_check_every=0)
     assert measures == summed
     assert meta["root_orbit"] == 3
-    assert meta["leaves"] == runs[0].leaves
+    dropped = sum(n for (cell, _), n in tallies[0].items() if cell is None)
+    assert (meta["leaves"], meta["pruned"]) == (sum(tallies[0].values()) - dropped, dropped)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda K: density_measures(K, 8, cross_check_every=0),
+        lambda K: dedup_counts(K, 6),
+    ],
+    ids=["density", "dedup"],
+)
+def test_conservation_catches_a_lost_leaf(monkeypatch, Q2, walk):
+    # a leaf the walk forgets to record leaves its measure unaccounted for
+    add_leaf = D._Enumerator._add_leaf
+    lost = []
+
+    def lossy(self, mg, fq, digits):
+        if not lost:
+            lost.append(digits)
+            return False
+        return add_leaf(self, mg, fq, digits)
+
+    monkeypatch.setattr(D._Enumerator, "_add_leaf", lossy)
+    with pytest.raises(NonIntegralCount, match="enumeration lost measure"):
+        walk(Q2)
+    assert len(lost) == 1
 
 
 @pytest.mark.parametrize("field, m_max", [("Q2", 11), ("U2", 6), ("K_sqrt2", 8)])

@@ -77,10 +77,11 @@ def test_classifiers_agree(case):
 @settings(max_examples=80, deadline=None)
 @given(eisenstein_quartics(tuple(_SPECS), allow_zero=True))
 def test_distance_polygon_is_largest_root_distance(case):
-    # the Krasner certificate of the density oracle relies on this equality
+    # the Krasner certificate of the density oracle relies on this equality;
+    # the enumerator returns 12 D so that the certificate stays in integers
     name, fq, vals = case
     vrep = tuple(_INF if v is None else v for v in vals)
-    assert _enumerator(name)._distance_polygon_max(vrep) == max(root_distances(fq))
+    assert _enumerator(name)._distance_polygon_max(vrep) == 12 * max(root_distances(fq))
 
 
 @settings(max_examples=150, deadline=None)
