@@ -37,7 +37,8 @@ class _DedupWalk(_Enumerator):
     def _tower_leaf(self, *node) -> bool:
         return False
 
-    def _krasner_leaf(self, fq, digits):
+    def _krasner_leaf(self, digits):
+        fq = self._build(digits)
         mg = classify_quartic(fq)
         if self._add_leaf(mg, fq, digits):
             stems = self.stems.setdefault(mg, [])

@@ -9,9 +9,12 @@ each coefficient a_i (with the Eisenstein constraints built into the roots
 of the tree).  Three sound certificates drive the recursion, all computed
 from integer valuation data of the node's zero-extended representative:
 
-* disc certificate: v(disc) is constant on the node once it is below every
-  monomial's perturbation bound; with 2e+1 digits of headroom the square
-  class of disc is constant as well.
+* disc certificate: v(disc) of the representative is Ore's formula for the
+  different, m = v_L(f'(pi)) = min(4 v1, 4(v2+e)+1, 4 v3+2, 8e+3), whose
+  terms differ mod 4 so the minimum is attained once; ``bound``, the least
+  perturbation of the discriminant monomials under the node's undecided
+  digits, certifies it for every member once m < bound, and with 2e+1
+  digits of headroom the square class of disc is constant as well.
 * Krasner certificate: with delta = min_i(4 c_i + i), the valuation any
   member's value perturbation can have at a root, and D the largest root
   distance of the representative (read off the Newton polygon of
@@ -74,7 +77,6 @@ from ..padic.field import LocalField
 from ..padic.quartic import (
     _DISC_MONOMIALS,
     EisensteinQuartic,
-    _disc_val,
     _poly_deriv,
     _poly_eval,
     _resolvent_root_target,
@@ -153,7 +155,6 @@ class _Enumerator:
         # terminal nodes per (cell, depth); cell is (m, g), or None when dropped
         self.tally: Counter[tuple[tuple[int, GroupTag] | None, int]] = Counter()
         self.cross_checked = 0
-        self._mono_vk = [_v2(abs(k)) * field.e_abs for k, _ in _DISC_MONOMIALS]
         self._bound_table = [(const * self.e, amb, beta) for const, amb, beta in _bound_table()]
 
     # -- integer-only node analysis --------------------------------------
@@ -165,21 +166,11 @@ class _Enumerator:
                 return i
         return _INF
 
-    def _disc_monomial_val(self, vrep):
-        best, unique = _INF, True
-        for (k, exps), vk in zip(_DISC_MONOMIALS, self._mono_vk):
-            tot = vk
-            for a, v in zip(exps, vrep):
-                if a:
-                    if v >= _INF:
-                        tot = _INF
-                        break
-                    tot += a * v
-            if tot < best:
-                best, unique = tot, True
-            elif tot == best:
-                unique = False
-        return best, unique
+    def _ore_disc_val(self, vrep):
+        """v(disc) of the representative: v_L(f'(pi)) by Ore's formula, exact
+        because the four terms differ mod 4."""
+        e = self.e
+        return min(4 * vrep[1], 4 * (vrep[2] + e) + 1, 4 * vrep[3] + 2, 8 * e + 3)
 
     def _disc_bound(self, cs, vh):
         v0, v1, v2, v3 = vh
@@ -199,34 +190,17 @@ class _Enumerator:
         """12 D, D the largest root distance of the representative in stem
         units (exact); each vertex valuation is capped by one of a power of 2."""
         e = self.e
-        v1, v2, v3 = vrep[1], vrep[2], vrep[3]
-        y0 = min(4 * v1, 4 * (v2 + e) + 1, 4 * v3 + 2, 8 * e + 3)
+        v2, v3 = vrep[2], vrep[3]
+        y0 = self._ore_disc_val(vrep)
         y1 = min(4 * v2, 4 * v3 + 1, 4 * e + 2)
         y2 = min(4 * v3, 8 * e + 1)
         return max(12 * (y0 - y1), 6 * (y0 - y2), 4 * y0)
 
-    def _visibly_non_one_aut(self, cs, vrep, m) -> bool:
-        """True when every member of the node fails the 1-Aut valuation pattern."""
-        if not in_Tm_domain(m, self.e):
-            return True
-        v1, v2, v3 = vrep[1], vrep[2], vrep[3]
-        c1, c3 = cs[1], cs[3]
-        lo2 = -(m // -6)
-        if v2 < lo2:
-            return True
-        if m % 4 == 0:
-            thr = m // 4
-            if v1 < thr or (v1 >= _INF and c1 > thr) or (thr < v1 < _INF):
-                return True
-            if v3 < thr:
-                return True
-        else:
-            thr = (m - 2) // 4
-            if v3 < thr or (v3 >= _INF and c3 > thr) or (thr < v3 < _INF):
-                return True
-            if v1 < (m + 2) // 4:
-                return True
-        return False
+    def _visibly_non_one_aut(self, vrep, m) -> bool:
+        """True when every member of a node with v(disc) = m pinned fails the
+        1-Aut valuation pattern.  With m read from Ore's formula, v(a1) and
+        v(a3) already follow the T_m pattern, so only v(a2) >= ceil(m/6) is left."""
+        return not in_Tm_domain(m, self.e) or vrep[2] < -(m // -6)
 
     # -- main loop ---------------------------------------------------------
 
@@ -263,25 +237,17 @@ class _Enumerator:
         )
         vh = tuple(min(v, c) for v, c in zip(vrep, cs))
         bound = self._disc_bound(cs, vh)
-        m_lo, unique = self._disc_monomial_val(vrep)
-        m_rep = m_lo if unique else None
-        fq = None
-        if m_rep is None and m_lo < bound:
-            fq = self._build(digits)
-            m_rep = _disc_val(self.K, fq.disc)
-        if m_rep is not None and m_rep < bound:
-            if m_rep > m_max:
-                self.tally[None, sum(cs)] += 1
-                return None
-        else:
-            m_rep = None
+        m_rep = self._ore_disc_val(vrep)
+        if m_rep >= bound:
+            m_rep = None  # not certified for every member yet
+        elif m_rep > m_max:
+            self.tally[None, sum(cs)] += 1
+            return None
         delta = min(4 * cs[0], 4 * cs[1] + 1, 4 * cs[2] + 2, 4 * cs[3] + 3)
         if 3 * delta > self._distance_polygon_max(vrep):
-            if fq is None:
-                fq = self._build(digits)
-            self._krasner_leaf(fq, digits)
+            self._krasner_leaf(digits)
             return None
-        if m_rep is not None and self._tower_leaf(fq, digits, cs, vrep, vh, m_rep, bound):
+        if m_rep is not None and self._tower_leaf(digits, cs, vrep, vh, m_rep, bound):
             return None
         split = min(range(4), key=lambda i: 4 * cs[i] + i)
         return [
@@ -306,17 +272,17 @@ class _Enumerator:
                 f"enumeration lost measure: {total} != q^(top-5) = {expected} (top = {top})"
             )
 
-    def _krasner_leaf(self, fq, digits):
-        """Record a node on which every member generates the field of fq."""
+    def _krasner_leaf(self, digits):
+        """Record a node on which every member generates the field of its representative."""
+        fq = self._build(digits)
         self._add_leaf(classify_by_invariants(fq), fq, digits)
 
-    def _tower_leaf(self, fq, digits, cs, vrep, vh, m, bound) -> bool:
+    def _tower_leaf(self, digits, cs, vrep, vh, m, bound) -> bool:
         """Tower certificate of a node with v(disc) = m pinned below ``bound``:
         record it as a leaf and return True, or return False to split it."""
-        if bound < m + 2 * self.e + 1 or not self._visibly_non_one_aut(cs, vrep, m):
+        if bound < m + 2 * self.e + 1 or not self._visibly_non_one_aut(vrep, m):
             return False
-        if fq is None:
-            fq = self._build(digits)
+        fq = self._build(digits)
         K, R, e = self.K, self.K.ring, self.e
         if K.is_square(fq.disc):
             self._add_leaf((m, GroupTag.V4), fq, digits)

@@ -16,6 +16,7 @@ from ..errors import BudgetExceeded, ClassInstability
 from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
+    _cubic_congruence,
     _power,
     count_roots_in_stem,
     disc_valuation,
@@ -118,8 +119,8 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
     q = field.q
     ring = field.ring
     depth = a + b + 1
+    solvable = _cubic_congruence(field)
     count = 0
-    units = [(ring.teich(t), ring.teich(field.res.pow(t, 3))) for t in range(1, q)]
     for lead in range(1, q):
         for rest in _digit_tuples(q, depth - 2):
             x0 = field.from_digits((0, lead) + rest)
@@ -130,13 +131,5 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
                 mid = ring.mul(x2, x0_a)
                 for t1 in range(1, q):
                     x1 = field.digit_elt(t1, a + b)
-                    hit = False
-                    for u, u3 in units:
-                        lhs = ring.add(x1, ring.add(ring.mul(u, mid), ring.mul(u3, x0_ab)))
-                        v = ring.val(lhs)
-                        if v is None or v >= depth:
-                            hit = True
-                            break
-                    if hit:
-                        count += 1
+                    count += solvable(x1, mid, x0_ab, depth)
     return Fraction(count, q ** (3 * depth))

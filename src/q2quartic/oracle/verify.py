@@ -114,11 +114,14 @@ def verify(
     Mismatches become failing rows, not exceptions.  ``meta["tower"]`` and
     ``meta["density"]`` hold those oracles' metadata.  With ``cache_dir``,
     ``meta["cache"]`` maps each oracle run to "hit" or "miss".  An unknown
-    oracle name raises InvalidParams.
+    oracle name or a negative ``m_max`` or ``dedup_m_max`` raises InvalidParams.
     """
     unknown = [name for name in methods if name not in _METHODS]
     if unknown:
         raise InvalidParams(f"unknown oracle {unknown[0]!r}; expected one of {', '.join(_METHODS)}")
+    for name, bound in (("m_max", m_max), ("dedup_m_max", dedup_m_max)):
+        if bound is not None and bound < 0:
+            raise InvalidParams(f"{name} must be at least 0, got {bound}")
     params = field.derive_params()
     rows: list[VerificationRow] = []
     meta: dict = {"m_max": m_max}

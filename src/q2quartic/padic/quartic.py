@@ -137,23 +137,29 @@ def is_one_aut(fq: EisensteinQuartic, m: int | None = None) -> bool:
         return False
     if m % 3 != 0:
         return True
-    # m divisible by 6: trivial automorphisms iff no residue representative u
-    # satisfies the coefficient congruence below.
+    # m divisible by 6: trivial automorphisms iff no unit residue u solves
+    # base + [u] a2 a0^(m/12) + [u]^3 a0^k = 0 mod pi^(k+1), k = m//4.
     R = K.ring
     k = m // 4
-    a_exp = m // 12
     a0, a1, a2, a3 = fq.coeffs()
-    a0_a = _power(R, a0, a_exp)
-    a0_k = _power(R, a0, k)
     base = a1 if m % 4 == 0 else a3
-    mid = R.mul(a2, a0_a)
-    for t in range(1, K.q):
-        u = R.teich(t)
-        u3 = R.teich(K.res.pow(t, 3))
-        lhs = R.add(base, R.add(R.mul(u, mid), R.mul(u3, a0_k)))
-        if eq_mod(R, lhs, R.zero, k + 1):
-            return False
-    return True
+    mid = R.mul(a2, _power(R, a0, m // 12))
+    return not _cubic_congruence(K)(base, mid, _power(R, a0, k), k + 1)
+
+
+def _cubic_congruence(K: LocalField):
+    """The test (base, mid, top, depth) -> whether base + [u] mid + [u]^3 top
+    = 0 mod pi^depth for some unit residue u, [u] its Teichmueller lift."""
+    R = K.ring
+    units = [(R.teich(t), R.neg(R.teich(K.res.pow(t, 3)))) for t in range(1, K.q)]
+
+    def solvable(base, mid, top, depth: int) -> bool:
+        for u, neg_u3 in units:
+            if eq_mod(R, R.add(base, R.mul(u, mid)), R.mul(neg_u3, top), depth):
+                return True
+        return False
+
+    return solvable
 
 
 def _power(R, a, n: int):

@@ -106,6 +106,17 @@ def test_verify_jobs_below_one_exit_2(tmp_path, capsys):
         assert "--jobs" in capsys.readouterr().err
 
 
+def test_verify_negative_m_max_exits_2(tmp_path, capsys):
+    # a negative m_max has no rows to compare: it must not report a pass
+    spec = tmp_path / "q2.json"
+    spec.write_text('{"f": 1, "e": 1}')
+    code = run(["verify", "--field", str(spec), "--m-max", "-1", "--oracle", "density"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "m_max must be at least 0" in captured.err
+    assert "overall" not in captured.out
+
+
 def test_verify_help_documents_jobs_clamp(capsys):
     assert run(["verify", "--help"]) == 0
     assert "cores" in capsys.readouterr().out

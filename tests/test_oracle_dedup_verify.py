@@ -37,6 +37,12 @@ def test_verify_rejects_unknown_oracle(Q2):
             verify(Q2, 11, methods=methods)
 
 
+def test_verify_rejects_negative_m_max(Q2):
+    # a negative bound leaves no rows to compare, which would read as a pass
+    with pytest.raises(InvalidParams, match="dedup_m_max must be at least 0"):
+        verify(Q2, 11, methods=("dedup",), dedup_m_max=-1)
+
+
 def test_isomorphism_root_test(Q2):
     f = quartic_from_ints(Q2, 2, 2, 0, 0)
     stem = stem_ring(f)

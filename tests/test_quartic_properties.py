@@ -19,6 +19,9 @@ from q2quartic.padic.quartic import (
     EisensteinQuartic,
     classify_by_invariants,
     classify_quartic,
+    disc_valuation,
+    in_Tm,
+    in_Tm_domain,
     stem_ring,
 )
 
@@ -74,14 +77,42 @@ def test_classifiers_agree(case):
     assert classify_quartic(fq) == classify_by_invariants(fq)
 
 
+def _vrep(vals):
+    """Coefficient valuations with _INF for zero, as the enumerator keeps them."""
+    return tuple(_INF if v is None else v for v in vals)
+
+
 @settings(max_examples=80, deadline=None)
 @given(eisenstein_quartics(tuple(_SPECS), allow_zero=True))
 def test_distance_polygon_is_largest_root_distance(case):
     # the Krasner certificate of the density oracle relies on this equality;
     # the enumerator returns 12 D so that the certificate stays in integers
     name, fq, vals = case
-    vrep = tuple(_INF if v is None else v for v in vals)
-    assert _enumerator(name)._distance_polygon_max(vrep) == 12 * max(root_distances(fq))
+    assert _enumerator(name)._distance_polygon_max(_vrep(vals)) == 12 * max(root_distances(fq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(eisenstein_quartics(tuple(_SPECS), allow_zero=True))
+def test_ore_formula_is_disc_valuation(case):
+    # the density oracle reads v(disc) of every node's representative from
+    # Ore's formula on the coefficient valuations instead of computing disc
+    name, fq, vals = case
+    assert _enumerator(name)._ore_disc_val(_vrep(vals)) == disc_valuation(fq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eisenstein_quartics(tuple(_SPECS), allow_zero=True))
+def test_t_m_reduces_to_the_a2_bound(case):
+    # with m = v(disc), Ore's formula already puts v(a1) and v(a3) on the
+    # T_m pattern, so membership is v(a2) >= ceil(m/6); the tower
+    # certificate's 1-Aut screen tests only that
+    name, fq, vals = case
+    m = disc_valuation(fq)
+    vrep = _vrep(vals)
+    in_domain = in_Tm_domain(m, fq.field.e_abs)
+    if in_domain:
+        assert in_Tm(fq, m) == (vrep[2] >= -(m // -6))
+    assert _enumerator(name)._visibly_non_one_aut(vrep, m) == (not in_domain or not in_Tm(fq, m))
 
 
 @settings(max_examples=150, deadline=None)
@@ -107,7 +138,7 @@ def _krasner_leaves(name):
     leaves = []
 
     class Recorder(_DedupWalk):
-        def _krasner_leaf(self, fq, digits):
+        def _krasner_leaf(self, digits):
             leaves.append(digits)
 
     K = _field(name)
