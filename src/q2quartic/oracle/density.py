@@ -6,8 +6,9 @@ measures to field counts through the density relation
 
 A node of the refinement tree fixes the first c_i Teichmueller digits of
 each coefficient a_i (with the Eisenstein constraints built into the roots
-of the tree).  Three sound certificates drive the recursion, all computed
-from integer valuation data of the node's zero-extended representative:
+of the tree).  Four sound certificates drive the recursion, computed from
+integer valuation data of the node's zero-extended representative and,
+for the last two, from the square class of its discriminant:
 
 * disc certificate: v(disc) of the representative is Ore's formula for the
   different, m = v_L(f'(pi)) = min(4 v1, 4(v2+e)+1, 4 v3+2, 8e+3), whose
@@ -28,13 +29,35 @@ from integer valuation data of the node's zero-extended representative:
   disc * (w^2 - 4 a0) for the unique root w of the resolvent cubic; w is
   pinned by a Hensel window, so stability follows from coefficient-level
   perturbation bounds far shallower than the Krasner depth.
+* coset certificate: a quadratic K(sqrt(d)) lies in a C4 extension iff the
+  Hilbert symbol (d, -1) is 1 (Serre, Local Fields, ch. XIV).  Square
+  classes are F_2-coordinate vectors (:mod:`q2quartic.padic.field`), so
+  these d form the hyperplane H = ker h of one functional h.  When -1 is a
+  square, h = 0 and there is no certificate; when -1 is in the unramified
+  class, K(sqrt(-1)) is unramified, H is the even valuations and h is bit
+  0; when -1 is ramified, H is the norm group of K(sqrt(-1)).  With
+  k = bound - m every member's disc lies in disc(rep) (1 + pi^k O), so its
+  class lies in the coset cd + W_k: cd is the class of disc(rep), and W_k,
+  the classes of 1 + pi^k O, is spanned by the basis bits at odd levels
+  >= k and, for k <= 2e, the unramified bit.  h never has the unramified
+  bit, as (u, -1) = 1 for the unramified class u (v(-1) is even), so W_k
+  lies in H exactly when k > h_top, the highest odd level carrying a bit
+  of h.  A visibly non-1-Aut node with k > h_top and h(cd) = 1 therefore
+  has no member whose disc lies in H: none is V4, as 0 lies in H, and none
+  is C4, whose disc generates its quadratic subfield; all are D4.  The
+  bits of cd up to level h_top come from one square-class walk, stopped
+  there, which also answers the square test of the tower certificate.
+  When h(cd) = 0 instead, the whole coset lies in H, and so does the coset
+  of every descendant, whose members are members of the node: the children
+  are marked (``_InH``) and no descendant walks for the test again.  The
+  mark only skips a test that cannot succeed; it certifies nothing.
 
 delta grows whenever the weakest coordinate is refined and all thresholds
 are bounded in terms of 8e+3, so the recursion terminates.
 
-The dedup oracle (:mod:`.dedup`) walks the same tree with the tower
-certificate off: ``_expand`` reaches the leaf certificates through the
-hooks ``_krasner_leaf`` and ``_tower_leaf``, which dedup overrides.
+The dedup oracle (:mod:`.dedup`) walks the same tree with the tower and
+coset certificates off: ``_expand`` reaches the leaf certificates through
+the hooks ``_krasner_leaf`` and ``_tower_leaf``, which dedup overrides.
 
 Root orbit.  The q-1 roots of the tree differ only in the leading digit t
 of a0/pi.  For a Teichmueller unit u the map f(X) -> u^4 f(X/u) scales a_i
@@ -49,16 +72,17 @@ node of depth d has measure q^-d, so with top the greatest depth the root
 is filled exactly when sum n q^(top-d) = q^(top-5); the cell measures
 (numerators over q^top) are multiplied by q-1 only when they are
 returned.  ``leaves``, ``pruned`` and the root-count cross-checks in the
-metadata count the enumerated root only.
+metadata count the enumerated root only; ``leaves_krasner``,
+``leaves_tower`` and ``leaves_coset`` split ``leaves`` by certificate.
 
 Parallel split.  With jobs > 1 the parent expands the tree breadth-first
 until at least 16 nodes per worker are open, then hands them out one at a
 time (``imap_unordered``, chunksize 1), so a worker that finishes a small
 subtree takes the next open node.  Workers are forked after the
 enumerator is built and inherit it, so fields without a spec file run in
-parallel too.  Each task returns the tally of its subtree and its
-cross-check count, which the parent adds to its own.  ``jobs`` is clamped
-to the cores this process may use.
+parallel too.  Each task returns the tally of its subtree, its
+cross-check count and its leaves per certificate, which the parent adds
+to its own.  ``jobs`` is clamped to the cores this process may use.
 
 Cross-checks.  A leaf is re-classified by stem root counting when the hash
 of its digits is divisible by ``cross_check_every`` (1: every leaf, 0: none).
@@ -70,10 +94,10 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount
-from ..padic.field import LocalField
+from ..padic.field import TRIVIAL, UNRAMIFIED, LocalField, ramified_quadratic
 from ..padic.quartic import (
     _DISC_MONOMIALS,
     EisensteinQuartic,
@@ -87,6 +111,7 @@ from ..padic.quartic import (
     resolvent_cubic,
 )
 from ..params import GroupTag, aut_order
+from .tower import _norm_images
 
 
 def _v2(n: int) -> int:
@@ -97,6 +122,53 @@ _INF = 10**9
 
 # The pool's parent opens this many nodes per worker before it hands them out.
 _NODES_PER_JOB = 16
+
+
+class _InH(tuple):
+    """Node digits below a node whose members' disc classes all lie in H.
+
+    A mark only: equal to, and hashing like, the plain tuple of the same
+    digits, so the tree, its sampling and its pool frontier are unchanged.
+    """
+
+    __slots__ = ()
+
+
+def _reduce(v: int, echelon: list[int]) -> int:
+    """v reduced by an F2 echelon basis (distinct leading bits, in decreasing order)."""
+    for b in echelon:
+        v = min(v, v ^ b)
+    return v
+
+
+def _minus_one_functional(K: LocalField) -> tuple[int, int]:
+    """(h, h_top): h the F2-functional on K's square-class coordinates, as a
+    bit mask, with ker h = H = {d : (d, -1) = 1}; h_top the highest odd level
+    carrying a bit of h, 0 when none does.  h = 0 when -1 is a square.
+
+    When -1 is in the unramified class, K(sqrt(-1)) is unramified and H is
+    the even valuations.  When -1 is ramified, H is the norm group of
+    K(sqrt(-1)), spanned by the norms of its square-class basis.
+    """
+    minus_one = K.from_int(-1)
+    cls = K.hecke_disc(minus_one)
+    if cls == TRIVIAL:
+        return 0, 0
+    if cls == UNRAMIFIED:
+        return 1, 0
+    echelon: list[int] = []
+    for n in _norm_images(K, ramified_quadratic(K, minus_one)):
+        n = _reduce(n, echelon)
+        if n:
+            echelon = sorted([*echelon, n], reverse=True)
+    dim = K.square_class_dim
+    assert len(echelon) == dim - 1, "the norm group of a quadratic extension has index 2"
+    h = sum(1 << i for i in range(dim) if _reduce(1 << i, echelon))
+    # (u*, -1) = 1 for the unramified class u*, since v(-1) is even
+    assert not h >> (dim - 1), "the unramified bit lies in H"
+    odd = h >> 1
+    h_top = 2 * ((odd.bit_length() - 1) // K.f) + 1 if odd else 0
+    return h, h_top
 
 
 @cache
@@ -155,6 +227,7 @@ class _Enumerator:
         # terminal nodes per (cell, depth); cell is (m, g), or None when dropped
         self.tally: Counter[tuple[tuple[int, GroupTag] | None, int]] = Counter()
         self.cross_checked = 0
+        self.certified: Counter[str] = Counter()  # recorded leaves per certificate
         self._bound_table = [(const * self.e, amb, beta) for const, amb, beta in _bound_table()]
 
     # -- integer-only node analysis --------------------------------------
@@ -202,6 +275,12 @@ class _Enumerator:
         v(a3) already follow the T_m pattern, so only v(a2) >= ceil(m/6) is left."""
         return not in_Tm_domain(m, self.e) or vrep[2] < -(m // -6)
 
+    @cached_property
+    def _minus_one(self):
+        """(h, h_top) of ``_minus_one_functional``, computed when a node
+        first needs it (or before the pool forks), so dedup never pays for it."""
+        return _minus_one_functional(self.K)
+
     # -- main loop ---------------------------------------------------------
 
     def run(self, roots):
@@ -247,11 +326,15 @@ class _Enumerator:
         if 3 * delta > self._distance_polygon_max(vrep):
             self._krasner_leaf(digits)
             return None
-        if m_rep is not None and self._tower_leaf(digits, cs, vrep, vh, m_rep, bound):
-            return None
+        in_h = isinstance(digits, _InH)
+        if m_rep is not None:
+            in_h = self._tower_leaf(digits, cs, vrep, vh, m_rep, bound)
+            if in_h is None:
+                return None
+        node = _InH if in_h else tuple
         split = min(range(4), key=lambda i: 4 * cs[i] + i)
         return [
-            tuple(d + (t,) if i == split else d for i, d in enumerate(digits)) for t in range(q)
+            node(d + (t,) if i == split else d for i, d in enumerate(digits)) for t in range(q)
         ]
 
     def numerators(self):
@@ -275,18 +358,38 @@ class _Enumerator:
     def _krasner_leaf(self, digits):
         """Record a node on which every member generates the field of its representative."""
         fq = self._build(digits)
-        self._add_leaf(classify_by_invariants(fq), fq, digits)
+        self._certify(classify_by_invariants(fq), fq, digits, "krasner")
 
-    def _tower_leaf(self, digits, cs, vrep, vh, m, bound) -> bool:
-        """Tower certificate of a node with v(disc) = m pinned below ``bound``:
-        record it as a leaf and return True, or return False to split it."""
-        if bound < m + 2 * self.e + 1 or not self._visibly_non_one_aut(vrep, m):
-            return False
-        fq = self._build(digits)
+    def _tower_leaf(self, digits, cs, vrep, vh, m, bound) -> bool | None:
+        """Coset and tower certificates of a node with v(disc) = m pinned below
+        ``bound``: record it as a leaf and return None, or return whether every
+        member's disc class lies in H, which the children inherit."""
+        in_h = isinstance(digits, _InH)
+        if not self._visibly_non_one_aut(vrep, m):
+            return in_h
         K, R, e = self.K, self.K.ring, self.e
-        if K.is_square(fq.disc):
-            self._add_leaf((m, GroupTag.V4), fq, digits)
-            return True
+        h, h_top = self._minus_one
+        k = bound - m  # every member's disc lies in disc(rep) (1 + pi^k O)
+        coset = h != 0 and not in_h and k > h_top
+        if not coset and k < 2 * e + 1:
+            return in_h
+        fq = self._build(digits)
+        reach = None  # first obstruction of the unit part of disc, once walked
+        if coset:
+            cd = m & 1
+            if h_top:
+                reach, coords = K.square_class_prefix(R.shift(fq.disc, -m), h_top)
+                cd |= coords
+            if (h & cd).bit_count() & 1:
+                self._certify((m, GroupTag.D4), fq, digits, "coset")
+                return None
+            in_h = True
+            if k < 2 * e + 1:
+                return in_h
+        square = K.is_square(fq.disc) if reach is None else m % 2 == 0 and reach == 2 * e + 1
+        if square:
+            self._certify((m, GroupTag.V4), fq, digits, "tower")
+            return None
         # resolvent-root windows for the C4/D4 split
         c0, c1, c2, c3 = cs
         v0, v1, v2, v3 = vh
@@ -325,13 +428,18 @@ class _Enumerator:
 
         g = _resolvent_split(fq, rescubic, window)
         if g is None:
-            return False
-        self._add_leaf((m, g), fq, digits)
-        return True
+            return in_h
+        self._certify((m, g), fq, digits, "tower")
+        return None
 
     def _build(self, digits):
         K = self.K
         return EisensteinQuartic(K, *(K.from_digits(d) for d in digits))
+
+    def _certify(self, mg, fq, digits, certificate):
+        """``_add_leaf``, counting a recorded leaf under its certificate."""
+        if self._add_leaf(mg, fq, digits):
+            self.certified[certificate] += 1
 
     def _add_leaf(self, mg, fq, digits) -> bool:
         """Add the node's measure to cell mg; False when m > m_max drops it."""
@@ -385,9 +493,9 @@ _WORKER_STATE = {}
 def _worker_run(node):
     """Pool task: enumerate the subtree under one open node; return its tally."""
     enum = _WORKER_STATE["enum"]
-    enum.tally, enum.cross_checked = Counter(), 0
+    enum.tally, enum.cross_checked, enum.certified = Counter(), 0, Counter()
     enum.run([node])
-    return enum.tally, enum.cross_checked
+    return enum.tally, enum.cross_checked, enum.certified
 
 
 def _run_pool(enum: _Enumerator, root, jobs: int) -> int:
@@ -397,12 +505,16 @@ def _run_pool(enum: _Enumerator, root, jobs: int) -> int:
     frontier = enum.open_frontier([root], _NODES_PER_JOB * jobs)
     if not frontier:
         return 1
+    enum._minus_one  # computed before the fork, so the workers inherit it
     _WORKER_STATE["enum"] = enum
     try:
         with get_context("fork").Pool(jobs) as pool:
-            for tally, checked in pool.imap_unordered(_worker_run, frontier, chunksize=1):
+            for tally, checked, certified in pool.imap_unordered(
+                _worker_run, frontier, chunksize=1
+            ):
                 enum.tally.update(tally)
                 enum.cross_checked += checked
+                enum.certified.update(certified)
     finally:
         _WORKER_STATE.clear()
     return jobs
@@ -438,10 +550,14 @@ def density_measures(
         "pruned": pruned,
         "max_depth": top,
         "m_max": m_max,
+        **{f"leaves_{c}": enum.certified[c] for c in ("krasner", "tower", "coset")},
         "root_count_cross_checks": enum.cross_checked,
         "root_orbit": orbit,
         "jobs": jobs,
-        "certification": "monomial disc bound + krasner delta>4D + resolvent windows",
+        "certification": (
+            "monomial disc bound + krasner delta>4D + resolvent windows"
+            " + D4 on disc cosets outside ker (., -1)"
+        ),
     }
     return measures, meta
 

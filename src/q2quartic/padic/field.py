@@ -33,6 +33,8 @@ which is how the tower oracle classifies its pairs.
 :meth:`LocalField.square_reach` stops the walk at its first obstruction;
 squares, the unramified quadratic class and Hecke's discriminant-exponent
 formula (``is_square``, ``hecke_disc``) read off from that level.
+:meth:`LocalField.square_class_prefix` stops it once past a given level
+as well, for the coordinate bits up to that level.
 """
 
 from __future__ import annotations
@@ -150,6 +152,21 @@ class LocalField:
         """
         reach, _, y = next(self._square_walk(u))
         return reach, y
+
+    def square_class_prefix(self, u, level: int):
+        """For a unit u, return (reach, coords): reach as in ``square_reach``, and
+        coords the bits of u's coordinate vector at every level <= ``level``.
+
+        The square-class walk stops at its first obstruction above both
+        ``level`` and reach, so ``level`` = 0 costs what ``square_reach`` does.
+        """
+        walk = self._square_walk(u)
+        reach, coords, _ = next(walk)
+        if reach <= level:
+            for l, coords, _ in walk:
+                if l > level:
+                    break
+        return reach, coords
 
     def _artin_schreier_fix(self, rbar):
         """A residue s with s^2 + gamma*s = rbar, or None."""

@@ -261,3 +261,34 @@ def test_criterion_13_minus_one_classes_and_degree4_bases():
     dt = time.time() - t0
     assert dt < 60
     _report(13, f"-1 square/unramified and degree-4 bases: tower rows all m [{dt:.1f}s]")
+
+
+FULL_RANGE_DENSITY_SPECS = [
+    ({"f": 1, "eisenstein": [-2, 0, 1]}, "x^2-2"),
+    ({"f": 1, "eisenstein": [2, 0, 1]}, "x^2+2"),
+    ({"f": 1, "eisenstein": [-6, 0, 1]}, "x^2-6"),
+    ({"f": 1, "eisenstein": [6, 0, 1]}, "x^2+6"),
+    ({"f": 1, "eisenstein": [2, 2, 1]}, "Q2(i)"),
+    ({"f": 1, "eisenstein": [-2, -2, 1]}, "Q2(sqrt3)"),
+    ({"f": 2}, "unramified f=2"),
+]
+
+
+def test_criterion_14_density_full_range():
+    # the six ramified quadratic extensions of Q2 cover every class of -1
+    # and every d-parity; density runs to m <= 8e+3 on each and on U(f=2)
+    t0 = time.time()
+    classes = set()
+    for spec, label in FULL_RANGE_DENSITY_SPECS:
+        K = field_from_spec(spec)
+        p = K.derive_params()
+        classes.add(p.minus_one_class)
+        dc, _ = density_counts(K)
+        for m in range(0, 8 * p.e + 4):
+            for g in GROUP_ORDER:
+                assert dc.get((m, g), 0) == C.count(p, m, g), (label, m, g)
+    assert classes == set(MinusOneClass)
+    dt = time.time() - t0
+    assert dt < 30
+    n = len(FULL_RANGE_DENSITY_SPECS)
+    _report(14, f"density to m <= 8e+3 on {n} bases, every cell [{dt:.1f}s]")

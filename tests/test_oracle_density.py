@@ -1,4 +1,5 @@
 import logging
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,27 @@ from q2quartic.oracle.measure import (
     one_aut_measure,
     t_m_measure,
 )
-from q2quartic.padic.field import ramified_quadratic
+from q2quartic.padic.field import field_from_spec, ramified_quadratic
 from q2quartic.params import GROUP_ORDER
 
-_RUN_KEYS = ("leaves", "pruned", "max_depth", "root_count_cross_checks")
+_CERTIFICATES = ("leaves_krasner", "leaves_tower", "leaves_coset")
+_RUN_KEYS = ("leaves", "pruned", "max_depth", "root_count_cross_checks", *_CERTIFICATES)
+
+# Q2 and the bases of the tower criteria 10 and 13: every class of -1
+_TOWER_BASES = [
+    {"f": 1},
+    {"f": 1, "eisenstein": [-2, 0, 1]},
+    {"f": 1, "eisenstein": [2, 0, 1]},
+    {"f": 1, "eisenstein": [-6, 0, 1]},
+    {"f": 1, "eisenstein": [-2, 0, 0, 1]},
+    {"f": 2},
+    {"f": 3},
+    {"f": 1, "eisenstein": [2, 2, 1]},
+    {"f": 1, "eisenstein": [-2, -2, 1]},
+    {"f": 1, "eisenstein": [-2, 0, 0, 0, 1]},
+    {"f": 4},
+    {"f": 2, "eisenstein": [-2, 0, 1]},
+]
 
 
 def test_density_counts_q2_m8_full_cross_check(Q2):
@@ -32,7 +50,7 @@ def test_density_counts_q2_m8_full_cross_check(Q2):
 
 def test_density_counts_q2_full_support(Q2):
     p = Q2.derive_params()
-    dc, _ = density_counts(Q2, cross_check_every=1)
+    dc, meta = density_counts(Q2, cross_check_every=1)
     expected = {
         (m, g): C.count(p, m, g)
         for m in range(0, 12)
@@ -40,6 +58,9 @@ def test_density_counts_q2_full_support(Q2):
         if C.count(p, m, g)
     }
     assert dc == expected
+    # every leaf is certified once, and every certificate closes some leaf
+    assert sum(meta[c] for c in _CERTIFICATES) == meta["leaves"] == meta["root_count_cross_checks"]
+    assert all(meta[c] > 0 for c in _CERTIFICATES)
 
 
 def test_density_measures_against_one_aut_density(Q2):
@@ -148,6 +169,30 @@ def test_effective_jobs_clamped_to_cores(monkeypatch, caplog):
         with pytest.raises(InvalidParams):
             D._effective_jobs(bad)
 
+
+
+@pytest.mark.parametrize("spec", _TOWER_BASES, ids=str)
+def test_minus_one_functional_counts_c4_extendable_quadratics(spec):
+    # ker h = {d : (d, -1) = 1}; its ramified classes with hecke_disc m1 are
+    # the quadratic extensions that embed in a C4, which n_ext counts
+    K = field_from_spec(spec)
+    p = K.derive_params()
+    h, h_top = D._minus_one_functional(K)
+    in_h = Counter(
+        K.coords_hecke_disc(c)
+        for c in range(1 << K.square_class_dim)
+        if not (h & c).bit_count() & 1
+    )
+    for m1 in range(0, 2 * p.e + 2):
+        assert in_h[m1] == C.n_ext(p, m1), (m1, bin(h))
+    # W_k, the classes of 1 + pi^k O, is spanned by the odd-level bits at
+    # levels >= k and, for k <= 2e, the unramified bit; W_k lies in ker h
+    # exactly when k > h_top
+    e, f = p.e, p.f
+    levels = [2 * (j // f) + 1 for j in range(e * f)] + [2 * e]
+    for k in range(1, 2 * e + 2):
+        w_k = [1 << (i + 1) for i, level in enumerate(levels) if level >= k]
+        assert all(not h & w for w in w_k) == (k > h_top), k
 
 
 def test_measure_set_basics(Q2):

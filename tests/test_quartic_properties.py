@@ -8,6 +8,7 @@ closure group is reached.
 
 from functools import lru_cache
 
+import pytest
 from helpers import root_distances
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from q2quartic.padic.quartic import (
     in_Tm_domain,
     stem_ring,
 )
+from q2quartic.params import GroupTag
 
 _SPECS = {
     "Q2": {"f": 1},
@@ -167,3 +169,38 @@ def test_krasner_leaf_members_share_the_stem_field(name, data):
         for d in leaves[index]
     ))
     assert _has_root_in(_leaf_stem(name, index), member)
+
+
+@lru_cache(maxsize=None)
+def _coset_leaves(name):
+    """Digits and m of every coset-certified leaf of the density walk over the full range."""
+    leaves = []
+
+    class Recorder(_Enumerator):
+        def _certify(self, mg, fq, digits, certificate):
+            if certificate == "coset":
+                leaves.append((digits, mg[0]))
+            super()._certify(mg, fq, digits, certificate)
+
+    K = _field(name)
+    Recorder(K, 8 * K.e_abs + 3, cross_check_every=0).run(_root_nodes(K.q)[:1])
+    return leaves
+
+
+@pytest.mark.parametrize("name", ["Q2", "sqrt2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_coset_leaf_members_are_d4(name, data):
+    # a coset leaf is certified D4 for every member: each member's disc class
+    # lies off H = {d : (d, -1) = 1}, so it is neither a square (V4) nor the
+    # quadratic subfield of a C4 extension
+    K = _field(name)
+    leaves = _coset_leaves(name)
+    index = data.draw(st.integers(0, len(leaves) - 1), label="leaf")
+    digits, m = leaves[index]
+    digit = st.integers(0, K.q - 1)
+    member = EisensteinQuartic(K, *(
+        K.from_digits(d + tuple(data.draw(st.lists(digit, min_size=1, max_size=6))))
+        for d in digits
+    ))
+    assert classify_quartic(member) == (m, GroupTag.D4)

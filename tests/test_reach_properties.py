@@ -9,6 +9,8 @@ same walk past the first obstruction; its coordinates must be those of the
 basis products, additive under multiplication, blind to squares,
 consistent with is_square and hecke_disc, compatible with the norm of a
 quadratic step, and independent of the working precision.
+square_class_prefix stops the walk past a given level; its bits must be
+those of the full coordinates up to that level.
 cubic_k_roots carries the inverse of p'(x) along by Newton steps; its
 roots must still reach the target valuation, and their number must not
 depend on the working precision either.
@@ -167,6 +169,22 @@ def test_coords_agree_with_is_square_and_hecke_disc(case):
     c = K.square_class_coords(a)
     assert (c == 0) == K.is_square(a)
     assert K.coords_hecke_disc(c) == K.hecke_disc(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_recipes(_COORD_FIELDS), st.data())
+def test_coords_prefix_is_the_walk_stopped_past_a_level(case, data):
+    # the density oracle reads h(cd) from the bits of cd up to one level only
+    name, recipe = case
+    K = _field(name)
+    e, f = K.e_abs, K.f
+    u = _build(K, recipe)
+    level = data.draw(st.integers(0, 2 * e + 1), label="level")
+    levels = [2 * (j // f) + 1 for j in range(e * f)] + [2 * e]
+    low = sum(1 << (i + 1) for i, l in enumerate(levels) if l <= level)
+    reach, coords = K.square_class_prefix(u, level)
+    assert reach == K.square_reach(u)[0]
+    assert coords == K.square_class_coords(u) & low
 
 
 @settings(max_examples=100, deadline=None)
