@@ -120,7 +120,11 @@ def _cmd_lmfdb_check(args) -> int:
     params = field.derive_params()
     observed: dict = {}
     bad_rows = []
-    with open(args.csv, newline="") as fh:
+    try:
+        fh = open(args.csv, newline="")
+    except OSError as exc:
+        raise InvalidParams(f"cannot read {args.csv!r}: {exc}") from None
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"e", "c", "galois_label"} <= set(reader.fieldnames):
             print("lmfdb-check: csv must have columns e, c, galois_label", file=sys.stderr)

@@ -44,9 +44,9 @@ def load(cache_dir, field, oracle: str, m_max):
 
 
 def store(cache_dir, field, oracle: str, m_max, counts, meta=None):
+    """Write one oracle result into the existing directory ``cache_dir``."""
     if not cache_dir:
         return
-    os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, field, oracle, m_max)
     blob = {
         "oracle": oracle,

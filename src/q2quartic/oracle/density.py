@@ -28,7 +28,9 @@ for the last two, from the square class of its discriminant:
   disc (V4 when square) and, for the C4/D4 split, the square class of
   disc * (w^2 - 4 a0) for the unique root w of the resolvent cubic; w is
   pinned by a Hensel window, so stability follows from coefficient-level
-  perturbation bounds far shallower than the Krasner depth.
+  perturbation bounds far shallower than the Krasner depth.  The window's
+  resolvent-coefficient bounds come from the disc bound's perturbation
+  table (``_bound_table``), built from the resolvent's monomials.
 * coset certificate: a quadratic K(sqrt(d)) lies in a C4 extension iff the
   Hilbert symbol (d, -1) is 1 (Serre, Local Fields, ch. XIV).  Square
   classes are F_2-coordinate vectors (:mod:`q2quartic.padic.field`), so
@@ -97,9 +99,10 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount
-from ..padic.field import TRIVIAL, UNRAMIFIED, LocalField, ramified_quadratic
+from ..padic.field import LocalField, ramified_quadratic
 from ..padic.quartic import (
     _DISC_MONOMIALS,
+    _RESOLVENT_MONOMIALS,
     EisensteinQuartic,
     _poly_deriv,
     _poly_eval,
@@ -110,7 +113,7 @@ from ..padic.quartic import (
     in_Tm_domain,
     resolvent_cubic,
 )
-from ..params import GroupTag, aut_order
+from ..params import GroupTag, MinusOneClass, aut_order
 from .tower import _norm_images
 
 
@@ -150,14 +153,13 @@ def _minus_one_functional(K: LocalField) -> tuple[int, int]:
     the even valuations.  When -1 is ramified, H is the norm group of
     K(sqrt(-1)), spanned by the norms of its square-class basis.
     """
-    minus_one = K.from_int(-1)
-    cls = K.hecke_disc(minus_one)
-    if cls == TRIVIAL:
+    cls = K.derive_params().minus_one_class
+    if cls is MinusOneClass.SQUARE:
         return 0, 0
-    if cls == UNRAMIFIED:
+    if cls is MinusOneClass.UNRAMIFIED:
         return 1, 0
     echelon: list[int] = []
-    for n in _norm_images(K, ramified_quadratic(K, minus_one)):
+    for n in _norm_images(K, ramified_quadratic(K, K.from_int(-1))):
         n = _reduce(n, echelon)
         if n:
             echelon = sorted([*echelon, n], reverse=True)
@@ -172,8 +174,8 @@ def _minus_one_functional(K: LocalField) -> tuple[int, int]:
 
 
 @cache
-def _bound_table():
-    """Perturbation terms of the discriminant under coefficient changes.
+def _bound_table(monomials):
+    """Perturbation terms of a monomial table of the quartic layer under coefficient changes.
 
     For each monomial k * prod a_j^alpha_j and each nonzero beta <= alpha the
     binomial term k * prod C(alpha_j, beta_j) * a^(alpha-beta) * delta^beta
@@ -187,7 +189,7 @@ def _bound_table():
     from math import comb
 
     raw = []
-    for k, exps in _DISC_MONOMIALS:
+    for k, exps in monomials:
         for beta in iproduct(*(range(a + 1) for a in exps)):
             if not any(beta):
                 continue
@@ -197,24 +199,15 @@ def _bound_table():
             const = _v2(c)
             amb = tuple(a - b for a, b in zip(exps, beta))
             raw.append((const, amb, beta))
-    kept = []
-    for cand in raw:
-        dominated = False
-        for other in raw:
-            if other is cand or other == cand:
-                continue
-            if (
-                other[0] <= cand[0]
-                and all(
-                    oa + ob <= ca + cb and ob <= cb
-                    for oa, ob, ca, cb in zip(other[1], other[2], cand[1], cand[2])
-                )
-            ):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(cand)
-    return tuple(kept)
+
+    def dominates(other, cand):
+        """Whether other's term is at most cand's for every vhat <= c."""
+        return other != cand and other[0] <= cand[0] and all(
+            oa + ob <= ca + cb and ob <= cb
+            for oa, ob, ca, cb in zip(other[1], other[2], cand[1], cand[2])
+        )
+
+    return tuple(cand for cand in raw if not any(dominates(o, cand) for o in raw))
 
 
 class _Enumerator:
@@ -228,7 +221,11 @@ class _Enumerator:
         self.tally: Counter[tuple[tuple[int, GroupTag] | None, int]] = Counter()
         self.cross_checked = 0
         self.certified: Counter[str] = Counter()  # recorded leaves per certificate
-        self._bound_table = [(const * self.e, amb, beta) for const, amb, beta in _bound_table()]
+        e = self.e
+        self._disc_table, *self._resolvent_tables = (
+            [(const * e, amb, beta) for const, amb, beta in _bound_table(monomials)]
+            for monomials in (_DISC_MONOMIALS, *_RESOLVENT_MONOMIALS)
+        )
 
     # -- integer-only node analysis --------------------------------------
 
@@ -245,11 +242,13 @@ class _Enumerator:
         e = self.e
         return min(4 * vrep[1], 4 * (vrep[2] + e) + 1, 4 * vrep[3] + 2, 8 * e + 3)
 
-    def _disc_bound(self, cs, vh):
+    @staticmethod
+    def _bound(table, cs, vh):
+        """Least valuation of a perturbation term of ``table`` at the node."""
         v0, v1, v2, v3 = vh
         c0, c1, c2, c3 = cs
         best = _INF
-        for const, amb, beta in self._bound_table:
+        for const, amb, beta in table:
             cand = (
                 const
                 + amb[0] * v0 + amb[1] * v1 + amb[2] * v2 + amb[3] * v3
@@ -315,7 +314,7 @@ class _Enumerator:
             self._rep_val(digits[3]),
         )
         vh = tuple(min(v, c) for v, c in zip(vrep, cs))
-        bound = self._disc_bound(cs, vh)
+        bound = self._bound(self._disc_table, cs, vh)
         m_rep = self._ore_disc_val(vrep)
         if m_rep >= bound:
             m_rep = None  # not certified for every member yet
@@ -391,21 +390,7 @@ class _Enumerator:
             self._certify((m, GroupTag.V4), fq, digits, "tower")
             return None
         # resolvent-root windows for the C4/D4 split
-        c0, c1, c2, c3 = cs
-        v0, v1, v2, v3 = vh
-        b_r2 = c2
-        b_r1 = min(c1 + v3, c3 + v1, c1 + c3, 2 * e + c0)
-        b_r0 = min(
-            e + v3 + v0 + c3,
-            v0 + 2 * c3,
-            c0 + 2 * v3,
-            e + v3 + c3 + c0,
-            e + v1 + c1,
-            2 * c1,
-            2 * e + v0 + c2,
-            2 * e + v2 + c0,
-            2 * e + c2 + c0,
-        )
+        b_r0, b_r1, b_r2 = (self._bound(t, cs, vh) for t in self._resolvent_tables)
         rescubic = resolvent_cubic(fq)
 
         def window(w, W):
@@ -423,7 +408,7 @@ class _Enumerator:
             vW = R.val(W)
             if vW is None:
                 return False
-            eta_W = min(dw + min(e + vw, dw), 2 * e + c0)
+            eta_W = min(dw + min(e + vw, dw), 2 * e + cs[0])
             return eta_W >= vW + 2 * e + 1
 
         g = _resolvent_split(fq, rescubic, window)

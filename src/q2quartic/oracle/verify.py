@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field as dc_field
 
 from .. import counts as formulas
@@ -113,15 +114,22 @@ def verify(
 
     Mismatches become failing rows, not exceptions.  ``meta["tower"]`` and
     ``meta["density"]`` hold those oracles' metadata.  With ``cache_dir``,
-    ``meta["cache"]`` maps each oracle run to "hit" or "miss".  An unknown
-    oracle name or a negative ``m_max`` or ``dedup_m_max`` raises InvalidParams.
+    ``meta["cache"]`` maps each oracle run to "hit" or "miss".  No oracle, an
+    unknown one, a negative ``m_max`` or ``dedup_m_max``, or a ``cache_dir`` that
+    cannot be created raises InvalidParams before any oracle runs.
     """
-    unknown = [name for name in methods if name not in _METHODS]
-    if unknown:
-        raise InvalidParams(f"unknown oracle {unknown[0]!r}; expected one of {', '.join(_METHODS)}")
+    if not methods or not set(methods) <= set(_METHODS):
+        raise InvalidParams(
+            f"unknown oracle or none in {list(methods)}; expected some of {', '.join(_METHODS)}"
+        )
     for name, bound in (("m_max", m_max), ("dedup_m_max", dedup_m_max)):
         if bound is not None and bound < 0:
             raise InvalidParams(f"{name} must be at least 0, got {bound}")
+    if cache_dir:
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise InvalidParams(f"cannot create cache directory {cache_dir!r}: {exc}") from None
     params = field.derive_params()
     rows: list[VerificationRow] = []
     meta: dict = {"m_max": m_max}

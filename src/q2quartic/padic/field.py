@@ -295,15 +295,13 @@ class LocalField:
     # -- parameter derivation -------------------------------------------
 
     def derive_params(self) -> FieldParams:
-        minus_one = self.ring.from_int(-1)
-        if self.is_square(minus_one):
+        h = self.hecke_disc(self.ring.from_int(-1))
+        if h == TRIVIAL:
             cls, d = MinusOneClass.SQUARE, 0
+        elif h == UNRAMIFIED:
+            cls, d = MinusOneClass.UNRAMIFIED, 0
         else:
-            h = self.hecke_disc(minus_one)
-            if h == UNRAMIFIED:
-                cls, d = MinusOneClass.UNRAMIFIED, 0
-            else:
-                cls, d = MinusOneClass.RAMIFIED, h
+            cls, d = MinusOneClass.RAMIFIED, h
         return FieldParams(self.e_abs, self.f, self.q, d, cls)
 
     def spec_hash(self) -> str:
@@ -454,8 +452,11 @@ def with_doubled_precision(field: LocalField) -> LocalField:
 
 
 def field_from_file(path) -> LocalField:
-    with open(path) as fh:
-        spec = json.load(fh)
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidParams(f"cannot read field spec {path!r}: {exc}") from None
     if not isinstance(spec, dict):
         raise InvalidParams("field spec file must contain a JSON object")
     return field_from_spec(spec)

@@ -11,6 +11,10 @@ square test, r = 2 is D4, and r = 4 splits into C4/V4.  Root counting uses
 residue refinement: candidate roots are tracked modulo growing powers of
 the stem uniformiser, branches close via the simple-root (Hensel)
 certificate, and f is separable so every branch terminates.
+
+The monomial tables ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS`` are
+evaluated by ``_eval_tables`` and turned into perturbation bounds by the
+density oracle; ``_taylor_shift`` serves root refinement and f(Z + pi)/Z.
 """
 
 from __future__ import annotations
@@ -46,6 +50,14 @@ _DISC_MONOMIALS = (
     (1, (0, 2, 2, 2)),
 )
 
+# resolvent cubic y^3 + r2 y^2 + r1 y + r0 (roots t1 t2 + t3 t4, ...) as tables
+# r0 = -a3^2 a0 - a1^2 + 4 a2 a0, r1 = a1 a3 - 4 a0, r2 = -a2 of the same form
+_RESOLVENT_MONOMIALS = (
+    ((-1, (1, 0, 0, 2)), (-1, (0, 2, 0, 0)), (4, (1, 0, 1, 0))),
+    ((1, (0, 1, 0, 1)), (-4, (1, 0, 0, 0))),
+    ((-1, (0, 0, 1, 0)),),
+)
+
 
 @dataclass(frozen=True)
 class EisensteinQuartic:
@@ -71,22 +83,30 @@ class EisensteinQuartic:
 
 def disc_raw(field: LocalField, a0, a1, a2, a3):
     """Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0 as a raw element."""
-    R = field.ring
+    return _eval_tables(field.ring, (a0, a1, a2, a3), (_DISC_MONOMIALS,))[0]
+
+
+def _eval_tables(R, coeffs, tables):
+    """The value at coeffs = (a0, a1, a2, a3) of each polynomial in ``tables``.
+
+    A table is a tuple of monomials (k, exps), k * prod a_i^exps_i.  The
+    powers a_i^n are grown on demand and shared by every table of the call.
+    """
     mul = R.mul
-    powers = []  # powers[i][n] = a_i^n
-    for a in (a0, a1, a2, a3):
-        row = [R.one, a]
-        for _ in range(3):
-            row.append(mul(row[-1], a))
-        powers.append(row)
-    total = R.zero
-    for k, exps in _DISC_MONOMIALS:
-        t = R.from_int(k)
-        for row, n in zip(powers, exps):
-            if n:
-                t = mul(t, row[n])
-        total = R.add(total, t)
-    return total
+    powers = [[R.one, a] for a in coeffs]  # powers[i][n] = a_i^n
+    out = []
+    for table in tables:
+        total = R.zero
+        for k, exps in table:
+            t = None if abs(k) == 1 else R.from_int(abs(k))
+            for row, n in zip(powers, exps):
+                if n:
+                    while len(row) <= n:
+                        row.append(mul(row[-1], row[1]))
+                    t = row[n] if t is None else mul(t, row[n])
+            total = R.sub(total, t) if k < 0 else R.add(total, t)
+        out.append(total)
+    return out
 
 
 def _disc_val(K: LocalField, disc) -> int:
@@ -174,18 +194,10 @@ def stem_ring(fq: EisensteinQuartic) -> EisensteinStep:
 
 
 def deformation_cubic(fq: EisensteinQuartic, L):
-    """Coefficients (b0, b1, b2) of f(Z + pi)/Z = Z^3 + b2 Z^2 + b1 Z + b0 in the stem L."""
-    pi = L.shift(L.one, 1)
-    pi2 = L.mul(pi, pi)
-    pi3 = L.mul(pi2, pi)
-    a1, a2, a3 = (L.lift(c) for c in (fq.a1, fq.a2, fq.a3))
-    b2 = L.add(a3, L.shift(L.from_int(4), 1))
-    b1 = L.add(L.add(a2, L.mul(L.from_int(3), L.mul(pi, a3))), L.mul(L.from_int(6), pi2))
-    b0 = L.add(
-        L.add(a1, L.mul(L.from_int(2), L.mul(pi, a2))),
-        L.add(L.mul(L.from_int(3), L.mul(pi2, a3)), L.mul(L.from_int(4), pi3)),
-    )
-    return b0, b1, b2
+    """Coefficients (b0, b1, b2) of f(Z + pi)/Z = Z^3 + b2 Z^2 + b1 Z + b0 in the stem L:
+    the Taylor shift of f by pi, whose constant term f(pi) is 0 in L."""
+    f = [*(L.lift(c) for c in fq.coeffs()), L.one]
+    return tuple(_taylor_shift(L, f, L.shift(L.one, 1))[1:4])
 
 
 def _simple_residue_roots(R, coeffs, depth_cap, search="root refinement"):
@@ -234,26 +246,26 @@ def _poly_eval_res_deriv(res, coeffs, t):
     return acc
 
 
+def _taylor_shift(R, poly, x):
+    """Coefficients of p(x + X) from those of p(X), by synthetic division by X - x."""
+    add, mul = R.add, R.mul
+    c = list(poly)
+    n = len(c)
+    for k in range(n - 1):
+        for i in range(n - 2, k - 1, -1):
+            c[i] = add(c[i], mul(x, c[i + 1]))
+    return c
+
+
 def _poly_shift_scale(L, poly, t):
     """Coefficients of p([t] + pi*X) from those of p(X)."""
-    tt = L.teich(t)
-    work = list(poly)
-    n = len(work)
-    out = []
-    # Taylor shift by [t]: repeated synthetic division by (X - [t])
-    for k in range(n):
-        for i in range(n - k - 2, -1, -1):
-            work[i] = L.add(work[i], L.mul(tt, work[i + 1]))
-        out.append(work[0])
-        work = work[1:]
-    return [L.shift(c, i) for i, c in enumerate(out)]
+    return [L.shift(c, i) for i, c in enumerate(_taylor_shift(L, poly, L.teich(t)))]
 
 
 def count_roots_in_stem(fq: EisensteinQuartic) -> int:
     """#roots of f in its stem field K[X]/(f); equals #Aut(L_f/K), one of 1, 2, 4."""
     L = stem_ring(fq)
-    b0, b1, b2 = deformation_cubic(fq, L)
-    r = 1 + _count_roots_in_ring(L, [b0, b1, b2, L.one])
+    r = 1 + _count_roots_in_ring(L, [*deformation_cubic(fq, L), L.one])
     if r not in (1, 2, 4):
         raise FormulationMismatch(f"stem root count {r} outside {{1, 2, 4}}")
     return r
@@ -279,20 +291,9 @@ def classify_quartic(fq: EisensteinQuartic):
 
 
 def resolvent_cubic(fq: EisensteinQuartic):
-    """Cubic with roots t1 t2 + t3 t4 (etc.) for the roots t_i of f.
-
-    For X^4 + p X^3 + q X^2 + r X + s this is
-    y^3 - q y^2 + (p r - 4 s) y - (p^2 s + r^2 - 4 q s).
-    """
+    """[r0, r1, r2, 1]: the cubic with roots t1 t2 + t3 t4 (etc.) for the roots t_i of f."""
     R = fq.field.ring
-    a0, a1, a2, a3 = fq.coeffs()
-    four_a0 = R.mul(R.from_int(4), a0)
-    r2 = R.neg(a2)
-    r1 = R.sub(R.mul(a1, a3), four_a0)
-    r0 = R.neg(
-        R.sub(R.add(R.mul(R.mul(a3, a3), a0), R.mul(a1, a1)), R.mul(R.from_int(4), R.mul(a2, a0)))
-    )
-    return [r0, r1, r2, R.one]
+    return [*_eval_tables(R, fq.coeffs(), _RESOLVENT_MONOMIALS), R.one]
 
 
 def _poly_eval(R, coeffs, x):

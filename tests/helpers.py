@@ -10,6 +10,8 @@ test, not a second code path of the package.
 ``root_distances`` reads the root distances of a quartic off the Newton
 polygon of its deformation cubic; it is the reference the tests hold the
 density oracle's integer-only ``_distance_polygon_max`` to.
+``resolvent_bounds`` is the hand-derived reference for the resolvent
+coefficients' perturbation bounds that density reads from its tables.
 """
 
 from fractions import Fraction
@@ -68,6 +70,32 @@ def root_distances(fq: EisensteinQuartic):
     for s, mult in slopes:
         out.extend([s] * mult)
     return out
+
+
+def resolvent_bounds(e, cs, vh):
+    """(b_r0, b_r1, b_r2): lower bounds on v(r_i(member) - r_i(rep)) for the
+    resolvent coefficients r0 = -a3^2 a0 - a1^2 + 4 a2 a0, r1 = a1 a3 - 4 a0
+    and r2 = -a2, at a node fixing c_i digits of a_i with v(a_i) >= vh_i.
+
+    Term by term from the binomial expansion of each monomial; it keeps two
+    terms the tables drop as dominated (2e+c2+c0 and c1+c3).
+    """
+    c0, c1, c2, c3 = cs
+    v0, v1, v2, v3 = vh
+    b_r2 = c2
+    b_r1 = min(c1 + v3, c3 + v1, c1 + c3, 2 * e + c0)
+    b_r0 = min(
+        e + v3 + v0 + c3,
+        v0 + 2 * c3,
+        c0 + 2 * v3,
+        e + v3 + c3 + c0,
+        e + v1 + c1,
+        2 * c1,
+        2 * e + v0 + c2,
+        2 * e + v2 + c0,
+        2 * e + c2 + c0,
+    )
+    return b_r0, b_r1, b_r2
 
 
 def unpack(ring, a):

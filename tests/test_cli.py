@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import q2quartic
 from q2quartic import counts as C
 from q2quartic.cli import run
 from q2quartic.errors import ClassInstability, FormulationMismatch, NonIntegralCount
@@ -141,6 +145,42 @@ def test_derive_params_cli(tmp_path, capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob == {"e": 2, "f": 1, "q": 2, "d_minus_one": 2, "minus_one_class": "ramified"}
+
+
+def _cli_process(*argv):
+    """(exit code, stderr) of the CLI run in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(q2quartic.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "q2quartic.cli", *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["derive-params", "--field", "{missing}"],
+        ["derive-params", "--field", "{not_json}"],
+        ["verify", "--field", "{missing}", "--m-max", "4"],
+        ["verify", "--field", "{not_json}", "--m-max", "4"],
+        ["lmfdb-check", "--csv", "{missing}", "--field", "{spec}"],
+        ["verify", "--field", "{spec}", "--m-max", "4", "--cache", "{spec}"],
+        ["verify", "--field", "{spec}", "--m-max", "4", "--cache", "{spec}/sub"],
+    ],
+    ids=["derive-missing", "derive-not-json", "verify-missing", "verify-not-json",
+         "lmfdb-missing-csv", "cache-is-file", "cache-under-file"],
+)
+def test_file_errors_exit_2_without_traceback(tmp_path, argv):
+    spec = tmp_path / "q2.json"
+    spec.write_text('{"f": 1, "e": 1}')
+    not_json = tmp_path / "bad.json"
+    not_json.write_text('{"f": 1,')
+    paths = {"spec": spec, "not_json": not_json, "missing": tmp_path / "missing.json"}
+    code, err = _cli_process(*(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 Q2_LMFDB_TABLE = [

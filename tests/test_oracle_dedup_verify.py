@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from helpers import quartic_from_ints
@@ -35,6 +36,31 @@ def test_verify_rejects_unknown_oracle(Q2):
     for methods in (("densty",), ("tower", "dedupe")):
         with pytest.raises(InvalidParams, match="unknown oracle"):
             verify(Q2, 11, methods=methods)
+
+
+def test_verify_rejects_empty_methods(Q2):
+    # no oracle leaves no rows to compare, which would read as a pass
+    for methods in ((), []):
+        with pytest.raises(InvalidParams, match="unknown oracle or none"):
+            verify(Q2, 11, methods=methods)
+
+
+def test_verify_cache_dir_fails_before_any_oracle(Q2, tmp_path, monkeypatch):
+    V = sys.modules["q2quartic.oracle.verify"]  # the package re-exports the function
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle ran before the cache directory was checked")
+
+    monkeypatch.setattr(V, "tower_counts", no_oracle)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for cache_dir in (blocker, blocker / "sub"):
+        with pytest.raises(InvalidParams, match="cannot create cache directory"):
+            verify(Q2, 11, methods=("tower",), cache_dir=str(cache_dir))
+    monkeypatch.undo()
+    fresh = tmp_path / "new" / "cache"  # missing parents are created
+    assert verify(Q2, 4, methods=("tower",), cache_dir=str(fresh)).passed
+    assert len(list(fresh.iterdir())) == 1
 
 
 def test_verify_rejects_negative_m_max(Q2):

@@ -16,7 +16,7 @@ from q2quartic.oracle.measure import (
     t_m_measure,
 )
 from q2quartic.padic.field import field_from_spec, ramified_quadratic
-from q2quartic.params import GROUP_ORDER
+from q2quartic.params import GROUP_ORDER, aut_order
 
 _CERTIFICATES = ("leaves_krasner", "leaves_tower", "leaves_coset")
 _RUN_KEYS = ("leaves", "pruned", "max_depth", "root_count_cross_checks", *_CERTIFICATES)
@@ -244,3 +244,22 @@ def test_density_equals_tower_on_common_scope(Q2):
     for (m, g), n in dc.items():
         if g.value in ("V4", "C4", "D4"):
             assert tc.get((m, g), 0) == n
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "spec", [{"f": 3}, {"f": 1, "eisenstein": [-2, 0, 0, 1]}], ids=["U3", "x^3-2"]
+)
+def test_density_full_range_two_workers(spec):
+    """Density with two workers to m <= 8e+3: every cell equals the closed
+    form, and the mass total sum count / (#Aut q^m) is q^-3 (Serre)."""
+    K = field_from_spec(spec)
+    p = K.derive_params()
+    top = 8 * p.e + 3
+    dc, meta = density_counts(K, top, jobs=2)
+    for m in range(0, top + 1):
+        for g in GROUP_ORDER:
+            assert dc.get((m, g), 0) == C.count(p, m, g), (m, g)
+    total = sum(Fraction(n, aut_order(g) * p.q**m) for (m, g), n in dc.items())
+    assert total == Fraction(1, p.q**3)
+    assert meta["pruned"] == 0

@@ -8,6 +8,7 @@ from helpers import newton_slopes, quartic_from_ints, root_distances
 from q2quartic.errors import InvalidParams
 from q2quartic.padic.field import q2
 from q2quartic.padic.quartic import (
+    _RESOLVENT_MONOMIALS,
     classify_by_invariants,
     classify_quartic,
     count_roots_in_stem,
@@ -48,6 +49,29 @@ def test_disc_matches_sympy_on_random_integer_quartics(Q2):
         got = Q2.val(disc_raw(Q2, *fq.coeffs()))
         assert d != 0
         assert got == _v2(d)
+
+
+def _table_value(table, a):
+    """sum k * prod a_i^n_i over the monomials (k, n) of a quartic-layer table."""
+    return sum(k * sympy.Mul(*(ai**n for ai, n in zip(a, exps))) for k, exps in table)
+
+
+def test_resolvent_table_matches_sympy_on_symbolic_roots(Q2):
+    # X^4 + a3 X^3 + a2 X^2 + a1 X + a0 = (X - t1)(X - t2)(X - t3)(X - t4)
+    x, y = sympy.symbols("x y")
+    t1, t2, t3, t4 = t = sympy.symbols("t1:5")
+    a = sympy.Poly(sympy.prod(x - ti for ti in t), x).all_coeffs()[:0:-1]
+    r0, r1, r2 = (_table_value(table, a) for table in _RESOLVENT_MONOMIALS)
+    roots = (t1 * t2 + t3 * t4, t1 * t3 + t2 * t4, t1 * t4 + t2 * t3)
+    want = sympy.prod(y - w for w in roots)
+    assert sympy.expand(y**3 + r2 * y**2 + r1 * y + r0 - want) == 0
+    # resolvent_cubic evaluates the same tables in the ring
+    rng = random.Random(20261019)
+    for _ in range(20):
+        ints = (2 * rng.randrange(1, 50, 2), *(2 * rng.randrange(-50, 50) for _ in range(3)))
+        want = [int(_table_value(table, ints)) for table in _RESOLVENT_MONOMIALS]
+        got = resolvent_cubic(quartic_from_ints(Q2, *ints))
+        assert got == [*map(Q2.from_int, want), Q2.ring.one]
 
 
 def test_disc_valuation_examples(Q2):

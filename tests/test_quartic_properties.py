@@ -9,7 +9,7 @@ closure group is reached.
 from functools import lru_cache
 
 import pytest
-from helpers import root_distances
+from helpers import resolvent_bounds, root_distances
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,3 +204,18 @@ def test_coset_leaf_members_are_d4(name, data):
         for d in digits
     ))
     assert classify_quartic(member) == (m, GroupTag.D4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_SPECS)),
+    st.tuples(*[st.integers(1, 60)] * 4),
+    st.tuples(*[st.integers(0, 60)] * 3),
+)
+def test_resolvent_bound_tables_match_hand_derived_bounds(name, cs, vs):
+    """The bounds density reads from the resolvent tables equal the
+    hand-derived ones at every node shape with v(a0) = 1 and vh <= cs."""
+    enum = _enumerator(name)
+    vh = (1, *(min(v, c) for v, c in zip(vs, cs[1:])))
+    got = tuple(enum._bound(t, cs, vh) for t in enum._resolvent_tables)
+    assert got == resolvent_bounds(enum.e, cs, vh)
