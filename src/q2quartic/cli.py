@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -121,38 +122,38 @@ def _cmd_lmfdb_check(args) -> int:
     observed: dict = {}
     bad_rows = []
     try:
-        fh = open(args.csv, newline="")
-    except OSError as exc:
+        with open(args.csv, newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidParams(f"cannot read {args.csv!r}: {exc}") from None
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"e", "c", "galois_label"} <= set(reader.fieldnames):
-            print("lmfdb-check: csv must have columns e, c, galois_label", file=sys.stderr)
-            return 2
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                e = int(row["e"])
-                c = int(row["c"])
-                glabel = row["galois_label"].strip()
-            except (KeyError, TypeError, ValueError):
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or not {"e", "c", "galois_label"} <= set(reader.fieldnames):
+        print("lmfdb-check: csv must have columns e, c, galois_label", file=sys.stderr)
+        return 2
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            e = int(row["e"])
+            c = int(row["c"])
+            glabel = row["galois_label"].strip()
+        except (KeyError, TypeError, ValueError):
+            bad_rows.append(lineno)
+            continue
+        label = (row.get("label") or "").strip()
+        n = None
+        if label:
+            parts = label.split(".")
+            if len(parts) >= 2 and parts[1].isdigit():
+                n = int(parts[1])
+        if n is not None and n != 4:
+            continue
+        if glabel not in _LMFDB_GROUPS:
+            if n == 4:
                 bad_rows.append(lineno)
-                continue
-            label = (row.get("label") or "").strip()
-            n = None
-            if label:
-                parts = label.split(".")
-                if len(parts) >= 2 and parts[1].isdigit():
-                    n = int(parts[1])
-            if n is not None and n != 4:
-                continue
-            if glabel not in _LMFDB_GROUPS:
-                if n == 4:
-                    bad_rows.append(lineno)
-                continue
-            if e != 4:
-                continue  # not totally ramified quartic
-            g = _LMFDB_GROUPS[glabel]
-            observed[(c, g)] = observed.get((c, g), 0) + 1
+            continue
+        if e != 4:
+            continue  # not totally ramified quartic
+        g = _LMFDB_GROUPS[glabel]
+        observed[(c, g)] = observed.get((c, g), 0) + 1
     for lineno in bad_rows:
         print(f"lmfdb-check: skipping malformed row at line {lineno}", file=sys.stderr)
     mismatches = 0

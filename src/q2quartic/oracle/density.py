@@ -14,8 +14,9 @@ for the last two, from the square class of its discriminant:
   different, m = v_L(f'(pi)) = min(4 v1, 4(v2+e)+1, 4 v3+2, 8e+3), whose
   terms differ mod 4 so the minimum is attained once; ``bound``, the least
   perturbation of the discriminant monomials under the node's undecided
-  digits, certifies it for every member once m < bound, and with 2e+1
-  digits of headroom the square class of disc is constant as well.
+  digits (``disc_bound``), certifies it for every member once m < bound,
+  and with 2e+1 digits of headroom the square class of disc is constant as
+  well.
 * Krasner certificate: with delta = min_i(4 c_i + i), the valuation any
   member's value perturbation can have at a root, and D the largest root
   distance of the representative (read off the Newton polygon of
@@ -29,8 +30,10 @@ for the last two, from the square class of its discriminant:
   disc * (w^2 - 4 a0) for the unique root w of the resolvent cubic; w is
   pinned by a Hensel window, so stability follows from coefficient-level
   perturbation bounds far shallower than the Krasner depth.  The window's
-  resolvent-coefficient bounds come from the disc bound's perturbation
-  table (``_bound_table``), built from the resolvent's monomials.
+  resolvent-coefficient bounds (``r0_bound``, ``r1_bound``, ``r2_bound``)
+  are built like the disc bound, from the resolvent's monomials.  All four
+  bound functions live in :mod:`q2quartic.padic._compiled`, straight-line
+  code generated from ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS``.
 * coset certificate: a quadratic K(sqrt(d)) lies in a C4 extension iff the
   Hilbert symbol (d, -1) is 1 (Serre, Local Fields, ch. XIV).  Square
   classes are F_2-coordinate vectors (:mod:`q2quartic.padic.field`), so
@@ -76,6 +79,12 @@ is filled exactly when sum n q^(top-d) = q^(top-5); the cell measures
 returned.  ``leaves``, ``pruned`` and the root-count cross-checks in the
 metadata count the enumerated root only; ``leaves_krasner``,
 ``leaves_tower`` and ``leaves_coset`` split ``leaves`` by certificate.
+The ``splits_*`` counts split the enumerated root's inner nodes by the
+reason each was refined: ``unpinned`` (v(disc) not certified yet),
+``one_aut`` (a member may still fit the 1-Aut pattern), ``headroom``
+(k = bound - m below 2e+1 and no coset certificate) and ``window`` (the
+resolvent root is not pinned).  Each split node has q children, so
+(q - 1) * sum(splits) + 1 = leaves + pruned.
 
 Parallel split.  With jobs > 1 the parent expands the tree breadth-first
 until at least 16 nodes per worker are open, then hands them out one at a
@@ -83,8 +92,9 @@ time (``imap_unordered``, chunksize 1), so a worker that finishes a small
 subtree takes the next open node.  Workers are forked after the
 enumerator is built and inherit it, so fields without a spec file run in
 parallel too.  Each task returns the tally of its subtree, its
-cross-check count and its leaves per certificate, which the parent adds
-to its own.  ``jobs`` is clamped to the cores this process may use.
+cross-check count, its leaves per certificate and its splits per reason,
+which the parent adds to its own.  ``jobs`` is clamped to the cores this
+process may use.
 
 Cross-checks.  A leaf is re-classified by stem root counting when the hash
 of its digits is divisible by ``cross_check_every`` (1: every leaf, 0: none).
@@ -96,13 +106,12 @@ from __future__ import annotations
 import os
 from collections import Counter, deque
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 
 from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount
+from ..padic._compiled import disc_bound, r0_bound, r1_bound, r2_bound
 from ..padic.field import LocalField, ramified_quadratic
 from ..padic.quartic import (
-    _DISC_MONOMIALS,
-    _RESOLVENT_MONOMIALS,
     EisensteinQuartic,
     _poly_deriv,
     _poly_eval,
@@ -115,10 +124,6 @@ from ..padic.quartic import (
 )
 from ..params import GroupTag, MinusOneClass, aut_order
 from .tower import _norm_images
-
-
-def _v2(n: int) -> int:
-    return (n & -n).bit_length() - 1
 
 
 _INF = 10**9
@@ -173,43 +178,6 @@ def _minus_one_functional(K: LocalField) -> tuple[int, int]:
     return h, h_top
 
 
-@cache
-def _bound_table(monomials):
-    """Perturbation terms of a monomial table of the quartic layer under coefficient changes.
-
-    For each monomial k * prod a_j^alpha_j and each nonzero beta <= alpha the
-    binomial term k * prod C(alpha_j, beta_j) * a^(alpha-beta) * delta^beta
-    has valuation >= e*v2(k*prod C) + sum_j ((alpha_j-beta_j) vhat_j + beta_j c_j).
-    Entries dominated for every admissible (vhat, c) are discarded.  The
-    table holds v2(k*prod C) without the factor e, which scales every
-    constant alike and so keeps the same entries for every e >= 1; it is
-    built on first use and kept for the life of the process.
-    """
-    from itertools import product as iproduct
-    from math import comb
-
-    raw = []
-    for k, exps in monomials:
-        for beta in iproduct(*(range(a + 1) for a in exps)):
-            if not any(beta):
-                continue
-            c = abs(k)
-            for a, b in zip(exps, beta):
-                c *= comb(a, b)
-            const = _v2(c)
-            amb = tuple(a - b for a, b in zip(exps, beta))
-            raw.append((const, amb, beta))
-
-    def dominates(other, cand):
-        """Whether other's term is at most cand's for every vhat <= c."""
-        return other != cand and other[0] <= cand[0] and all(
-            oa + ob <= ca + cb and ob <= cb
-            for oa, ob, ca, cb in zip(other[1], other[2], cand[1], cand[2])
-        )
-
-    return tuple(cand for cand in raw if not any(dominates(o, cand) for o in raw))
-
-
 class _Enumerator:
     def __init__(self, field: LocalField, m_max: int, cross_check_every: int = 64):
         self.K = field
@@ -221,11 +189,7 @@ class _Enumerator:
         self.tally: Counter[tuple[tuple[int, GroupTag] | None, int]] = Counter()
         self.cross_checked = 0
         self.certified: Counter[str] = Counter()  # recorded leaves per certificate
-        e = self.e
-        self._disc_table, *self._resolvent_tables = (
-            [(const * e, amb, beta) for const, amb, beta in _bound_table(monomials)]
-            for monomials in (_DISC_MONOMIALS, *_RESOLVENT_MONOMIALS)
-        )
+        self.splits: Counter[str] = Counter()  # split nodes per reason
 
     # -- integer-only node analysis --------------------------------------
 
@@ -241,22 +205,6 @@ class _Enumerator:
         because the four terms differ mod 4."""
         e = self.e
         return min(4 * vrep[1], 4 * (vrep[2] + e) + 1, 4 * vrep[3] + 2, 8 * e + 3)
-
-    @staticmethod
-    def _bound(table, cs, vh):
-        """Least valuation of a perturbation term of ``table`` at the node."""
-        v0, v1, v2, v3 = vh
-        c0, c1, c2, c3 = cs
-        best = _INF
-        for const, amb, beta in table:
-            cand = (
-                const
-                + amb[0] * v0 + amb[1] * v1 + amb[2] * v2 + amb[3] * v3
-                + beta[0] * c0 + beta[1] * c1 + beta[2] * c2 + beta[3] * c3
-            )
-            if cand < best:
-                best = cand
-        return best
 
     def _distance_polygon_max(self, vrep):
         """12 D, D the largest root distance of the representative in stem
@@ -314,7 +262,7 @@ class _Enumerator:
             self._rep_val(digits[3]),
         )
         vh = tuple(min(v, c) for v, c in zip(vrep, cs))
-        bound = self._bound(self._disc_table, cs, vh)
+        bound = disc_bound(cs, vh, self.e)
         m_rep = self._ore_disc_val(vrep)
         if m_rep >= bound:
             m_rep = None  # not certified for every member yet
@@ -325,8 +273,10 @@ class _Enumerator:
         if 3 * delta > self._distance_polygon_max(vrep):
             self._krasner_leaf(digits)
             return None
-        in_h = isinstance(digits, _InH)
-        if m_rep is not None:
+        if m_rep is None:
+            in_h = isinstance(digits, _InH)
+            self.splits["unpinned"] += 1
+        else:
             in_h = self._tower_leaf(digits, cs, vrep, vh, m_rep, bound)
             if in_h is None:
                 return None
@@ -361,16 +311,19 @@ class _Enumerator:
 
     def _tower_leaf(self, digits, cs, vrep, vh, m, bound) -> bool | None:
         """Coset and tower certificates of a node with v(disc) = m pinned below
-        ``bound``: record it as a leaf and return None, or return whether every
-        member's disc class lies in H, which the children inherit."""
+        ``bound``: record it as a leaf and return None, or count the reason it
+        splits and return whether every member's disc class lies in H, which
+        the children inherit."""
         in_h = isinstance(digits, _InH)
         if not self._visibly_non_one_aut(vrep, m):
+            self.splits["one_aut"] += 1
             return in_h
         K, R, e = self.K, self.K.ring, self.e
         h, h_top = self._minus_one
         k = bound - m  # every member's disc lies in disc(rep) (1 + pi^k O)
         coset = h != 0 and not in_h and k > h_top
         if not coset and k < 2 * e + 1:
+            self.splits["headroom"] += 1
             return in_h
         fq = self._build(digits)
         reach = None  # first obstruction of the unit part of disc, once walked
@@ -384,13 +337,14 @@ class _Enumerator:
                 return None
             in_h = True
             if k < 2 * e + 1:
+                self.splits["headroom"] += 1
                 return in_h
         square = K.is_square(fq.disc) if reach is None else m % 2 == 0 and reach == 2 * e + 1
         if square:
             self._certify((m, GroupTag.V4), fq, digits, "tower")
             return None
         # resolvent-root windows for the C4/D4 split
-        b_r0, b_r1, b_r2 = (self._bound(t, cs, vh) for t in self._resolvent_tables)
+        b_r0, b_r1, b_r2 = r0_bound(cs, vh, e), r1_bound(cs, vh, e), r2_bound(cs, vh, e)
         rescubic = resolvent_cubic(fq)
 
         def window(w, W):
@@ -413,6 +367,7 @@ class _Enumerator:
 
         g = _resolvent_split(fq, rescubic, window)
         if g is None:
+            self.splits["window"] += 1
             return in_h
         self._certify((m, g), fq, digits, "tower")
         return None
@@ -478,9 +433,10 @@ _WORKER_STATE = {}
 def _worker_run(node):
     """Pool task: enumerate the subtree under one open node; return its tally."""
     enum = _WORKER_STATE["enum"]
-    enum.tally, enum.cross_checked, enum.certified = Counter(), 0, Counter()
+    enum.tally, enum.cross_checked = Counter(), 0
+    enum.certified, enum.splits = Counter(), Counter()
     enum.run([node])
-    return enum.tally, enum.cross_checked, enum.certified
+    return enum.tally, enum.cross_checked, enum.certified, enum.splits
 
 
 def _run_pool(enum: _Enumerator, root, jobs: int) -> int:
@@ -494,12 +450,13 @@ def _run_pool(enum: _Enumerator, root, jobs: int) -> int:
     _WORKER_STATE["enum"] = enum
     try:
         with get_context("fork").Pool(jobs) as pool:
-            for tally, checked, certified in pool.imap_unordered(
+            for tally, checked, certified, splits in pool.imap_unordered(
                 _worker_run, frontier, chunksize=1
             ):
                 enum.tally.update(tally)
                 enum.cross_checked += checked
                 enum.certified.update(certified)
+                enum.splits.update(splits)
     finally:
         _WORKER_STATE.clear()
     return jobs
@@ -536,6 +493,7 @@ def density_measures(
         "max_depth": top,
         "m_max": m_max,
         **{f"leaves_{c}": enum.certified[c] for c in ("krasner", "tower", "coset")},
+        **{f"splits_{r}": enum.splits[r] for r in ("unpinned", "one_aut", "headroom", "window")},
         "root_count_cross_checks": enum.cross_checked,
         "root_orbit": orbit,
         "jobs": jobs,

@@ -13,8 +13,12 @@ the stem uniformiser, branches close via the simple-root (Hensel)
 certificate, and f is separable so every branch terminates.
 
 The monomial tables ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS`` are
-evaluated by ``_eval_tables`` and turned into perturbation bounds by the
-density oracle; ``_taylor_shift`` serves root refinement and f(Z + pi)/Z.
+the single source of the discriminant and the resolvent cubic: the
+generated module :mod:`._compiled` holds them as straight-line code, both
+their values in a ring (read by ``disc_raw`` and ``resolvent_cubic``) and
+the perturbation bounds the density oracle reads at each node.  After a
+table changes, regenerate that module with ``tests/helpers.py``.
+``_taylor_shift`` serves root refinement and f(Z + pi)/Z.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from functools import cached_property
 
 from ..errors import FormulationMismatch, PrecisionExhausted
 from ..params import GroupTag
+from . import _compiled
 from .field import LocalField
 from .rings import EisensteinStep, _check_eisenstein, eq_mod
 
@@ -83,30 +88,7 @@ class EisensteinQuartic:
 
 def disc_raw(field: LocalField, a0, a1, a2, a3):
     """Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0 as a raw element."""
-    return _eval_tables(field.ring, (a0, a1, a2, a3), (_DISC_MONOMIALS,))[0]
-
-
-def _eval_tables(R, coeffs, tables):
-    """The value at coeffs = (a0, a1, a2, a3) of each polynomial in ``tables``.
-
-    A table is a tuple of monomials (k, exps), k * prod a_i^exps_i.  The
-    powers a_i^n are grown on demand and shared by every table of the call.
-    """
-    mul = R.mul
-    powers = [[R.one, a] for a in coeffs]  # powers[i][n] = a_i^n
-    out = []
-    for table in tables:
-        total = R.zero
-        for k, exps in table:
-            t = None if abs(k) == 1 else R.from_int(abs(k))
-            for row, n in zip(powers, exps):
-                if n:
-                    while len(row) <= n:
-                        row.append(mul(row[-1], row[1]))
-                    t = row[n] if t is None else mul(t, row[n])
-            total = R.sub(total, t) if k < 0 else R.add(total, t)
-        out.append(total)
-    return out
+    return _compiled.disc(field.ring, a0, a1, a2, a3)
 
 
 def _disc_val(K: LocalField, disc) -> int:
@@ -293,7 +275,7 @@ def classify_quartic(fq: EisensteinQuartic):
 def resolvent_cubic(fq: EisensteinQuartic):
     """[r0, r1, r2, 1]: the cubic with roots t1 t2 + t3 t4 (etc.) for the roots t_i of f."""
     R = fq.field.ring
-    return [*_eval_tables(R, fq.coeffs(), _RESOLVENT_MONOMIALS), R.one]
+    return [*_compiled.resolvent(R, *fq.coeffs()), R.one]
 
 
 def _poly_eval(R, coeffs, x):

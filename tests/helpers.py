@@ -11,12 +11,28 @@ test, not a second code path of the package.
 polygon of its deformation cubic; it is the reference the tests hold the
 density oracle's integer-only ``_distance_polygon_max`` to.
 ``resolvent_bounds`` is the hand-derived reference for the resolvent
-coefficients' perturbation bounds that density reads from its tables.
+coefficients' perturbation bounds that density reads from
+:mod:`q2quartic.padic._compiled`.
+
+``eval_tables`` and ``bound_table`` read the quartic layer's monomial
+tables (``_DISC_MONOMIALS``, ``_RESOLVENT_MONOMIALS``) directly: the first
+evaluates them in a ring, the second lists their perturbation terms.  They
+are the references of :mod:`q2quartic.padic._compiled`, which
+``compiled_source`` writes from the same tables as straight-line code.
+Run this file to regenerate that module after a table changes:
+
+    PYTHONPATH=src python tests/helpers.py
 """
 
+import os
+import sys
 from fractions import Fraction
+from functools import cache
+from itertools import product
+from math import comb
 
 from q2quartic.errors import DivisionByNonUnit, PrecisionExhausted
+from q2quartic.padic import quartic
 from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
 from q2quartic.padic.rings import EisensteinStep
 from q2quartic.residue import ResidueField
@@ -385,3 +401,193 @@ class TupleEisensteinStep:
         return f"TupleEisensteinStep(n={self.n}, base={self.base!r})"
 
 
+# -- the quartic layer's monomial tables and their compiled form -------------
+
+COMPILED_PATH = os.path.join(os.path.dirname(quartic.__file__), "_compiled.py")
+REGENERATE = "PYTHONPATH=src python tests/helpers.py"
+
+# (function name, table) of each bound function of the compiled module
+BOUND_TABLES = (
+    ("disc_bound", quartic._DISC_MONOMIALS),
+    *zip(("r0_bound", "r1_bound", "r2_bound"), quartic._RESOLVENT_MONOMIALS),
+)
+
+
+def eval_tables(R, coeffs, tables):
+    """The value at coeffs = (a0, a1, a2, a3) of each polynomial in ``tables``.
+
+    A table is a tuple of monomials (k, exps), k * prod a_i^exps_i.  The
+    powers a_i^n are grown on demand and shared by every table of the call.
+    """
+    mul = R.mul
+    powers = [[R.one, a] for a in coeffs]  # powers[i][n] = a_i^n
+    out = []
+    for table in tables:
+        total = R.zero
+        for k, exps in table:
+            t = None if abs(k) == 1 else R.from_int(abs(k))
+            for row, n in zip(powers, exps):
+                if n:
+                    while len(row) <= n:
+                        row.append(mul(row[-1], row[1]))
+                    t = row[n] if t is None else mul(t, row[n])
+            total = R.sub(total, t) if k < 0 else R.add(total, t)
+        out.append(total)
+    return out
+
+
+def _v2(n: int) -> int:
+    return (n & -n).bit_length() - 1
+
+
+@cache
+def bound_table(monomials):
+    """Perturbation terms of a monomial table of the quartic layer under coefficient changes.
+
+    For each monomial k * prod a_j^alpha_j and each nonzero beta <= alpha the
+    binomial term k * prod C(alpha_j, beta_j) * a^(alpha-beta) * delta^beta
+    has valuation >= e*v2(k*prod C) + sum_j ((alpha_j-beta_j) vhat_j + beta_j c_j).
+    Entries dominated for every admissible (vhat, c) are discarded.  The
+    table holds v2(k*prod C) without the factor e, which scales every
+    constant alike and so keeps the same entries for every e >= 1.
+    """
+    raw = []
+    for k, exps in monomials:
+        for beta in product(*(range(a + 1) for a in exps)):
+            if not any(beta):
+                continue
+            c = abs(k)
+            for a, b in zip(exps, beta):
+                c *= comb(a, b)
+            amb = tuple(a - b for a, b in zip(exps, beta))
+            raw.append((_v2(c), amb, beta))
+
+    def dominates(other, cand):
+        """Whether other's term is at most cand's for every vhat <= c."""
+        return other != cand and other[0] <= cand[0] and all(
+            oa + ob <= ca + cb and ob <= cb
+            for oa, ob, ca, cb in zip(other[1], other[2], cand[1], cand[2])
+        )
+
+    return tuple(cand for cand in raw if not any(dominates(o, cand) for o in raw))
+
+
+def table_bound(monomials, cs, vh, e):
+    """Least valuation of a perturbation term of ``monomials`` at a node fixing
+    c_i digits of a_i with v(a_i) >= vh_i, by a scan of ``bound_table``."""
+    return min(
+        const * e + sum(a * v for a, v in zip(amb, vh)) + sum(b * c for b, c in zip(beta, cs))
+        for const, amb, beta in bound_table(monomials)
+    )
+
+
+_COMPILED_DOC = f'''"""Straight-line code for the quartic layer's monomial tables.
+
+Generated by ``tests/helpers.py`` from ``_DISC_MONOMIALS`` and
+``_RESOLVENT_MONOMIALS`` in :mod:`q2quartic.padic.quartic`; do not edit.
+After a table changes, regenerate it from the root of a checkout with
+
+    {REGENERATE}
+
+``disc`` and ``resolvent`` evaluate the tables in a ring R, each power
+a_i^n computed once and the monomials sharing a coefficient k summed
+before they are multiplied by it.  The bound functions take a density
+node fixing c_i digits of a_i with v(a_i) >= vh_i, and e = v_K(2); each is
+the least valuation of a perturbation term of its table: for a monomial
+k * prod a_j^alpha_j and 0 < beta <= alpha, the binomial term
+k * prod C(alpha_j, beta_j) a^(alpha-beta) delta^beta has valuation at
+least e v2(k prod C) + sum_j ((alpha_j - beta_j) vh_j + beta_j c_j).  Terms
+that another term bounds for every vh <= c are left out.
+"""'''
+
+
+def _power(i, n):
+    return f"a{i}" if n == 1 else f"a{i}_{n}"
+
+
+def _monomial(exps):
+    factors = [_power(i, n) for i, n in enumerate(exps) if n]
+    expr = factors[0]
+    for f in factors[1:]:
+        expr = f"mul({expr}, {f})"
+    return expr
+
+
+def _ring_function(name, tables, outs, doc):
+    """Source of ``name(R, a0, a1, a2, a3)``, returning the tables' values as ``outs``."""
+    body = []
+    for i in range(4):
+        for n in range(2, max(exps[i] for t in tables for _, exps in t) + 1):
+            body.append(f"{_power(i, n)} = mul({_power(i, n - 1)}, a{i})")
+    for out, table in zip(outs, tables):
+        groups: dict = {}  # k -> monomials with that coefficient, positive k first
+        for k, exps in sorted(table, key=lambda m: m[0] < 0):
+            groups.setdefault(k, []).append(_monomial(exps))
+        first = True
+        for k, monomials in groups.items():
+            term = monomials[0]
+            if len(monomials) > 1:
+                body.append(f"t = add({term}, {monomials[1]})")
+                body.extend(f"t = add(t, {m})" for m in monomials[2:])
+                term = "t"
+            if abs(k) != 1:
+                term = f"mul(c({abs(k)}), {term})"
+            if first:
+                body.append(f"{out} = {term}" if k > 0 else f"{out} = neg({term})")
+            else:
+                body.append(f"{out} = {'add' if k > 0 else 'sub'}({out}, {term})")
+            first = False
+    code = "\n".join(body)
+    ops = [op for op in ("mul", "add", "sub", "neg") if f"{op}(" in code]
+    head = [f"{', '.join(ops)} = {', '.join(f'R.{op}' for op in ops)}"]
+    if "c(" in code:
+        head.append("c = R.from_int")
+    return [
+        f"def {name}(R, a0, a1, a2, a3):",
+        f'    """{doc}"""',
+        *(f"    {line}" for line in head + body),
+        f"    return {', '.join(outs)}",
+    ]
+
+
+def _bound_term(const, amb, beta):
+    parts = [] if not const else ["e" if const == 1 else f"{const} * e"]
+    for letter, exps in (("v", amb), ("c", beta)):
+        parts += [f"{letter}{j}" if n == 1 else f"{n} * {letter}{j}" for j, n in enumerate(exps) if n]
+    return " + ".join(parts)
+
+
+def _bound_function(name, monomials):
+    terms = [_bound_term(*entry) for entry in bound_table(monomials)]
+    what = "the discriminant" if name == "disc_bound" else f"the resolvent's {name[:2]}"
+    lines = [
+        f"def {name}(cs, vh, e):",
+        f'    """Least valuation of a perturbation term of {what} at the node."""',
+        "    c0, c1, c2, c3 = cs",
+        "    v0, v1, v2, v3 = vh",
+    ]
+    if len(terms) == 1:
+        return [*lines, f"    return {terms[0]}"]
+    return [*lines, "    return min(", *(f"        {t}," for t in terms), "    )"]
+
+
+def compiled_source() -> str:
+    """The source of :mod:`q2quartic.padic._compiled`, written from the monomial tables."""
+    functions = [
+        _ring_function(
+            "disc", (quartic._DISC_MONOMIALS,), ("d",),
+            "Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0.",
+        ),
+        _ring_function(
+            "resolvent", quartic._RESOLVENT_MONOMIALS, ("r0", "r1", "r2"),
+            "(r0, r1, r2) of the resolvent cubic y^3 + r2 y^2 + r1 y + r0.",
+        ),
+        *(_bound_function(name, table) for name, table in BOUND_TABLES),
+    ]
+    return "\n\n\n".join([_COMPILED_DOC, *("\n".join(f) for f in functions)]) + "\n"
+
+
+if __name__ == "__main__":
+    with open(COMPILED_PATH, "wb") as fh:
+        fh.write(compiled_source().encode())
+    print(f"wrote {COMPILED_PATH}", file=sys.stderr)

@@ -165,18 +165,24 @@ def _cli_process(*argv):
         ["verify", "--field", "{missing}", "--m-max", "4"],
         ["verify", "--field", "{not_json}", "--m-max", "4"],
         ["lmfdb-check", "--csv", "{missing}", "--field", "{spec}"],
+        ["lmfdb-check", "--csv", "{not_utf8}", "--field", "{spec}"],
         ["verify", "--field", "{spec}", "--m-max", "4", "--cache", "{spec}"],
         ["verify", "--field", "{spec}", "--m-max", "4", "--cache", "{spec}/sub"],
     ],
     ids=["derive-missing", "derive-not-json", "verify-missing", "verify-not-json",
-         "lmfdb-missing-csv", "cache-is-file", "cache-under-file"],
+         "lmfdb-missing-csv", "lmfdb-not-utf8", "cache-is-file", "cache-under-file"],
 )
 def test_file_errors_exit_2_without_traceback(tmp_path, argv):
     spec = tmp_path / "q2.json"
     spec.write_text('{"f": 1, "e": 1}')
     not_json = tmp_path / "bad.json"
     not_json.write_text('{"f": 1,')
-    paths = {"spec": spec, "not_json": not_json, "missing": tmp_path / "missing.json"}
+    not_utf8 = tmp_path / "utf16.csv"
+    not_utf8.write_bytes(b"\xff\xfe" + "label,e,c,galois_label\n".encode("utf-16-le"))
+    paths = {
+        "spec": spec, "not_json": not_json, "not_utf8": not_utf8,
+        "missing": tmp_path / "missing.json",
+    }
     code, err = _cli_process(*(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith("error:")

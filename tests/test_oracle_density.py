@@ -19,7 +19,8 @@ from q2quartic.padic.field import field_from_spec, ramified_quadratic
 from q2quartic.params import GROUP_ORDER, aut_order
 
 _CERTIFICATES = ("leaves_krasner", "leaves_tower", "leaves_coset")
-_RUN_KEYS = ("leaves", "pruned", "max_depth", "root_count_cross_checks", *_CERTIFICATES)
+_SPLITS = ("splits_unpinned", "splits_one_aut", "splits_headroom", "splits_window")
+_RUN_KEYS = ("leaves", "pruned", "max_depth", "root_count_cross_checks", *_CERTIFICATES, *_SPLITS)
 
 # Q2 and the bases of the tower criteria 10 and 13: every class of -1
 _TOWER_BASES = [
@@ -128,6 +129,25 @@ def test_conservation_catches_a_lost_leaf(monkeypatch, Q2, walk):
     with pytest.raises(NonIntegralCount, match="enumeration lost measure"):
         walk(Q2)
     assert len(lost) == 1
+
+
+@pytest.mark.parametrize(
+    "spec, m_max",
+    [
+        ({"f": 1}, 11),
+        ({"f": 1, "eisenstein": [-2, 0, 1]}, 12),
+        ({"f": 2}, 8),
+        ({"f": 3}, 5),
+    ],
+    ids=["Q2", "sqrt2", "U2", "U3"],
+)
+def test_splits_by_reason_count_the_inner_nodes(spec, m_max):
+    # every split node has q children, so the enumerated root's terminal
+    # nodes number (q - 1) * (split nodes) + 1
+    K = field_from_spec(spec)
+    _, meta = density_measures(K, m_max, cross_check_every=0)
+    splits = sum(meta[k] for k in _SPLITS)
+    assert splits * (K.q - 1) + 1 == meta["leaves"] + meta["pruned"]
 
 
 @pytest.mark.parametrize("field, m_max", [("Q2", 11), ("U2", 6), ("K_sqrt2", 8)])

@@ -9,14 +9,26 @@ closure group is reached.
 from functools import lru_cache
 
 import pytest
-from helpers import resolvent_bounds, root_distances
+from helpers import (
+    BOUND_TABLES,
+    COMPILED_PATH,
+    REGENERATE,
+    compiled_source,
+    eval_tables,
+    resolvent_bounds,
+    root_distances,
+    table_bound,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from q2quartic.oracle.dedup import _DedupWalk, _has_root_in
 from q2quartic.oracle.density import _INF, _Enumerator, _root_nodes
+from q2quartic.padic import _compiled
 from q2quartic.padic.field import field_from_spec
 from q2quartic.padic.quartic import (
+    _DISC_MONOMIALS,
+    _RESOLVENT_MONOMIALS,
     EisensteinQuartic,
     classify_by_invariants,
     classify_quartic,
@@ -33,11 +45,13 @@ _SPECS = {
     "sqrt2": {"f": 1, "eisenstein": [-2, 0, 1]},
     "x^3-2": {"f": 1, "eisenstein": [-2, 0, 0, 1]},
 }
+# Q2(i), where -1 is a square, joins them for the parity lemma only
+_Q2I = {"Q2(i)": {"f": 1, "eisenstein": [2, 2, 1]}}
 
 
 @lru_cache(maxsize=None)
 def _field(name):
-    return field_from_spec(_SPECS[name])
+    return field_from_spec({**_SPECS, **_Q2I}[name])
 
 
 @lru_cache(maxsize=None)
@@ -217,5 +231,60 @@ def test_resolvent_bound_tables_match_hand_derived_bounds(name, cs, vs):
     hand-derived ones at every node shape with v(a0) = 1 and vh <= cs."""
     enum = _enumerator(name)
     vh = (1, *(min(v, c) for v, c in zip(vs, cs[1:])))
-    got = tuple(enum._bound(t, cs, vh) for t in enum._resolvent_tables)
+    bounds = (_compiled.r0_bound, _compiled.r1_bound, _compiled.r2_bound)
+    got = tuple(b(cs, vh, enum.e) for b in bounds)
     assert got == resolvent_bounds(enum.e, cs, vh)
+
+
+@st.composite
+def odd_disc_quartics(draw, names):
+    """A quartic whose coefficient valuations put Ore's minimum on 4(v2+e)+1:
+    v(a2) <= e, v(a1) > v(a2)+e and v(a3) >= v(a2)+e (None: zero)."""
+    K = _field(draw(st.sampled_from(names)))
+    e = K.e_abs
+    v2 = draw(st.integers(1, e))
+    v1 = draw(st.one_of(st.none(), st.integers(v2 + e + 1, 2 * e + 3)))
+    v3 = draw(st.one_of(st.none(), st.integers(v2 + e, 2 * e + 3)))
+    digits = [draw(_coefficient(K, v, 8 * e + 4)) for v in (1, v1, v2, v3)]
+    return EisensteinQuartic(K, *(K.ring.zero if d is None else K.from_digits(d) for d in digits))
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_disc_quartics((*_SPECS, *_Q2I)))
+def test_odd_disc_below_8e_plus_3_is_d4(fq):
+    # parity lemma: odd m < 8e+3 rules out S4/A4 (T_m needs m even), V4 (an
+    # odd valuation is not a square) and C4 (its odd m is 8e+3 only)
+    m = disc_valuation(fq)
+    assert m % 2 == 1 and m < 8 * fq.field.e_abs + 3
+    assert classify_quartic(fq) == (m, GroupTag.D4)
+
+
+def test_compiled_module_is_generated_from_the_tables():
+    with open(COMPILED_PATH, "rb") as fh:
+        checked_in = fh.read()
+    assert checked_in == compiled_source().encode(), (
+        f"{COMPILED_PATH} differs from the monomial tables; regenerate it with {REGENERATE}"
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.tuples(*[st.integers(0, 60)] * 4),
+    st.tuples(*[st.integers(0, 60)] * 4),
+)
+def test_compiled_bounds_match_table_scan(e, cs, vs):
+    vh = tuple(min(v, c) for v, c in zip(vs, cs))
+    for name, table in BOUND_TABLES:
+        assert getattr(_compiled, name)(cs, vh, e) == table_bound(table, cs, vh, e), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SPECS)), st.data())
+def test_compiled_disc_and_resolvent_match_table_evaluation(name, data):
+    K = _field(name)
+    digits = st.lists(st.integers(0, K.q - 1), max_size=8 * K.e_abs + 4)
+    coeffs = [K.from_digits(data.draw(digits)) for _ in range(4)]
+    R = K.ring
+    assert _compiled.disc(R, *coeffs) == eval_tables(R, coeffs, (_DISC_MONOMIALS,))[0]
+    assert list(_compiled.resolvent(R, *coeffs)) == eval_tables(R, coeffs, _RESOLVENT_MONOMIALS)
