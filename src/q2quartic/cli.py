@@ -247,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="density-oracle worker processes (at least 1; reduced to the number "
-        "of cores this process may run on)",
+        help="density-oracle processes, this one included: it forks jobs-1 workers "
+        "(at least 1; reduced to the number of cores this process may run on)",
     )
     sp.add_argument("--cache", default=None, help="cache directory for oracle results")
     sp.add_argument("--format", choices=["json", "table"], default="table")

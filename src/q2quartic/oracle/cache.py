@@ -11,7 +11,7 @@ from ..params import GroupTag
 
 # Bumped whenever an oracle's results or metadata change shape, so files
 # written by an older layout are never read back.
-ORACLE_SCHEMA = 5
+ORACLE_SCHEMA = 6
 
 
 def _cache_path(cache_dir: str, field, oracle: str, m_max) -> str:

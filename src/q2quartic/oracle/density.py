@@ -6,7 +6,7 @@ measures to field counts through the density relation
 
 A node of the refinement tree fixes the first c_i Teichmueller digits of
 each coefficient a_i (with the Eisenstein constraints built into the roots
-of the tree).  Four sound certificates drive the recursion, computed from
+of the tree).  Five sound certificates drive the recursion, computed from
 integer valuation data of the node's zero-extended representative and,
 for the last two, from the square class of its discriminant:
 
@@ -24,6 +24,15 @@ for the last two, from the square class of its discriminant:
   differ mod 4), the condition delta > 4D forces a perfect matching of
   roots between any two members, each within Krasner distance, so the node
   is constant on the full field-isomorphism class.
+* parity certificate: a node with v(disc) = m pinned, m odd and m < 8e+3,
+  is D4 for every member.  No member is S4 or A4: a quartic with one
+  automorphism lies in T_m, which needs m even.  None is V4: a disc of odd
+  valuation is not a square.  None is C4: by the conductor-discriminant
+  formula (Serre, Local Fields, ch. VI) a C4 extension with upper breaks
+  u1 <= u2 has m = 2(u2+1) + (u1+1), odd only when u1 = 2e, the break of
+  K(sqrt(pi u)); Hasse-Arf and the break relation of cyclic 2-power
+  extensions (ch. IV-V) then force u2 = 3e, so m = 8e+3.  The test needs
+  no square class and no resolvent root.
 * tower certificate: when every member visibly fails the one-automorphism
   valuation pattern, the classification only needs the square class of
   disc (V4 when square) and, for the C4/D4 split, the square class of
@@ -78,23 +87,33 @@ is filled exactly when sum n q^(top-d) = q^(top-5); the cell measures
 (numerators over q^top) are multiplied by q-1 only when they are
 returned.  ``leaves``, ``pruned`` and the root-count cross-checks in the
 metadata count the enumerated root only; ``leaves_krasner``,
-``leaves_tower`` and ``leaves_coset`` split ``leaves`` by certificate.
-The ``splits_*`` counts split the enumerated root's inner nodes by the
-reason each was refined: ``unpinned`` (v(disc) not certified yet),
+``leaves_parity``, ``leaves_tower`` and ``leaves_coset`` split ``leaves``
+by certificate.  The ``splits_*`` counts split the enumerated root's inner
+nodes by the reason each was refined: ``unpinned`` (v(disc) not certified yet),
 ``one_aut`` (a member may still fit the 1-Aut pattern), ``headroom``
 (k = bound - m below 2e+1 and no coset certificate) and ``window`` (the
 resolvent root is not pinned).  Each split node has q children, so
 (q - 1) * sum(splits) + 1 = leaves + pruned.
 
 Parallel split.  With jobs > 1 the parent expands the tree breadth-first
-until at least 16 nodes per worker are open, then hands them out one at a
-time (``imap_unordered``, chunksize 1), so a worker that finishes a small
-subtree takes the next open node.  Workers are forked after the
-enumerator is built and inherit it, so fields without a spec file run in
-parallel too.  Each task returns the tally of its subtree, its
-cross-check count, its leaves per certificate and its splits per reason,
-which the parent adds to its own.  ``jobs`` is clamped to the cores this
-process may use.
+until at least 16 nodes per process are open, writes their indices into
+one pipe as 4-byte records and forks jobs - 1 workers.  The parent and
+every worker take indices from that pipe until it is empty; a 4-byte read
+from a pipe is atomic, so each node goes to exactly one process, and a
+process that finishes a small subtree takes the next open node.  All the
+indices are written in one write before the fork, so the frontier is
+capped at PIPE_BUF / 4 records (1,024 on Linux), which an empty pipe
+always holds.  Workers inherit the enumerator, so fields without a spec
+file run in parallel too.  Each worker sends the tally, cross-check count,
+leaves per certificate and splits per reason of each of its subtrees back
+through a pipe of its own and exits; the parent runs its own subtrees on
+its own enumerator and adds the workers' results to it.  An exception
+raised in a worker is re-raised in the parent with its own class, a worker
+that ends without sending its result raises ``Q2QuarticError``, and every
+worker is reaped, and killed first if the split failed, before the call
+returns or raises.  A tree that closes before that many nodes are open is
+finished by the parent alone.  ``jobs`` counts the parent and is clamped to
+the cores this process may use.
 
 Cross-checks.  A leaf is re-classified by stem root counting when the hash
 of its digits is divisible by ``cross_check_every`` (1: every leaf, 0: none).
@@ -108,7 +127,7 @@ from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property
 
-from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount
+from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount, Q2QuarticError
 from ..padic._compiled import disc_bound, r0_bound, r1_bound, r2_bound
 from ..padic.field import LocalField, ramified_quadratic
 from ..padic.quartic import (
@@ -128,7 +147,8 @@ from .tower import _norm_images
 
 _INF = 10**9
 
-# The pool's parent opens this many nodes per worker before it hands them out.
+# The parent of a parallel split opens this many nodes per process before it
+# hands them out.
 _NODES_PER_JOB = 16
 
 
@@ -136,7 +156,7 @@ class _InH(tuple):
     """Node digits below a node whose members' disc classes all lie in H.
 
     A mark only: equal to, and hashing like, the plain tuple of the same
-    digits, so the tree, its sampling and its pool frontier are unchanged.
+    digits, so the tree, its sampling and its split frontier are unchanged.
     """
 
     __slots__ = ()
@@ -225,7 +245,7 @@ class _Enumerator:
     @cached_property
     def _minus_one(self):
         """(h, h_top) of ``_minus_one_functional``, computed when a node
-        first needs it (or before the pool forks), so dedup never pays for it."""
+        first needs it (or before the split forks), so dedup never pays for it."""
         return _minus_one_functional(self.K)
 
     # -- main loop ---------------------------------------------------------
@@ -310,15 +330,19 @@ class _Enumerator:
         self._certify(classify_by_invariants(fq), fq, digits, "krasner")
 
     def _tower_leaf(self, digits, cs, vrep, vh, m, bound) -> bool | None:
-        """Coset and tower certificates of a node with v(disc) = m pinned below
-        ``bound``: record it as a leaf and return None, or count the reason it
-        splits and return whether every member's disc class lies in H, which
-        the children inherit."""
+        """Parity, coset and tower certificates of a node with v(disc) = m
+        pinned below ``bound``: record it as a leaf and return None, or count
+        the reason it splits and return whether every member's disc class lies
+        in H, which the children inherit."""
+        e = self.e
+        if m & 1 and m < 8 * e + 3:
+            self._certify((m, GroupTag.D4), self._build(digits), digits, "parity")
+            return None
         in_h = isinstance(digits, _InH)
         if not self._visibly_non_one_aut(vrep, m):
             self.splits["one_aut"] += 1
             return in_h
-        K, R, e = self.K, self.K.ring, self.e
+        K, R = self.K, self.K.ring
         h, h_top = self._minus_one
         k = bound - m  # every member's disc lies in disc(rep) (1 + pi^k O)
         coset = h != 0 and not in_h and k > h_top
@@ -425,13 +449,13 @@ def _effective_jobs(jobs: int) -> int:
     return jobs
 
 
-# Filled by the parent before it forks the pool; each worker inherits a copy
-# and keeps it for the life of the pool.
+# The enumerator of a forked worker, set in the worker only: ``_worker_run``
+# keeps its one-argument form, which per-task tracing wraps by name.
 _WORKER_STATE = {}
 
 
 def _worker_run(node):
-    """Pool task: enumerate the subtree under one open node; return its tally."""
+    """Worker task: enumerate the subtree under one open node; return its tally."""
     enum = _WORKER_STATE["enum"]
     enum.tally, enum.cross_checked = Counter(), 0
     enum.certified, enum.splits = Counter(), Counter()
@@ -439,27 +463,95 @@ def _worker_run(node):
     return enum.tally, enum.cross_checked, enum.certified, enum.splits
 
 
-def _run_pool(enum: _Enumerator, root, jobs: int) -> int:
-    """Enumerate below ``root`` with ``jobs`` processes; return the processes used."""
-    from multiprocessing import get_context
+def _take(tasks: int):
+    """Yield the node indices read from the ``tasks`` pipe until it is empty.
 
-    frontier = enum.open_frontier([root], _NODES_PER_JOB * jobs)
-    if not frontier:
-        return 1
-    enum._minus_one  # computed before the fork, so the workers inherit it
-    _WORKER_STATE["enum"] = enum
+    The indices were written at once before any reader started, and each
+    read takes one 4-byte record, so every index goes to exactly one process.
+    """
+    while record := os.read(tasks, 4):
+        yield int.from_bytes(record, "little")
+
+
+def _work(enum: _Enumerator, frontier, tasks: int, out: int):
+    """Body of a forked worker: run the tasks it takes, send their results,
+    or the exception that stopped them, through ``out``, and exit."""
     try:
-        with get_context("fork").Pool(jobs) as pool:
-            for tally, checked, certified, splits in pool.imap_unordered(
-                _worker_run, frontier, chunksize=1
-            ):
-                enum.tally.update(tally)
-                enum.cross_checked += checked
-                enum.certified.update(certified)
-                enum.splits.update(splits)
+        import pickle
+
+        _WORKER_STATE["enum"] = enum
+        try:
+            sent = [_worker_run(frontier[i]) for i in _take(tasks)], None
+        except BaseException as exc:  # the parent re-raises it
+            sent = None, exc
+        blob = pickle.dumps(sent)
+        with open(out, "wb") as fh:
+            fh.write(blob)
     finally:
-        _WORKER_STATE.clear()
-    return jobs
+        os._exit(0)
+
+
+def _run_split(enum: _Enumerator, root, jobs: int) -> None:
+    """Enumerate below ``root`` in this process and ``jobs - 1`` forked workers."""
+    import pickle
+    import select
+
+    # every index is written before the fork in one write of at most PIPE_BUF
+    # bytes, which an empty pipe always holds; the last expansion of
+    # ``open_frontier`` may open q - 2 nodes beyond the width
+    width = min(_NODES_PER_JOB * jobs, select.PIPE_BUF // 4 - enum.q + 2)
+    frontier = enum.open_frontier([root], width)
+    if not frontier:  # the tree is finished
+        return
+    enum._minus_one  # computed before the fork, so the workers inherit it
+    tasks, w = os.pipe()
+    try:
+        os.set_blocking(w, False)  # a write that did not fit would raise, not hang
+        os.write(w, b"".join(i.to_bytes(4, "little") for i in range(len(frontier))))
+    finally:
+        os.close(w)
+    fds, workers, status, done = [tasks], [], {}, False
+    try:
+        for _ in range(jobs - 1):
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(enum, frontier, tasks, w)
+            finally:
+                os.close(w)  # the worker's copy is now the only write end
+            workers.append((pid, r))
+        for i in _take(tasks):
+            enum.run([frontier[i]])
+        blobs = []
+        for _, r in workers:
+            with open(r, "rb", closefd=False) as fh:
+                blobs.append(fh.read())  # until the worker exits
+        done = True
+    finally:
+        if not done:
+            import signal
+
+            for pid, _ in workers:
+                os.kill(pid, signal.SIGKILL)
+        for pid, _ in workers:
+            status[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        for fd in fds:
+            os.close(fd)
+    for (pid, _), blob in zip(workers, blobs):
+        if status[pid] or not blob:
+            raise Q2QuarticError(
+                f"density worker {pid} ended without sending its result (exit code {status[pid]})"
+            )
+        results, exc = pickle.loads(blob)
+        if exc is not None:
+            raise exc
+        for tally, checked, certified, splits in results:
+            enum.tally.update(tally)
+            enum.cross_checked += checked
+            enum.certified.update(certified)
+            enum.splits.update(splits)
 
 
 def density_measures(
@@ -478,7 +570,7 @@ def density_measures(
     root = _root_nodes(q)[0]
     enum = _Enumerator(field, m_max, cross_check_every)
     if jobs > 1:
-        jobs = _run_pool(enum, root, jobs)
+        _run_split(enum, root, jobs)
     else:
         enum.run([root])
     enum.check_conservation()
@@ -492,14 +584,14 @@ def density_measures(
         "pruned": pruned,
         "max_depth": top,
         "m_max": m_max,
-        **{f"leaves_{c}": enum.certified[c] for c in ("krasner", "tower", "coset")},
+        **{f"leaves_{c}": enum.certified[c] for c in ("krasner", "parity", "tower", "coset")},
         **{f"splits_{r}": enum.splits[r] for r in ("unpinned", "one_aut", "headroom", "window")},
         "root_count_cross_checks": enum.cross_checked,
         "root_orbit": orbit,
         "jobs": jobs,
         "certification": (
             "monomial disc bound + krasner delta>4D + resolvent windows"
-            " + D4 on disc cosets outside ker (., -1)"
+            " + D4 at odd m < 8e+3 + D4 on disc cosets outside ker (., -1)"
         ),
     }
     return measures, meta

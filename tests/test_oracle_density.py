@@ -1,11 +1,23 @@
 import logging
+import os
+import select
+import subprocess
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from q2quartic import counts as C
-from q2quartic.errors import ClassInstability, InvalidParams, NonIntegralCount
+from q2quartic.cli import run
+from q2quartic.errors import (
+    ClassInstability,
+    InvalidParams,
+    NonIntegralCount,
+    PrecisionExhausted,
+    Q2QuarticError,
+)
 from q2quartic.oracle import density as D
 from q2quartic.oracle.dedup import dedup_counts
 from q2quartic.oracle.density import density_counts, density_measures
@@ -15,10 +27,11 @@ from q2quartic.oracle.measure import (
     one_aut_measure,
     t_m_measure,
 )
+from q2quartic.oracle.verify import verify
 from q2quartic.padic.field import field_from_spec, ramified_quadratic
 from q2quartic.params import GROUP_ORDER, aut_order
 
-_CERTIFICATES = ("leaves_krasner", "leaves_tower", "leaves_coset")
+_CERTIFICATES = ("leaves_krasner", "leaves_parity", "leaves_tower", "leaves_coset")
 _SPLITS = ("splits_unpinned", "splits_one_aut", "splits_headroom", "splits_window")
 _RUN_KEYS = ("leaves", "pruned", "max_depth", "root_count_cross_checks", *_CERTIFICATES, *_SPLITS)
 
@@ -173,6 +186,155 @@ def test_density_jobs2_field_without_spec(Q2):
     parallel, meta = density_counts(E, 6, jobs=2)
     assert serial == parallel
     assert meta["jobs"] == min(2, D._available_cores())
+
+
+_TWO_CORES = pytest.mark.skipif(D._available_cores() < 2, reason="the split needs 2 cores")
+_WORKER_RUN = D._worker_run
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def worker_first(monkeypatch):
+    """Install ``task(node)`` as the split's worker task.  The parent's own
+    subtrees wait until the worker has taken a node, so the worker always
+    runs ``task`` at least once."""
+    r, w = os.pipe()
+    run = D._Enumerator.run
+
+    def worker_run(node):
+        os.write(w, b"!")
+        return worker_run.task(node)
+
+    def parent_run(self, roots):
+        select.select([r], [], [], 60)
+        run(self, roots)
+
+    def install(task):
+        worker_run.task = task
+        monkeypatch.setattr(D, "_worker_run", worker_run)
+        monkeypatch.setattr(D._Enumerator, "run", parent_run)
+
+    yield install
+    os.close(r)
+    os.close(w)
+
+
+@_TWO_CORES
+def test_split_reraises_a_worker_exception_with_its_class(worker_first, U2):
+    def exhausted(node):
+        raise PrecisionExhausted("the worker ran out of digits")
+
+    worker_first(exhausted)
+    with pytest.raises(PrecisionExhausted, match="the worker ran out of digits"):
+        density_counts(U2, 6, jobs=2)
+    _assert_no_child_left()
+
+
+@_TWO_CORES
+def test_verify_doubles_precision_on_a_worker_exception(worker_first, U2):
+    # verify retries a PrecisionExhausted from a worker at twice the precision
+    def exhausted_at_first(node):
+        if D._WORKER_STATE["enum"].K.precision == U2.precision:
+            raise PrecisionExhausted("the worker ran out of digits")
+        return _WORKER_RUN(node)
+
+    worker_first(exhausted_at_first)
+    report = verify(U2, 6, methods=("density",), jobs=2)
+    assert report.passed
+    assert report.meta["density"]["jobs"] == 2
+    _assert_no_child_left()
+
+
+@_TWO_CORES
+def test_split_raises_when_a_worker_dies(worker_first, U2, tmp_path, capsys):
+    worker_first(lambda node: os._exit(3))
+    with pytest.raises(Q2QuarticError, match=r"ended without sending its result \(exit code 3\)"):
+        density_counts(U2, 6, jobs=2)
+    _assert_no_child_left()
+    spec = tmp_path / "u2.json"
+    spec.write_text('{"f": 2}')
+    argv = ["verify", "--field", str(spec), "--m-max", "6", "--oracle", "density", "--jobs", "2"]
+    assert run(argv) == 4
+    err = capsys.readouterr().err
+    assert "ended without sending its result" in err and "Traceback" not in err
+    _assert_no_child_left()
+
+
+@_TWO_CORES
+def test_split_kills_its_workers_when_the_parent_fails(worker_first, monkeypatch, U2):
+    # the worker's first subtree would take 20 s; the parent's own one fails
+    slept = []
+
+    def slow_first(node):
+        if not slept:
+            slept.append(node)
+            time.sleep(20)
+        return _WORKER_RUN(node)
+
+    worker_first(slow_first)
+    waiting_run = D._Enumerator.run
+
+    def failing_run(self, roots):
+        waiting_run(self, roots)
+        raise PrecisionExhausted("the parent ran out of digits")
+
+    monkeypatch.setattr(D._Enumerator, "run", failing_run)
+    start = time.monotonic()
+    with pytest.raises(PrecisionExhausted, match="the parent ran out of digits"):
+        density_counts(U2, 6, jobs=2)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+@_TWO_CORES
+def test_split_frontier_fits_one_pipe_write(monkeypatch):
+    # asked for a million open nodes per process, the parent opens no more
+    # than one write into an empty pipe holds (PIPE_BUF bytes, 4 per node),
+    # and the split still completes; U(f=2) to m <= 10 is wide enough to
+    # reach that cap
+    K = field_from_spec({"f": 2})
+    serial = density_counts(K, 10, jobs=1)
+    opened = []
+    open_frontier = D._Enumerator.open_frontier
+
+    def recording(self, roots, width):
+        opened.append(open_frontier(self, roots, width))
+        return opened[-1]
+
+    monkeypatch.setattr(D, "_NODES_PER_JOB", 10**6)
+    monkeypatch.setattr(D._Enumerator, "open_frontier", recording)
+    counts, meta = density_counts(K, 10, jobs=2)
+    assert (counts, meta["leaves"]) == (serial[0], serial[1]["leaves"])
+    assert select.PIPE_BUF // 4 - K.q < len(opened[0]) <= select.PIPE_BUF // 4
+    _assert_no_child_left()
+
+
+@_TWO_CORES
+def test_split_does_not_import_multiprocessing():
+    # U(f=2) to m <= 6 is large enough to fork; the hook counts the forks
+    src = os.path.dirname(os.path.dirname(os.path.dirname(D.__file__)))
+    code = (
+        "import os, sys\n"
+        "from q2quartic.oracle.density import density_counts\n"
+        "from q2quartic.padic.field import field_from_spec\n"
+        "forks = []\n"
+        "os.register_at_fork(after_in_parent=lambda: forks.append(1))\n"
+        "counts, meta = density_counts(field_from_spec({'f': 2}), 6, jobs=2)\n"
+        "assert counts and forks == [1], forks\n"
+        "assert 'multiprocessing' not in sys.modules, sorted(sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_effective_jobs_clamped_to_cores(monkeypatch, caplog):
