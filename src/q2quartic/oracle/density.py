@@ -113,7 +113,8 @@ that ends without sending its result raises ``Q2QuarticError``, and every
 worker is reaped, and killed first if the split failed, before the call
 returns or raises.  A tree that closes before that many nodes are open is
 finished by the parent alone.  ``jobs`` counts the parent and is clamped to
-the cores this process may use.
+the cores this process may use; ``meta["jobs"]`` is the number of processes
+that ran, 1 when the tree closed before any fork.
 
 Cross-checks.  A leaf is re-classified by stem root counting when the hash
 of its digits is divisible by ``cross_check_every`` (1: every leaf, 0: none).
@@ -483,6 +484,8 @@ def _work(enum: _Enumerator, frontier, tasks: int, out: int):
         try:
             sent = [_worker_run(frontier[i]) for i in _take(tasks)], None
         except BaseException as exc:  # the parent re-raises it
+            for _ in _take(tasks):  # the other processes run out of work at once
+                pass
             sent = None, exc
         blob = pickle.dumps(sent)
         with open(out, "wb") as fh:
@@ -491,8 +494,9 @@ def _work(enum: _Enumerator, frontier, tasks: int, out: int):
         os._exit(0)
 
 
-def _run_split(enum: _Enumerator, root, jobs: int) -> None:
-    """Enumerate below ``root`` in this process and ``jobs - 1`` forked workers."""
+def _run_split(enum: _Enumerator, root, jobs: int) -> int:
+    """Enumerate below ``root`` in this process and ``jobs - 1`` forked
+    workers; return the number of processes that ran (1 if none forked)."""
     import pickle
     import select
 
@@ -502,7 +506,7 @@ def _run_split(enum: _Enumerator, root, jobs: int) -> None:
     width = min(_NODES_PER_JOB * jobs, select.PIPE_BUF // 4 - enum.q + 2)
     frontier = enum.open_frontier([root], width)
     if not frontier:  # the tree is finished
-        return
+        return 1
     enum._minus_one  # computed before the fork, so the workers inherit it
     tasks, w = os.pipe()
     try:
@@ -552,6 +556,7 @@ def _run_split(enum: _Enumerator, root, jobs: int) -> None:
             enum.cross_checked += checked
             enum.certified.update(certified)
             enum.splits.update(splits)
+    return jobs
 
 
 def density_measures(
@@ -570,7 +575,7 @@ def density_measures(
     root = _root_nodes(q)[0]
     enum = _Enumerator(field, m_max, cross_check_every)
     if jobs > 1:
-        _run_split(enum, root, jobs)
+        jobs = _run_split(enum, root, jobs)
     else:
         enum.run([root])
     enum.check_conservation()

@@ -90,10 +90,29 @@ def test_density_measures_against_one_aut_density(Q2):
         assert got == expect
 
 
-def test_density_jobs_parallel_matches_serial(Q2):
-    serial, _ = density_counts(Q2, 8, jobs=1)
-    parallel, _ = density_counts(Q2, 8, jobs=2)
+@pytest.fixture(scope="module")
+def U3():
+    return field_from_spec({"f": 3})
+
+
+def test_density_jobs_parallel_matches_serial(U2):
+    serial, _ = density_counts(U2, 8, jobs=1)
+    parallel, meta = density_counts(U2, 8, jobs=2)
     assert serial == parallel
+    assert meta["jobs"] == min(2, D._available_cores())
+
+
+def test_density_jobs2_closed_tree_does_not_fork(Q2, monkeypatch):
+    # the parity certificate closes Q2's tree before 32 nodes are open, so
+    # the parent finishes it alone and meta reports one process
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    serial, smeta = density_counts(Q2, 11, jobs=1)
+    parallel, pmeta = density_counts(Q2, 11, jobs=2)
+    assert serial == parallel
+    assert smeta == pmeta and pmeta["jobs"] == 1
 
 
 def test_root_orbit_symmetry_u2(U2):
@@ -163,7 +182,7 @@ def test_splits_by_reason_count_the_inner_nodes(spec, m_max):
     assert splits * (K.q - 1) + 1 == meta["leaves"] + meta["pruned"]
 
 
-@pytest.mark.parametrize("field, m_max", [("Q2", 11), ("U2", 6), ("K_sqrt2", 8)])
+@pytest.mark.parametrize("field, m_max", [("U3", 5), ("U2", 6), ("K_sqrt2", 8)])
 def test_density_jobs2_matches_serial(request, field, m_max):
     K = request.getfixturevalue(field)
     serial, smeta = density_counts(K, m_max, jobs=1)
@@ -224,13 +243,28 @@ def worker_first(monkeypatch):
 
 
 @_TWO_CORES
-def test_split_reraises_a_worker_exception_with_its_class(worker_first, U2):
+def test_split_reraises_a_worker_exception_with_its_class(worker_first, monkeypatch, U2):
+    # the failing worker empties the task pipe, so the parent, which takes
+    # 0.1 s a subtree here, stops after a subtree or two instead of running
+    # the rest of U(f=2)'s 34 open nodes
     def exhausted(node):
         raise PrecisionExhausted("the worker ran out of digits")
 
     worker_first(exhausted)
+    waiting_run = D._Enumerator.run
+    ran = []
+
+    def slow_run(self, roots):
+        waiting_run(self, roots)
+        ran.append(roots)
+        time.sleep(0.1)
+
+    monkeypatch.setattr(D._Enumerator, "run", slow_run)
+    start = time.monotonic()
     with pytest.raises(PrecisionExhausted, match="the worker ran out of digits"):
         density_counts(U2, 6, jobs=2)
+    assert len(ran) <= 3
+    assert time.monotonic() - start < 1.5
     _assert_no_child_left()
 
 
