@@ -179,7 +179,7 @@ _SWEEP_CHECKS = ("serre", "tower-identity", "c4-dual", "a4-total")
 
 
 def _cmd_sweep(args) -> int:
-    checks = args.check or list(_SWEEP_CHECKS)
+    checks = list(dict.fromkeys(args.check or _SWEEP_CHECKS))  # each check once, first-seen order
     failures = 0
     tuples = 0
     for params in valid_param_sweep(args.e_max, args.f_max):

@@ -93,24 +93,29 @@ def n_ext(params: FieldParams, m1: int) -> int:
     return _exact(num, 1, f"n_ext(m1={m1})")
 
 
-def n_c4(params: FieldParams, m1: int, m2: int) -> int:
-    """Number of quadratic L/E with v_E(d) = m2 making L/K cyclic quartic.
+def n_c4_row(params: FieldParams, m1: int) -> dict[int, int]:
+    """The non-zero N_C4(m1, m2) by m2: the number of quadratic L/E with v_E(d) = m2
+    making L/K cyclic quartic.
 
     E is any totally ramified C4-extendable quadratic with v_K(d_{E/K}) = m1;
     the answer depends on E only through m1.
     """
     q, e = params.q, params.e
     if m1 == 2 * e + 1 or (m1 % 2 == 0 and e < m1 <= 2 * e):
-        return 2 * q**e if m2 == m1 + 2 * e else 0
+        return {m1 + 2 * e: 2 * q**e}
     if m1 % 2 != 0 or not (2 <= m1 <= e):
-        return 0
-    if m2 == 3 * m1 - 2:
-        return q ** (m1 - 1)
-    if m2 % 2 == 0 and 3 * m1 <= m2 <= 4 * e - m1:
-        return _exact(q ** ((m1 + m2) // 4) - q ** ((m1 + m2 - 2) // 4), 1, "n_c4")
-    if m2 == 4 * e - m1 + 2:
-        return q**e
-    return 0
+        return {}
+    row = {3 * m1 - 2: q ** (m1 - 1)}
+    # q^((m1+m2)/4) - q^((m1+m2-2)/4) for even m2 in [3 m1, 4e - m1]: zero unless 4 | m1 + m2
+    for m2 in range(3 * m1, 4 * e - m1 + 1, 4):
+        row[m2] = q ** ((m1 + m2) // 4 - 1) * (q - 1)
+    row[4 * e - m1 + 2] = q**e
+    return row
+
+
+def n_c4(params: FieldParams, m1: int, m2: int) -> int:
+    """N_C4(m1, m2), the entry of :func:`n_c4_row` at m2."""
+    return n_c4_row(params, m1).get(m2, 0)
 
 
 def count_C4(params: FieldParams, m: int) -> int:
@@ -157,8 +162,8 @@ def count_C4_towers(params: FieldParams) -> list[int]:
     for m1 in list(range(2, 2 * e + 1, 2)) + [2 * e + 1]:
         n = n_ext(params, m1)
         if n:
-            for m in range(2 * m1, len(row)):
-                row[m] += n * n_c4(params, m1, m - 2 * m1)
+            for m2, c in n_c4_row(params, m1).items():
+                row[2 * m1 + m2] += n * c
     return row
 
 

@@ -14,6 +14,12 @@ density oracle's integer-only ``_distance_polygon_max`` to.
 coefficients' perturbation bounds that density reads from
 :mod:`q2quartic.padic._compiled`.
 
+The published closed forms of the masses (``mass_S4`` .. ``tower_mass``
+and the nine ``c4_mass_q*`` quantities) and the per-cell ``n_c4`` are the
+references of :mod:`q2quartic.masses` and :func:`q2quartic.counts.n_c4_row`,
+which evaluate the same formulas as one integer numerator over one integer
+denominator, and as the non-zero entries of one row.
+
 ``eval_tables`` and ``bound_table`` read the quartic layer's monomial
 tables (``_DISC_MONOMIALS``, ``_RESOLVENT_MONOMIALS``) directly: the first
 evaluates them in a ring, the second lists their perturbation terms.  They
@@ -31,10 +37,12 @@ from functools import cache
 from itertools import product
 from math import comb
 
+from q2quartic.counts import ind
 from q2quartic.errors import DivisionByNonUnit, PrecisionExhausted
 from q2quartic.padic import quartic
 from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
 from q2quartic.padic.rings import EisensteinStep
+from q2quartic.params import FieldParams, GroupTag, MinusOneClass
 from q2quartic.residue import ResidueField
 
 
@@ -399,6 +407,166 @@ class TupleEisensteinStep:
 
     def __repr__(self):
         return f"TupleEisensteinStep(n={self.n}, base={self.base!r})"
+
+
+# -- the published closed forms ------------------------------------------------
+
+
+def _qp(q: int, n: int) -> Fraction:
+    """q**n for an integer n of either sign, as an exact Fraction."""
+    return Fraction(q) ** n
+
+
+def mass_S4(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    if p.f % 2 == 0:
+        return Fraction(0)
+    return Fraction(q**3 + 1, q**3 + q**2 + q + 1) * (_qp(q, -3) - _qp(q, -4 * e - 3))
+
+
+def mass_A4(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    if p.f % 2 == 0:
+        return (
+            Fraction(1, 3)
+            * (q - 1)
+            * Fraction(q ** (4 * e) - 1, q**4 - 1)
+            * _qp(q, -4 * e - 3)
+            * (3 * q**3 + q**2 + q + 3)
+        )
+    return Fraction(1, 3) * Fraction(1, q**2 + 1) * (_qp(q, -2) - _qp(q, -4 * e - 2))
+
+
+def mass_V4(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    return Fraction(q - 1, 6) * (
+        _qp(q, -4 * e - 3) * Fraction(q ** (4 * e) - 1, q**4 - 1) * (3 * q**3 + q**2 + q + 3)
+        - 3 * _qp(q, -3 * e - 3) * Fraction(q ** (3 * e) - 1, q**3 - 1) * (q**2 + 1)
+    )
+
+
+# The nine quantities whose sum is the C4 mass; for Q_2 only the ninth is nonzero.
+
+def c4_mass_q1(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    return Fraction(1, 2) * Fraction(q - 1, q**7 - 1) * (1 - _qp(q, -7 * (e // 2)))
+
+
+def c4_mass_q2(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    return Fraction(1, 2) * _qp(q, -3 * e - 3) * (1 - _qp(q, -(e // 2)))
+
+
+def c4_mass_q3(p: FieldParams) -> Fraction:
+    q, e, d = p.q, p.e, p.d_minus_one
+    if not d < e:
+        return Fraction(0)
+    return Fraction(q - 1, q**5 - 1) * (
+        _qp(q, -5 * (e // 2) - e - 1) - _qp(q, (5 * d) // 2 - 6 * e - 1)
+    )
+
+
+def c4_mass_q4(p: FieldParams) -> Fraction:
+    q, e, d = p.q, p.e, p.d_minus_one
+    if d < 2:
+        return Fraction(0)
+    return Fraction(1, 2) * _qp(q, -6 * e + (5 * d) // 2 - 6) * (q - 2)
+
+
+def c4_mass_q5(p: FieldParams) -> Fraction:
+    q, e, d = p.q, p.e, p.d_minus_one
+    if d < 4:
+        return Fraction(0)
+    return (
+        Fraction(1, 2)
+        * Fraction(q - 1, q**5 - 1)
+        * (_qp(q, (5 * d) // 2 - 6 * e - 6) - _qp(q, -6 * e - 1))
+    )
+
+
+def c4_mass_q6(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    if e < 2:
+        return Fraction(0)
+    h = e // 2
+    inner = (
+        Fraction(q, q**7 - 1) * (_qp(q, 7 * h - 7) - 1) * (q**6 + q**4 + q**3 + q + 1)
+        + 1
+        + ind(e % 2 == 1) * (_qp(q, -2) + _qp(q, -3))
+    )
+    return Fraction(1, 2) * (q - 1) * _qp(q, -7 * h - 1) * inner
+
+
+def c4_mass_q7(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    if e < 2:
+        return Fraction(0)
+    return (
+        -Fraction(1, 2)
+        * Fraction((q - 1) * (q + 1), q**3 - 1)
+        * (_qp(q, -7) - _qp(q, -3 * e - 1))
+    )
+
+
+def c4_mass_q8(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    return -Fraction(1, 2) * _qp(q, -3 * e - 2) * (1 - _qp(q, -(e // 2)))
+
+
+def c4_mass_q9(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    if p.minus_one_class is MinusOneClass.SQUARE:
+        return _qp(q, -6 * e - 3)
+    if p.minus_one_class is MinusOneClass.RAMIFIED:
+        return Fraction(1, 2) * _qp(q, -6 * e - 3)
+    return Fraction(0)
+
+
+C4_MASS_QUANTITIES = (
+    c4_mass_q1,
+    c4_mass_q2,
+    c4_mass_q3,
+    c4_mass_q4,
+    c4_mass_q5,
+    c4_mass_q6,
+    c4_mass_q7,
+    c4_mass_q8,
+    c4_mass_q9,
+)
+
+
+def tower_mass(p: FieldParams) -> Fraction:
+    q, e = p.q, p.e
+    return Fraction(1, q**2 + q + 1) * (_qp(q, -3 * e - 3) + _qp(q, -3 * e - 1) + _qp(q, -2))
+
+
+def published_masses(p: FieldParams) -> dict:
+    """The five masses by group from the published forms; D4 is tower - C4 - 3 V4."""
+    v4 = mass_V4(p)
+    c4 = sum((fn(p) for fn in C4_MASS_QUANTITIES), Fraction(0))
+    return {
+        GroupTag.S4: mass_S4(p),
+        GroupTag.A4: mass_A4(p),
+        GroupTag.V4: v4,
+        GroupTag.C4: c4,
+        GroupTag.D4: tower_mass(p) - c4 - 3 * v4,
+    }
+
+
+def n_c4(p: FieldParams, m1: int, m2: int) -> int:
+    """N_C4(m1, m2), one cell at a time."""
+    q, e = p.q, p.e
+    if m1 == 2 * e + 1 or (m1 % 2 == 0 and e < m1 <= 2 * e):
+        return 2 * q**e if m2 == m1 + 2 * e else 0
+    if m1 % 2 != 0 or not (2 <= m1 <= e):
+        return 0
+    if m2 == 3 * m1 - 2:
+        return q ** (m1 - 1)
+    if m2 % 2 == 0 and 3 * m1 <= m2 <= 4 * e - m1:
+        return q ** ((m1 + m2) // 4) - q ** ((m1 + m2 - 2) // 4)
+    if m2 == 4 * e - m1 + 2:
+        return q**e
+    return 0
 
 
 # -- the quartic layer's monomial tables and their compiled form -------------

@@ -241,6 +241,13 @@ def test_sweep_cli(capsys):
     assert "formal" in out
 
 
+def test_sweep_repeated_check_runs_and_names_it_once(capsys):
+    argv = ["sweep", "--e-max", "1", "--f-max", "1"]
+    code, out = _run(capsys, [*argv, "--check", "serre", "--check", "c4-dual", "--check", "serre"])
+    assert code == 0
+    assert "checks=serre,c4-dual, failures=0" in out
+
+
 def test_budget_and_precision_exit_code_3(monkeypatch, tmp_path):
     import q2quartic.cli as cli
     from q2quartic.errors import BudgetExceeded

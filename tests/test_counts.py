@@ -85,6 +85,15 @@ def test_n_c4_examples():
     assert C.n_c4(Q2P, 3, 4) == 0
 
 
+def test_n_c4_row_holds_only_nonzero_entries():
+    p4 = make_params(4, 1, 2, MinusOneClass.RAMIFIED)
+    # 3 m1 - 2, then every fourth m2 from 3 m1 to 4e - m1, then 4e - m1 + 2
+    assert C.n_c4_row(p4, 2) == {4: 2, 6: 2, 10: 4, 14: 8, 16: 16}
+    assert C.n_c4_row(p4, 6) == {14: 32}  # e < m1 <= 2e: only m2 = m1 + 2e
+    assert C.n_c4_row(Q2P, 3) == {5: 4}  # m1 = 2e + 1
+    assert C.n_c4_row(p4, 3) == {}
+
+
 def test_C4_examples():
     assert C.count_C4(Q2P, 11) == 8
     assert C.count_C4(Q2P, 8) == 0

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
+from helpers import C4_MASS_QUANTITIES
+
 from q2quartic import masses as M
-from q2quartic.masses import C4_MASS_QUANTITIES
 from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, make_params, valid_param_sweep
 
 Q2P = make_params(1, 1, 2, MinusOneClass.RAMIFIED)

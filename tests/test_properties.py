@@ -6,6 +6,7 @@ that range.
 
 from fractions import Fraction
 
+from helpers import n_c4, published_masses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,3 +70,20 @@ def test_summed_masses_match_closed_forms_and_serre(p):
     for g in GROUP_ORDER:
         assert summed[g] == M.mass_closed_form(p, g), g
     assert sum(summed.values()) == Fraction(1, p.q**3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(valid_params(64, 12))
+def test_closed_masses_equal_published_forms(p):
+    assert dict(M.closed_masses(p)) == published_masses(p)
+
+
+@settings(max_examples=25, deadline=None)
+@given(valid_params(64, 12))
+def test_n_c4_row_equals_per_cell_form(p):
+    e = p.e
+    for m1 in range(-1, 2 * e + 3):
+        row = C.n_c4_row(p, m1)
+        assert 0 not in row.values(), m1
+        for m2 in range(-2, 8 * e + 6):
+            assert row.get(m2, 0) == n_c4(p, m1, m2), (m1, m2)
