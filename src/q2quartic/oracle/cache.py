@@ -3,6 +3,7 @@ and oracle schema."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 
@@ -22,7 +23,26 @@ def _cache_path(cache_dir: str, field, oracle: str, m_max) -> str:
     return os.path.join(cache_dir, name)
 
 
+def _key(field, oracle: str, m_max) -> dict:
+    """What a cache file is for; written into it and checked when it is read."""
+    return {
+        "oracle": oracle,
+        "m_max": m_max,
+        "field_hash": field.spec_hash(),
+        "version": __version__,
+        "schema": ORACLE_SCHEMA,
+    }
+
+
+def _warn(message, *args):
+    import logging  # deferred: its import costs a fifth of the package's
+
+    logging.getLogger(__name__).warning(message, *args)
+
+
 def load(cache_dir, field, oracle: str, m_max):
+    """The cached (counts, meta) of one oracle run, or None.  A file that
+    cannot be read, or was written for another key, is ignored with a warning."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, field, oracle, m_max)
@@ -31,35 +51,36 @@ def load(cache_dir, field, oracle: str, m_max):
     try:
         with open(path) as fh:
             blob = json.load(fh)
+        other = [k for k, v in _key(field, oracle, m_max).items() if blob[k] != v]
+        if other:
+            raise ValueError(f"written for another {', '.join(other)}")
         counts = {(int(m), GroupTag(g)): int(n) for m, g, n in blob["counts"]}
         meta = blob.get("meta", {})
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        import logging  # deferred: its import costs a fifth of the package's
-
-        logging.getLogger(__name__).warning(
-            "cache: ignoring unreadable %s (%s); recomputing", path, exc
-        )
+        _warn("cache: ignoring unreadable %s (%s); recomputing", path, exc)
         return None
     return counts, meta
 
 
 def store(cache_dir, field, oracle: str, m_max, counts, meta=None):
-    """Write one oracle result into the existing directory ``cache_dir``."""
+    """Write one oracle result into the existing directory ``cache_dir``.
+    A write that fails is logged as a warning and leaves no file behind."""
     if not cache_dir:
         return
     path = _cache_path(cache_dir, field, oracle, m_max)
     blob = {
-        "oracle": oracle,
-        "m_max": m_max,
-        "field_hash": field.spec_hash(),
-        "version": __version__,
-        "schema": ORACLE_SCHEMA,
+        **_key(field, oracle, m_max),
         "counts": [[m, g.value, n] for (m, g), n in sorted(
             counts.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
         )],
         "meta": meta or {},
     }
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(blob, fh, indent=1, sort_keys=True)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(blob, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        _warn("cache: cannot write %s (%s); result not cached", path, exc)

@@ -43,6 +43,14 @@ for the last two, from the square class of its discriminant:
   are built like the disc bound, from the resolvent's monomials.  All four
   bound functions live in :mod:`q2quartic.padic._compiled`, straight-line
   code generated from ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS``.
+  The search for w starts from the root found at the last tower node
+  (``hint``): neighbouring nodes' roots agree to about one digit, so Newton
+  from it, or from one residue step beyond it, nearly always reaches the
+  new root, and residue refinement from scratch runs only when it does
+  not.  A root so found is the only one in K: disc of the resolvent cubic
+  is disc f, not a square here, and a cubic with three roots in K has a
+  square disc.  Which root was found last depends on the order of the
+  walk, but the root found does not, so neither do the results.
 * coset certificate: a quadratic K(sqrt(d)) lies in a C4 extension iff the
   Hilbert symbol (d, -1) is 1 (Serre, Local Fields, ch. XIV).  Square
   classes are F_2-coordinate vectors (:mod:`q2quartic.padic.field`), so
@@ -118,7 +126,9 @@ that ran, 1 when the tree closed before any fork.
 
 Cross-checks.  A leaf is re-classified by stem root counting when the hash
 of its digits is divisible by ``cross_check_every`` (1: every leaf, 0: none).
-Hashes of int tuples do not depend on PYTHONHASHSEED or on ``jobs``.
+On such a node a resolvent root found from the hint is also searched for
+from scratch, which must find that root and no other.  Hashes of int tuples
+do not depend on PYTHONHASHSEED or on ``jobs``.
 """
 
 from __future__ import annotations
@@ -211,6 +221,7 @@ class _Enumerator:
         self.cross_checked = 0
         self.certified: Counter[str] = Counter()  # recorded leaves per certificate
         self.splits: Counter[str] = Counter()  # split nodes per reason
+        self.hint = None  # the last resolvent root found, where the next search starts
 
     # -- integer-only node analysis --------------------------------------
 
@@ -390,7 +401,7 @@ class _Enumerator:
             eta_W = min(dw + min(e + vw, dw), 2 * e + cs[0])
             return eta_W >= vW + 2 * e + 1
 
-        g = _resolvent_split(fq, rescubic, window)
+        g, self.hint = _resolvent_split(fq, rescubic, window, self.hint, self._sampled(digits))
         if g is None:
             self.splits["window"] += 1
             return in_h
@@ -406,6 +417,10 @@ class _Enumerator:
         if self._add_leaf(mg, fq, digits):
             self.certified[certificate] += 1
 
+    def _sampled(self, digits) -> bool:
+        """Whether the node's checks run: its digits hash to 0 mod ``cross_check_every``."""
+        return bool(self.cross_check_every) and hash(digits) % self.cross_check_every == 0
+
     def _add_leaf(self, mg, fq, digits) -> bool:
         """Add the node's measure to cell mg; False when m > m_max drops it."""
         m, g = mg
@@ -413,7 +428,7 @@ class _Enumerator:
         if m > self.m_max:
             self.tally[None, depth] += 1
             return False
-        if self.cross_check_every and hash(digits) % self.cross_check_every == 0:
+        if self._sampled(digits):
             full = classify_quartic(fq)
             self.cross_checked += 1
             if full != (m, g):

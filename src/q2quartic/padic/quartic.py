@@ -348,25 +348,94 @@ def _resolvent_root_target(e: int) -> int:
     return 24 * e + 32
 
 
-def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None):
-    """C4 or D4 for a quartic whose closure group is one of them.
+def _root_from_hint(K: LocalField, poly, hint, want_val: int):
+    """A root in O_K of the monic ``poly`` near ``hint``, refined to
+    v(p(root)) >= want_val, or None when no start near the hint is in a
+    Newton basin.
 
-    The resolvent cubic has a unique root w in K, the stem's quadratic
-    subfield is K(sqrt(W)) with W = w^2 - 4 a0, and the closure is cyclic
-    exactly when disc * W is a square.  None when ``window(w, W)`` is false.
+    Newton runs from h = ``hint`` when v(p(h)) > 2 v(p'(h)).  Otherwise one
+    residue step tries h + [t] pi^j, j = v(p(h)) - v(p'(h)) >= 1, for
+    t = 1 .. q-1 and refines from the first candidate that meets the same
+    condition.  None also when refinement leaves the basin.
     """
-    K = fq.field
     R = K.ring
-    roots = cubic_k_roots(K, rescubic, _resolvent_root_target(K.e_abs))
+    deriv = _poly_deriv(R, poly)
+
+    def vals(x):
+        return R.val(_poly_eval(R, poly, x)), R.val(_poly_eval(R, deriv, x))
+
+    def in_basin(vp, vd):
+        return vd is not None and (vp is None or vp > 2 * vd)
+
+    x = hint
+    vp, vd = vals(x)
+    if not in_basin(vp, vd):
+        if vd is None or vp - vd < 1:
+            return None
+        j = vp - vd
+        for t in range(1, K.q):
+            x = R.add(hint, K.digit_elt(t, j))
+            vp, vd = vals(x)
+            if in_basin(vp, vd):
+                break
+        else:
+            return None
+    try:
+        return _newton_refine(K, poly, x, want_val)
+    except PrecisionExhausted:
+        return None
+
+
+def _resolvent_root(K: LocalField, rescubic, hint=None, check=False):
+    """The unique root w in O_K of the resolvent cubic of a quartic f whose
+    disc is not a square, refined to v(R(w)) >= ``_resolvent_root_target``.
+
+    disc(R) = disc(f) is not a square, and a separable cubic has 0, 1 or 3
+    roots in K, 3 only when its disc is a square: a root found from
+    ``hint`` (``_root_from_hint``) is therefore the only one.  Without a
+    hint, or when the hint finds no root, ``cubic_k_roots`` searches from
+    scratch.  With ``check``, a hinted root w is searched for again, and
+    the search must find exactly one root w' with v(w - w') >= target -
+    v(R'(w)).  FormulationMismatch when a search finds a root count other
+    than one, or a checked w' too far from w.
+    """
+    target = _resolvent_root_target(K.e_abs)
+    w = None if hint is None else _root_from_hint(K, rescubic, hint, target)
+    if w is not None and not check:
+        return w
+    roots = cubic_k_roots(K, rescubic, target)
     if len(roots) != 1:
         raise FormulationMismatch(
             f"resolvent of a {{C4,D4}} quartic has {len(roots)} roots in K, expected 1"
         )
-    w = roots[0]
+    if w is None:
+        return roots[0]
+    R = K.ring
+    v_gap = R.val(R.sub(w, roots[0]))
+    v_rp = R.val(_poly_eval(R, _poly_deriv(R, rescubic), w))
+    if v_gap is not None and (v_rp is None or v_gap < target - v_rp):
+        raise FormulationMismatch(
+            f"resolvent root from the hint differs from the searched root at valuation {v_gap}"
+        )
+    return w
+
+
+def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None, hint=None, check=False):
+    """(C4 or D4, w) for a quartic whose closure group is one of them, w the
+    unique root of the resolvent cubic in K (``_resolvent_root``, which
+    ``hint`` and ``check`` are passed to).
+
+    The stem's quadratic subfield is K(sqrt(W)) with W = w^2 - 4 a0, and the
+    closure is cyclic exactly when disc * W is a square.  The group is None
+    when ``window(w, W)`` is false.
+    """
+    K = fq.field
+    R = K.ring
+    w = _resolvent_root(K, rescubic, hint, check)
     W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
     if window is not None and not window(w, W):
-        return None
-    return GroupTag.C4 if K.is_square(R.mul(fq.disc, W)) else GroupTag.D4
+        return None, w
+    return (GroupTag.C4 if K.is_square(R.mul(fq.disc, W)) else GroupTag.D4), w
 
 
 def classify_by_invariants(fq: EisensteinQuartic):
@@ -384,7 +453,7 @@ def classify_by_invariants(fq: EisensteinQuartic):
         return m, (GroupTag.A4 if square_disc else GroupTag.S4)
     if square_disc:
         return m, GroupTag.V4
-    return m, _resolvent_split(fq, resolvent_cubic(fq))
+    return m, _resolvent_split(fq, resolvent_cubic(fq))[0]
 
 
 def classify_tower_from_norm(K: LocalField, d, alpha_norm) -> GroupTag:

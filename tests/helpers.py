@@ -59,6 +59,30 @@ def quad_elt(E, x, y):
     return R.add(R.lift(x), R.mul(R.lift(y), theta))
 
 
+def cubic_disc(R, p):
+    """Discriminant of the monic cubic p = [a0, a1, a2, 1] as a raw element of R."""
+    a0, a1, a2, _ = p
+    mul, add, sub = R.mul, R.add, R.sub
+    i = R.from_int
+    t = sub(mul(mul(a2, a2), mul(a1, a1)), mul(i(4), mul(a1, mul(a1, a1))))
+    t = sub(t, mul(i(4), mul(mul(a2, mul(a2, a2)), a0)))
+    t = sub(t, mul(i(27), mul(a0, a0)))
+    return add(t, mul(i(18), mul(a2, mul(a1, a0))))
+
+
+# the six ramified quadratic extensions of Q2 cover every class of -1 and
+# every d-parity; with U(f=2) they are the bases density runs on to m <= 8e+3
+FULL_RANGE_DENSITY_SPECS = [
+    ({"f": 1, "eisenstein": [-2, 0, 1]}, "x^2-2"),
+    ({"f": 1, "eisenstein": [2, 0, 1]}, "x^2+2"),
+    ({"f": 1, "eisenstein": [-6, 0, 1]}, "x^2-6"),
+    ({"f": 1, "eisenstein": [6, 0, 1]}, "x^2+6"),
+    ({"f": 1, "eisenstein": [2, 2, 1]}, "Q2(i)"),
+    ({"f": 1, "eisenstein": [-2, -2, 1]}, "Q2(sqrt3)"),
+    ({"f": 2}, "unramified f=2"),
+]
+
+
 def newton_slopes(points):
     """Root valuations (slope, multiplicity) from the lower Newton polygon.
 

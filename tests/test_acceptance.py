@@ -7,7 +7,7 @@ lines; every tolerance is exact (integer or rational equality).
 import time
 from fractions import Fraction
 
-from helpers import quartic_from_ints
+from helpers import FULL_RANGE_DENSITY_SPECS, quartic_from_ints
 
 from q2quartic import counts as C
 from q2quartic import masses as M
@@ -261,17 +261,6 @@ def test_criterion_13_minus_one_classes_and_degree4_bases():
     dt = time.time() - t0
     assert dt < 60
     _report(13, f"-1 square/unramified and degree-4 bases: tower rows all m [{dt:.1f}s]")
-
-
-FULL_RANGE_DENSITY_SPECS = [
-    ({"f": 1, "eisenstein": [-2, 0, 1]}, "x^2-2"),
-    ({"f": 1, "eisenstein": [2, 0, 1]}, "x^2+2"),
-    ({"f": 1, "eisenstein": [-6, 0, 1]}, "x^2-6"),
-    ({"f": 1, "eisenstein": [6, 0, 1]}, "x^2+6"),
-    ({"f": 1, "eisenstein": [2, 2, 1]}, "Q2(i)"),
-    ({"f": 1, "eisenstein": [-2, -2, 1]}, "Q2(sqrt3)"),
-    ({"f": 2}, "unramified f=2"),
-]
 
 
 def test_criterion_14_density_full_range():

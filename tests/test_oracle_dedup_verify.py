@@ -130,6 +130,51 @@ def test_cache_key_separates_derived_fields(Q2, tmp_path):
     assert f"-s{cache.ORACLE_SCHEMA}.json" in path.name
 
 
+def test_cache_file_copied_under_another_fields_name_is_recomputed(Q2, K_sqrt2, tmp_path, caplog):
+    from q2quartic.oracle import cache
+
+    verify(Q2, 11, methods=("density",), cache_dir=str(tmp_path))
+    (q2_file,) = tmp_path.iterdir()
+    sqrt2_path = cache._cache_path(str(tmp_path), K_sqrt2, "density", 11)
+    q2_file.rename(sqrt2_path)
+    with caplog.at_level("WARNING", logger="q2quartic.oracle.cache"):
+        report = verify(K_sqrt2, 11, methods=("density",), cache_dir=str(tmp_path))
+    assert "written for another field_hash" in caplog.text
+    assert report.meta["cache"] == {"density": "miss"}
+    assert report.passed
+    assert json.loads(open(sqrt2_path).read())["field_hash"] == K_sqrt2.spec_hash()
+
+
+@pytest.mark.parametrize("key", ["oracle", "m_max", "field_hash", "version", "schema"])
+def test_cache_ignores_a_file_written_for_another_key(Q2, tmp_path, caplog, key):
+    from q2quartic.oracle import cache
+    from q2quartic.params import GroupTag
+
+    cache.store(str(tmp_path), Q2, "density", 4, {(4, GroupTag.S4): 1})
+    (path,) = tmp_path.iterdir()
+    blob = json.loads(path.read_text())
+    blob[key] = blob[key] + 1 if isinstance(blob[key], int) else blob[key] + "x"
+    path.write_text(json.dumps(blob))
+    with caplog.at_level("WARNING", logger="q2quartic.oracle.cache"):
+        assert cache.load(str(tmp_path), Q2, "density", 4) is None
+    assert f"written for another {key}" in caplog.text
+
+
+def test_cache_write_failure_is_a_warning(Q2, tmp_path, caplog, monkeypatch):
+    import errno
+    import os
+
+    def disk_full(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", disk_full)
+    with caplog.at_level("WARNING", logger="q2quartic.oracle.cache"):
+        report = verify(Q2, 11, methods=("density",), cache_dir=str(tmp_path))
+    assert "cannot write" in caplog.text
+    assert report.passed and report.meta["cache"] == {"density": "miss"}
+    assert list(tmp_path.iterdir()) == []  # the partial .tmp file is removed
+
+
 def test_verify_tower_only_scope(Q2):
     report = verify(Q2, 11, methods=("tower",))
     assert report.passed

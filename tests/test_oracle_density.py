@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from helpers import FULL_RANGE_DENSITY_SPECS
 
 from q2quartic import counts as C
 from q2quartic.cli import run
@@ -28,6 +29,7 @@ from q2quartic.oracle.measure import (
     t_m_measure,
 )
 from q2quartic.oracle.verify import verify
+from q2quartic.padic import quartic
 from q2quartic.padic.field import field_from_spec, ramified_quadratic
 from q2quartic.params import GROUP_ORDER, aut_order
 
@@ -93,6 +95,26 @@ def test_density_measures_against_one_aut_density(Q2):
 @pytest.fixture(scope="module")
 def U3():
     return field_from_spec({"f": 3})
+
+
+@pytest.mark.parametrize("spec", [s for s, _ in FULL_RANGE_DENSITY_SPECS],
+                         ids=[label for _, label in FULL_RANGE_DENSITY_SPECS])
+def test_density_without_resolvent_hints_is_unchanged(spec, monkeypatch):
+    # each resolvent root search starts from the last root found; searching
+    # every one from scratch must give the same rows and metadata
+    K = field_from_spec(spec)
+    hint, hits = quartic._root_from_hint, []
+
+    def counted(*args):
+        w = hint(*args)
+        hits.append(w is not None)
+        return w
+
+    monkeypatch.setattr(quartic, "_root_from_hint", counted)
+    hinted = density_counts(K)
+    assert any(hits)
+    monkeypatch.setattr(quartic, "_root_from_hint", lambda *args: None)
+    assert density_counts(K) == hinted
 
 
 def test_density_jobs_parallel_matches_serial(U2):

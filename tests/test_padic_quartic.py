@@ -5,7 +5,8 @@ import pytest
 import sympy
 from helpers import newton_slopes, quartic_from_ints, root_distances
 
-from q2quartic.errors import InvalidParams
+from q2quartic.errors import FormulationMismatch, InvalidParams
+from q2quartic.padic import quartic
 from q2quartic.padic.field import q2
 from q2quartic.padic.quartic import (
     _RESOLVENT_MONOMIALS,
@@ -177,6 +178,20 @@ def test_resolvent_root_and_subfield_witnesses(Q2):
     assert not Q2.is_square(R.mul(disc_raw(Q2, *fq.coeffs()), W))
     # its quadratic subfield is Q2(sqrt(-2))
     assert Q2.is_square(R.mul(W, Q2.from_int(-2)))
+
+
+def test_checked_hinted_resolvent_root_must_match_the_search(Q2, monkeypatch):
+    # density re-searches the hinted root on sampled nodes; a hinted root
+    # off the searched one by more than Hensel allows is a mismatch
+    fq = quartic_from_ints(Q2, 2, 0, -4, 0)
+    rescubic = resolvent_cubic(fq)
+    (w,) = cubic_k_roots(Q2, rescubic, quartic._resolvent_root_target(Q2.e_abs))
+    assert quartic._resolvent_root(Q2, rescubic, w, check=True) == w
+    far = Q2.ring.add(w, Q2.digit_elt(1, 1))
+    monkeypatch.setattr(quartic, "_root_from_hint", lambda *args: far)
+    assert quartic._resolvent_root(Q2, rescubic, w) == far  # unchecked, taken as found
+    with pytest.raises(FormulationMismatch, match="hint"):
+        quartic._resolvent_root(Q2, rescubic, w, check=True)
 
 
 def test_deformation_cubic_closed_coefficients(Q2):

@@ -14,12 +14,13 @@ from helpers import (
     COMPILED_PATH,
     REGENERATE,
     compiled_source,
+    cubic_disc,
     eval_tables,
     resolvent_bounds,
     root_distances,
     table_bound,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from q2quartic.oracle.dedup import _DedupWalk, _has_root_in
@@ -30,11 +31,19 @@ from q2quartic.padic.quartic import (
     _DISC_MONOMIALS,
     _RESOLVENT_MONOMIALS,
     EisensteinQuartic,
+    _poly_deriv,
+    _poly_eval,
+    _resolvent_root,
+    _resolvent_root_target,
+    _root_from_hint,
     classify_by_invariants,
     classify_quartic,
+    cubic_k_roots,
+    disc_raw,
     disc_valuation,
     in_Tm,
     in_Tm_domain,
+    resolvent_cubic,
     stem_ring,
 )
 from q2quartic.params import GroupTag
@@ -91,6 +100,49 @@ def eisenstein_quartics(draw, names, allow_zero):
 def test_classifiers_agree(case):
     _, fq, _ = case
     assert classify_quartic(fq) == classify_by_invariants(fq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eisenstein_quartics(("Q2", "sqrt2", "U2"), allow_zero=True))
+def test_resolvent_cubic_has_the_quartics_disc(case):
+    # a resolvent root found from a hint is the only one in K because
+    # disc(R) = disc(f), which its callers have found not to be a square
+    _, fq, _ = case
+    K = fq.field
+    assert disc_raw(K, *fq.coeffs()) == cubic_disc(K.ring, resolvent_cubic(fq))
+
+
+@settings(max_examples=200, deadline=None)
+@given(eisenstein_quartics(("Q2", "sqrt2", "U2"), allow_zero=True), st.data())
+def test_root_from_hint_agrees_with_the_search(case, data):
+    # from any start the hint helper gives up or finds the one root the
+    # search finds, to the accuracy Hensel allows; a start closer to that
+    # root than v(R'(w)) always finds it
+    _, fq, _ = case
+    K = fq.field
+    R = K.ring
+    assume(not K.is_square(fq.disc))
+    rescubic = resolvent_cubic(fq)
+    deriv = _poly_deriv(R, rescubic)
+    target = _resolvent_root_target(K.e_abs)
+    roots = cubic_k_roots(K, rescubic, target)
+    near = bool(roots) and data.draw(st.booleans(), label="start near the root")
+    if near:
+        k = data.draw(st.integers(1, target), label="level")
+        t = data.draw(st.integers(1, K.q - 1), label="digit")
+        start = R.add(roots[0], K.digit_elt(t, k))
+    else:
+        digits = st.lists(st.integers(0, K.q - 1), max_size=4 * K.e_abs + 4)
+        start = K.from_digits(data.draw(digits, label="start"))
+    w = _root_from_hint(K, rescubic, start, target)
+    if near and k > R.val(_poly_eval(R, deriv, roots[0])):
+        assert w is not None
+    if w is None:
+        return
+    assert len(roots) == 1
+    gap = R.val(R.sub(w, roots[0]))
+    assert gap is None or gap >= target - R.val(_poly_eval(R, deriv, w))
+    assert _resolvent_root(K, rescubic, start, check=True) == w
 
 
 def _vrep(vals):

@@ -19,6 +19,7 @@ depend on the working precision either.
 from functools import lru_cache
 
 import pytest
+from helpers import cubic_disc
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -233,16 +234,6 @@ def _cubic(K, recipe):
     ], a
 
 
-def _cubic_disc(R, p):
-    a0, a1, a2, _ = p
-    mul, add, sub = R.mul, R.add, R.sub
-    i = R.from_int
-    t = sub(mul(mul(a2, a2), mul(a1, a1)), mul(i(4), mul(a1, mul(a1, a1))))
-    t = sub(t, mul(i(4), mul(mul(a2, mul(a2, a2)), a0)))
-    t = sub(t, mul(i(27), mul(a0, a0)))
-    return add(t, mul(i(18), mul(a2, mul(a1, a0))))
-
-
 @settings(max_examples=80, deadline=None)
 @given(cubic_recipes(), st.integers(1, 40))
 def test_cubic_roots_reach_target_and_survive_precision_doubling(case, want):
@@ -250,7 +241,7 @@ def test_cubic_roots_reach_target_and_survive_precision_doubling(case, want):
     K = _field(name)
     R = K.ring
     p, a = _cubic(K, recipe)
-    vdisc = R.val(_cubic_disc(R, p))
+    vdisc = R.val(cubic_disc(R, p))
     # a separable cubic whose roots part within the search depth
     assume(vdisc is not None and vdisc <= 6 * K.e_abs + 6)
     want = want * K.e_abs
