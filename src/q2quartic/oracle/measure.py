@@ -22,6 +22,7 @@ from ..padic.quartic import (
     disc_valuation,
     in_Tm,
 )
+from ..padic.rings import eq_mod
 
 
 # measure_set refuses to enumerate more coefficient classes than this
@@ -119,7 +120,7 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
     q = field.q
     ring = field.ring
     depth = a + b + 1
-    solvable = _cubic_congruence(field)
+    targets_of = _cubic_congruence(field)
     count = 0
     for lead in range(1, q):
         for rest in _digit_tuples(q, depth - 2):
@@ -128,8 +129,8 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
             x0_ab = _power(ring, x0, a + b)
             for d2 in _digit_tuples(q, a + 1):
                 x2 = field.from_digits((0,) * b + d2)
-                mid = ring.mul(x2, x0_a)
+                targets = targets_of(ring.mul(x2, x0_a), x0_ab)
                 for t1 in range(1, q):
                     x1 = field.digit_elt(t1, a + b)
-                    count += solvable(x1, mid, x0_ab, depth)
+                    count += any(eq_mod(ring, x1, t, depth) for t in targets)
     return Fraction(count, q ** (3 * depth))

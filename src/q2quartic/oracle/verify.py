@@ -112,11 +112,12 @@ def verify(
 ) -> VerificationReport:
     """Run the requested oracles and compare them to the closed forms.
 
-    Mismatches become failing rows, not exceptions.  ``meta["tower"]`` and
-    ``meta["density"]`` hold those oracles' metadata.  With ``cache_dir``,
-    ``meta["cache"]`` maps each oracle run to "hit" or "miss".  No oracle, an
-    unknown one, a negative ``m_max`` or ``dedup_m_max``, or a ``cache_dir`` that
-    cannot be created raises InvalidParams before any oracle runs.
+    Mismatches become failing rows, not exceptions.  ``meta["tower"]``,
+    ``meta["density"]`` and ``meta["dedup"]`` hold those oracles' metadata.
+    With ``cache_dir``, ``meta["cache"]`` maps each oracle run to "hit" or
+    "miss".  No oracle, an unknown one, a negative ``m_max`` or
+    ``dedup_m_max``, or a ``cache_dir`` that cannot be created raises
+    InvalidParams before any oracle runs.
     """
     if not methods or not set(methods) <= set(_METHODS):
         raise InvalidParams(
@@ -152,7 +153,7 @@ def verify(
         rows.extend(_rows_from(params, "density", dc, m_max, set(GROUP_ORDER)))
     if "dedup" in methods:
         dmax = min(m_max, DEDUP_DEFAULT_M_MAX if dedup_m_max is None else dedup_m_max)
-        xc, _ = fetch("dedup", dmax, lambda K: (dedup_counts(K, dmax), None))
+        xc, meta["dedup"] = fetch("dedup", dmax, lambda K: dedup_counts(K, dmax))
         meta["dedup_m_max"] = dmax
         rows.extend(_rows_from(params, "dedup", xc, dmax, set(GROUP_ORDER)))
     rows.sort(key=lambda r: (_METHODS.index(r.method), r.m, r.group))

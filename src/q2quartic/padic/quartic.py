@@ -146,27 +146,28 @@ def is_one_aut(fq: EisensteinQuartic, m: int | None = None) -> bool:
     a0, a1, a2, a3 = fq.coeffs()
     base = a1 if m % 4 == 0 else a3
     mid = R.mul(a2, _power(R, a0, m // 12))
-    return not _cubic_congruence(K)(base, mid, _power(R, a0, k), k + 1)
+    targets = _cubic_congruence(K)(mid, _power(R, a0, k))
+    return not any(eq_mod(R, base, t, k + 1) for t in targets)
 
 
 def _cubic_congruence(K: LocalField):
-    """The test (base, mid, top, depth) -> whether base + [u] mid + [u]^3 top
-    = 0 mod pi^depth for some unit residue u, [u] its Teichmueller lift."""
+    """The map (mid, top) -> [-([u] mid + [u]^3 top) for each unit residue u],
+    [u] the Teichmueller lift: base + [u] mid + [u]^3 top = 0 mod pi^depth
+    for some u exactly when base is congruent mod pi^depth to one of them."""
     R = K.ring
-    units = [(R.teich(t), R.neg(R.teich(K.res.pow(t, 3)))) for t in range(1, K.q)]
+    units = [(R.teich(t), R.teich(K.res.pow(t, 3))) for t in range(1, K.q)]
 
-    def solvable(base, mid, top, depth: int) -> bool:
-        for u, neg_u3 in units:
-            if eq_mod(R, R.add(base, R.mul(u, mid)), R.mul(neg_u3, top), depth):
-                return True
-        return False
+    def targets(mid, top):
+        return [R.neg(R.add(R.mul(u, mid), R.mul(u3, top))) for u, u3 in units]
 
-    return solvable
+    return targets
 
 
 def _power(R, a, n: int):
-    out = R.one
-    for _ in range(n):
+    if n == 0:
+        return R.one
+    out = a
+    for _ in range(n - 1):
         out = R.mul(out, a)
     return out
 
@@ -212,10 +213,14 @@ def _simple_residue_roots(R, coeffs, depth_cap, search="root refinement"):
                 stack.append((_poly_shift_scale(R, poly, t), path + (t,)))
 
 
+def _ring_roots(L, coeffs):
+    """``_simple_residue_roots`` of a polynomial over the stem ring L of a quartic."""
+    return _simple_residue_roots(L, coeffs, 4 * (8 * L.base.e_abs + 3) + _PANAYI_DEPTH_SLACK)
+
+
 def _count_roots_in_ring(L, coeffs):
     """Number of roots in O_L of a polynomial over the stem ring L of a quartic."""
-    cap = 4 * (8 * L.base.e_abs + 3) + _PANAYI_DEPTH_SLACK
-    return sum(1 for _ in _simple_residue_roots(L, coeffs, cap))
+    return sum(1 for _ in _ring_roots(L, coeffs))
 
 
 def _poly_eval_res_deriv(res, coeffs, t):
@@ -229,13 +234,19 @@ def _poly_eval_res_deriv(res, coeffs, t):
 
 
 def _taylor_shift(R, poly, x):
-    """Coefficients of p(x + X) from those of p(X), by synthetic division by X - x."""
-    add, mul = R.add, R.mul
+    """Coefficients of p(x + X) from those of p(X), by synthetic division by X - x.
+
+    0 and 1 are the ints 0 and 1 in every ring: x = 0 leaves p as it is and
+    x = 1 needs additions only.
+    """
     c = list(poly)
+    if x == 0:
+        return c
+    add, mul, one = R.add, R.mul, x == 1
     n = len(c)
     for k in range(n - 1):
         for i in range(n - 2, k - 1, -1):
-            c[i] = add(c[i], mul(x, c[i + 1]))
+            c[i] = add(c[i], c[i + 1] if one else mul(x, c[i + 1]))
     return c
 
 
@@ -279,17 +290,21 @@ def resolvent_cubic(fq: EisensteinQuartic):
 
 
 def _poly_eval(R, coeffs, x):
-    """Horner evaluation over a ring or a residue field R."""
+    """Horner evaluation over a ring or a residue field R, where 1 is the int 1:
+    a running value 1 (the lead of a monic polynomial) is not multiplied by x."""
     acc = coeffs[-1]
     for c in coeffs[-2::-1]:
-        acc = R.add(R.mul(acc, x), c)
+        acc = R.add(x if acc == 1 else R.mul(acc, x), c)
     return acc
 
 
 def _poly_deriv(R, coeffs):
-    out = []
-    for i in range(1, len(coeffs)):
-        out.append(R.mul(R.from_int(i), coeffs[i]))
+    """Coefficients of p', with no multiplication by a factor 1: the linear
+    coefficient is copied and a coefficient 1 gives the int i itself."""
+    out = [coeffs[1]]
+    for i in range(2, len(coeffs)):
+        c = coeffs[i]
+        out.append(R.from_int(i) if c == 1 else R.mul(R.from_int(i), c))
     return out
 
 

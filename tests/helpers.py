@@ -70,6 +70,21 @@ def cubic_disc(R, p):
     return add(t, mul(i(18), mul(a2, mul(a1, a0))))
 
 
+# the paper's table of Q2: the number of fields per (m, g); every other (m, g) is zero
+Q2_TABLE = {
+    (4, GroupTag.S4): 1,
+    (6, GroupTag.A4): 1,
+    (6, GroupTag.D4): 2,
+    (8, GroupTag.S4): 2,
+    (8, GroupTag.V4): 4,
+    (8, GroupTag.D4): 2,
+    (9, GroupTag.D4): 8,
+    (10, GroupTag.D4): 8,
+    (11, GroupTag.C4): 8,
+    (11, GroupTag.D4): 12,
+}
+
+
 # the six ramified quadratic extensions of Q2 cover every class of -1 and
 # every d-parity; with U(f=2) they are the bases density runs on to m <= 8e+3
 FULL_RANGE_DENSITY_SPECS = [

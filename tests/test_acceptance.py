@@ -7,7 +7,7 @@ lines; every tolerance is exact (integer or rational equality).
 import time
 from fractions import Fraction
 
-from helpers import FULL_RANGE_DENSITY_SPECS, quartic_from_ints
+from helpers import FULL_RANGE_DENSITY_SPECS, Q2_TABLE, quartic_from_ints
 
 from q2quartic import counts as C
 from q2quartic import masses as M
@@ -20,19 +20,6 @@ from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, valid_param_s
 from q2quartic.residue import ResidueField, cubic_image_size, quad_root_count
 
 TOWER_GROUPS = (GroupTag.V4, GroupTag.C4, GroupTag.D4)
-
-Q2_TABLE = {
-    (4, GroupTag.S4): 1,
-    (6, GroupTag.A4): 1,
-    (6, GroupTag.D4): 2,
-    (8, GroupTag.S4): 2,
-    (8, GroupTag.V4): 4,
-    (8, GroupTag.D4): 2,
-    (9, GroupTag.D4): 8,
-    (10, GroupTag.D4): 8,
-    (11, GroupTag.C4): 8,
-    (11, GroupTag.D4): 12,
-}
 
 WITNESSES = [
     ((2, 2, 0, 0), 4, GroupTag.S4),

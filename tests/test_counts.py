@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from helpers import Q2_TABLE
 
 from q2quartic import counts as C
 from q2quartic.errors import NonIntegralCount
@@ -8,20 +9,6 @@ from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, make_params, 
 
 Q2P = make_params(1, 1, 2, MinusOneClass.RAMIFIED)
 F2P = make_params(1, 2, 2, MinusOneClass.RAMIFIED)
-
-# the full Q2 table; every other (m, g) is zero (acceptance criterion 1 formula side)
-Q2_TABLE = {
-    (4, GroupTag.S4): 1,
-    (6, GroupTag.A4): 1,
-    (6, GroupTag.D4): 2,
-    (8, GroupTag.S4): 2,
-    (8, GroupTag.V4): 4,
-    (8, GroupTag.D4): 2,
-    (9, GroupTag.D4): 8,
-    (10, GroupTag.D4): 8,
-    (11, GroupTag.C4): 8,
-    (11, GroupTag.D4): 12,
-}
 
 
 def test_exact_division_rejects_remainder_and_negative_quotient():

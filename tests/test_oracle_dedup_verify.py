@@ -2,26 +2,70 @@ import json
 import sys
 
 import pytest
-from helpers import quartic_from_ints
+from helpers import Q2_TABLE, quartic_from_ints
 
 from q2quartic import counts as C
-from q2quartic.errors import BudgetExceeded, InvalidParams
+from q2quartic.errors import BudgetExceeded, InvalidParams, NonIntegralCount
+from q2quartic.oracle import dedup as X
 from q2quartic.oracle.dedup import _has_root_in, dedup_counts
 from q2quartic.oracle.measure import measure_set
 from q2quartic.oracle.verify import verify
 from q2quartic.padic.quartic import stem_ring
-from q2quartic.params import GROUP_ORDER
+from q2quartic.params import GROUP_ORDER, GroupTag
 
 
-@pytest.mark.parametrize("field, m_max", [("Q2", 6), ("K_sqrt2", 8), ("U2", 7)])
+@pytest.mark.parametrize(
+    "field, m_max",
+    [("Q2", 6), ("K_sqrt2", 8), ("U2", 7), pytest.param("K_sqrt2", 10, marks=pytest.mark.slow)],
+)
 def test_dedup_counts_match_closed_forms(request, field, m_max):
     K = request.getfixturevalue(field)
     p = K.derive_params()
-    got = dedup_counts(K, m_max)
+    got, meta = dedup_counts(K, m_max)
     assert got and all(m <= m_max for m, _ in got)
     for m in range(m_max + 1):
         for g in GROUP_ORDER:
             assert got.get((m, g), 0) == C.count(p, m, g), (m, g)
+    # one classification per field, and none for a leaf a live field matches
+    assert meta["fields"] == meta["classified"] == sum(got.values())
+    assert meta["leaves"] >= meta["fields"] + meta["dropped"]
+
+
+def test_dedup_full_range_q2_is_the_paper_table(Q2):
+    counts, meta = dedup_counts(Q2, 11)
+    assert counts == Q2_TABLE
+    assert meta["fields"] == sum(Q2_TABLE.values())
+
+
+def test_ledger_catches_a_field_found_twice(monkeypatch, Q2):
+    # when no stem matches, each leaf starts a field of its own: every copy
+    # of a field with more than one leaf holds only part of its share
+    monkeypatch.setattr(X, "_has_root_in", lambda stem, fq: False)
+    with pytest.raises(NonIntegralCount, match="dedup ledger: .* left short"):
+        dedup_counts(Q2, 8)
+
+
+def test_ledger_catches_a_field_past_its_share(monkeypatch, Q2):
+    # a field labelled D4 has half the share of an S4 field: the S4 field's
+    # leaves overfill it
+    classify = X.classify_quartic
+    monkeypatch.setattr(X, "classify_quartic", lambda fq: (classify(fq)[0], GroupTag.D4))
+    with pytest.raises(NonIntegralCount, match="dedup ledger: .* overfilled"):
+        dedup_counts(Q2, 8)
+
+
+def test_every_stem_matching_gives_no_wrong_table(monkeypatch, Q2):
+    # when every stem matches, each bucket has one live field at a time and
+    # the leaves fill it in walk order until it is exactly full.  A bucket's
+    # fields share m and the square class of disc, so equal shares mean equal
+    # groups, and on Q2 the runs fill whole shares: the ledger holds and the
+    # table is still right.  It must never be wrong without the ledger raising.
+    monkeypatch.setattr(X, "_has_root_in", lambda stem, fq: True)
+    try:
+        counts, _ = dedup_counts(Q2, 11)
+    except NonIntegralCount:
+        return
+    assert counts == Q2_TABLE
 
 
 def test_measure_set_budget_guard(Q2):
@@ -90,6 +134,9 @@ def test_verify_q2_all_oracles(Q2, tmp_path):
     assert len(density_rows) == 10  # ten nonzero rows for Q2
     tower_rows = [r for r in report.rows if r.method == "tower"]
     assert {r.group for r in tower_rows} <= {"V4", "C4", "D4"}
+    # dedup to m <= 6 finds the four fields S4 at 4, A4 and two D4 at 6
+    assert report.meta["dedup_m_max"] == 6
+    assert report.meta["dedup"]["fields"] == report.meta["dedup"]["classified"] == 4
     # report serialises deterministically and the cache round-trips
     blob = json.loads(report.to_json())
     assert blob["passed"] is True

@@ -31,6 +31,7 @@ from q2quartic.padic.quartic import (
     _DISC_MONOMIALS,
     _RESOLVENT_MONOMIALS,
     EisensteinQuartic,
+    _count_roots_in_ring,
     _poly_deriv,
     _poly_eval,
     _resolvent_root,
@@ -215,10 +216,14 @@ def _krasner_leaves(name):
 
 
 @lru_cache(maxsize=None)
-def _leaf_stem(name, index):
+def _leaf_quartic(name, index):
     K = _field(name)
-    digits = _krasner_leaves(name)[index]
-    return stem_ring(EisensteinQuartic(K, *(K.from_digits(d) for d in digits)))
+    return EisensteinQuartic(K, *(K.from_digits(d) for d in _krasner_leaves(name)[index]))
+
+
+@lru_cache(maxsize=None)
+def _leaf_stem(name, index):
+    return stem_ring(_leaf_quartic(name, index))
 
 
 @settings(max_examples=150, deadline=None)
@@ -235,6 +240,21 @@ def test_krasner_leaf_members_share_the_stem_field(name, data):
         for d in leaves[index]
     ))
     assert _has_root_in(_leaf_stem(name, index), member)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("Q2", "sqrt2")), st.data())
+def test_first_root_test_agrees_with_the_root_count(name, data):
+    # _has_root_in stops at the first root it finds; it must still say what
+    # the full count says.  Neighbouring leaves often share a field, so the
+    # stem is drawn near the leaf as often as anywhere.
+    n = len(_krasner_leaves(name))
+    i = data.draw(st.integers(0, n - 1), label="leaf")
+    near = st.integers(max(0, i - 2), min(n - 1, i + 2))
+    j = data.draw(st.one_of(near, st.integers(0, n - 1)), label="stem")
+    fq, stem = _leaf_quartic(name, i), _leaf_stem(name, j)
+    coeffs = [*(stem.lift(c) for c in fq.coeffs()), stem.one]
+    assert _has_root_in(stem, fq) == (_count_roots_in_ring(stem, coeffs) > 0)
 
 
 @lru_cache(maxsize=None)
