@@ -1,11 +1,12 @@
 """Dedup oracle: count isomorphism classes directly.
 
-Walks the refinement tree of the density oracle from its root t = 1 with
-only the disc-prune and Krasner certificates (see :mod:`.density`): every
-member of a Krasner leaf generates the field of the leaf's representative,
-and the root orbit keeps the stem field, so the representatives of the
-leaves with m <= m_max meet every field with m <= m_max.  f and g define
-isomorphic quartic extensions iff g has a root in the stem K[X]/(f).
+Walks the refinement tree of the density oracle from its root t = 1
+(``_ROOT``) with only the disc-prune and Krasner certificates (see
+:mod:`.density`): every member of a Krasner leaf generates the field of the
+leaf's representative, and the root orbit keeps the stem field, so the
+representatives of the leaves with m <= m_max meet every field with
+m <= m_max.  f and g define isomorphic quartic extensions iff g has a root
+in the stem K[X]/(f).
 
 Fields.  The walk keeps the fields it has found, each with its (m, G),
 its stem ring, the measure of its leaves so far and its share (below).
@@ -34,6 +35,13 @@ its share, or NonIntegralCount is raised.  A wrong match in either
 direction (a leaf given to a field not its own, or a field found twice)
 overfills one field or leaves one short, so the ledger catches it.
 
+Cross-check.  Every leaf is recorded through density's ``_add_leaf``, so
+one leaf in ``cross_check_every`` (64) is classified afresh by root
+counting and must agree with the (m, G) of the field it was matched to.
+The walk's counts (``leaves``, ``dropped``, ``stem_tests``, ``classified``,
+``root_count_cross_checks``) share density's ``stats`` counter and go into
+the metadata.
+
 This is the slowest oracle and the arbiter when the density and formula
 counts disagree.
 """
@@ -53,7 +61,7 @@ from ..padic.quartic import (
     stem_ring,
 )
 from ..params import GroupTag, aut_order
-from .density import _Enumerator, _root_nodes
+from .density import _ROOT, _Enumerator
 
 
 def _has_root_in(stem, fq: EisensteinQuartic) -> bool:
@@ -84,12 +92,10 @@ class _DedupWalk(_Enumerator):
     """The density tree with the tower certificate off: every leaf is a Krasner leaf."""
 
     def __init__(self, field: LocalField, m_max: int):
-        # a leaf is classified by root counting already: a cross-check would repeat it
-        super().__init__(field, m_max, cross_check_every=0)
+        super().__init__(field, m_max)
         self.fields: list[_Field] = []  # every field found, in the order found
         # (m, disc class) -> the fields not yet full, the most recently matched last
         self.live: dict[tuple[int, int], list[_Field]] = {}
-        self.work: Counter[str] = Counter()  # leaves, dropped, stem tests, classifications
 
     def _tower_leaf(self, *node) -> bool:
         return False
@@ -97,23 +103,23 @@ class _DedupWalk(_Enumerator):
     def _krasner_leaf(self, digits):
         fq = self._build(digits)
         m = disc_valuation(fq)
-        self.work["leaves"] += 1
+        self.stats["leaves"] += 1
         if m > self.m_max:
-            self.work["dropped"] += 1
-            self._add_leaf((m, None), fq, digits)  # a dropped leaf's group is never read
+            self.stats["dropped"] += 1
+            self._add_leaf((m, None), fq, digits, "krasner")  # its group is never read
             return
         bucket = self.live.setdefault((m, self.K.square_class_coords(fq.disc)), [])
         for i in range(len(bucket) - 1, -1, -1):
-            self.work["stem_tests"] += 1
+            self.stats["stem_tests"] += 1
             if _has_root_in(bucket[i].stem, fq):
                 bucket.append(bucket.pop(i))
                 break
         else:
-            self.work["classified"] += 1
+            self.stats["classified"] += 1
             bucket.append(_Field(classify_quartic(fq), stem_ring(fq), self.q))
             self.fields.append(bucket[-1])
         field = bucket[-1]
-        if self._add_leaf(field.mg, fq, digits):
+        if self._add_leaf(field.mg, fq, digits, "krasner"):
             field.filled += Fraction(1, self.q ** sum(map(len, digits)))
             if field.filled >= field.share:
                 if field.filled > field.share:
@@ -130,16 +136,18 @@ class _DedupWalk(_Enumerator):
 def dedup_counts(field: LocalField, m_max: int):
     """Isomorphism-class counts per (m, g) for m <= m_max, and the walk's metadata."""
     walk = _DedupWalk(field, m_max)
-    walk.run(_root_nodes(field.q)[:1])
+    walk.run([_ROOT])
     walk.check_conservation()
     walk.check_ledger()
     found = Counter(f.mg for f in walk.fields)
     counts = dict(sorted(found.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))
+    stats = walk.stats
     meta = {
-        "leaves": walk.work["leaves"],
-        "dropped": walk.work["dropped"],
+        "leaves": stats["leaves"],
+        "dropped": stats["dropped"],
         "fields": len(walk.fields),
-        "stem_tests": walk.work["stem_tests"],
-        "classified": walk.work["classified"],
+        "stem_tests": stats["stem_tests"],
+        "classified": stats["classified"],
+        "root_count_cross_checks": stats["root_count_cross_checks"],
     }
     return counts, meta

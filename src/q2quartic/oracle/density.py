@@ -66,9 +66,11 @@ for the last two, from the square class of its discriminant:
   lies in H exactly when k > h_top, the highest odd level carrying a bit
   of h.  A visibly non-1-Aut node with k > h_top and h(cd) = 1 therefore
   has no member whose disc lies in H: none is V4, as 0 lies in H, and none
-  is C4, whose disc generates its quadratic subfield; all are D4.  The
-  bits of cd up to level h_top come from one square-class walk, stopped
-  there, which also answers the square test of the tower certificate.
+  is C4, whose disc generates its quadratic subfield; all are D4.  A tower
+  node walks the square class of the unit part of its disc once: stopped
+  above level h_top when the coset test runs, which reads the bits of cd up
+  to there, and at its first obstruction otherwise; the walk's reach also
+  answers the square test of the tower certificate.
   When h(cd) = 0 instead, the whole coset lies in H, and so does the coset
   of every descendant, whose members are members of the node: the children
   are marked (``_InH``) and no descendant walks for the test again.  The
@@ -80,6 +82,8 @@ are bounded in terms of 8e+3, so the recursion terminates.
 The dedup oracle (:mod:`.dedup`) walks the same tree with the tower and
 coset certificates off: ``_expand`` reaches the leaf certificates through
 the hooks ``_krasner_leaf`` and ``_tower_leaf``, which dedup overrides.
+Both walks record every leaf through ``_add_leaf(mg, fq, digits,
+certificate)`` and count what they do in one ``Counter``, ``stats``.
 
 Root orbit.  The q-1 roots of the tree differ only in the leading digit t
 of a0/pi.  For a Teichmueller unit u the map f(X) -> u^4 f(X/u) scales a_i
@@ -87,17 +91,19 @@ by u^(4-i); Teichmueller digits are multiplicative, so the map sends a
 cylinder of coefficient digits to a cylinder of the same depth (same
 measure) and keeps the stem field (roots scale by u), hence (m, G).  Since
 q-1 is odd, u -> u^4 permutes F_q^*, so the map carries the root t = 1 to
-every other root.  Only that root is enumerated.  The walk keeps one
-integer tally: the number of terminal nodes per (cell, depth), where cell
-is (m, G) for a leaf and None for a class dropped because m > m_max.  A
-node of depth d has measure q^-d, so with top the greatest depth the root
-is filled exactly when sum n q^(top-d) = q^(top-5); the cell measures
-(numerators over q^top) are multiplied by q-1 only when they are
-returned.  ``leaves``, ``pruned`` and the root-count cross-checks in the
-metadata count the enumerated root only; ``leaves_krasner``,
-``leaves_parity``, ``leaves_tower`` and ``leaves_coset`` split ``leaves``
-by certificate.  The ``splits_*`` counts split the enumerated root's inner
-nodes by the reason each was refined: ``unpinned`` (v(disc) not certified yet),
+every other root.  Only that root, ``_ROOT``, is enumerated.  The walk
+keeps one integer tally: the number of terminal nodes per (cell, depth),
+where cell is (m, G) for a leaf and None for a class dropped because
+m > m_max.  A node of depth d has measure q^-d, so with top the greatest
+depth the root is filled exactly when sum n q^(top-d) = q^(top-5); the
+cell measures (numerators over q^top) are multiplied by q-1 only when they
+are returned.  ``leaves``, ``pruned`` and the root-count cross-checks in
+the metadata count the enumerated root only.  The metadata reports the
+keys of ``_STATS`` from ``stats``: ``leaves_krasner``, ``leaves_parity``,
+``leaves_tower`` and ``leaves_coset`` split ``leaves`` by certificate,
+``root_count_cross_checks`` counts the sampled leaves (see Cross-checks),
+and the ``splits_*`` counts split the enumerated root's inner nodes by the
+reason each was refined: ``unpinned`` (v(disc) not certified yet),
 ``one_aut`` (a member may still fit the 1-Aut pattern), ``headroom``
 (k = bound - m below 2e+1 and no coset certificate) and ``window`` (the
 resolvent root is not pinned).  Each split node has q children, so
@@ -112,23 +118,27 @@ process that finishes a small subtree takes the next open node.  All the
 indices are written in one write before the fork, so the frontier is
 capped at PIPE_BUF / 4 records (1,024 on Linux), which an empty pipe
 always holds.  Workers inherit the enumerator, so fields without a spec
-file run in parallel too.  Each worker sends the tally, cross-check count,
-leaves per certificate and splits per reason of each of its subtrees back
-through a pipe of its own and exits; the parent runs its own subtrees on
-its own enumerator and adds the workers' results to it.  An exception
-raised in a worker is re-raised in the parent with its own class, a worker
-that ends without sending its result raises ``Q2QuarticError``, and every
-worker is reaped, and killed first if the split failed, before the call
-returns or raises.  A tree that closes before that many nodes are open is
-finished by the parent alone.  ``jobs`` counts the parent and is clamped to
-the cores this process may use; ``meta["jobs"]`` is the number of processes
-that ran, 1 when the tree closed before any fork.
+file run in parallel too; a process computes ``_minus_one`` only when one
+of its nodes needs it.  Each worker sends ``(tally, stats)`` of each of its
+subtrees back through a pipe of its own and exits; the parent runs its own
+subtrees on its own enumerator and adds the workers' tallies and stats to
+its own.  An exception raised in a worker is re-raised in the parent with
+its own class, a worker that ends without sending its result raises
+``Q2QuarticError``, and every worker is reaped, and killed first if the
+split failed, before the call returns or raises.  A tree that closes before
+that many nodes are open is finished by the parent alone.  ``jobs`` counts
+the parent and is clamped to the cores this process may use;
+``meta["jobs"]`` is the number of processes that ran, 1 when the tree
+closed before any fork.
 
-Cross-checks.  A leaf is re-classified by stem root counting when the hash
-of its digits is divisible by ``cross_check_every`` (1: every leaf, 0: none).
-On such a node a resolvent root found from the hint is also searched for
-from scratch, which must find that root and no other.  Hashes of int tuples
-do not depend on PYTHONHASHSEED or on ``jobs``.
+Cross-checks.  ``_add_leaf`` re-classifies a leaf by stem root counting
+(``classify_quartic``) when the hash of its digits is divisible by
+``cross_check_every`` (1: every leaf, 0: none), and raises
+``FormulationMismatch`` on disagreement.  Dedup's leaves go through the same
+check, so a sample of the leaves it matches to a field by a stem test is
+classified afresh.  On such a node a resolvent root found from the hint is
+also searched for from scratch, which must find that root and no other.
+Hashes of int tuples do not depend on PYTHONHASHSEED or on ``jobs``.
 """
 
 from __future__ import annotations
@@ -161,6 +171,16 @@ _INF = 10**9
 # The parent of a parallel split opens this many nodes per process before it
 # hands them out.
 _NODES_PER_JOB = 16
+
+# The root t = 1 of the tree, the one node of the root orbit that is enumerated.
+_ROOT = ((0, 1), (0,), (0,), (0,))
+
+# The keys of ``_Enumerator.stats`` that ``density_measures`` reports.
+_STATS = (
+    *(f"leaves_{c}" for c in ("krasner", "parity", "tower", "coset")),
+    *(f"splits_{r}" for r in ("unpinned", "one_aut", "headroom", "window")),
+    "root_count_cross_checks",
+)
 
 
 class _InH(tuple):
@@ -218,9 +238,9 @@ class _Enumerator:
         self.cross_check_every = cross_check_every
         # terminal nodes per (cell, depth); cell is (m, g), or None when dropped
         self.tally: Counter[tuple[tuple[int, GroupTag] | None, int]] = Counter()
-        self.cross_checked = 0
-        self.certified: Counter[str] = Counter()  # recorded leaves per certificate
-        self.splits: Counter[str] = Counter()  # split nodes per reason
+        # leaves_<certificate>, splits_<reason>, root_count_cross_checks, and
+        # whatever a subclass counts
+        self.stats: Counter[str] = Counter()
         self.hint = None  # the last resolvent root found, where the next search starts
 
     # -- integer-only node analysis --------------------------------------
@@ -256,8 +276,8 @@ class _Enumerator:
 
     @cached_property
     def _minus_one(self):
-        """(h, h_top) of ``_minus_one_functional``, computed when a node
-        first needs it (or before the split forks), so dedup never pays for it."""
+        """(h, h_top) of ``_minus_one_functional``, computed in each process
+        when a node there first needs it, so dedup never pays for it."""
         return _minus_one_functional(self.K)
 
     # -- main loop ---------------------------------------------------------
@@ -307,7 +327,7 @@ class _Enumerator:
             return None
         if m_rep is None:
             in_h = isinstance(digits, _InH)
-            self.splits["unpinned"] += 1
+            self.stats["splits_unpinned"] += 1
         else:
             in_h = self._tower_leaf(digits, cs, vrep, vh, m_rep, bound)
             if in_h is None:
@@ -339,7 +359,7 @@ class _Enumerator:
     def _krasner_leaf(self, digits):
         """Record a node on which every member generates the field of its representative."""
         fq = self._build(digits)
-        self._certify(classify_by_invariants(fq), fq, digits, "krasner")
+        self._add_leaf(classify_by_invariants(fq), fq, digits, "krasner")
 
     def _tower_leaf(self, digits, cs, vrep, vh, m, bound) -> bool | None:
         """Parity, coset and tower certificates of a node with v(disc) = m
@@ -348,36 +368,33 @@ class _Enumerator:
         in H, which the children inherit."""
         e = self.e
         if m & 1 and m < 8 * e + 3:
-            self._certify((m, GroupTag.D4), self._build(digits), digits, "parity")
+            self._add_leaf((m, GroupTag.D4), self._build(digits), digits, "parity")
             return None
         in_h = isinstance(digits, _InH)
         if not self._visibly_non_one_aut(vrep, m):
-            self.splits["one_aut"] += 1
+            self.stats["splits_one_aut"] += 1
             return in_h
         K, R = self.K, self.K.ring
         h, h_top = self._minus_one
         k = bound - m  # every member's disc lies in disc(rep) (1 + pi^k O)
         coset = h != 0 and not in_h and k > h_top
         if not coset and k < 2 * e + 1:
-            self.splits["headroom"] += 1
+            self.stats["splits_headroom"] += 1
             return in_h
         fq = self._build(digits)
-        reach = None  # first obstruction of the unit part of disc, once walked
+        # one walk of the unit part of disc: its bits up to h_top for the coset
+        # test, its first obstruction for the square test
+        reach, coords = K.square_class_prefix(R.shift(fq.disc, -m), h_top if coset else 0)
         if coset:
-            cd = m & 1
-            if h_top:
-                reach, coords = K.square_class_prefix(R.shift(fq.disc, -m), h_top)
-                cd |= coords
-            if (h & cd).bit_count() & 1:
-                self._certify((m, GroupTag.D4), fq, digits, "coset")
+            if (h & (coords | m & 1)).bit_count() & 1:
+                self._add_leaf((m, GroupTag.D4), fq, digits, "coset")
                 return None
             in_h = True
             if k < 2 * e + 1:
-                self.splits["headroom"] += 1
+                self.stats["splits_headroom"] += 1
                 return in_h
-        square = K.is_square(fq.disc) if reach is None else m % 2 == 0 and reach == 2 * e + 1
-        if square:
-            self._certify((m, GroupTag.V4), fq, digits, "tower")
+        if m % 2 == 0 and reach == 2 * e + 1:  # disc is a square
+            self._add_leaf((m, GroupTag.V4), fq, digits, "tower")
             return None
         # resolvent-root windows for the C4/D4 split
         b_r0, b_r1, b_r2 = r0_bound(cs, vh, e), r1_bound(cs, vh, e), r2_bound(cs, vh, e)
@@ -403,26 +420,22 @@ class _Enumerator:
 
         g, self.hint = _resolvent_split(fq, rescubic, window, self.hint, self._sampled(digits))
         if g is None:
-            self.splits["window"] += 1
+            self.stats["splits_window"] += 1
             return in_h
-        self._certify((m, g), fq, digits, "tower")
+        self._add_leaf((m, g), fq, digits, "tower")
         return None
 
     def _build(self, digits):
         K = self.K
         return EisensteinQuartic(K, *(K.from_digits(d) for d in digits))
 
-    def _certify(self, mg, fq, digits, certificate):
-        """``_add_leaf``, counting a recorded leaf under its certificate."""
-        if self._add_leaf(mg, fq, digits):
-            self.certified[certificate] += 1
-
     def _sampled(self, digits) -> bool:
         """Whether the node's checks run: its digits hash to 0 mod ``cross_check_every``."""
         return bool(self.cross_check_every) and hash(digits) % self.cross_check_every == 0
 
-    def _add_leaf(self, mg, fq, digits) -> bool:
-        """Add the node's measure to cell mg; False when m > m_max drops it."""
+    def _add_leaf(self, mg, fq, digits, certificate) -> bool:
+        """Add the node's measure to cell mg and count it as a leaf of
+        ``certificate``; False when m > m_max drops it."""
         m, g = mg
         depth = sum(map(len, digits))
         if m > self.m_max:
@@ -430,17 +443,14 @@ class _Enumerator:
             return False
         if self._sampled(digits):
             full = classify_quartic(fq)
-            self.cross_checked += 1
+            self.stats["root_count_cross_checks"] += 1
             if full != (m, g):
                 raise FormulationMismatch(
                     f"fast classification {(m, g.value)} disagrees with root counting {full}"
                 )
         self.tally[mg, depth] += 1
+        self.stats[f"leaves_{certificate}"] += 1
         return True
-
-
-def _root_nodes(q: int):
-    return [((0, t), (0,), (0,), (0,)) for t in range(1, q)]
 
 
 def _available_cores() -> int:
@@ -471,12 +481,12 @@ _WORKER_STATE = {}
 
 
 def _worker_run(node):
-    """Worker task: enumerate the subtree under one open node; return its tally."""
+    """Worker task: enumerate the subtree under one open node; return its
+    tally and stats."""
     enum = _WORKER_STATE["enum"]
-    enum.tally, enum.cross_checked = Counter(), 0
-    enum.certified, enum.splits = Counter(), Counter()
+    enum.tally, enum.stats = Counter(), Counter()
     enum.run([node])
-    return enum.tally, enum.cross_checked, enum.certified, enum.splits
+    return enum.tally, enum.stats
 
 
 def _take(tasks: int):
@@ -509,9 +519,9 @@ def _work(enum: _Enumerator, frontier, tasks: int, out: int):
         os._exit(0)
 
 
-def _run_split(enum: _Enumerator, root, jobs: int) -> int:
-    """Enumerate below ``root`` in this process and ``jobs - 1`` forked
-    workers; return the number of processes that ran (1 if none forked)."""
+def _run_split(enum: _Enumerator, jobs: int) -> int:
+    """Enumerate the tree in this process and ``jobs - 1`` forked workers;
+    return the number of processes that ran (1 if none forked)."""
     import pickle
     import select
 
@@ -519,10 +529,9 @@ def _run_split(enum: _Enumerator, root, jobs: int) -> int:
     # bytes, which an empty pipe always holds; the last expansion of
     # ``open_frontier`` may open q - 2 nodes beyond the width
     width = min(_NODES_PER_JOB * jobs, select.PIPE_BUF // 4 - enum.q + 2)
-    frontier = enum.open_frontier([root], width)
+    frontier = enum.open_frontier([_ROOT], width)
     if not frontier:  # the tree is finished
         return 1
-    enum._minus_one  # computed before the fork, so the workers inherit it
     tasks, w = os.pipe()
     try:
         os.set_blocking(w, False)  # a write that did not fit would raise, not hang
@@ -566,11 +575,9 @@ def _run_split(enum: _Enumerator, root, jobs: int) -> int:
         results, exc = pickle.loads(blob)
         if exc is not None:
             raise exc
-        for tally, checked, certified, splits in results:
+        for tally, stats in results:
             enum.tally.update(tally)
-            enum.cross_checked += checked
-            enum.certified.update(certified)
-            enum.splits.update(splits)
+            enum.stats.update(stats)
     return jobs
 
 
@@ -587,12 +594,11 @@ def density_measures(
         m_max = 8 * e + 3
     q = field.q
     jobs = _effective_jobs(jobs)
-    root = _root_nodes(q)[0]
     enum = _Enumerator(field, m_max, cross_check_every)
     if jobs > 1:
-        jobs = _run_split(enum, root, jobs)
+        jobs = _run_split(enum, jobs)
     else:
-        enum.run([root])
+        enum.run([_ROOT])
     enum.check_conservation()
     orbit = q - 1
     nums, top = enum.numerators()
@@ -604,9 +610,7 @@ def density_measures(
         "pruned": pruned,
         "max_depth": top,
         "m_max": m_max,
-        **{f"leaves_{c}": enum.certified[c] for c in ("krasner", "parity", "tower", "coset")},
-        **{f"splits_{r}": enum.splits[r] for r in ("unpinned", "one_aut", "headroom", "window")},
-        "root_count_cross_checks": enum.cross_checked,
+        **{key: enum.stats[key] for key in _STATS},
         "root_orbit": orbit,
         "jobs": jobs,
         "certification": (

@@ -77,18 +77,6 @@ class FieldParams:
             "minus_one_class": self.minus_one_class.value,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "FieldParams":
-        try:
-            cls_val = MinusOneClass(obj["minus_one_class"])
-        except (KeyError, ValueError) as exc:
-            raise InvalidParams(f"bad minus_one_class: {obj.get('minus_one_class')!r}") from exc
-        try:
-            fields = (int(obj["e"]), int(obj["f"]), int(obj["q"]), int(obj["d_minus_one"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidParams(f"missing or non-integer field in {obj!r}") from exc
-        return cls(*fields, cls_val)
-
 
 def make_params(e: int, f: int, d_minus_one: int, minus_one_class: MinusOneClass) -> FieldParams:
     """Build a FieldParams with q computed from f."""

@@ -5,8 +5,9 @@ import pytest
 from helpers import Q2_TABLE, quartic_from_ints
 
 from q2quartic import counts as C
-from q2quartic.errors import BudgetExceeded, InvalidParams, NonIntegralCount
+from q2quartic.errors import BudgetExceeded, FormulationMismatch, InvalidParams, NonIntegralCount
 from q2quartic.oracle import dedup as X
+from q2quartic.oracle import density as D
 from q2quartic.oracle.dedup import _has_root_in, dedup_counts
 from q2quartic.oracle.measure import measure_set
 from q2quartic.oracle.verify import verify
@@ -66,6 +67,27 @@ def test_every_stem_matching_gives_no_wrong_table(monkeypatch, Q2):
     except NonIntegralCount:
         return
     assert counts == Q2_TABLE
+
+
+def test_dedup_re_classifies_sampled_leaves(Q2):
+    # density's sampled root-count cross-check runs on dedup's leaves too
+    report = verify(Q2, 11, methods=("dedup",), dedup_m_max=11)
+    assert report.passed
+    assert report.meta["dedup"]["root_count_cross_checks"] > 0
+
+
+def test_dedup_cross_check_catches_a_disagreeing_classification(monkeypatch, Q2):
+    # a sampled leaf whose root count disagrees with the (m, G) of the field
+    # it was matched to raises, whatever the ledger says
+    classify = D.classify_quartic
+
+    def wrong(fq):
+        m, g = classify(fq)
+        return m, GroupTag.S4 if g is GroupTag.D4 else GroupTag.D4
+
+    monkeypatch.setattr(D, "classify_quartic", wrong)
+    with pytest.raises(FormulationMismatch, match="disagrees with root counting"):
+        dedup_counts(Q2, 11)
 
 
 def test_measure_set_budget_guard(Q2):

@@ -141,8 +141,9 @@ def test_root_orbit_symmetry_u2(U2):
     # the guard for enumerating one root: all q-1 roots end in the same
     # number of leaves and dropped classes per cell and depth
     tallies = []
-    for root in D._root_nodes(U2.q):
+    for t in range(1, U2.q):
         enum = D._Enumerator(U2, 6, cross_check_every=0)
+        root = ((0, t), (0,), (0,), (0,))
         enum.run([root])
         tallies.append(enum.tally)
     assert len(tallies) == 3
@@ -173,16 +174,27 @@ def test_conservation_catches_a_lost_leaf(monkeypatch, Q2, walk):
     add_leaf = D._Enumerator._add_leaf
     lost = []
 
-    def lossy(self, mg, fq, digits):
+    def lossy(self, mg, fq, digits, certificate):
         if not lost:
             lost.append(digits)
             return False
-        return add_leaf(self, mg, fq, digits)
+        return add_leaf(self, mg, fq, digits, certificate)
 
     monkeypatch.setattr(D._Enumerator, "_add_leaf", lossy)
     with pytest.raises(NonIntegralCount, match="enumeration lost measure"):
         walk(Q2)
     assert len(lost) == 1
+
+
+@pytest.mark.parametrize("fixture", ["K_sqrt2", "U2"])
+def test_every_stat_counted_is_reported(request, fixture):
+    # density_measures reports the keys of _STATS only: a key counted under
+    # any other name would never reach the meta.  Over the full range these
+    # trees count every key of _STATS, so a misspelt one would show too.
+    K = request.getfixturevalue(fixture)
+    enum = D._Enumerator(K, 8 * K.e_abs + 3)
+    enum.run([D._ROOT])
+    assert set(enum.stats) == set(D._STATS)
 
 
 @pytest.mark.parametrize(

@@ -52,13 +52,6 @@ def test_aut_orders():
         assert (aut_order(g) == 4) == (g in (GroupTag.C4, GroupTag.V4))
 
 
-def test_json_round_trip():
-    p = make_params(3, 2, 4, MinusOneClass.RAMIFIED)
-    assert FieldParams.from_json(p.to_json()) == p
-    with pytest.raises(InvalidParams):
-        FieldParams.from_json({"e": 1, "f": 1, "q": 2, "d_minus_one": 2, "minus_one_class": "nope"})
-
-
 def test_sweep_is_valid_and_deduplicated():
     seen = set(valid_param_sweep(6, 3))
     assert len(seen) == sum(1 for _ in valid_param_sweep(6, 3))
@@ -73,4 +66,4 @@ def test_construction_validates():
     with pytest.raises(InvalidParams, match="positive"):
         make_params(0, 1, 2, MinusOneClass.RAMIFIED)
     with pytest.raises(InvalidParams, match="bound"):
-        FieldParams.from_json({"e": 1, "f": 1, "q": 2, "d_minus_one": 4, "minus_one_class": "ramified"})
+        FieldParams(1, 1, 2, 4, MinusOneClass.RAMIFIED)

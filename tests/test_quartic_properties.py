@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from q2quartic.oracle.dedup import _DedupWalk, _has_root_in
-from q2quartic.oracle.density import _INF, _Enumerator, _root_nodes
+from q2quartic.oracle.density import _INF, _ROOT, _Enumerator
 from q2quartic.padic import _compiled
 from q2quartic.padic.field import field_from_spec
 from q2quartic.padic.quartic import (
@@ -211,7 +211,7 @@ def _krasner_leaves(name):
             leaves.append(digits)
 
     K = _field(name)
-    Recorder(K, 8).run(_root_nodes(K.q)[:1])
+    Recorder(K, 8).run([_ROOT])
     return leaves
 
 
@@ -263,13 +263,13 @@ def _coset_leaves(name):
     leaves = []
 
     class Recorder(_Enumerator):
-        def _certify(self, mg, fq, digits, certificate):
+        def _add_leaf(self, mg, fq, digits, certificate):
             if certificate == "coset":
                 leaves.append((digits, mg[0]))
-            super()._certify(mg, fq, digits, certificate)
+            return super()._add_leaf(mg, fq, digits, certificate)
 
     K = _field(name)
-    Recorder(K, 8 * K.e_abs + 3, cross_check_every=0).run(_root_nodes(K.q)[:1])
+    Recorder(K, 8 * K.e_abs + 3, cross_check_every=0).run([_ROOT])
     return leaves
 
 
