@@ -40,17 +40,24 @@ for the last two, from the square class of its discriminant:
   pinned by a Hensel window, so stability follows from coefficient-level
   perturbation bounds far shallower than the Krasner depth.  The window's
   resolvent-coefficient bounds (``r0_bound``, ``r1_bound``, ``r2_bound``)
-  are built like the disc bound, from the resolvent's monomials.  All four
-  bound functions live in :mod:`q2quartic.padic._compiled`, straight-line
-  code generated from ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS``.
-  The search for w starts from the root found at the last tower node
-  (``hint``): neighbouring nodes' roots agree to about one digit, so Newton
-  from it, or from one residue step beyond it, nearly always reaches the
-  new root, and residue refinement from scratch runs only when it does
-  not.  A root so found is the only one in K: disc of the resolvent cubic
-  is disc f, not a square here, and a cubic with three roots in K has a
-  square disc.  Which root was found last depends on the order of the
-  walk, but the root found does not, so neither do the results.
+  are built like the disc bound, from the resolvent's monomials
+  (``_resolvent_window``).  All four bound functions live in
+  :mod:`q2quartic.padic._compiled`, straight-line code generated from
+  ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS``.  The search for w
+  starts from the root found at the last tower node (``hint``):
+  neighbouring nodes' roots agree to about one digit, so Newton from it, or
+  from one residue step beyond it, nearly always reaches the new root, and
+  residue refinement from scratch runs only when it does not.  A root so
+  found is the only one in K: disc of the resolvent cubic is disc f, not a
+  square here, and a cubic with three roots in K has a square disc.  w is
+  refined only until its distance eps = v(R(w)) - v(R'(w)) to the true
+  root satisfies the window's own inequality with eps in place of the
+  members' perturbation: then v(w), v(R'(w)), v(W) and the square class of
+  W are the true root's, and the window reads them as Newton hands them
+  back (``_resolvent_root``).  The square test of disc * W multiplies the
+  unit parts of disc and W.  Which root was found last, and how far it was
+  refined, depend on the order of the walk, but what the tests read does
+  not, so neither do the results.
 * coset certificate: a quadratic K(sqrt(d)) lies in a C4 extension iff the
   Hilbert symbol (d, -1) is 1 (Serre, Local Fields, ch. XIV).  Square
   classes are F_2-coordinate vectors (:mod:`q2quartic.padic.field`), so
@@ -67,10 +74,11 @@ for the last two, from the square class of its discriminant:
   of h.  A visibly non-1-Aut node with k > h_top and h(cd) = 1 therefore
   has no member whose disc lies in H: none is V4, as 0 lies in H, and none
   is C4, whose disc generates its quadratic subfield; all are D4.  A tower
-  node walks the square class of the unit part of its disc once: stopped
-  above level h_top when the coset test runs, which reads the bits of cd up
-  to there, and at its first obstruction otherwise; the walk's reach also
-  answers the square test of the tower certificate.
+  node walks the square class of the unit part of its disc at most once:
+  stopped above level h_top when the coset test runs, which reads the bits
+  of cd up to there, and at its first obstruction otherwise; the walk's
+  reach also answers the square test of the tower certificate.  At odd m
+  without the coset test nothing reads the walk, and it does not run.
   When h(cd) = 0 instead, the whole coset lies in H, and so does the coset
   of every descendant, whose members are members of the node: the children
   are marked (``_InH``) and no descendant walks for the test again.  The
@@ -153,9 +161,6 @@ from ..padic._compiled import disc_bound, r0_bound, r1_bound, r2_bound
 from ..padic.field import LocalField, ramified_quadratic
 from ..padic.quartic import (
     EisensteinQuartic,
-    _poly_deriv,
-    _poly_eval,
-    _resolvent_root_target,
     _resolvent_split,
     classify_by_invariants,
     classify_quartic,
@@ -227,6 +232,36 @@ def _minus_one_functional(K: LocalField) -> tuple[int, int]:
     odd = h >> 1
     h_top = 2 * ((odd.bit_length() - 1) // K.f) + 1 if odd else 0
     return h, h_top
+
+
+def _resolvent_window(e: int, cs, vh):
+    """The Hensel window of a tower node with digit counts ``cs`` and
+    coefficient valuations ``vh`` (each capped at its count): a predicate on
+    (v(w), v(R'(w)), v(W)) for the root w of the representative's resolvent
+    cubic R and W = w^2 - 4 a0, true when every member's root w' has
+    w'^2 - 4 a0' in the square class of W.
+
+    The members' resolvent coefficients differ from the representative's at
+    valuations at least ``r0_bound``, ``r1_bound`` and ``r2_bound``, so
+    their R(w) and R'(w) differ by eta_w and eta_wp at least.  When
+    eta_w > 2 v(R'(w)) and eta_wp > v(R'(w)), Hensel gives the member one
+    root w' with v(w' - w) >= dw = eta_w - v(R'(w)); then W changes by
+    (w' - w)(w' + w) and by 4 (a0 - a0'), and a change of valuation at
+    least v(W) + 2e + 1 keeps the square class.
+    """
+    b_r0, b_r1, b_r2 = r0_bound(cs, vh, e), r1_bound(cs, vh, e), r2_bound(cs, vh, e)
+
+    def window(vw, v_rp, vW):
+        if v_rp is None or vW is None:
+            return False
+        eta_w = min(b_r2 + 2 * vw, b_r1 + vw, b_r0)
+        eta_wp = min(b_r2 + vw, b_r1)
+        if not (eta_w > 2 * v_rp and eta_wp > v_rp):
+            return False
+        dw = eta_w - v_rp
+        return min(dw + min(e + vw, dw), 2 * e + cs[0]) >= vW + 2 * e + 1
+
+    return window
 
 
 class _Enumerator:
@@ -374,7 +409,7 @@ class _Enumerator:
         if not self._visibly_non_one_aut(vrep, m):
             self.stats["splits_one_aut"] += 1
             return in_h
-        K, R = self.K, self.K.ring
+        K = self.K
         h, h_top = self._minus_one
         k = bound - m  # every member's disc lies in disc(rep) (1 + pi^k O)
         coset = h != 0 and not in_h and k > h_top
@@ -382,9 +417,11 @@ class _Enumerator:
             self.stats["splits_headroom"] += 1
             return in_h
         fq = self._build(digits)
-        # one walk of the unit part of disc: its bits up to h_top for the coset
-        # test, its first obstruction for the square test
-        reach, coords = K.square_class_prefix(R.shift(fq.disc, -m), h_top if coset else 0)
+        # one walk of the unit part of disc where a test reads it: its bits up
+        # to h_top for the coset test, its first obstruction for the square
+        # test, which odd m fails without it
+        if coset or m % 2 == 0:
+            reach, coords = K.square_class_prefix(fq.disc_unit, h_top if coset else 0)
         if coset:
             if (h & (coords | m & 1)).bit_count() & 1:
                 self._add_leaf((m, GroupTag.D4), fq, digits, "coset")
@@ -396,29 +433,10 @@ class _Enumerator:
         if m % 2 == 0 and reach == 2 * e + 1:  # disc is a square
             self._add_leaf((m, GroupTag.V4), fq, digits, "tower")
             return None
-        # resolvent-root windows for the C4/D4 split
-        b_r0, b_r1, b_r2 = r0_bound(cs, vh, e), r1_bound(cs, vh, e), r2_bound(cs, vh, e)
-        rescubic = resolvent_cubic(fq)
-
-        def window(w, W):
-            vw = R.val(w)
-            if vw is None:
-                vw = _resolvent_root_target(e)
-            v_rp = R.val(_poly_eval(R, _poly_deriv(R, rescubic), w))
-            if v_rp is None:
-                return False
-            eta_w = min(b_r2 + 2 * vw, b_r1 + vw, b_r0)
-            eta_wp = min(b_r2 + vw, b_r1)
-            if not (eta_w > 2 * v_rp and eta_wp > v_rp):
-                return False
-            dw = eta_w - v_rp
-            vW = R.val(W)
-            if vW is None:
-                return False
-            eta_W = min(dw + min(e + vw, dw), 2 * e + cs[0])
-            return eta_W >= vW + 2 * e + 1
-
-        g, self.hint = _resolvent_split(fq, rescubic, window, self.hint, self._sampled(digits))
+        window = _resolvent_window(e, cs, vh)
+        g, self.hint = _resolvent_split(
+            fq, resolvent_cubic(fq), window, self.hint, self._sampled(digits)
+        )
         if g is None:
             self.stats["splits_window"] += 1
             return in_h

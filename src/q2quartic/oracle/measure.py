@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ..errors import BudgetExceeded, ClassInstability
+from ..errors import BudgetExceeded, ClassInstability, PrecisionExhausted
 from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
@@ -22,7 +22,7 @@ from ..padic.quartic import (
     disc_valuation,
     in_Tm,
 )
-from ..padic.rings import eq_mod
+from ..padic.rings import leading_residue
 
 
 # measure_set refuses to enumerate more coefficient classes than this
@@ -113,13 +113,19 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
 
     The set consists of (x0, x1, x2) with v(x0) = 1, v(x1) = a + b,
     v(x2) >= b such that x1 + u x2 x0^a + u^3 x0^{a+b} = 0 mod p^{a+b+1}
-    for some unit residue representative u.
+    for some unit residue representative u.  x1 only matters modulo
+    p^{a+b+1}, where it is [t1] pi^(a+b) for a unit residue t1, and a
+    target -(u x2 x0^a + u^3 x0^(a+b)) matches that class exactly when its
+    valuation is a + b and its leading digit is t1: each (x0, x2) counts the
+    distinct leading digits of its targets of valuation a + b.
     """
     if a <= 0 or b <= 0:
         raise ValueError("a and b must be positive")
     q = field.q
     ring = field.ring
     depth = a + b + 1
+    if depth > ring.cap:
+        raise PrecisionExhausted(f"congruence mod pi^{depth} beyond cap {ring.cap}")
     targets_of = _cubic_congruence(field)
     count = 0
     for lead in range(1, q):
@@ -130,7 +136,7 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
             for d2 in _digit_tuples(q, a + 1):
                 x2 = field.from_digits((0,) * b + d2)
                 targets = targets_of(ring.mul(x2, x0_a), x0_ab)
-                for t1 in range(1, q):
-                    x1 = field.digit_elt(t1, a + b)
-                    count += any(eq_mod(ring, x1, t, depth) for t in targets)
+                count += len({
+                    leading_residue(ring, t, a + b) for t in targets if ring.val(t) == a + b
+                })
     return Fraction(count, q ** (3 * depth))

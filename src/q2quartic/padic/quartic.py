@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from ..errors import FormulationMismatch, PrecisionExhausted
 from ..params import GroupTag
@@ -84,6 +85,11 @@ class EisensteinQuartic:
     def disc(self):
         """The discriminant as a raw element, computed once per quartic."""
         return disc_raw(self.field, *self.coeffs())
+
+    @cached_property
+    def disc_unit(self):
+        """disc / pi^v(disc), the unit part of the discriminant, computed once."""
+        return self.field.ring.shift(self.disc, -_disc_val(self.field, self.disc))
 
 
 def disc_raw(field: LocalField, a0, a1, a2, a3):
@@ -308,25 +314,26 @@ def _poly_deriv(R, coeffs):
     return out
 
 
-def _newton_refine(K, poly, x, want_val, max_iter=64):
-    """Newton-refine a root approximation of a monic poly over O_K.
+def _newton(K, poly, deriv, x, max_iter=64):
+    """Yield (x, v(p(x)), v(p'(x))) for x and for each Newton step from it, for
+    a monic poly over O_K with derivative ``deriv``; v(p(x)) is None once
+    p(x) vanishes to working precision, and the walk ends there.
 
-    Requires v(p(x)) > 2 v(p'(x)) on entry; refines until v(p(x)) >= want_val.
-    The inverse z of the unit part of p'(x) is computed once and then carried
-    along by one Newton step z <- z(2 - d z) per round; it is recomputed
-    only if v(p'(x)) changes.
+    A step needs v(p(x)) > 2 v(p'(x)) (x in the Newton basin), and stays in
+    the basin.  The inverse z of the unit part of p'(x) is computed once and
+    then carried along by one Newton step z <- z(2 - d z) per round; it is
+    recomputed only if v(p'(x)) changes.
     """
     R = K.ring
-    deriv = _poly_deriv(R, poly)
     two = R.from_int(2)
     z = z_val = None
     for _ in range(max_iter):
         px = _poly_eval(R, poly, x)
-        vp = R.val(px)
-        if vp is None or vp >= want_val:
-            return x
         dpx = _poly_eval(R, deriv, x)
-        vd = R.val(dpx)
+        vp, vd = R.val(px), R.val(dpx)
+        yield x, vp, vd
+        if vp is None:
+            return
         if vd is None or vp <= 2 * vd:
             raise PrecisionExhausted("approximation left the Newton basin")
         d = R.shift(dpx, -vd)
@@ -336,6 +343,13 @@ def _newton_refine(K, poly, x, want_val, max_iter=64):
             z = R.mul(z, R.sub(two, R.mul(d, z)))
         x = R.sub(x, R.mul(R.shift(px, -vd), z))
     raise PrecisionExhausted("Newton refinement did not reach the target valuation")
+
+
+def _newton_refine(K, poly, deriv, x, want_val):
+    """The first item (x, v(p(x)), v(p'(x))) of ``_newton`` with v(p(x)) >= want_val."""
+    for x, vp, vd in _newton(K, poly, deriv, x):
+        if vp is None or vp >= want_val:
+            return x, vp, vd
 
 
 def cubic_k_roots(K: LocalField, poly, want_val: int):
@@ -348,91 +362,140 @@ def cubic_k_roots(K: LocalField, poly, want_val: int):
     R = K.ring
     out = []
     cap = 8 * (8 * K.e_abs + 3) + _PANAYI_DEPTH_SLACK
+    deriv = _poly_deriv(R, poly)
     for p, path in _simple_residue_roots(R, poly, cap, "cubic root search"):
         # unique lift in this disc: polish in normalised coordinates, where
         # the Hensel condition holds from the simple residue root
         *digits, t = path
-        x = _newton_refine(K, p, R.teich(t), max(1, want_val))
+        x, _, _ = _newton_refine(K, p, _poly_deriv(R, p), R.teich(t), max(1, want_val))
         x = R.add(K.from_digits(digits), R.shift(x, len(digits)))
-        out.append(_newton_refine(K, poly, x, want_val))
+        out.append(_newton_refine(K, poly, deriv, x, want_val)[0])
     return out
 
 
 def _resolvent_root_target(e: int) -> int:
-    """Valuation to which ``_resolvent_split`` refines the resolvent root."""
+    """Valuation to which ``_resolvent_root`` refines a root it cannot accept earlier."""
     return 24 * e + 32
 
 
-def _root_from_hint(K: LocalField, poly, hint, want_val: int):
-    """A root in O_K of the monic ``poly`` near ``hint``, refined to
-    v(p(root)) >= want_val, or None when no start near the hint is in a
-    Newton basin.
+def _root_from_hint(K: LocalField, poly, deriv, hint):
+    """The Newton walk (``_newton``) of the monic ``poly`` from a start near
+    ``hint`` in a Newton basin, or None when there is no such start.
 
-    Newton runs from h = ``hint`` when v(p(h)) > 2 v(p'(h)).  Otherwise one
+    The start is h = ``hint`` when v(p(h)) > 2 v(p'(h)).  Otherwise one
     residue step tries h + [t] pi^j, j = v(p(h)) - v(p'(h)) >= 1, for
-    t = 1 .. q-1 and refines from the first candidate that meets the same
-    condition.  None also when refinement leaves the basin.
+    t = 1 .. q-1, and starts from the first candidate that meets the same
+    condition.  The walk's first item is the start, evaluated once.
     """
     R = K.ring
-    deriv = _poly_deriv(R, poly)
 
-    def vals(x):
-        return R.val(_poly_eval(R, poly, x)), R.val(_poly_eval(R, deriv, x))
+    def walk(x):
+        steps = _newton(K, poly, deriv, x)
+        first = next(steps)
+        _, vp, vd = first
+        return chain((first,), steps), vp, vd
 
     def in_basin(vp, vd):
         return vd is not None and (vp is None or vp > 2 * vd)
 
-    x = hint
-    vp, vd = vals(x)
-    if not in_basin(vp, vd):
-        if vd is None or vp - vd < 1:
-            return None
-        j = vp - vd
-        for t in range(1, K.q):
-            x = R.add(hint, K.digit_elt(t, j))
-            vp, vd = vals(x)
-            if in_basin(vp, vd):
-                break
-        else:
-            return None
-    try:
-        return _newton_refine(K, poly, x, want_val)
-    except PrecisionExhausted:
+    steps, vp, vd = walk(hint)
+    if in_basin(vp, vd):
+        return steps
+    if vd is None or vp - vd < 1:
         return None
+    j = vp - vd
+    for t in range(1, K.q):
+        steps, vp, vd = walk(R.add(hint, K.digit_elt(t, j)))
+        if in_basin(vp, vd):
+            return steps
+    return None
 
 
-def _resolvent_root(K: LocalField, rescubic, hint=None, check=False):
-    """The unique root w in O_K of the resolvent cubic of a quartic f whose
-    disc is not a square, refined to v(R(w)) >= ``_resolvent_root_target``.
+def _resolvent_root(fq: EisensteinQuartic, rescubic, hint=None, check=False):
+    """The unique root w in O_K of the resolvent cubic R of a quartic f whose
+    disc is not a square, refined only as far as its readers need: returns
+    (w, v(w), v(R'(w)), W, v(W)) with W = w^2 - 4 a0, where the valuations
+    and the square class of W are those of the true root w*.
 
     disc(R) = disc(f) is not a square, and a separable cubic has 0, 1 or 3
     roots in K, 3 only when its disc is a square: a root found from
     ``hint`` (``_root_from_hint``) is therefore the only one.  Without a
-    hint, or when the hint finds no root, ``cubic_k_roots`` searches from
-    scratch.  With ``check``, a hinted root w is searched for again, and
-    the search must find exactly one root w' with v(w - w') >= target -
-    v(R'(w)).  FormulationMismatch when a search finds a root count other
-    than one, or a checked w' too far from w.
+    hint, or when the hint finds no start, ``cubic_k_roots`` searches from
+    scratch, to v(R(w)) >= 4e+2 > v(disc)/2 >= v(R'(w*)), which puts its
+    root in the Newton basin.
+
+    Precision.  Newton runs to v(R(w)) >= P, from P = 1 after a hint (the
+    start itself is read first) and P = 4e+2 after a search.  In the basin
+    eps = v(R(w)) - v(R'(w)) is v(w - w*), and v(R'(w)) = v(R'(w*)).  w is
+    taken once v(w) < eps and eps + min(e + v(w), eps) >= v(W) + 2e + 1:
+    then v(w) = v(w*), and W - W* = (w - w*)(w + w*) lies in
+    W pi^(2e+1) O_K, so W and W* share valuation and square class.  This is
+    the window's own inequality (``oracle.density._resolvent_window``) with
+    eps in place of its perturbation dw.  Otherwise P rises to the least
+    valuation at which the inequality can hold on these readings, and Newton
+    goes on from w.  When w vanishes at P, or P reaches
+    ``_resolvent_root_target``, w is refined to that target and read as it
+    is, with v(w) = target when w vanishes.
+
+    With ``check``, a hinted root w is searched for again at P = v(R(w)),
+    the precision w was taken at (the target when R(w) vanishes), and the
+    search must find exactly one root w' with v(w - w') >= P - v(R'(w)),
+    which is eps when w was taken early.  FormulationMismatch when a search
+    finds a root count other than one, or a checked w' too far from w.
     """
-    target = _resolvent_root_target(K.e_abs)
-    w = None if hint is None else _root_from_hint(K, rescubic, hint, target)
-    if w is not None and not check:
-        return w
-    roots = cubic_k_roots(K, rescubic, target)
+    K = fq.field
+    R, e = K.ring, K.e_abs
+    deriv = _poly_deriv(R, rescubic)
+    four_a0 = R.mul(R.from_int(4), fq.a0)
+    target = _resolvent_root_target(e)
+    steps = None if hint is None else _root_from_hint(K, rescubic, deriv, hint)
+    hinted = steps is not None
+    if hinted:
+        want = 1  # a start in the basin has v(R(w)) >= 1: its first reading is the start
+    else:
+        want = 4 * e + 2
+        steps = _newton(K, rescubic, deriv, _only_root(K, rescubic, want))
+    w, vp, vd = next(steps)
+    while True:
+        while vp is not None and vp < want:
+            w, vp, vd = next(steps)
+        vw = R.val(w)
+        W = R.sub(R.mul(w, w), four_a0)
+        vW = R.val(W)
+        if vp is None or vd is None or want >= target:
+            if vw is None:
+                vw = target
+            break
+        if vw is None:
+            want = target
+            continue
+        eps = vp - vd
+        if vW is None:
+            want = vp + 1
+            continue
+        top = vW + 2 * e + 1  # what eps + min(e + v(w), eps) must reach
+        if vd < eps and vw < eps and eps + min(e + vw, eps) >= top:
+            break
+        need = max(vw + 1, vd + 1, -(-top // 2), top - e - vw)
+        want = min(target, max(vp + 1, vd + need))
+    if hinted and check:
+        want = target if vp is None else vp
+        v_gap = R.val(R.sub(w, _only_root(K, rescubic, want)))
+        if v_gap is not None and (vd is None or v_gap < want - vd):
+            raise FormulationMismatch(
+                f"resolvent root from the hint differs from the searched root at valuation {v_gap}"
+            )
+    return w, vw, vd, W, vW
+
+
+def _only_root(K: LocalField, poly, want_val: int):
+    """The one root of ``cubic_k_roots``; FormulationMismatch when it finds another count."""
+    roots = cubic_k_roots(K, poly, want_val)
     if len(roots) != 1:
         raise FormulationMismatch(
             f"resolvent of a {{C4,D4}} quartic has {len(roots)} roots in K, expected 1"
         )
-    if w is None:
-        return roots[0]
-    R = K.ring
-    v_gap = R.val(R.sub(w, roots[0]))
-    v_rp = R.val(_poly_eval(R, _poly_deriv(R, rescubic), w))
-    if v_gap is not None and (v_rp is None or v_gap < target - v_rp):
-        raise FormulationMismatch(
-            f"resolvent root from the hint differs from the searched root at valuation {v_gap}"
-        )
-    return w
+    return roots[0]
 
 
 def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None, hint=None, check=False):
@@ -441,16 +504,21 @@ def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None, hint=None, ch
     ``hint`` and ``check`` are passed to).
 
     The stem's quadratic subfield is K(sqrt(W)) with W = w^2 - 4 a0, and the
-    closure is cyclic exactly when disc * W is a square.  The group is None
-    when ``window(w, W)`` is false.
+    closure is cyclic exactly when disc * W is a square: when v(disc) + v(W)
+    is even and the product of the two unit parts is a square.  The group is
+    None when ``window(v(w), v(R'(w)), v(W))`` is false.
     """
     K = fq.field
     R = K.ring
-    w = _resolvent_root(K, rescubic, hint, check)
-    W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
-    if window is not None and not window(w, W):
+    w, vw, v_rp, W, vW = _resolvent_root(fq, rescubic, hint, check)
+    if window is not None and not window(vw, v_rp, vW):
         return None, w
-    return (GroupTag.C4 if K.is_square(R.mul(fq.disc, W)) else GroupTag.D4), w
+    if vW is None:
+        raise PrecisionExhausted("w^2 - 4 a0 vanishes to working precision")
+    if (K.val(fq.disc) + vW) & 1:
+        return GroupTag.D4, w
+    reach, _ = K.square_reach(R.mul(fq.disc_unit, R.shift(W, -vW)))
+    return (GroupTag.C4 if reach == 2 * K.e_abs + 1 else GroupTag.D4), w
 
 
 def classify_by_invariants(fq: EisensteinQuartic):
@@ -463,7 +531,7 @@ def classify_by_invariants(fq: EisensteinQuartic):
     """
     K = fq.field
     m = _disc_val(K, fq.disc)
-    square_disc = K.is_square(fq.disc)
+    square_disc = m % 2 == 0 and K.square_reach(fq.disc_unit)[0] == 2 * K.e_abs + 1
     if is_one_aut(fq, m):
         return m, (GroupTag.A4 if square_disc else GroupTag.S4)
     if square_disc:

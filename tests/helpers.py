@@ -12,7 +12,10 @@ polygon of its deformation cubic; it is the reference the tests hold the
 density oracle's integer-only ``_distance_polygon_max`` to.
 ``resolvent_bounds`` is the hand-derived reference for the resolvent
 coefficients' perturbation bounds that density reads from
-:mod:`q2quartic.padic._compiled`.
+:mod:`q2quartic.padic._compiled`.  ``resolvent_split_at_target`` refines
+the resolvent root to a fixed valuation, the reference of the precision
+the C4/D4 split picks for itself, and ``cubic_congruence_count_pairwise``
+is the pairwise reference of ``cubic_congruence_measure``.
 
 The published closed forms of the masses (``mass_S4`` .. ``tower_mass``
 and the nine ``c4_mass_q*`` quantities) and the per-cell ``n_c4`` are the
@@ -41,7 +44,7 @@ from q2quartic.counts import ind
 from q2quartic.errors import DivisionByNonUnit, PrecisionExhausted
 from q2quartic.padic import quartic
 from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
-from q2quartic.padic.rings import EisensteinStep
+from q2quartic.padic.rings import EisensteinStep, eq_mod
 from q2quartic.params import FieldParams, GroupTag, MinusOneClass
 from q2quartic.residue import ResidueField
 
@@ -159,6 +162,48 @@ def resolvent_bounds(e, cs, vh):
         2 * e + c2 + c0,
     )
     return b_r0, b_r1, b_r2
+
+
+def resolvent_split_at_target(fq, window=None):
+    """C4 or D4 for a quartic whose closure group is one of them, or None
+    when ``window`` is given and false on the readings of its resolvent
+    root w refined by the search to the fixed valuation 24e+32 and read as
+    it stands (v(w) = 24e+32 when w vanishes); the group comes from the
+    square test of disc * (w^2 - 4 a0) itself.  It is the reference of the
+    precision that ``_resolvent_root`` chooses for itself."""
+    K = fq.field
+    R = K.ring
+    rescubic = quartic.resolvent_cubic(fq)
+    target = quartic._resolvent_root_target(K.e_abs)
+    (w,) = quartic.cubic_k_roots(K, rescubic, target)
+    vw = R.val(w)
+    v_rp = R.val(quartic._poly_eval(R, quartic._poly_deriv(R, rescubic), w))
+    W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
+    if window is not None and not window(target if vw is None else vw, v_rp, R.val(W)):
+        return None
+    return GroupTag.C4 if K.is_square(R.mul(fq.disc, W)) else GroupTag.D4
+
+
+def cubic_congruence_count_pairwise(field, a, b) -> int:
+    """The numerator of ``cubic_congruence_measure`` over q^(3(a+b+1)), by
+    testing every x1 = [t1] pi^(a+b) against every target with ``eq_mod``:
+    the reference of its count of distinct leading digits."""
+    q, ring = field.q, field.ring
+    depth = a + b + 1
+    targets_of = quartic._cubic_congruence(field)
+    count = 0
+    for lead in range(1, q):
+        for rest in product(range(q), repeat=depth - 2):
+            x0 = field.from_digits((0, lead) + rest)
+            x0_a = quartic._power(ring, x0, a)
+            x0_ab = quartic._power(ring, x0, a + b)
+            for d2 in product(range(q), repeat=a + 1):
+                x2 = field.from_digits((0,) * b + d2)
+                targets = targets_of(ring.mul(x2, x0_a), x0_ab)
+                for t1 in range(1, q):
+                    x1 = field.digit_elt(t1, a + b)
+                    count += any(eq_mod(ring, x1, t, depth) for t in targets)
+    return count
 
 
 def unpack(ring, a):

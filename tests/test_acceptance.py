@@ -14,7 +14,7 @@ from q2quartic import masses as M
 from q2quartic.oracle.density import density_counts
 from q2quartic.oracle.measure import cubic_congruence_measure, one_aut_measure, t_m_measure
 from q2quartic.oracle.tower import tower_counts
-from q2quartic.padic.field import field_from_spec, q2
+from q2quartic.padic.field import field_from_spec, q2, with_doubled_precision
 from q2quartic.padic.quartic import classify_quartic
 from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, valid_param_sweep
 from q2quartic.residue import ResidueField, cubic_image_size, quad_root_count
@@ -220,7 +220,12 @@ def test_criterion_12_precision_stability():
         tc, _ = tower_counts(K)
         assert tc == {k: v for k, v in Q2_TABLE.items() if k[1] in TOWER_GROUPS}
         assert all(C.count(p, m, g) == n for (m, g), n in Q2_TABLE.items())
-    _report(12, "criterion-1 table and witnesses unchanged at doubled precision")
+    # the C4/D4 split refines each resolvent root only as far as its tests
+    # read it; on sqrt2 that split decides hundreds of leaves, on Q2 a few
+    sqrt2 = field_from_spec({"f": 1, "eisenstein": [-2, 0, 1]})
+    runs = [density_counts(K, 12) for K in (sqrt2, with_doubled_precision(sqrt2))]
+    assert runs[0] == runs[1]
+    _report(12, "criterion-1 table, witnesses and sqrt2 density unchanged at doubled precision")
 
 
 MINUS_ONE_AND_DEGREE4_SPECS = [

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import FULL_RANGE_DENSITY_SPECS
+from helpers import FULL_RANGE_DENSITY_SPECS, cubic_congruence_count_pairwise
 
 from q2quartic import counts as C
 from q2quartic.cli import run
@@ -482,6 +482,39 @@ def test_cubic_congruence_q2(Q2):
     for a, b in [(1, 1), (1, 2), (2, 2)]:
         expect = Fraction((q - 1) ** 2 * (2 * q - 1), 3 * q ** (a + 2 * b + 4))
         assert cubic_congruence_measure(Q2, a, b) == expect
+
+
+@pytest.mark.parametrize("label", ["Q2", "U2", "sqrt2"])
+def test_cubic_congruence_matches_the_pairwise_count(label, Q2, U2, K_sqrt2):
+    # each (x0, x2) counts the distinct leading digits of its targets of
+    # valuation a + b instead of testing every x1 against every target
+    K = {"Q2": Q2, "U2": U2, "sqrt2": K_sqrt2}[label]
+    for a, b in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        n = cubic_congruence_count_pairwise(K, a, b)
+        assert cubic_congruence_measure(K, a, b) == Fraction(n, K.q ** (3 * (a + b + 1)))
+
+
+def test_cubic_congruence_refuses_depth_beyond_the_cap(Q2):
+    # the congruence is read mod pi^(a+b+1), which must lie within the cap
+    with pytest.raises(PrecisionExhausted, match="beyond cap"):
+        cubic_congruence_measure(Q2, Q2.ring.cap, 1)
+
+
+# leaves per certificate and splits per reason over the full range, as the
+# ROADMAP table records them; a change of either is a change of the tree
+_PINNED_TREES = {
+    "x^2-2": ((153, 24, 1792, 112), (166, 128, 1530, 256)),
+    "unramified f=2": ((99, 12, 1856, 176), (46, 24, 260, 384)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(_PINNED_TREES))
+def test_density_tree_is_pinned(label):
+    spec = dict((lab, s) for s, lab in FULL_RANGE_DENSITY_SPECS)[label]
+    _, meta = density_counts(field_from_spec(spec))
+    leaves, splits = _PINNED_TREES[label]
+    assert tuple(meta[k] for k in _CERTIFICATES) == leaves
+    assert tuple(meta[k] for k in _SPLITS) == splits
 
 
 def test_density_equals_tower_on_common_scope(Q2):

@@ -186,12 +186,13 @@ def test_checked_hinted_resolvent_root_must_match_the_search(Q2, monkeypatch):
     fq = quartic_from_ints(Q2, 2, 0, -4, 0)
     rescubic = resolvent_cubic(fq)
     (w,) = cubic_k_roots(Q2, rescubic, quartic._resolvent_root_target(Q2.e_abs))
-    assert quartic._resolvent_root(Q2, rescubic, w, check=True) == w
+    assert quartic._resolvent_root(fq, rescubic, w, check=True)[0] == w
+    # a walk that claims v(R(far)) = 40 and v(R'(far)) = 1, so far is taken at once
     far = Q2.ring.add(w, Q2.digit_elt(1, 1))
-    monkeypatch.setattr(quartic, "_root_from_hint", lambda *args: far)
-    assert quartic._resolvent_root(Q2, rescubic, w) == far  # unchecked, taken as found
+    monkeypatch.setattr(quartic, "_root_from_hint", lambda *args: iter([(far, 40, 1)]))
+    assert quartic._resolvent_root(fq, rescubic, w)[0] == far  # unchecked, taken as found
     with pytest.raises(FormulationMismatch, match="hint"):
-        quartic._resolvent_root(Q2, rescubic, w, check=True)
+        quartic._resolvent_root(fq, rescubic, w, check=True)
 
 
 def test_deformation_cubic_closed_coefficients(Q2):

@@ -17,6 +17,7 @@ from helpers import (
     cubic_disc,
     eval_tables,
     resolvent_bounds,
+    resolvent_split_at_target,
     root_distances,
     table_bound,
 )
@@ -24,7 +25,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from q2quartic.oracle.dedup import _DedupWalk, _has_root_in
-from q2quartic.oracle.density import _INF, _ROOT, _Enumerator
+from q2quartic.oracle.density import _INF, _ROOT, _Enumerator, _resolvent_window
 from q2quartic.padic import _compiled
 from q2quartic.padic.field import field_from_spec
 from q2quartic.padic.quartic import (
@@ -36,6 +37,7 @@ from q2quartic.padic.quartic import (
     _poly_eval,
     _resolvent_root,
     _resolvent_root_target,
+    _resolvent_split,
     _root_from_hint,
     classify_by_invariants,
     classify_quartic,
@@ -44,6 +46,7 @@ from q2quartic.padic.quartic import (
     disc_valuation,
     in_Tm,
     in_Tm_domain,
+    is_one_aut,
     resolvent_cubic,
     stem_ring,
 )
@@ -135,20 +138,51 @@ def test_root_from_hint_agrees_with_the_search(case, data):
     else:
         digits = st.lists(st.integers(0, K.q - 1), max_size=4 * K.e_abs + 4)
         start = K.from_digits(data.draw(digits, label="start"))
-    w = _root_from_hint(K, rescubic, start, target)
+    steps = _root_from_hint(K, rescubic, deriv, start)
     if near and k > R.val(_poly_eval(R, deriv, roots[0])):
-        assert w is not None
-    if w is None:
+        assert steps is not None
+    if steps is None:
         return
     assert len(roots) == 1
+    w, _, vd = next(item for item in steps if item[1] is None or item[1] >= target)
     gap = R.val(R.sub(w, roots[0]))
-    assert gap is None or gap >= target - R.val(_poly_eval(R, deriv, w))
-    assert _resolvent_root(K, rescubic, start, check=True) == w
+    assert gap is None or gap >= target - vd
+    # the root taken early is within eps = v(R(x)) - v(R'(x)) of the refined one
+    x, _, vd, _, _ = _resolvent_root(fq, rescubic, start, check=True)
+    vp = R.val(_poly_eval(R, rescubic, x))
+    gap = R.val(R.sub(x, w))
+    assert vp is None or gap is None or gap >= vp - vd
 
 
 def _vrep(vals):
     """Coefficient valuations with _INF for zero, as the enumerator keeps them."""
     return tuple(_INF if v is None else v for v in vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eisenstein_quartics(tuple(_SPECS), allow_zero=True), st.data())
+def test_adaptive_resolvent_precision_matches_the_fixed_target(case, data):
+    # _resolvent_split refines w only until the window's own inequality, with
+    # eps = v(w - w*) in place of the perturbation, pins v(w), v(R'(w)),
+    # v(W) and the class of W; group and window verdict must be those of w
+    # refined to 24e+32, from a hint near the root, from anywhere, or from none
+    _, fq, vals = case
+    K = fq.field
+    R, e = K.ring, K.e_abs
+    assume(not is_one_aut(fq) and not K.is_square(fq.disc))
+    cs = data.draw(st.tuples(*[st.integers(2, 6 * e + 6)] * 4), label="node digit counts")
+    vh = tuple(min(v, c) for v, c in zip(_vrep(vals), cs))
+    window = _resolvent_window(e, cs, vh)
+    rescubic = resolvent_cubic(fq)
+    (root,) = cubic_k_roots(K, rescubic, 4 * e + 2)
+    hint = data.draw(st.one_of(
+        st.none(),
+        st.integers(1, 4 * e + 4).map(lambda k: R.add(root, K.digit_elt(1, k))),
+        st.lists(st.integers(0, K.q - 1), max_size=4 * e + 4).map(K.from_digits),
+    ), label="hint")
+    got = _resolvent_split(fq, rescubic, window, hint, check=True)[0]
+    assert got == resolvent_split_at_target(fq, window)
+    assert _resolvent_split(fq, rescubic, None, hint)[0] == resolvent_split_at_target(fq)
 
 
 @settings(max_examples=80, deadline=None)
