@@ -36,25 +36,30 @@ for the last two, from the square class of its discriminant:
 * tower certificate: when every member visibly fails the one-automorphism
   valuation pattern, the classification only needs the square class of
   disc (V4 when square) and, for the C4/D4 split, the square class of
-  disc * (w^2 - 4 a0) for the unique root w of the resolvent cubic; w is
-  pinned by a Hensel window, so stability follows from coefficient-level
-  perturbation bounds far shallower than the Krasner depth.  The window's
-  resolvent-coefficient bounds (``r0_bound``, ``r1_bound``, ``r2_bound``)
-  are built like the disc bound, from the resolvent's monomials
-  (``_resolvent_window``).  All four bound functions live in
-  :mod:`q2quartic.padic._compiled`, straight-line code generated from
-  ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS``.  The search for w
-  starts from the root found at the last tower node (``hint``):
-  neighbouring nodes' roots agree to about one digit, so Newton from it, or
-  from one residue step beyond it, nearly always reaches the new root, and
-  residue refinement from scratch runs only when it does not.  A root so
-  found is the only one in K: disc of the resolvent cubic is disc f, not a
-  square here, and a cubic with three roots in K has a square disc.  w is
-  refined only until its distance eps = v(R(w)) - v(R'(w)) to the true
-  root satisfies the window's own inequality with eps in place of the
-  members' perturbation: then v(w), v(R'(w)), v(W) and the square class of
-  W are the true root's, and the window reads them as Newton hands them
-  back (``_resolvent_root``).  The square test of disc * W multiplies the
+  disc * W, W = w^2 - 4 a0 for the unique root w of the resolvent cubic R;
+  the class of W is pinned by a Hensel window, so stability follows from
+  coefficient-level perturbation bounds far shallower than the Krasner
+  depth.  The window's resolvent-coefficient bounds (``r0_bound``,
+  ``r1_bound``, ``r2_bound``) are built like the disc bound, from the
+  resolvent's monomials (``_resolvent_window``).  All four bound functions
+  live in :mod:`q2quartic.padic._compiled`, straight-line code generated
+  from ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS``.  One inequality
+  pins the class: every w' with v(w' - w) >= d has w'^2 - 4 a0 in the class
+  of W when d + min(e + v(w), d) >= v(W) + 2e + 1 (``_pins_class``).  The
+  window tests it at the distance dw within which Hensel puts every
+  member's root, and the root's own refinement tests it at the distance
+  eps = v(R(w)) - v(R'(w)) to the true root w*.  Newton's readings are
+  taken from the first step with v(w) < eps: from there v(w), v(R'(w)) and
+  v(W) = min(2 v(w), 2e+1) are w*'s (v(4 a0) = 2e+1 is odd, so W never
+  vanishes), the window's verdict at dw is final, and w is refined only
+  until the inequality holds at min(dw, eps) (``_resolvent_split``).  The
+  search for w starts from the last root found, at a tower node or a C4/D4
+  Krasner leaf (``hint``): neighbouring nodes' roots agree to about one
+  digit, so Newton from it, or from one residue step beyond it, nearly
+  always reaches the new root, and residue refinement from scratch runs
+  only when it does not.  A root so found is the only one in K: disc of the
+  resolvent cubic is disc f, not a square here, and a cubic with three
+  roots in K has a square disc.  The square test of disc * W multiplies the
   unit parts of disc and W.  Which root was found last, and how far it was
   refined, depend on the order of the walk, but what the tests read does
   not, so neither do the results.
@@ -144,8 +149,9 @@ Cross-checks.  ``_add_leaf`` re-classifies a leaf by stem root counting
 ``cross_check_every`` (1: every leaf, 0: none), and raises
 ``FormulationMismatch`` on disagreement.  Dedup's leaves go through the same
 check, so a sample of the leaves it matches to a field by a stem test is
-classified afresh.  On such a node a resolvent root found from the hint is
-also searched for from scratch, which must find that root and no other.
+classified afresh.  On such a tower node a resolvent root found from the
+hint is also searched for from scratch, which must find that root and no
+other.
 Hashes of int tuples do not depend on PYTHONHASHSEED or on ``jobs``.
 """
 
@@ -161,6 +167,7 @@ from ..padic._compiled import disc_bound, r0_bound, r1_bound, r2_bound
 from ..padic.field import LocalField, ramified_quadratic
 from ..padic.quartic import (
     EisensteinQuartic,
+    _pins_class,
     _resolvent_split,
     classify_by_invariants,
     classify_quartic,
@@ -236,30 +243,31 @@ def _minus_one_functional(K: LocalField) -> tuple[int, int]:
 
 def _resolvent_window(e: int, cs, vh):
     """The Hensel window of a tower node with digit counts ``cs`` and
-    coefficient valuations ``vh`` (each capped at its count): a predicate on
-    (v(w), v(R'(w)), v(W)) for the root w of the representative's resolvent
-    cubic R and W = w^2 - 4 a0, true when every member's root w' has
-    w'^2 - 4 a0' in the square class of W.
+    coefficient valuations ``vh`` (each capped at its count): a predicate
+    ``window(v(w), v(R'(w)), v(W), dist)`` on the readings of a root w of
+    the representative's resolvent cubic R, W = w^2 - 4 a0, true when every
+    member's root w', and every w' within ``dist`` of w, has w'^2 - 4 a0' in
+    the square class of W.
 
     The members' resolvent coefficients differ from the representative's at
     valuations at least ``r0_bound``, ``r1_bound`` and ``r2_bound``, so
     their R(w) and R'(w) differ by eta_w and eta_wp at least.  When
     eta_w > 2 v(R'(w)) and eta_wp > v(R'(w)), Hensel gives the member one
-    root w' with v(w' - w) >= dw = eta_w - v(R'(w)); then W changes by
-    (w' - w)(w' + w) and by 4 (a0 - a0'), and a change of valuation at
-    least v(W) + 2e + 1 keeps the square class.
+    root w' with v(w' - w) >= dw = eta_w - v(R'(w)).  W then changes by
+    (w' - w)(w' + w), which keeps its class when ``_pins_class`` holds at
+    min(dw, dist), and by 4 (a0 - a0'), of valuation >= 2e + cs[0], which
+    keeps it when cs[0] > v(W).
     """
     b_r0, b_r1, b_r2 = r0_bound(cs, vh, e), r1_bound(cs, vh, e), r2_bound(cs, vh, e)
 
-    def window(vw, v_rp, vW):
-        if v_rp is None or vW is None:
-            return False
+    def window(vw, v_rp, vW, dist):
         eta_w = min(b_r2 + 2 * vw, b_r1 + vw, b_r0)
-        eta_wp = min(b_r2 + vw, b_r1)
-        if not (eta_w > 2 * v_rp and eta_wp > v_rp):
-            return False
-        dw = eta_w - v_rp
-        return min(dw + min(e + vw, dw), 2 * e + cs[0]) >= vW + 2 * e + 1
+        return (
+            eta_w > 2 * v_rp
+            and min(b_r2 + vw, b_r1) > v_rp
+            and cs[0] > vW
+            and _pins_class(e, vw, vW, min(eta_w - v_rp, dist))
+        )
 
     return window
 
@@ -394,7 +402,8 @@ class _Enumerator:
     def _krasner_leaf(self, digits):
         """Record a node on which every member generates the field of its representative."""
         fq = self._build(digits)
-        self._add_leaf(classify_by_invariants(fq), fq, digits, "krasner")
+        mg, self.hint = classify_by_invariants(fq, self.hint)
+        self._add_leaf(mg, fq, digits, "krasner")
 
     def _tower_leaf(self, digits, cs, vrep, vh, m, bound) -> bool | None:
         """Parity, coset and tower certificates of a node with v(disc) = m

@@ -28,6 +28,9 @@ from ..padic.rings import leading_residue
 # measure_set refuses to enumerate more coefficient classes than this
 _CLASS_BUDGET = 4_000_000
 
+# measure_set re-tests every this-many-th class one digit deeper
+_SAMPLE_STRIDE = 97
+
 
 def _digit_tuples(q: int, span: int):
     return product(range(q), repeat=span)
@@ -55,19 +58,14 @@ def _eisenstein_classes(field: LocalField, c: int):
                         yield EisensteinQuartic(field, a0, a1, a2, field.from_digits((0,) + d3))
 
 
-def measure_set(
-    field: LocalField,
-    predicate,
-    c: int,
-    sample_stride: int = 97,
-) -> Fraction:
+def measure_set(field: LocalField, predicate, c: int) -> Fraction:
     """Measure (relative to mu(O_K^4) = 1) of the Eisenstein set cut out by predicate."""
     hits = 0
     for idx, fq in enumerate(_eisenstein_classes(field, c), start=1):
         verdict = predicate(fq)
         if verdict:
             hits += 1
-        if idx % sample_stride == 0:
+        if idx % _SAMPLE_STRIDE == 0:
             _check_stability(field, predicate, fq, verdict, c)
     return Fraction(hits, field.q ** (4 * c))
 

@@ -117,7 +117,8 @@ def verify(
     With ``cache_dir``, ``meta["cache"]`` maps each oracle run to "hit" or
     "miss".  No oracle, an unknown one, a negative ``m_max`` or
     ``dedup_m_max``, or a ``cache_dir`` that cannot be created raises
-    InvalidParams before any oracle runs.
+    InvalidParams before any oracle runs.  ``m_max`` above 8e+3, the
+    largest v(disc) of an Eisenstein quartic, is read as 8e+3.
     """
     if not methods or not set(methods) <= set(_METHODS):
         raise InvalidParams(
@@ -126,6 +127,7 @@ def verify(
     for name, bound in (("m_max", m_max), ("dedup_m_max", dedup_m_max)):
         if bound is not None and bound < 0:
             raise InvalidParams(f"{name} must be at least 0, got {bound}")
+    m_max = min(m_max, 8 * field.e_abs + 3)
     if cache_dir:
         try:
             os.makedirs(cache_dir, exist_ok=True)

@@ -411,14 +411,16 @@ def field_from_spec(spec: dict) -> LocalField:
     if "f" not in spec:
         raise InvalidParams("field spec needs 'f'")
     f = spec["f"]
-    if not isinstance(f, int) or f < 1:
-        raise InvalidParams(f"bad f: {f!r}")
+    if type(f) is not int or f < 1:
+        raise InvalidParams(f"f must be a positive int, got {f!r}")
     eis = spec.get("eisenstein")
     if eis is None:
         if spec.get("e", 1) != 1:
             raise InvalidParams("e > 1 requires an 'eisenstein' entry")
         e = 1
     else:
+        if type(eis) is not list:
+            raise InvalidParams(f"eisenstein entry must be a list of coefficients, got {eis!r}")
         e = len(eis) - 1
         if e < 1:
             raise InvalidParams("eisenstein entry must list at least two coefficients")

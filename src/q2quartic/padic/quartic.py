@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from math import inf
 
 from ..errors import FormulationMismatch, PrecisionExhausted
 from ..params import GroupTag
@@ -373,11 +374,6 @@ def cubic_k_roots(K: LocalField, poly, want_val: int):
     return out
 
 
-def _resolvent_root_target(e: int) -> int:
-    """Valuation to which ``_resolvent_root`` refines a root it cannot accept earlier."""
-    return 24 * e + 32
-
-
 def _root_from_hint(K: LocalField, poly, deriv, hint):
     """The Newton walk (``_newton``) of the monic ``poly`` from a start near
     ``hint`` in a Newton basin, or None when there is no such start.
@@ -411,83 +407,6 @@ def _root_from_hint(K: LocalField, poly, deriv, hint):
     return None
 
 
-def _resolvent_root(fq: EisensteinQuartic, rescubic, hint=None, check=False):
-    """The unique root w in O_K of the resolvent cubic R of a quartic f whose
-    disc is not a square, refined only as far as its readers need: returns
-    (w, v(w), v(R'(w)), W, v(W)) with W = w^2 - 4 a0, where the valuations
-    and the square class of W are those of the true root w*.
-
-    disc(R) = disc(f) is not a square, and a separable cubic has 0, 1 or 3
-    roots in K, 3 only when its disc is a square: a root found from
-    ``hint`` (``_root_from_hint``) is therefore the only one.  Without a
-    hint, or when the hint finds no start, ``cubic_k_roots`` searches from
-    scratch, to v(R(w)) >= 4e+2 > v(disc)/2 >= v(R'(w*)), which puts its
-    root in the Newton basin.
-
-    Precision.  Newton runs to v(R(w)) >= P, from P = 1 after a hint (the
-    start itself is read first) and P = 4e+2 after a search.  In the basin
-    eps = v(R(w)) - v(R'(w)) is v(w - w*), and v(R'(w)) = v(R'(w*)).  w is
-    taken once v(w) < eps and eps + min(e + v(w), eps) >= v(W) + 2e + 1:
-    then v(w) = v(w*), and W - W* = (w - w*)(w + w*) lies in
-    W pi^(2e+1) O_K, so W and W* share valuation and square class.  This is
-    the window's own inequality (``oracle.density._resolvent_window``) with
-    eps in place of its perturbation dw.  Otherwise P rises to the least
-    valuation at which the inequality can hold on these readings, and Newton
-    goes on from w.  When w vanishes at P, or P reaches
-    ``_resolvent_root_target``, w is refined to that target and read as it
-    is, with v(w) = target when w vanishes.
-
-    With ``check``, a hinted root w is searched for again at P = v(R(w)),
-    the precision w was taken at (the target when R(w) vanishes), and the
-    search must find exactly one root w' with v(w - w') >= P - v(R'(w)),
-    which is eps when w was taken early.  FormulationMismatch when a search
-    finds a root count other than one, or a checked w' too far from w.
-    """
-    K = fq.field
-    R, e = K.ring, K.e_abs
-    deriv = _poly_deriv(R, rescubic)
-    four_a0 = R.mul(R.from_int(4), fq.a0)
-    target = _resolvent_root_target(e)
-    steps = None if hint is None else _root_from_hint(K, rescubic, deriv, hint)
-    hinted = steps is not None
-    if hinted:
-        want = 1  # a start in the basin has v(R(w)) >= 1: its first reading is the start
-    else:
-        want = 4 * e + 2
-        steps = _newton(K, rescubic, deriv, _only_root(K, rescubic, want))
-    w, vp, vd = next(steps)
-    while True:
-        while vp is not None and vp < want:
-            w, vp, vd = next(steps)
-        vw = R.val(w)
-        W = R.sub(R.mul(w, w), four_a0)
-        vW = R.val(W)
-        if vp is None or vd is None or want >= target:
-            if vw is None:
-                vw = target
-            break
-        if vw is None:
-            want = target
-            continue
-        eps = vp - vd
-        if vW is None:
-            want = vp + 1
-            continue
-        top = vW + 2 * e + 1  # what eps + min(e + v(w), eps) must reach
-        if vd < eps and vw < eps and eps + min(e + vw, eps) >= top:
-            break
-        need = max(vw + 1, vd + 1, -(-top // 2), top - e - vw)
-        want = min(target, max(vp + 1, vd + need))
-    if hinted and check:
-        want = target if vp is None else vp
-        v_gap = R.val(R.sub(w, _only_root(K, rescubic, want)))
-        if v_gap is not None and (vd is None or v_gap < want - vd):
-            raise FormulationMismatch(
-                f"resolvent root from the hint differs from the searched root at valuation {v_gap}"
-            )
-    return w, vw, vd, W, vW
-
-
 def _only_root(K: LocalField, poly, want_val: int):
     """The one root of ``cubic_k_roots``; FormulationMismatch when it finds another count."""
     roots = cubic_k_roots(K, poly, want_val)
@@ -498,45 +417,107 @@ def _only_root(K: LocalField, poly, want_val: int):
     return roots[0]
 
 
+def _pins_class(e: int, vw, vW, d) -> bool:
+    """Whether every w' with v(w' - w) >= d gives W' = w'^2 - 4 a0 the square
+    class of W = w^2 - 4 a0, for v(w) = vw and v(W) = vW over a base with
+    v(2) = e: the one inequality
+
+        d + min(e + v(w), d) >= v(W) + 2e + 1.
+
+    W' - W = (w' - w)(w' + w) and w' + w = 2w + (w' - w), so v(W' - W) is
+    at least the left side; W'/W = 1 + x with v(x) >= 2e + 1 is a square.
+    """
+    return d + min(e + vw, d) >= vW + 2 * e + 1
+
+
 def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None, hint=None, check=False):
     """(C4 or D4, w) for a quartic whose closure group is one of them, w the
-    unique root of the resolvent cubic in K (``_resolvent_root``, which
-    ``hint`` and ``check`` are passed to).
+    unique root of its resolvent cubic R in K, as far as it was refined; the
+    group is None when ``window`` does not pin the square class of
+    W = w^2 - 4 a0.
 
-    The stem's quadratic subfield is K(sqrt(W)) with W = w^2 - 4 a0, and the
-    closure is cyclic exactly when disc * W is a square: when v(disc) + v(W)
-    is even and the product of the two unit parts is a square.  The group is
-    None when ``window(v(w), v(R'(w)), v(W))`` is false.
+    The root.  disc(R) = disc(f) is not a square, and a separable cubic has
+    0, 1 or 3 roots in K, 3 only when its disc is a square: a root found from
+    ``hint`` (``_root_from_hint``) is therefore the only one.  Without a
+    hint, or when the hint finds no start, ``cubic_k_roots`` searches from
+    scratch, to v(R(w)) >= 4e+2 > v(disc)/2 >= v(R'(w*)), which puts its
+    root in the Newton basin.
+
+    Readings.  Newton walks on from that start.  In the basin v(R'(w)) is
+    already the true root w*'s, and eps = v(R(w)) - v(R'(w)) is v(w - w*),
+    infinite once R(w) vanishes (the walk's last item).  Readings with
+    v(w) >= eps are skipped; past them v(w) = v(w*), infinite when w
+    vanishes, and v(W) = v(W*), since v(W) = min(2 v(w), 2e+1) for every w
+    (v(4 a0) = 2e+1 is odd, so W never vanishes).  ``window(v(w), v(R'(w)),
+    v(W), dist)`` tests the node's Hensel conditions and ``_pins_class`` at
+    min(dw, dist), dw the distance within which every member's root lies.
+    At each reading past the skip the group is None when the window fails
+    at dist = infinity, and is read when it holds at dist = eps, which puts
+    W in W*'s class; otherwise Newton takes another step.  With no window
+    the test is ``_pins_class`` at eps alone.  The closure is cyclic exactly
+    when disc * W is a square: when v(disc) + v(W) is even and the product
+    of the two unit parts is a square.
+
+    With ``check``, a hinted root w is searched for again at P = v(R(w)),
+    or at the ring's cap when R(w) vanishes, and the search must find
+    exactly one root w' with v(w - w') >= P - v(R'(w)).  FormulationMismatch
+    when a search finds a root count other than one, or a checked w' too far
+    from w.
     """
     K = fq.field
-    R = K.ring
-    w, vw, v_rp, W, vW = _resolvent_root(fq, rescubic, hint, check)
-    if window is not None and not window(vw, v_rp, vW):
+    R, e = K.ring, K.e_abs
+    deriv = _poly_deriv(R, rescubic)
+    steps = None if hint is None else _root_from_hint(K, rescubic, deriv, hint)
+    hinted = steps is not None
+    if not hinted:
+        steps = _newton(K, rescubic, deriv, _only_root(K, rescubic, 4 * e + 2))
+    if window is None:
+        def window(vw, v_rp, vW, dist):
+            return _pins_class(e, vw, vW, dist)
+    for w, vp, vd in steps:
+        vw = R.val(w)
+        vw = inf if vw is None else vw
+        eps = inf if vp is None else vp - vd
+        if vw >= eps and vp is not None:
+            continue
+        vW = min(2 * vw, 2 * e + 1)
+        pinned = window(vw, vd, vW, inf)
+        if not pinned or window(vw, vd, vW, eps):
+            break
+    if hinted and check:
+        want = R.cap if vp is None else vp
+        v_gap = R.val(R.sub(w, _only_root(K, rescubic, want)))
+        if v_gap is not None and v_gap < want - vd:
+            raise FormulationMismatch(
+                f"resolvent root from the hint differs from the searched root at valuation {v_gap}"
+            )
+    if not pinned:
         return None, w
-    if vW is None:
-        raise PrecisionExhausted("w^2 - 4 a0 vanishes to working precision")
     if (K.val(fq.disc) + vW) & 1:
         return GroupTag.D4, w
+    W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
     reach, _ = K.square_reach(R.mul(fq.disc_unit, R.shift(W, -vW)))
-    return (GroupTag.C4 if reach == 2 * K.e_abs + 1 else GroupTag.D4), w
+    return (GroupTag.C4 if reach == 2 * e + 1 else GroupTag.D4), w
 
 
-def classify_by_invariants(fq: EisensteinQuartic):
-    """(m, GroupTag) via coefficient congruences and square classes only.
+def classify_by_invariants(fq: EisensteinQuartic, hint=None):
+    """((m, GroupTag), hint') via coefficient congruences and square classes only.
 
     Route: the trivial-automorphism congruence test separates S4/A4 (split
     by the discriminant square class); a square discriminant otherwise
     forces V4; the remaining {C4, D4} are split by the resolvent cubic
-    (see ``_resolvent_split``).
+    (``_resolvent_split``, whose search starts from ``hint``).  hint' is the
+    resolvent root found, or ``hint`` itself when none was needed.
     """
     K = fq.field
     m = _disc_val(K, fq.disc)
     square_disc = m % 2 == 0 and K.square_reach(fq.disc_unit)[0] == 2 * K.e_abs + 1
     if is_one_aut(fq, m):
-        return m, (GroupTag.A4 if square_disc else GroupTag.S4)
+        return (m, (GroupTag.A4 if square_disc else GroupTag.S4)), hint
     if square_disc:
-        return m, GroupTag.V4
-    return m, _resolvent_split(fq, resolvent_cubic(fq))[0]
+        return (m, GroupTag.V4), hint
+    g, w = _resolvent_split(fq, resolvent_cubic(fq), hint=hint)
+    return (m, g), w
 
 
 def classify_tower_from_norm(K: LocalField, d, alpha_norm) -> GroupTag:

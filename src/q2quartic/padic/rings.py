@@ -84,11 +84,12 @@ def _fold(x: int, stages, mask: int) -> int:
 class _PackedRing:
     """What both ring shapes share: their elements are ints in one slot layout.
 
-    A subclass sets ``_coef`` (2^N - 1) and ``_degree`` ([K:Q_2]) and calls
-    ``_layout`` with its slots ((bit offset, weight) per bottom coefficient),
-    the offsets of its residue digits and the mask, stride and number of the
-    entries ``coeffs`` returns; ``_layout`` derives the element mask
-    ``_mask`` and ``_two_n``, 2^N in every slot.
+    A subclass sets ``_coef`` (2^N - 1) and ``_degree`` ([K:Q_2], through
+    ``_set_degree``) and calls ``_layout`` with its slots ((bit offset,
+    weight) per bottom coefficient), the offsets of its residue digits and
+    the mask, stride and number of the entries ``coeffs`` returns;
+    ``_layout`` derives the element mask ``_mask`` and ``_two_n``, 2^N in
+    every slot.
     """
 
     def from_int(self, n: int):
@@ -138,9 +139,14 @@ class _PackedRing:
             r |= ((a >> off) & 1) << i
         return r
 
+    def _set_degree(self, degree: int):
+        """Set ``_degree``, refusing a degree above the slot headroom; a
+        subclass calls it before it builds anything of that degree."""
+        if 2 * degree > 1 << _HEADROOM:
+            raise InvalidParams(f"degree {degree} over Q_2 exceeds the slot headroom")
+        self._degree = degree
+
     def _layout(self, slots, res_offsets, part):
-        if 2 * self._degree > 1 << _HEADROOM:
-            raise InvalidParams(f"degree {self._degree} over Q_2 exceeds the slot headroom")
         self._slots = tuple(sorted(slots, key=lambda s: s[1]))
         self._res_offsets = res_offsets
         self._part = part
@@ -156,7 +162,7 @@ class UnramifiedRing(_PackedRing):
         self.n2 = n2  # coefficients live mod 2^n2
         self.cap = n2  # pi-adic precision equals coefficient precision
         self.e_abs = 1  # v_U(2)
-        self._degree = f  # [U:Q_2]
+        self._set_degree(f)  # [U:Q_2]
         self.res = ResidueField(f)
         self._coef = (1 << n2) - 1
         self._teich_cache: dict[int, int] = {}
@@ -254,7 +260,7 @@ class EisensteinStep(_PackedRing):
         self.res = base.res
         self.e_abs = n * base.e_abs
         self.cap = n * base.cap
-        self._degree = n * base._degree
+        self._set_degree(n * base._degree)
         self.zero, self.one = 0, 1
         self._coef = base._coef
         s = self._s = base._width  # a block has room for a raw base product

@@ -13,8 +13,8 @@ density oracle's integer-only ``_distance_polygon_max`` to.
 ``resolvent_bounds`` is the hand-derived reference for the resolvent
 coefficients' perturbation bounds that density reads from
 :mod:`q2quartic.padic._compiled`.  ``resolvent_split_at_target`` refines
-the resolvent root to a fixed valuation, the reference of the precision
-the C4/D4 split picks for itself, and ``cubic_congruence_count_pairwise``
+the resolvent root to a fixed valuation, the reference of the readings
+the C4/D4 split takes for itself, and ``cubic_congruence_count_pairwise``
 is the pairwise reference of ``cubic_congruence_measure``.
 
 The published closed forms of the masses (``mass_S4`` .. ``tower_mass``
@@ -38,7 +38,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import comb
+from math import comb, inf
 
 from q2quartic.counts import ind
 from q2quartic.errors import DivisionByNonUnit, PrecisionExhausted
@@ -166,20 +166,20 @@ def resolvent_bounds(e, cs, vh):
 
 def resolvent_split_at_target(fq, window=None):
     """C4 or D4 for a quartic whose closure group is one of them, or None
-    when ``window`` is given and false on the readings of its resolvent
-    root w refined by the search to the fixed valuation 24e+32 and read as
-    it stands (v(w) = 24e+32 when w vanishes); the group comes from the
-    square test of disc * (w^2 - 4 a0) itself.  It is the reference of the
-    precision that ``_resolvent_root`` chooses for itself."""
+    when ``window`` is given and false, at its own distance, on the readings
+    of its resolvent root w refined by the search to the fixed valuation
+    24e+32 and read as it stands (v(w) = 24e+32 when w vanishes); the group
+    comes from the square test of disc * (w^2 - 4 a0) itself.  It is the
+    reference of the readings that ``_resolvent_split`` takes for itself."""
     K = fq.field
     R = K.ring
     rescubic = quartic.resolvent_cubic(fq)
-    target = quartic._resolvent_root_target(K.e_abs)
+    target = 24 * K.e_abs + 32
     (w,) = quartic.cubic_k_roots(K, rescubic, target)
     vw = R.val(w)
     v_rp = R.val(quartic._poly_eval(R, quartic._poly_deriv(R, rescubic), w))
     W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
-    if window is not None and not window(target if vw is None else vw, v_rp, R.val(W)):
+    if window is not None and not window(target if vw is None else vw, v_rp, R.val(W), inf):
         return None
     return GroupTag.C4 if K.is_square(R.mul(fq.disc, W)) else GroupTag.D4
 

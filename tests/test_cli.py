@@ -136,6 +136,10 @@ def test_non_eisenstein_field_spec_exits_2(tmp_path, capsys):
         spec.write_text(json.dumps({"f": 1, "precision": prec}))
         assert run(["derive-params", "--field", str(spec)]) == 2
         assert "precision must be a positive int" in capsys.readouterr().err
+    for bad in ({"f": 1, "eisenstein": 5}, {"f": 3000}, {"f": True}):
+        spec.write_text(json.dumps(bad))
+        assert run(["derive-params", "--field", str(spec)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_derive_params_cli(tmp_path, capsys):

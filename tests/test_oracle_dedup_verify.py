@@ -249,6 +249,8 @@ def test_verify_tower_only_scope(Q2):
     assert report.passed
     assert {r.group for r in report.rows} == {"V4", "C4", "D4"}
     assert all(r.method == "tower" for r in report.rows)
+    # m_max beyond 8e+3 = 11 adds no row and is read as 11 before any walk over m
+    assert verify(Q2, 10**8, methods=("tower",)).rows == report.rows
 
 
 def test_precision_retry_rebuilds_field(Q2, monkeypatch):

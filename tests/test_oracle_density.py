@@ -20,6 +20,7 @@ from q2quartic.errors import (
     Q2QuarticError,
 )
 from q2quartic.oracle import density as D
+from q2quartic.oracle import measure
 from q2quartic.oracle.dedup import dedup_counts
 from q2quartic.oracle.density import density_counts, density_measures
 from q2quartic.oracle.measure import (
@@ -452,14 +453,15 @@ def test_measure_set_basics(Q2):
     assert measure_set(Q2, lambda fq: False, 3) == 0
 
 
-def test_measure_set_instability_detected(Q2):
+def test_measure_set_instability_detected(Q2, monkeypatch):
     # a predicate reading digits beyond the class depth must be rejected
     def unstable(fq):
         v = Q2.val(fq.a2)
         return v is None or v > 3
 
+    monkeypatch.setattr(measure, "_SAMPLE_STRIDE", 1)  # re-test every class
     with pytest.raises(ClassInstability):
-        measure_set(Q2, unstable, 3, sample_stride=1)
+        measure_set(Q2, unstable, 3)
 
 
 def test_t_m_measures_q2(Q2):

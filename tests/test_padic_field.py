@@ -296,6 +296,12 @@ def test_field_spec_validation():
         field_from_spec({"e": 2})
     with pytest.raises(InvalidParams):
         field_from_spec({"f": 1, "e": 2})
+    with pytest.raises(InvalidParams, match="list of coefficients"):
+        field_from_spec({"f": 1, "eisenstein": 5})
+    with pytest.raises(InvalidParams, match="headroom"):
+        field_from_spec({"f": 3000})  # refused before any residue field of degree 3000
+    with pytest.raises(InvalidParams, match="positive int"):
+        field_from_spec({"f": True})
     # digit-list coefficients: [[0,1],[1]] encodes y + 2, i.e. Q2 itself
     K = field_from_spec({"f": 1, "eisenstein": [[0, 1], [1]]})
     assert K.e_abs == 1 and K.f == 1

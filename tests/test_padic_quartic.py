@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from helpers import newton_slopes, quartic_from_ints, root_distances
+from helpers import newton_slopes, quartic_from_ints, resolvent_split_at_target, root_distances
 
 from q2quartic.errors import FormulationMismatch, InvalidParams
+from q2quartic.oracle.density import _resolvent_window
 from q2quartic.padic import quartic
 from q2quartic.padic.field import q2
 from q2quartic.padic.quartic import (
@@ -92,7 +93,7 @@ def test_non_eisenstein_coefficients_rejected(Q2):
 def test_witness_classification(Q2, coeffs, m, group):
     fq = quartic_from_ints(Q2, *coeffs)
     assert classify_quartic(fq) == (m, group)
-    assert classify_by_invariants(fq) == (m, group)
+    assert classify_by_invariants(fq)[0] == (m, group)
 
 
 def test_count_roots_examples(Q2):
@@ -185,14 +186,35 @@ def test_checked_hinted_resolvent_root_must_match_the_search(Q2, monkeypatch):
     # off the searched one by more than Hensel allows is a mismatch
     fq = quartic_from_ints(Q2, 2, 0, -4, 0)
     rescubic = resolvent_cubic(fq)
-    (w,) = cubic_k_roots(Q2, rescubic, quartic._resolvent_root_target(Q2.e_abs))
-    assert quartic._resolvent_root(fq, rescubic, w, check=True)[0] == w
+    (w,) = cubic_k_roots(Q2, rescubic, 56)
+    assert quartic._resolvent_split(fq, rescubic, None, w, check=True)[1] == w
     # a walk that claims v(R(far)) = 40 and v(R'(far)) = 1, so far is taken at once
     far = Q2.ring.add(w, Q2.digit_elt(1, 1))
     monkeypatch.setattr(quartic, "_root_from_hint", lambda *args: iter([(far, 40, 1)]))
-    assert quartic._resolvent_root(fq, rescubic, w)[0] == far  # unchecked, taken as found
+    assert quartic._resolvent_split(fq, rescubic, None, w)[1] == far  # unchecked, taken as found
     with pytest.raises(FormulationMismatch, match="hint"):
-        quartic._resolvent_root(fq, rescubic, w, check=True)
+        quartic._resolvent_split(fq, rescubic, None, w, check=True)
+
+
+def test_vanishing_resolvent_root_is_read_as_it_stands(Q2):
+    # x^4 + 2 is D4 with m = 11 = 8e+3, so no parity leaf takes it; its
+    # resolvent root is exactly 0, and R(0) = 0 ends the Newton walk at once:
+    # that reading is taken with v(w) infinite, where the reference reads
+    # the root refined to 24e+32 (v(w) = 56)
+    fq = quartic_from_ints(Q2, 2, 0, 0, 0)
+    rescubic = resolvent_cubic(fq)
+    assert rescubic[0] == 0
+    assert classify_by_invariants(fq) == ((11, GroupTag.D4), 0)
+    assert resolvent_split_at_target(fq) == GroupTag.D4
+    for hint in (None, 0):
+        assert quartic._resolvent_split(fq, rescubic, None, hint) == (GroupTag.D4, 0)
+    verdicts = []
+    for c in (3, 4):  # a node with c digits of each coefficient: vh = (1, c, c, c)
+        window = _resolvent_window(Q2.e_abs, (c,) * 4, (1, c, c, c))
+        got = [quartic._resolvent_split(fq, rescubic, window, hint, True)[0] for hint in (None, 0)]
+        assert got == [resolvent_split_at_target(fq, window)] * 2
+        verdicts.append(got[0])
+    assert verdicts == [None, GroupTag.D4]
 
 
 def test_deformation_cubic_closed_coefficients(Q2):
