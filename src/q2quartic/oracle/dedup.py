@@ -36,8 +36,9 @@ direction (a leaf given to a field not its own, or a field found twice)
 overfills one field or leaves one short, so the ledger catches it.
 
 Cross-check.  Every leaf is recorded through density's ``_add_leaf``, so
-one leaf in ``cross_check_every`` (64) is classified afresh by root
-counting and must agree with the (m, G) of the field it was matched to.
+one leaf in ``_CROSS_CHECK_EVERY`` (64, the tower oracle's one sampling
+rule ``_sampled``) is classified afresh by root counting and must agree
+with the (m, G) of the field it was matched to.
 The walk's counts (``leaves``, ``dropped``, ``stem_tests``, ``classified``,
 ``root_count_cross_checks``) share density's ``stats`` counter and go into
 the metadata.

@@ -145,14 +145,14 @@ the parent and is clamped to the cores this process may use;
 closed before any fork.
 
 Cross-checks.  ``_add_leaf`` re-classifies a leaf by stem root counting
-(``classify_quartic``) when the hash of its digits is divisible by
-``cross_check_every`` (1: every leaf, 0: none), and raises
+(``classify_quartic``) when ``_sampled(digits)``, the tower oracle's one
+sampling rule (1 key in ``_CROSS_CHECK_EVERY``, 64), and raises
 ``FormulationMismatch`` on disagreement.  Dedup's leaves go through the same
 check, so a sample of the leaves it matches to a field by a stem test is
 classified afresh.  On such a tower node a resolvent root found from the
 hint is also searched for from scratch, which must find that root and no
-other.
-Hashes of int tuples do not depend on PYTHONHASHSEED or on ``jobs``.
+other.  Forked workers read the same constant, and hashes of int tuples
+do not depend on PYTHONHASHSEED or on ``jobs``.
 """
 
 from __future__ import annotations
@@ -172,10 +172,9 @@ from ..padic.quartic import (
     classify_by_invariants,
     classify_quartic,
     in_Tm_domain,
-    resolvent_cubic,
 )
 from ..params import GroupTag, MinusOneClass, aut_order
-from .tower import _norm_images
+from .tower import _norm_images, _sampled
 
 
 _INF = 10**9
@@ -273,12 +272,11 @@ def _resolvent_window(e: int, cs, vh):
 
 
 class _Enumerator:
-    def __init__(self, field: LocalField, m_max: int, cross_check_every: int = 64):
+    def __init__(self, field: LocalField, m_max: int):
         self.K = field
         self.q = field.q
         self.e = field.e_abs
         self.m_max = m_max
-        self.cross_check_every = cross_check_every
         # terminal nodes per (cell, depth); cell is (m, g), or None when dropped
         self.tally: Counter[tuple[tuple[int, GroupTag] | None, int]] = Counter()
         # leaves_<certificate>, splits_<reason>, root_count_cross_checks, and
@@ -443,9 +441,7 @@ class _Enumerator:
             self._add_leaf((m, GroupTag.V4), fq, digits, "tower")
             return None
         window = _resolvent_window(e, cs, vh)
-        g, self.hint = _resolvent_split(
-            fq, resolvent_cubic(fq), window, self.hint, self._sampled(digits)
-        )
+        g, self.hint = _resolvent_split(fq, window, self.hint, _sampled(digits))
         if g is None:
             self.stats["splits_window"] += 1
             return in_h
@@ -456,10 +452,6 @@ class _Enumerator:
         K = self.K
         return EisensteinQuartic(K, *(K.from_digits(d) for d in digits))
 
-    def _sampled(self, digits) -> bool:
-        """Whether the node's checks run: its digits hash to 0 mod ``cross_check_every``."""
-        return bool(self.cross_check_every) and hash(digits) % self.cross_check_every == 0
-
     def _add_leaf(self, mg, fq, digits, certificate) -> bool:
         """Add the node's measure to cell mg and count it as a leaf of
         ``certificate``; False when m > m_max drops it."""
@@ -468,7 +460,7 @@ class _Enumerator:
         if m > self.m_max:
             self.tally[None, depth] += 1
             return False
-        if self._sampled(digits):
+        if _sampled(digits):
             full = classify_quartic(fq)
             self.stats["root_count_cross_checks"] += 1
             if full != (m, g):
@@ -608,9 +600,7 @@ def _run_split(enum: _Enumerator, jobs: int) -> int:
     return jobs
 
 
-def density_measures(
-    field: LocalField, m_max: int | None = None, jobs: int = 1, cross_check_every: int = 64
-):
+def density_measures(field: LocalField, m_max: int | None = None, jobs: int = 1):
     """Exact measures mu(P_m^G) per (m, group) plus enumeration metadata.
 
     Only the first root node is enumerated; its measures are scaled by the
@@ -621,7 +611,7 @@ def density_measures(
         m_max = 8 * e + 3
     q = field.q
     jobs = _effective_jobs(jobs)
-    enum = _Enumerator(field, m_max, cross_check_every)
+    enum = _Enumerator(field, m_max)
     if jobs > 1:
         jobs = _run_split(enum, jobs)
     else:
@@ -648,11 +638,9 @@ def density_measures(
     return measures, meta
 
 
-def density_counts(
-    field: LocalField, m_max: int | None = None, jobs: int = 1, cross_check_every: int = 64
-):
+def density_counts(field: LocalField, m_max: int | None = None, jobs: int = 1):
     """Field counts per (m, group) from Eisenstein-polynomial densities."""
-    measures, meta = density_measures(field, m_max, jobs, cross_check_every)
+    measures, meta = density_measures(field, m_max, jobs)
     q = field.q
     counts: dict[tuple[int, GroupTag], int] = {}
     for (m, g), mu in sorted(measures.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):

@@ -17,9 +17,9 @@ their coordinates, and m1, m2 read off the coordinate bits.  No ring
 arithmetic is done per pair.
 
 Cross-checks.  A pair (d, alpha) with coordinates (cd, c) is checked by
-the direct route when hash((cd, c)) is divisible by ``cross_check_every``
-(1: every pair, 0: none): alpha is built from E's basis, and
-``K.hecke_disc(d)``, ``E.hecke_disc(alpha)`` and
+the direct route when ``_sampled((cd, c))``, the sampling rule density and
+dedup use too (1 key in ``_CROSS_CHECK_EVERY``, 64): alpha is built from
+E's basis, and ``K.hecke_disc(d)``, ``E.hecke_disc(alpha)`` and
 ``classify_tower_from_norm`` on ``E.norm(alpha)`` must agree with what the
 coordinates gave; a disagreement raises ``FormulationMismatch``.  Hashes
 of int tuples do not depend on PYTHONHASHSEED.
@@ -37,6 +37,14 @@ _SKIP = (TRIVIAL, UNRAMIFIED)
 # Pair counts are keyed by (m, code) with code an index into this tuple:
 # an int hashes in C, a GroupTag through Enum.__hash__.
 _TAGS = (GroupTag.V4, GroupTag.C4, GroupTag.D4)
+
+_CROSS_CHECK_EVERY = 64  # every oracle cross-checks 1 key in this many (0: none)
+
+
+def _sampled(key: tuple) -> bool:
+    """Whether the item keyed by the int tuple ``key`` is cross-checked; the
+    rate is read at each call, so one patch of it governs every oracle."""
+    return bool(_CROSS_CHECK_EVERY) and hash(key) % _CROSS_CHECK_EVERY == 0
 
 
 def _norm_images(K: LocalField, E: LocalField) -> list[int]:
@@ -61,7 +69,7 @@ def _hecke_table(F: LocalField) -> list:
     return [F.coords_hecke_disc(c) for c in range(1 << F.square_class_dim)]
 
 
-def _tower_pairs(K: LocalField, cross_check_every: int = 64):
+def _tower_pairs(K: LocalField):
     """Tower counts keyed by (m, index into ``_TAGS``), and the enumeration meta."""
     pairs: dict[tuple[int, int], int] = {}
     n_pairs = n_checks = 0
@@ -86,7 +94,7 @@ def _tower_pairs(K: LocalField, cross_check_every: int = 64):
             key = (2 * m1 + m2, g)
             pairs[key] = pairs.get(key, 0) + 1
             n_pairs += 1
-            if cross_check_every and hash((cd, c)) % cross_check_every == 0:
+            if _sampled((cd, c)):
                 _cross_check(K, d, E, c, m1, m2, _TAGS[g])
                 n_checks += 1
     return pairs, {"pairs": n_pairs, "cross_checks": n_checks}
@@ -100,13 +108,13 @@ def tower_pair_totals(K: LocalField) -> dict[int, int]:
     return totals
 
 
-def tower_counts(K: LocalField, cross_check_every: int = 64):
+def tower_counts(K: LocalField):
     """Field counts per (m, g) for g in {V4, C4, D4} from tower enumeration.
 
     Returns (counts, meta); meta counts the ramified pairs enumerated and
     the pairs cross-checked by the direct route.
     """
-    pairs, meta = _tower_pairs(K, cross_check_every)
+    pairs, meta = _tower_pairs(K)
     counts: dict[tuple[int, GroupTag], int] = {}
     tagged = ((m, _TAGS[g], n) for (m, g), n in pairs.items())
     for m, g, n in sorted(tagged, key=lambda t: (t[0], t[1].value)):

@@ -462,10 +462,3 @@ def field_from_file(path) -> LocalField:
     if not isinstance(spec, dict):
         raise InvalidParams("field spec file must contain a JSON object")
     return field_from_spec(spec)
-
-
-def q2(precision: int | None = None) -> LocalField:
-    spec = {"f": 1, "e": 1}
-    if precision is not None:
-        spec["precision"] = precision
-    return field_from_spec(spec)

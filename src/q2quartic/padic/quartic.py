@@ -36,6 +36,8 @@ from .rings import EisensteinStep, _check_eisenstein, eq_mod
 
 _PANAYI_DEPTH_SLACK = 64
 
+_NEWTON_STEPS = 64  # ``_newton`` gives up with PrecisionExhausted after this many
+
 # discriminant monomials of X^4 + p X^3 + q X^2 + r X + s as
 # (integer coefficient, (exp_s, exp_r, exp_q, exp_p)) in the a0,a1,a2,a3 order
 _DISC_MONOMIALS = (
@@ -135,11 +137,10 @@ def in_Tm(fq: EisensteinQuartic, m: int) -> bool:
     return v1 is None or v1 >= (m + 2) // 4
 
 
-def is_one_aut(fq: EisensteinQuartic, m: int | None = None) -> bool:
-    """Whether the stem field has trivial automorphism group (S4 or A4 closure)."""
+def is_one_aut(fq: EisensteinQuartic, m: int) -> bool:
+    """Whether the stem field, with v(disc) = m, has trivial automorphism
+    group (S4 or A4 closure)."""
     K = fq.field
-    if m is None:
-        m = disc_valuation(fq)
     if not in_Tm_domain(m, K.e_abs):
         return False
     if not in_Tm(fq, m):
@@ -315,7 +316,7 @@ def _poly_deriv(R, coeffs):
     return out
 
 
-def _newton(K, poly, deriv, x, max_iter=64):
+def _newton(K, poly, deriv, x):
     """Yield (x, v(p(x)), v(p'(x))) for x and for each Newton step from it, for
     a monic poly over O_K with derivative ``deriv``; v(p(x)) is None once
     p(x) vanishes to working precision, and the walk ends there.
@@ -328,7 +329,7 @@ def _newton(K, poly, deriv, x, max_iter=64):
     R = K.ring
     two = R.from_int(2)
     z = z_val = None
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         px = _poly_eval(R, poly, x)
         dpx = _poly_eval(R, deriv, x)
         vp, vd = R.val(px), R.val(dpx)
@@ -430,7 +431,7 @@ def _pins_class(e: int, vw, vW, d) -> bool:
     return d + min(e + vw, d) >= vW + 2 * e + 1
 
 
-def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None, hint=None, check=False):
+def _resolvent_split(fq: EisensteinQuartic, window=None, hint=None, check=False):
     """(C4 or D4, w) for a quartic whose closure group is one of them, w the
     unique root of its resolvent cubic R in K, as far as it was refined; the
     group is None when ``window`` does not pin the square class of
@@ -466,6 +467,7 @@ def _resolvent_split(fq: EisensteinQuartic, rescubic, window=None, hint=None, ch
     """
     K = fq.field
     R, e = K.ring, K.e_abs
+    rescubic = resolvent_cubic(fq)
     deriv = _poly_deriv(R, rescubic)
     steps = None if hint is None else _root_from_hint(K, rescubic, deriv, hint)
     hinted = steps is not None
@@ -516,7 +518,7 @@ def classify_by_invariants(fq: EisensteinQuartic, hint=None):
         return (m, (GroupTag.A4 if square_disc else GroupTag.S4)), hint
     if square_disc:
         return (m, GroupTag.V4), hint
-    g, w = _resolvent_split(fq, resolvent_cubic(fq), hint=hint)
+    g, w = _resolvent_split(fq, hint=hint)
     return (m, g), w
 
 

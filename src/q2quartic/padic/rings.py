@@ -139,6 +139,20 @@ class _PackedRing:
             r |= ((a >> off) & 1) << i
         return r
 
+    def inv_unit(self, a):
+        """The inverse of the unit a; each subclass binds it in its own body,
+        where ``perfbench/tracing.py`` wraps it per class."""
+        r = self.residue(a)
+        if r == 0:
+            raise DivisionByNonUnit("inverse of a non-unit")
+        b = self.teich(self.res.inv(r))
+        two = self.from_int(2)
+        # Newton: correct digits double each round
+        rounds = max(1, (self.cap - 1).bit_length() + 1)
+        for _ in range(rounds):
+            b = self.mul(b, self.sub(two, self.mul(a, b)))
+        return b
+
     def _set_degree(self, degree: int):
         """Set ``_degree``, refusing a degree above the slot headroom; a
         subclass calls it before it builds anything of that degree."""
@@ -230,17 +244,7 @@ class UnramifiedRing(_PackedRing):
             raise DivisionByNonUnit("2 does not divide element")
         return (a >> 1) & self._mask
 
-    def inv_unit(self, a):
-        r = self.residue(a)
-        if r == 0:
-            raise DivisionByNonUnit("inverse of a non-unit")
-        b = self.teich(self.res.inv(r))
-        two = self.from_int(2)
-        # Newton: correct digits double each round
-        rounds = max(1, (self.n2 - 1).bit_length() + 1)
-        for _ in range(rounds):
-            b = self.mul(b, self.sub(two, self.mul(a, b)))
-        return b
+    inv_unit = _PackedRing.inv_unit
 
     def __repr__(self):
         return f"UnramifiedRing(f={self.f}, n2={self.n2})"
@@ -317,16 +321,7 @@ class EisensteinStep(_PackedRing):
             a = _fold(a << (self._s * k), self._stages, self._mask)
         return a
 
-    def inv_unit(self, a):
-        r = self.residue(a)
-        if r == 0:
-            raise DivisionByNonUnit("inverse of a non-unit")
-        b = self.teich(self.res.inv(r))
-        two = self.from_int(2)
-        rounds = max(1, (self.cap - 1).bit_length() + 1)
-        for _ in range(rounds):
-            b = self.mul(b, self.sub(two, self.mul(a, b)))
-        return b
+    inv_unit = _PackedRing.inv_unit
 
     def __repr__(self):
         return f"EisensteinStep(n={self.n}, base={self.base!r})"

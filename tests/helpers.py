@@ -43,10 +43,19 @@ from math import comb, inf
 from q2quartic.counts import ind
 from q2quartic.errors import DivisionByNonUnit, PrecisionExhausted
 from q2quartic.padic import quartic
+from q2quartic.padic.field import LocalField, field_from_spec
 from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
 from q2quartic.padic.rings import EisensteinStep, eq_mod
 from q2quartic.params import FieldParams, GroupTag, MinusOneClass
 from q2quartic.residue import ResidueField
+
+
+def q2(precision: int | None = None) -> LocalField:
+    """Q_2 itself, at ``precision`` pi-adic digits or the default."""
+    spec = {"f": 1, "e": 1}
+    if precision is not None:
+        spec["precision"] = precision
+    return field_from_spec(spec)
 
 
 def quartic_from_ints(field, a0: int, a1: int, a2: int, a3: int) -> EisensteinQuartic:

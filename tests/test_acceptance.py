@@ -7,14 +7,14 @@ lines; every tolerance is exact (integer or rational equality).
 import time
 from fractions import Fraction
 
-from helpers import FULL_RANGE_DENSITY_SPECS, Q2_TABLE, quartic_from_ints
+from helpers import FULL_RANGE_DENSITY_SPECS, Q2_TABLE, q2, quartic_from_ints
 
 from q2quartic import counts as C
 from q2quartic import masses as M
 from q2quartic.oracle.density import density_counts
 from q2quartic.oracle.measure import cubic_congruence_measure, one_aut_measure, t_m_measure
 from q2quartic.oracle.tower import tower_counts
-from q2quartic.padic.field import field_from_spec, q2, with_doubled_precision
+from q2quartic.padic.field import field_from_spec, with_doubled_precision
 from q2quartic.padic.quartic import classify_quartic
 from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, valid_param_sweep
 from q2quartic.residue import ResidueField, cubic_image_size, quad_root_count
@@ -35,13 +35,14 @@ def _report(n, text):
     print(f"criterion {n:>2}: PASS - {text}")
 
 
-def test_criterion_01_q2_table_three_ways(Q2):
+def test_criterion_01_q2_table_three_ways(Q2, check_every):
     t0 = time.time()
     p = Q2.derive_params()
     for m in range(0, 16):
         for g in GROUP_ORDER:
             assert C.count(p, m, g) == Q2_TABLE.get((m, g), 0)
-    dc, _ = density_counts(Q2, 11, cross_check_every=1)
+    check_every(1)
+    dc, _ = density_counts(Q2, 11)
     assert dc == Q2_TABLE
     tc, _ = tower_counts(Q2)
     assert tc == {k: v for k, v in Q2_TABLE.items() if k[1] in TOWER_GROUPS}

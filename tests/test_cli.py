@@ -136,7 +136,7 @@ def test_non_eisenstein_field_spec_exits_2(tmp_path, capsys):
         spec.write_text(json.dumps({"f": 1, "precision": prec}))
         assert run(["derive-params", "--field", str(spec)]) == 2
         assert "precision must be a positive int" in capsys.readouterr().err
-    for bad in ({"f": 1, "eisenstein": 5}, {"f": 3000}, {"f": True}):
+    for bad in ({"f": 1, "eisenstein": 5}, {"f": 3000}, {"f": 2048}, {"f": True}):
         spec.write_text(json.dumps(bad))
         assert run(["derive-params", "--field", str(spec)]) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -314,7 +314,7 @@ def test_internal_inconsistency_exit_4(monkeypatch, tmp_path, capsys, error):
 
 
 def _ring_division():
-    from q2quartic.padic.field import q2
+    from helpers import q2
 
     R = q2().ring
     return R.inv_unit(R.from_int(2))

@@ -55,9 +55,10 @@ _TOWER_BASES = [
 ]
 
 
-def test_density_counts_q2_m8_full_cross_check(Q2):
+def test_density_counts_q2_m8_full_cross_check(Q2, check_every):
     p = Q2.derive_params()
-    dc, meta = density_counts(Q2, 8, cross_check_every=1)
+    check_every(1)
+    dc, meta = density_counts(Q2, 8)
     for m in range(0, 9):
         for g in GROUP_ORDER:
             assert dc.get((m, g), 0) == C.count(p, m, g)
@@ -65,9 +66,10 @@ def test_density_counts_q2_m8_full_cross_check(Q2):
     assert meta["pruned"] > 0
 
 
-def test_density_counts_q2_full_support(Q2):
+def test_density_counts_q2_full_support(Q2, check_every):
     p = Q2.derive_params()
-    dc, meta = density_counts(Q2, cross_check_every=1)
+    check_every(1)
+    dc, meta = density_counts(Q2)
     expected = {
         (m, g): C.count(p, m, g)
         for m in range(0, 12)
@@ -80,8 +82,9 @@ def test_density_counts_q2_full_support(Q2):
     assert all(meta[c] > 0 for c in _CERTIFICATES)
 
 
-def test_density_measures_against_one_aut_density(Q2):
-    measures, _ = density_measures(Q2, cross_check_every=0)
+def test_density_measures_against_one_aut_density(Q2, check_every):
+    check_every(0)
+    measures, _ = density_measures(Q2)
     q = 2
     for m in (4, 6, 8):
         got = sum(v for (mm, g), v in measures.items() if mm == m and g.value in ("S4", "A4"))
@@ -138,12 +141,13 @@ def test_density_jobs2_closed_tree_does_not_fork(Q2, monkeypatch):
     assert smeta == pmeta and pmeta["jobs"] == 1
 
 
-def test_root_orbit_symmetry_u2(U2):
+def test_root_orbit_symmetry_u2(U2, check_every):
     # the guard for enumerating one root: all q-1 roots end in the same
     # number of leaves and dropped classes per cell and depth
+    check_every(0)
     tallies = []
     for t in range(1, U2.q):
-        enum = D._Enumerator(U2, 6, cross_check_every=0)
+        enum = D._Enumerator(U2, 6)
         root = ((0, t), (0,), (0,), (0,))
         enum.run([root])
         tallies.append(enum.tally)
@@ -155,7 +159,7 @@ def test_root_orbit_symmetry_u2(U2):
         for (cell, depth), n in tally.items():
             if cell is not None:
                 summed[cell] = summed.get(cell, Fraction(0)) + Fraction(n, U2.q**depth)
-    measures, meta = density_measures(U2, 6, cross_check_every=0)
+    measures, meta = density_measures(U2, 6)
     assert measures == summed
     assert meta["root_orbit"] == 3
     dropped = sum(n for (cell, _), n in tallies[0].items() if cell is None)
@@ -165,13 +169,14 @@ def test_root_orbit_symmetry_u2(U2):
 @pytest.mark.parametrize(
     "walk",
     [
-        lambda K: density_measures(K, 8, cross_check_every=0),
+        lambda K: density_measures(K, 8),
         lambda K: dedup_counts(K, 6),
     ],
     ids=["density", "dedup"],
 )
-def test_conservation_catches_a_lost_leaf(monkeypatch, Q2, walk):
+def test_conservation_catches_a_lost_leaf(monkeypatch, check_every, Q2, walk):
     # a leaf the walk forgets to record leaves its measure unaccounted for
+    check_every(0)
     add_leaf = D._Enumerator._add_leaf
     lost = []
 
@@ -208,11 +213,12 @@ def test_every_stat_counted_is_reported(request, fixture):
     ],
     ids=["Q2", "sqrt2", "U2", "U3"],
 )
-def test_splits_by_reason_count_the_inner_nodes(spec, m_max):
+def test_splits_by_reason_count_the_inner_nodes(spec, m_max, check_every):
     # every split node has q children, so the enumerated root's terminal
     # nodes number (q - 1) * (split nodes) + 1
     K = field_from_spec(spec)
-    _, meta = density_measures(K, m_max, cross_check_every=0)
+    check_every(0)
+    _, meta = density_measures(K, m_max)
     splits = sum(meta[k] for k in _SPLITS)
     assert splits * (K.q - 1) + 1 == meta["leaves"] + meta["pruned"]
 
@@ -228,9 +234,24 @@ def test_density_jobs2_matches_serial(request, field, m_max):
     assert pmeta["jobs"] == min(2, D._available_cores())
 
 
-def test_density_jobs2_cross_checks_every_leaf(U2):
-    _, meta = density_counts(U2, 6, jobs=2, cross_check_every=1)
-    assert meta["root_count_cross_checks"] == meta["leaves"] > 0
+@pytest.mark.parametrize(
+    "walk",
+    [
+        lambda K: density_counts(K, 10)[1],
+        lambda K: density_counts(K, 10, jobs=2)[1],
+        lambda K: dedup_counts(K, 8)[1],
+    ],
+    ids=["density", "density-jobs2", "dedup"],
+)
+def test_every_leaf_cross_checked(K_sqrt2, check_every, walk):
+    # at rate 1 every recorded leaf is classified afresh by root counting, in
+    # the parent and in forked workers alike; a dedup leaf dropped at
+    # m > m_max is recorded without one.  At rate 0 none is.
+    check_every(1)
+    meta = walk(K_sqrt2)
+    assert meta["root_count_cross_checks"] == meta["leaves"] - meta.get("dropped", 0) > 0
+    check_every(0)
+    assert walk(K_sqrt2)["root_count_cross_checks"] == 0
 
 
 def test_density_jobs2_field_without_spec(Q2):

@@ -72,14 +72,16 @@ SQRT2 = {"f": 1, "eisenstein": [-2, 0, 1]}
 
 
 @pytest.mark.parametrize("spec", [{"f": 1}, SQRT2])
-def test_every_pair_cross_checked(spec):
+def test_every_pair_cross_checked(spec, check_every):
     K = field_from_spec(spec)
     counts, meta = tower_counts(K)
-    checked, full = tower_counts(K, cross_check_every=1)
+    check_every(1)
+    checked, full = tower_counts(K)
     assert checked == counts
     assert full == {"pairs": meta["pairs"], "cross_checks": meta["pairs"]}
     assert 0 < meta["cross_checks"] < meta["pairs"]
-    assert tower_counts(K, cross_check_every=0)[1]["cross_checks"] == 0
+    check_every(0)
+    assert tower_counts(K)[1]["cross_checks"] == 0
 
 
 def _skew_one_norm_image(monkeypatch):
@@ -96,12 +98,13 @@ def _skew_one_norm_image(monkeypatch):
     monkeypatch.setattr(T, "_norm_images", skewed)
 
 
-def test_wrong_norm_image_raises(monkeypatch, Q2):
+def test_wrong_norm_image_raises(monkeypatch, check_every, Q2):
     from q2quartic.errors import FormulationMismatch
 
     _skew_one_norm_image(monkeypatch)
+    check_every(1)
     with pytest.raises(FormulationMismatch):
-        tower_counts(Q2, cross_check_every=1)
+        tower_counts(Q2)
 
 
 def test_wrong_norm_image_exits_4_from_verify(monkeypatch, tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import quad_elt
+from helpers import q2, quad_elt
 
 from q2quartic.errors import InvalidParams
 from q2quartic.oracle.cache import _cache_path
@@ -13,7 +13,6 @@ from q2quartic.padic.field import (
     UNRAMIFIED,
     LocalField,
     field_from_spec,
-    q2,
     ramified_quadratic,
 )
 from q2quartic.padic.rings import EisensteinStep, UnramifiedRing
@@ -300,6 +299,8 @@ def test_field_spec_validation():
         field_from_spec({"f": 1, "eisenstein": 5})
     with pytest.raises(InvalidParams, match="headroom"):
         field_from_spec({"f": 3000})  # refused before any residue field of degree 3000
+    with pytest.raises(InvalidParams, match="residue degree"):
+        field_from_spec({"f": 2048})  # within the headroom, refused before any modulus search
     with pytest.raises(InvalidParams, match="positive int"):
         field_from_spec({"f": True})
     # digit-list coefficients: [[0,1],[1]] encodes y + 2, i.e. Q2 itself

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from helpers import newton_slopes, quartic_from_ints, resolvent_split_at_target, root_distances
+from helpers import (
+    newton_slopes,
+    q2,
+    quartic_from_ints,
+    resolvent_split_at_target,
+    root_distances,
+)
 
 from q2quartic.errors import FormulationMismatch, InvalidParams
 from q2quartic.oracle.density import _resolvent_window
 from q2quartic.padic import quartic
-from q2quartic.padic.field import q2
 from q2quartic.padic.quartic import (
     _RESOLVENT_MONOMIALS,
     classify_by_invariants,
@@ -111,9 +116,9 @@ def test_in_Tm_examples(Q2):
 
 
 def test_is_one_aut_examples(Q2):
-    assert is_one_aut(quartic_from_ints(Q2, 2, 2, 0, 0))
-    assert not is_one_aut(quartic_from_ints(Q2, 2, 0, 0, 2))
-    assert is_one_aut(quartic_from_ints(Q2, 2, 0, 2, 2))
+    for coeffs, one_aut in (((2, 2, 0, 0), True), ((2, 0, 0, 2), False), ((2, 0, 2, 2), True)):
+        fq = quartic_from_ints(Q2, *coeffs)
+        assert is_one_aut(fq, disc_valuation(fq)) is one_aut
 
 
 def test_one_aut_congruence_agrees_with_b0_valuation(Q2):
@@ -187,13 +192,13 @@ def test_checked_hinted_resolvent_root_must_match_the_search(Q2, monkeypatch):
     fq = quartic_from_ints(Q2, 2, 0, -4, 0)
     rescubic = resolvent_cubic(fq)
     (w,) = cubic_k_roots(Q2, rescubic, 56)
-    assert quartic._resolvent_split(fq, rescubic, None, w, check=True)[1] == w
+    assert quartic._resolvent_split(fq, None, w, check=True)[1] == w
     # a walk that claims v(R(far)) = 40 and v(R'(far)) = 1, so far is taken at once
     far = Q2.ring.add(w, Q2.digit_elt(1, 1))
     monkeypatch.setattr(quartic, "_root_from_hint", lambda *args: iter([(far, 40, 1)]))
-    assert quartic._resolvent_split(fq, rescubic, None, w)[1] == far  # unchecked, taken as found
+    assert quartic._resolvent_split(fq, None, w)[1] == far  # unchecked, taken as found
     with pytest.raises(FormulationMismatch, match="hint"):
-        quartic._resolvent_split(fq, rescubic, None, w, check=True)
+        quartic._resolvent_split(fq, None, w, check=True)
 
 
 def test_vanishing_resolvent_root_is_read_as_it_stands(Q2):
@@ -207,11 +212,11 @@ def test_vanishing_resolvent_root_is_read_as_it_stands(Q2):
     assert classify_by_invariants(fq) == ((11, GroupTag.D4), 0)
     assert resolvent_split_at_target(fq) == GroupTag.D4
     for hint in (None, 0):
-        assert quartic._resolvent_split(fq, rescubic, None, hint) == (GroupTag.D4, 0)
+        assert quartic._resolvent_split(fq, None, hint) == (GroupTag.D4, 0)
     verdicts = []
     for c in (3, 4):  # a node with c digits of each coefficient: vh = (1, c, c, c)
         window = _resolvent_window(Q2.e_abs, (c,) * 4, (1, c, c, c))
-        got = [quartic._resolvent_split(fq, rescubic, window, hint, True)[0] for hint in (None, 0)]
+        got = [quartic._resolvent_split(fq, window, hint, True)[0] for hint in (None, 0)]
         assert got == [resolvent_split_at_target(fq, window)] * 2
         verdicts.append(got[0])
     assert verdicts == [None, GroupTag.D4]

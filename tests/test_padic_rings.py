@@ -3,7 +3,7 @@ import random
 import pytest
 
 from q2quartic.errors import DivisionByNonUnit, InvalidParams
-from q2quartic.padic.field import field_from_spec, q2
+from q2quartic.padic.field import field_from_spec
 from q2quartic.padic.rings import _HEADROOM, EisensteinStep, eq_mod
 
 
