@@ -2,9 +2,19 @@
 
 measure_set enumerates every Eisenstein coefficient class modulo pi^c and
 sums q^{-4c} over classes whose representative satisfies the predicate.
-The caller asserts the predicate is constant on classes at this depth;
-a deterministic sample of classes is re-tested one digit deeper and any
-flip raises ClassInstability.
+Each representative's discriminant is computed from its a3-free prefix
+(a0, a1, a2) once: ``disc_by_a3`` gives disc as a polynomial in a3, read
+at each a3 by Horner.  The caller asserts the predicate is constant on
+classes at this depth; the classes the oracles' one sampling rule picks
+(``_sampled`` of the class digits) are checked twice: the prefix
+discriminant must equal ``disc_raw``, else FormulationMismatch, and the
+predicate is re-tested one digit deeper, where any flip raises
+ClassInstability.
+
+Every public function checks its arguments first and raises InvalidParams
+for values outside its domain; an enumeration of more than
+``_CLASS_BUDGET`` classes (or cubic-congruence pairs) raises
+BudgetExceeded before the first one.
 """
 
 from __future__ import annotations
@@ -12,60 +22,84 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from ..errors import BudgetExceeded, ClassInstability, PrecisionExhausted
+from ..errors import (
+    BudgetExceeded,
+    ClassInstability,
+    FormulationMismatch,
+    InvalidParams,
+    PrecisionExhausted,
+)
+from ..padic import _compiled
 from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
-    _cubic_congruence,
     _power,
+    _unit_teich_pairs,
     count_roots_in_stem,
+    disc_raw,
     disc_valuation,
     in_Tm,
+    in_Tm_domain,
 )
 from ..padic.rings import leading_residue
+from .tower import _sampled
 
-
-# measure_set refuses to enumerate more coefficient classes than this
+# measure_set and cubic_congruence_measure refuse to enumerate more
+# coefficient classes, or (x0, x2) pairs, than this
 _CLASS_BUDGET = 4_000_000
-
-# measure_set re-tests every this-many-th class one digit deeper
-_SAMPLE_STRIDE = 97
 
 
 def _digit_tuples(q: int, span: int):
     return product(range(q), repeat=span)
 
 
-def _eisenstein_classes(field: LocalField, c: int):
-    """Yield one EisensteinQuartic per Eisenstein coefficient class modulo pi^c.
+def _check_budget(n: int, what: str):
+    if n > _CLASS_BUDGET:
+        raise BudgetExceeded(f"{n} {what} exceed budget {_CLASS_BUDGET}")
 
+
+def _eisenstein_classes(field: LocalField, c: int):
+    """Yield (digits, quartic) once per Eisenstein coefficient class modulo pi^c.
+
+    ``digits`` are the class's free digits: the leading digit of a0 / pi,
+    then a0's digits below pi^c and a1's, a2's and a3's at pi^1 .. pi^(c-1).
     There are (q-1) q^(4c-5) classes; BudgetExceeded is raised before the
-    first one if that exceeds ``_CLASS_BUDGET``.  a0, a1 and a2 are built
-    once per digit tuple, outside the loops below them.
+    first one if that exceeds ``_CLASS_BUDGET``.  The coefficient tails are
+    built once per call, ``disc_by_a3`` runs once per (a0, a1, a2), and each
+    quartic's cached ``disc`` is its Horner value at a3.
     """
-    q = field.q
-    n_classes = (q - 1) * q ** (4 * c - 5)
-    if n_classes > _CLASS_BUDGET:
-        raise BudgetExceeded(f"{n_classes} classes at depth {c} exceed budget {_CLASS_BUDGET}")
+    q, ring = field.q, field.ring
+    _check_budget((q - 1) * q ** (4 * c - 5), f"classes at depth {c}")
+    mul, add = ring.mul, ring.add
+    tails = [(d, field.from_digits((0,) + d)) for d in _digit_tuples(q, c - 1)]
     for lead in range(1, q):
         for rest0 in _digit_tuples(q, c - 2):
             a0 = field.from_digits((0, lead) + rest0)
-            for d1 in _digit_tuples(q, c - 1):
-                a1 = field.from_digits((0,) + d1)
-                for d2 in _digit_tuples(q, c - 1):
-                    a2 = field.from_digits((0,) + d2)
-                    for d3 in _digit_tuples(q, c - 1):
-                        yield EisensteinQuartic(field, a0, a1, a2, field.from_digits((0,) + d3))
+            for t1, a1 in tails:
+                for t2, a2 in tails:
+                    prefix = (lead, *rest0, *t1, *t2)
+                    d0, d1, d2, d3, d4 = _compiled.disc_by_a3(ring, a0, a1, a2)
+                    for t3, a3 in tails:
+                        fq = EisensteinQuartic(field, a0, a1, a2, a3)
+                        # the slot cached_property ``disc`` reads before it computes
+                        vars(fq)["disc"] = add(
+                            mul(add(mul(add(mul(add(mul(d4, a3), d3), a3), d2), a3), d1), a3), d0
+                        )
+                        yield prefix + t3, fq
 
 
 def measure_set(field: LocalField, predicate, c: int) -> Fraction:
     """Measure (relative to mu(O_K^4) = 1) of the Eisenstein set cut out by predicate."""
+    if c < 2:
+        raise InvalidParams(f"class depth c must be at least 2, got {c}")
     hits = 0
-    for idx, fq in enumerate(_eisenstein_classes(field, c), start=1):
+    for digits, fq in _eisenstein_classes(field, c):
         verdict = predicate(fq)
         if verdict:
             hits += 1
-        if idx % _SAMPLE_STRIDE == 0:
+        if _sampled(digits):
+            if fq.disc != disc_raw(field, *fq.coeffs()):
+                raise FormulationMismatch(f"prefix discriminant differs from disc_raw at depth {c}")
             _check_stability(field, predicate, fq, verdict, c)
     return Fraction(hits, field.q ** (4 * c))
 
@@ -87,6 +121,8 @@ def _check_stability(field, predicate, fq, verdict, c):
 
 def t_m_measure(field: LocalField, m: int) -> Fraction:
     """mu(T_m) by enumeration at the depth where the valuation pattern is decided."""
+    if not in_Tm_domain(m, field.e_abs):
+        raise InvalidParams(f"T_m is defined for even 4 <= m <= 6e+2, got m={m}")
     c = m // 4 + 2
     return measure_set(field, lambda fq: in_Tm(fq, m), c)
 
@@ -96,8 +132,11 @@ def one_aut_measure(field: LocalField, m: int) -> Fraction:
 
     Membership of the (m, trivial-automorphisms) stratum is decided by
     v(disc) and the stem root count; both are constant on classes at depth
-    m//3 + 2 by the Krasner radius of those strata.
+    m//3 + 2 by the Krasner radius of those strata.  m ranges over the
+    discriminant valuations of Eisenstein quartics, 4 <= m <= 8e+3.
     """
+    if not 4 <= m <= 8 * field.e_abs + 3:
+        raise InvalidParams(f"v(disc) of an Eisenstein quartic lies in 4..8e+3, got m={m}")
     c = m // 3 + 2
 
     def pred(fq):
@@ -115,26 +154,32 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
     p^{a+b+1}, where it is [t1] pi^(a+b) for a unit residue t1, and a
     target -(u x2 x0^a + u^3 x0^(a+b)) matches that class exactly when its
     valuation is a + b and its leading digit is t1: each (x0, x2) counts the
-    distinct leading digits of its targets of valuation a + b.
+    distinct leading digits of its targets of valuation a + b.  A target's
+    valuation is at least a + b, so its digit at a + b is 0 exactly when the
+    valuation is larger.  The (q-1) q^(2a+b) pairs (x0, x2) are refused with
+    BudgetExceeded beyond ``_CLASS_BUDGET``.
     """
     if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
+        raise InvalidParams(f"a and b must be positive, got a={a}, b={b}")
     q = field.q
     ring = field.ring
     depth = a + b + 1
     if depth > ring.cap:
         raise PrecisionExhausted(f"congruence mod pi^{depth} beyond cap {ring.cap}")
-    targets_of = _cubic_congruence(field)
+    _check_budget((q - 1) * q ** (2 * a + b), f"(x0, x2) pairs at (a, b) = ({a}, {b})")
+    mul, add = ring.mul, ring.add
+    units = _unit_teich_pairs(field)
+    x2s = [field.from_digits((0,) * b + d2) for d2 in _digit_tuples(q, a + 1)]
     count = 0
     for lead in range(1, q):
         for rest in _digit_tuples(q, depth - 2):
             x0 = field.from_digits((0, lead) + rest)
             x0_a = _power(ring, x0, a)
             x0_ab = _power(ring, x0, a + b)
-            for d2 in _digit_tuples(q, a + 1):
-                x2 = field.from_digits((0,) * b + d2)
-                targets = targets_of(ring.mul(x2, x0_a), x0_ab)
-                count += len({
-                    leading_residue(ring, t, a + b) for t in targets if ring.val(t) == a + b
-                })
+            scaled = [(mul(u, x0_a), mul(u3, x0_ab)) for u, u3 in units]
+            for x2 in x2s:
+                # a target is minus this sum; in characteristic 2 both have one leading digit
+                leading = {leading_residue(ring, add(mul(x2, ux), u3x), a + b) for ux, u3x in scaled}
+                leading.discard(0)
+                count += len(leading)
     return Fraction(count, q ** (3 * depth))

@@ -8,7 +8,10 @@ After a table changes, regenerate it from the root of a checkout with
 
 ``disc`` and ``resolvent`` evaluate the tables in a ring R, each power
 a_i^n computed once and the monomials sharing a coefficient k summed
-before they are multiplied by it.  The bound functions take a density
+before they are multiplied by it.  ``disc_by_a3`` evaluates the
+discriminant's monomials grouped by their power of a3, the coefficients
+of disc as a polynomial in a3, for a caller that runs a3 through many
+values with a0, a1 and a2 fixed.  The bound functions take a density
 node fixing c_i digits of a_i with v(a_i) >= vh_i, and e = v_K(2); each is
 the least valuation of a perturbation term of its table: for a monomial
 k * prod a_j^alpha_j and 0 < beta <= alpha, the binomial term
@@ -50,6 +53,37 @@ def disc(R, a0, a1, a2, a3):
     t = add(t, mul(mul(a0, a2_3), a3_2))
     d = sub(d, mul(c(4), t))
     return d
+
+
+def disc_by_a3(R, a0, a1, a2):
+    """The discriminant as d0 + d1 a3 + .. + d4 a3^4: (d0, .., d4)."""
+    mul, add, sub, neg = R.mul, R.add, R.sub, R.neg
+    c = R.from_int
+    a0_2 = mul(a0, a0)
+    a0_3 = mul(a0_2, a0)
+    a1_2 = mul(a1, a1)
+    a1_3 = mul(a1_2, a1)
+    a1_4 = mul(a1_3, a1)
+    a2_2 = mul(a2, a2)
+    a2_3 = mul(a2_2, a2)
+    a2_4 = mul(a2_3, a2)
+    d0 = mul(c(256), a0_3)
+    d0 = add(d0, mul(c(144), mul(mul(a0, a1_2), a2)))
+    d0 = add(d0, mul(c(16), mul(a0, a2_4)))
+    d0 = sub(d0, mul(c(128), mul(a0_2, a2_2)))
+    d0 = sub(d0, mul(c(27), a1_4))
+    d0 = sub(d0, mul(c(4), mul(a1_2, a2_3)))
+    d1 = mul(c(18), mul(a1_3, a2))
+    d1 = sub(d1, mul(c(192), mul(a0_2, a1)))
+    d1 = sub(d1, mul(c(80), mul(mul(a0, a1), a2_2)))
+    d2 = mul(c(144), mul(a0_2, a2))
+    d2 = add(d2, mul(a1_2, a2_2))
+    d2 = sub(d2, mul(c(6), mul(a0, a1_2)))
+    d2 = sub(d2, mul(c(4), mul(a0, a2_3)))
+    d3 = mul(c(18), mul(mul(a0, a1), a2))
+    d3 = sub(d3, mul(c(4), a1_3))
+    d4 = neg(mul(c(27), a0_2))
+    return d0, d1, d2, d3, d4
 
 
 def resolvent(R, a0, a1, a2, a3):

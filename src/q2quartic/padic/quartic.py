@@ -163,12 +163,18 @@ def _cubic_congruence(K: LocalField):
     [u] the Teichmueller lift: base + [u] mid + [u]^3 top = 0 mod pi^depth
     for some u exactly when base is congruent mod pi^depth to one of them."""
     R = K.ring
-    units = [(R.teich(t), R.teich(K.res.pow(t, 3))) for t in range(1, K.q)]
+    units = _unit_teich_pairs(K)
 
     def targets(mid, top):
         return [R.neg(R.add(R.mul(u, mid), R.mul(u3, top))) for u, u3 in units]
 
     return targets
+
+
+def _unit_teich_pairs(K: LocalField):
+    """([u], [u^3]) for each unit residue u, [.] the Teichmueller lift."""
+    R = K.ring
+    return [(R.teich(t), R.teich(K.res.pow(t, 3))) for t in range(1, K.q)]
 
 
 def _power(R, a, n: int):

@@ -752,7 +752,10 @@ After a table changes, regenerate it from the root of a checkout with
 
 ``disc`` and ``resolvent`` evaluate the tables in a ring R, each power
 a_i^n computed once and the monomials sharing a coefficient k summed
-before they are multiplied by it.  The bound functions take a density
+before they are multiplied by it.  ``disc_by_a3`` evaluates the
+discriminant's monomials grouped by their power of a3, the coefficients
+of disc as a polynomial in a3, for a caller that runs a3 through many
+values with a0, a1 and a2 fixed.  The bound functions take a density
 node fixing c_i digits of a_i with v(a_i) >= vh_i, and e = v_K(2); each is
 the least valuation of a perturbation term of its table: for a monomial
 k * prod a_j^alpha_j and 0 < beta <= alpha, the binomial term
@@ -775,7 +778,9 @@ def _monomial(exps):
 
 
 def _ring_function(name, tables, outs, doc):
-    """Source of ``name(R, a0, a1, a2, a3)``, returning the tables' values as ``outs``."""
+    """Source of ``name(R, a0, ..)``, returning the tables' values as ``outs``;
+    it takes the a_i that some monomial of the tables reads."""
+    args = [f"a{i}" for i in range(4) if any(exps[i] for t in tables for _, exps in t)]
     body = []
     for i in range(4):
         for n in range(2, max(exps[i] for t in tables for _, exps in t) + 1):
@@ -804,7 +809,7 @@ def _ring_function(name, tables, outs, doc):
     if "c(" in code:
         head.append("c = R.from_int")
     return [
-        f"def {name}(R, a0, a1, a2, a3):",
+        f"def {name}(R, {', '.join(args)}):",
         f'    """{doc}"""',
         *(f"    {line}" for line in head + body),
         f"    return {', '.join(outs)}",
@@ -832,12 +837,25 @@ def _bound_function(name, monomials):
     return [*lines, "    return min(", *(f"        {t}," for t in terms), "    )"]
 
 
+def _by_a3(monomials):
+    """``monomials`` grouped by their exponent of a3, which each group drops:
+    the coefficients of the polynomial in a3 they sum to, lowest degree first."""
+    top = max(exps[3] for _, exps in monomials)
+    return tuple(
+        tuple((k, (*exps[:3], 0)) for k, exps in monomials if exps[3] == n) for n in range(top + 1)
+    )
+
+
 def compiled_source() -> str:
     """The source of :mod:`q2quartic.padic._compiled`, written from the monomial tables."""
     functions = [
         _ring_function(
             "disc", (quartic._DISC_MONOMIALS,), ("d",),
             "Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0.",
+        ),
+        _ring_function(
+            "disc_by_a3", _by_a3(quartic._DISC_MONOMIALS), ("d0", "d1", "d2", "d3", "d4"),
+            "The discriminant as d0 + d1 a3 + .. + d4 a3^4: (d0, .., d4).",
         ),
         _ring_function(
             "resolvent", quartic._RESOLVENT_MONOMIALS, ("r0", "r1", "r2"),

@@ -6,6 +6,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from helpers import FULL_RANGE_DENSITY_SPECS, cubic_congruence_count_pairwise
@@ -13,7 +14,9 @@ from helpers import FULL_RANGE_DENSITY_SPECS, cubic_congruence_count_pairwise
 from q2quartic import counts as C
 from q2quartic.cli import run
 from q2quartic.errors import (
+    BudgetExceeded,
     ClassInstability,
+    FormulationMismatch,
     InvalidParams,
     NonIntegralCount,
     PrecisionExhausted,
@@ -30,7 +33,7 @@ from q2quartic.oracle.measure import (
     t_m_measure,
 )
 from q2quartic.oracle.verify import verify
-from q2quartic.padic import quartic
+from q2quartic.padic import _compiled, quartic
 from q2quartic.padic.field import field_from_spec, ramified_quadratic
 from q2quartic.params import GROUP_ORDER, aut_order
 
@@ -474,15 +477,68 @@ def test_measure_set_basics(Q2):
     assert measure_set(Q2, lambda fq: False, 3) == 0
 
 
-def test_measure_set_instability_detected(Q2, monkeypatch):
+def test_measure_set_instability_detected(Q2, check_every):
     # a predicate reading digits beyond the class depth must be rejected
     def unstable(fq):
         v = Q2.val(fq.a2)
         return v is None or v > 3
 
-    monkeypatch.setattr(measure, "_SAMPLE_STRIDE", 1)  # re-test every class
+    check_every(1)  # re-test every class
     with pytest.raises(ClassInstability):
         measure_set(Q2, unstable, 3)
+
+
+def test_measure_set_cross_checks_the_prefix_discriminant(Q2, check_every, monkeypatch):
+    # a class's disc comes from its prefix by Horner in a3; on a sampled
+    # class it must equal disc_raw
+    disc_by_a3 = _compiled.disc_by_a3
+
+    def off_by_one(R, a0, a1, a2):
+        d0, *rest = disc_by_a3(R, a0, a1, a2)
+        return (R.add(d0, R.one), *rest)
+
+    monkeypatch.setattr(_compiled, "disc_by_a3", off_by_one)
+    check_every(0)
+    assert measure_set(Q2, lambda fq: True, 3) == Fraction(1, 2**5)
+    check_every(1)
+    with pytest.raises(FormulationMismatch, match="prefix discriminant"):
+        measure_set(Q2, lambda fq: True, 3)
+
+
+@pytest.mark.parametrize("label, c", [("Q2", 3), ("U2", 2)])
+def test_eisenstein_classes_yield_each_class_once(label, c, Q2, U2):
+    K = {"Q2": Q2, "U2": U2}[label]
+    q = K.q
+    classes = list(measure._eisenstein_classes(K, c))
+    heads = [K.from_digits((0, t) + rest) for t in range(1, q) for rest in product(range(q), repeat=c - 2)]
+    tails = [K.from_digits((0,) + d) for d in product(range(q), repeat=c - 1)]
+    expected = set(product(heads, tails, tails, tails))
+    assert len(classes) == len(expected) == (q - 1) * q ** (4 * c - 5)
+    assert {fq.coeffs() for _, fq in classes} == expected
+    assert len({digits for digits, _ in classes}) == len(classes)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K: measure_set(K, bool, 1),
+        lambda K: one_aut_measure(K, -6),
+        lambda K: one_aut_measure(K, 12),
+        lambda K: t_m_measure(K, 5),
+        lambda K: t_m_measure(K, 10),
+        lambda K: cubic_congruence_measure(K, 0, 1),
+        lambda K: cubic_congruence_measure(K, 1, -1),
+    ],
+    ids=["c=1", "m=-6", "m=12", "T_5", "T_10", "a=0", "b=-1"],
+)
+def test_measure_arguments_are_checked_first(Q2, call, monkeypatch):
+    def enumeration(*args):
+        raise AssertionError("enumeration started before the arguments were checked")
+
+    monkeypatch.setattr(measure, "_eisenstein_classes", enumeration)
+    monkeypatch.setattr(measure, "_digit_tuples", enumeration)
+    with pytest.raises(InvalidParams):
+        call(Q2)
 
 
 def test_t_m_measures_q2(Q2):
@@ -515,6 +571,16 @@ def test_cubic_congruence_matches_the_pairwise_count(label, Q2, U2, K_sqrt2):
     for a, b in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         n = cubic_congruence_count_pairwise(K, a, b)
         assert cubic_congruence_measure(K, a, b) == Fraction(n, K.q ** (3 * (a + b + 1)))
+
+
+def test_cubic_congruence_budget_guard(monkeypatch):
+    # U(f=8) at a = b = 2 has (q-1) q^(2a+b) = 255 * 256^6 pairs (x0, x2)
+    K = field_from_spec({"f": 8})
+    built = []
+    monkeypatch.setattr(K, "from_digits", built.append)
+    with pytest.raises(BudgetExceeded, match="pairs"):
+        cubic_congruence_measure(K, 2, 2)
+    assert built == []  # raised before the first pair
 
 
 def test_cubic_congruence_refuses_depth_beyond_the_cap(Q2):

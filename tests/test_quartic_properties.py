@@ -116,6 +116,19 @@ def test_resolvent_cubic_has_the_quartics_disc(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(eisenstein_quartics(("Q2", "sqrt2", "U2"), allow_zero=True))
+def test_disc_by_a3_read_at_a3_is_the_disc(case):
+    # measure_set gives each class the Horner value at a3 of its prefix's disc_by_a3
+    _, fq, _ = case
+    R = fq.field.ring
+    a0, a1, a2, a3 = fq.coeffs()
+    d = R.zero
+    for coeff in reversed(_compiled.disc_by_a3(R, a0, a1, a2)):
+        d = R.add(R.mul(d, a3), coeff)
+    assert d == disc_raw(fq.field, a0, a1, a2, a3)
+
+
+@settings(max_examples=200, deadline=None)
 @given(eisenstein_quartics(("Q2", "sqrt2", "U2"), allow_zero=True), st.data())
 def test_root_from_hint_agrees_with_the_search(case, data):
     # from any start the hint helper gives up or finds the one root the
