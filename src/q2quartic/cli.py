@@ -183,24 +183,29 @@ def _cmd_sweep(args) -> int:
             if "tower-identity" in checks:
                 _masses.tower_mass_sum(params)
             if "c4-dual" in checks:
-                for m, towers in enumerate(_counts.count_C4_towers(params)):
-                    explicit = _counts.count_C4(params, m)
+                explicit_row = _counts.count_rows(params).groups[GroupTag.C4]
+                for m, (explicit, towers) in enumerate(
+                    zip(explicit_row, _counts.count_C4_towers(params))
+                ):
                     if explicit != towers:
                         raise FormulationMismatch(
                             f"C4 at m={m}: explicit form {explicit} != tower form {towers}"
                         )
             if "a4-total" in checks:
+                rows = _counts.count_rows(params)
+                a4 = rows.groups[GroupTag.A4]
                 if params.f % 2 == 1:
-                    total = sum(
-                        _counts.count_A4(params, m)
-                        for m in range(0, _counts.max_support(params) + 1)
-                    )
-                    if total != (params.q ** (2 * params.e) - 1) // 3:
-                        raise FormulationMismatch("A4 total mismatch")
+                    total, expected = sum(a4), (params.q ** (2 * params.e) - 1) // 3
+                    if total != expected:
+                        raise FormulationMismatch(
+                            f"A4 total {total} != (q^(2e)-1)/3 = {expected}"
+                        )
                 else:
-                    for m in range(0, _counts.max_support(params) + 1):
-                        if _counts.count_one_aut(params, m) != _counts.count_A4(params, m):
-                            raise FormulationMismatch("1-Aut != A4 for even f")
+                    for m, (one_aut, a4_m) in enumerate(zip(rows.one_aut, a4)):
+                        if one_aut != a4_m:
+                            raise FormulationMismatch(
+                                f"A4 at m={m}: 1-Aut count {one_aut} != A4 count {a4_m} for even f"
+                            )
         except (FormulationMismatch, NonIntegralCount, SerreIdentityViolation) as exc:
             failures += 1
             print(f"FAIL {params.to_json()}: {exc}")

@@ -119,26 +119,26 @@ def mass_closed_form(params: FieldParams, g: GroupTag) -> Fraction:
     return closed_masses(params)[g]
 
 
-def _support_sum(params: FieldParams, fn, denom: int) -> Fraction:
-    """sum_m fn(params, m) / (denom * q^m) over m <= 8e+3, with one integer numerator."""
+def _support_sum(params: FieldParams, row, denom: int) -> Fraction:
+    """sum_m row[m] / (denom * q^m) over a row for m = 0 .. 8e+3, as one integer numerator.
+
+    The numerator sum_m row[m] q^(8e+3-m) is formed by Horner.
+    """
     q = params.q
-    top = counts.max_support(params)
     num = 0
-    for m in range(1, top + 1):
-        c = fn(params, m)
-        if c:
-            num += c * q ** (top - m)
-    return Fraction(num, denom * q**top)
+    for c in row:
+        num = num * q + c
+    return Fraction(num, denom * q ** (len(row) - 1))
 
 
 def mass_from_counts(params: FieldParams, g: GroupTag) -> Fraction:
     """Sum count(m, g) / (#Aut * q^m) over the group's full support."""
-    return _support_sum(params, counts._DISPATCH[g], aut_order(g))
+    return _support_sum(params, counts.count_rows(params).groups[g], aut_order(g))
 
 
 def tower_mass_sum(params: FieldParams) -> Fraction:
     """(1/4) * sum_m q^-m * #Tow_m, asserted equal to its closed form."""
-    total = _support_sum(params, counts.count_tow, 4)
+    total = _support_sum(params, counts.count_rows(params).tow, 4)
     closed = _tower_mass(params)
     if total != closed:
         raise FormulationMismatch(

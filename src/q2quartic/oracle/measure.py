@@ -2,9 +2,10 @@
 
 measure_set enumerates every Eisenstein coefficient class modulo pi^c and
 sums q^{-4c} over classes whose representative satisfies the predicate.
-Each representative's discriminant is computed from its a3-free prefix
-(a0, a1, a2) once: ``disc_by_a3`` gives disc as a polynomial in a3, read
-at each a3 by Horner.  The caller asserts the predicate is constant on
+A representative's discriminant is computed only when read (the predicate
+or the cross-check asks for it), from its a3-free prefix (a0, a1, a2):
+``disc_by_a3`` gives disc as a polynomial in a3, at most once per prefix,
+read at each a3 by Horner.  The caller asserts the predicate is constant on
 classes at this depth; the classes the oracles' one sampling rule picks
 (``_sampled`` of the class digits) are checked twice: the prefix
 discriminant must equal ``disc_raw``, else FormulationMismatch, and the
@@ -20,6 +21,7 @@ BudgetExceeded before the first one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from ..errors import (
@@ -58,6 +60,39 @@ def _check_budget(n: int, what: str):
         raise BudgetExceeded(f"{n} {what} exceed budget {_CLASS_BUDGET}")
 
 
+class _PrefixDisc:
+    """The discriminant as a polynomial in a3 for one prefix (a0, a1, a2).
+
+    ``disc_by_a3`` runs at the first read, so a prefix none of whose
+    classes has its disc read costs nothing; each read is one Horner pass.
+    """
+
+    __slots__ = ("ring", "prefix", "by_a3")
+
+    def __init__(self, ring, a0, a1, a2):
+        self.ring, self.prefix, self.by_a3 = ring, (a0, a1, a2), None
+
+    def at(self, a3):
+        if self.by_a3 is None:
+            self.by_a3 = _compiled.disc_by_a3(self.ring, *self.prefix)
+        mul, add = self.ring.mul, self.ring.add
+        d0, d1, d2, d3, d4 = self.by_a3
+        return add(mul(add(mul(add(mul(add(mul(d4, a3), d3), a3), d2), a3), d1), a3), d0)
+
+
+class _ClassQuartic(EisensteinQuartic):
+    """A class representative whose ``disc``, on first read, is its prefix's polynomial at a3.
+
+    Its ``prefix_disc``, the shared :class:`_PrefixDisc`, is set in the
+    instance dict after construction: the dataclass is frozen, and an
+    ``__init__`` of its own would cost every class a second call.
+    """
+
+    @cached_property
+    def disc(self):
+        return self.prefix_disc.at(self.a3)
+
+
 def _eisenstein_classes(field: LocalField, c: int):
     """Yield (digits, quartic) once per Eisenstein coefficient class modulo pi^c.
 
@@ -65,12 +100,12 @@ def _eisenstein_classes(field: LocalField, c: int):
     then a0's digits below pi^c and a1's, a2's and a3's at pi^1 .. pi^(c-1).
     There are (q-1) q^(4c-5) classes; BudgetExceeded is raised before the
     first one if that exceeds ``_CLASS_BUDGET``.  The coefficient tails are
-    built once per call, ``disc_by_a3`` runs once per (a0, a1, a2), and each
-    quartic's cached ``disc`` is its Horner value at a3.
+    built once per call; a quartic's ``disc`` is computed only when read,
+    from its prefix's ``disc_by_a3``, which runs at most once per
+    (a0, a1, a2).
     """
     q, ring = field.q, field.ring
     _check_budget((q - 1) * q ** (4 * c - 5), f"classes at depth {c}")
-    mul, add = ring.mul, ring.add
     tails = [(d, field.from_digits((0,) + d)) for d in _digit_tuples(q, c - 1)]
     for lead in range(1, q):
         for rest0 in _digit_tuples(q, c - 2):
@@ -78,13 +113,10 @@ def _eisenstein_classes(field: LocalField, c: int):
             for t1, a1 in tails:
                 for t2, a2 in tails:
                     prefix = (lead, *rest0, *t1, *t2)
-                    d0, d1, d2, d3, d4 = _compiled.disc_by_a3(ring, a0, a1, a2)
+                    prefix_disc = _PrefixDisc(ring, a0, a1, a2)
                     for t3, a3 in tails:
-                        fq = EisensteinQuartic(field, a0, a1, a2, a3)
-                        # the slot cached_property ``disc`` reads before it computes
-                        vars(fq)["disc"] = add(
-                            mul(add(mul(add(mul(add(mul(d4, a3), d3), a3), d2), a3), d1), a3), d0
-                        )
+                        fq = _ClassQuartic(field, a0, a1, a2, a3)
+                        vars(fq)["prefix_disc"] = prefix_disc
                         yield prefix + t3, fq
 
 

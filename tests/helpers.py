@@ -18,10 +18,14 @@ the C4/D4 split takes for itself, and ``cubic_congruence_count_pairwise``
 is the pairwise reference of ``cubic_congruence_measure``.
 
 The published closed forms of the masses (``mass_S4`` .. ``tower_mass``
-and the nine ``c4_mass_q*`` quantities) and the per-cell ``n_c4`` are the
-references of :mod:`q2quartic.masses` and :func:`q2quartic.counts.n_c4_row`,
-which evaluate the same formulas as one integer numerator over one integer
-denominator, and as the non-zero entries of one row.
+and the nine ``c4_mass_q*`` quantities), the per-cell counts
+(``count_S4_cell`` .. ``count_D4_cell``, ``count_tow_cell``,
+``count_one_aut_cell``) and the per-cell ``n_c4`` are the references of
+:mod:`q2quartic.masses`, :func:`q2quartic.counts.count_rows` and
+:func:`q2quartic.counts.n_c4_row`, which evaluate the same formulas as one
+integer numerator over one integer denominator, as rows walked over their
+support, and as the non-zero entries of one row.  ``valid_params`` draws
+a valid parameter tuple for the property tests.
 
 ``eval_tables`` and ``bound_table`` read the quartic layer's monomial
 tables (``_DISC_MONOMIALS``, ``_RESOLVENT_MONOMIALS``) directly: the first
@@ -40,13 +44,15 @@ from functools import cache
 from itertools import product
 from math import comb, inf
 
-from q2quartic.counts import ind
-from q2quartic.errors import DivisionByNonUnit, PrecisionExhausted
+from hypothesis import strategies as st
+
+from q2quartic.counts import _exact, ind
+from q2quartic.errors import DivisionByNonUnit, NonIntegralCount, PrecisionExhausted
 from q2quartic.padic import quartic
 from q2quartic.padic.field import LocalField, field_from_spec
 from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
 from q2quartic.padic.rings import EisensteinStep, eq_mod
-from q2quartic.params import FieldParams, GroupTag, MinusOneClass
+from q2quartic.params import FieldParams, GroupTag, MinusOneClass, make_params
 from q2quartic.residue import ResidueField
 
 
@@ -660,6 +666,124 @@ def n_c4(p: FieldParams, m1: int, m2: int) -> int:
     if m2 == 4 * e - m1 + 2:
         return q**e
     return 0
+
+
+# -- the published per-cell count forms -----------------------------------------
+
+
+def count_one_aut_cell(p: FieldParams, m: int) -> int:
+    q, e = p.q, p.e
+    if m % 2 != 0 or not (4 <= m <= 6 * e + 2):
+        return 0
+    # q^(m//3-1) (q-1) (1 + [6 | m] (1-2q)/(3q)), over 3q
+    num = q ** (m // 3 - 1) * (q - 1) * (3 * q + ind(m % 6 == 0) * (1 - 2 * q))
+    return _exact(num, 3 * q, f"count_one_aut(m={m})")
+
+
+def count_S4_cell(p: FieldParams, m: int) -> int:
+    q, e = p.q, p.e
+    if p.f % 2 == 0:
+        return 0
+    if m % 2 != 0 or m % 6 == 0 or not (4 <= m <= 6 * e + 2):
+        return 0
+    return q ** (m // 3 - 1) * (q - 1)
+
+
+def count_A4_cell(p: FieldParams, m: int) -> int:
+    q, e = p.q, p.e
+    if p.f % 2 == 0:
+        if m % 2 != 0 or not (4 <= m <= 6 * e + 2):
+            return 0
+        if m % 3 != 0:
+            return q ** (m // 3 - 1) * (q - 1)
+    elif m % 6 != 0 or not (6 <= m <= 6 * e):
+        return 0
+    return _exact(q ** (m // 3 - 2) * (q * q - 1), 3, f"count_A4(m={m})")
+
+
+def count_V4_cell(p: FieldParams, m: int) -> int:
+    q, e = p.q, p.e
+    if m % 2 != 0 or not (6 <= m <= 6 * e + 2):
+        return 0
+    # 2 (q-1) q^((m-4)/2) (q^-a (1 + [3 | m] (q-2)/3) - [m <= 4e+2] q^-b), over 3 q^s
+    a, b = m // 6, (m - 2) // 4
+    s = max(a, b)
+    inner = q ** (s - a) * (3 + ind(m % 3 == 0) * (q - 2)) - ind(m <= 4 * e + 2) * 3 * q ** (s - b)
+    num = 2 * (q - 1) * q ** ((m - 4) // 2) * inner
+    return _exact(num, 3 * q**s, f"count_V4(m={m})")
+
+
+def count_C4_cell(p: FieldParams, m: int) -> int:
+    q, e, d = p.q, p.e, p.d_minus_one
+    if m == 8 * e + 3:
+        if p.minus_one_class is MinusOneClass.SQUARE:
+            return 4 * q ** (2 * e)
+        if p.minus_one_class is MinusOneClass.RAMIFIED:
+            return 2 * q ** (2 * e)
+        return 0
+    if m % 2 != 0 or not (8 <= m <= 8 * e):
+        return 0
+    total = 0
+    if 8 <= m <= 5 * e - 2 and m % 5 == 3:
+        total += 2 * q ** ((3 * m - 14) // 10) * (q - 1)
+    if 4 * e + 4 <= m <= 5 * e + 2:
+        total += 2 * q ** (m // 2 - e - 2) * (q - 1)
+    if 5 * e + 3 <= m <= 8 * e and m % 3 == (2 * e) % 3:
+        total += (
+            2
+            * q ** ((m + 4 * e) // 6 - 1)
+            * (1 + ind(m <= 8 * e - 3 * d))
+            * (q - 1 - ind(m == 8 * e - 3 * d + 6))
+        )
+    if 10 <= m <= 5 * e:
+        total += (
+            2
+            * (q - 1)
+            * (q ** ((3 * m) // 10 - 1) - q ** (max(-((m + 2) // -4), m // 2 - e) - 2))
+        )
+    return _exact(total, 1, f"count_C4(m={m})")
+
+
+def count_tow_cell(p: FieldParams, m: int) -> int:
+    q, e = p.q, p.e
+    if m % 2 == 0 and 6 <= m <= 8 * e + 2:
+        # 4 (q-1) q^(m/2-2) ([m >= 4e+4] q^-e + [m <= 8e] (q^u - q^-v)), over q^e
+        u = min(0, e + 1 - (-(m // -4)))
+        v = min((m - 2) // 4, e)
+        inner = ind(m >= 4 * e + 4) + ind(m <= 8 * e) * (q ** (e + u) - q ** (e - v))
+        return _exact(4 * (q - 1) * q ** (m // 2 - 2) * inner, q**e, f"count_tow(m={m})")
+    if m % 4 == 1 and 4 * e + 5 <= m <= 8 * e + 1:
+        return 4 * (q - 1) * q ** (e + (m - 1) // 4 - 1)
+    if m == 8 * e + 3:
+        return 4 * q ** (3 * e)
+    return 0
+
+
+def count_D4_cell(p: FieldParams, m: int) -> int:
+    """From the tower identity #C4 + 2 #D4 + 3 #V4 = #Tow; may be negative on unrealisable tuples."""
+    diff = count_tow_cell(p, m) - count_C4_cell(p, m) - 3 * count_V4_cell(p, m)
+    if diff % 2 != 0:
+        raise NonIntegralCount(f"tower identity gives odd 2*D4 = {diff} at m={m}")
+    return diff // 2
+
+
+COUNT_CELLS = {
+    GroupTag.S4: count_S4_cell,
+    GroupTag.A4: count_A4_cell,
+    GroupTag.V4: count_V4_cell,
+    GroupTag.C4: count_C4_cell,
+    GroupTag.D4: count_D4_cell,
+}
+
+
+@st.composite
+def valid_params(draw, e_max, f_max):
+    """A valid parameter tuple with e <= e_max and f <= f_max, of any -1 class."""
+    e = draw(st.integers(1, e_max))
+    f = draw(st.integers(1, f_max))
+    cls = draw(st.sampled_from(list(MinusOneClass)))
+    d = 2 * draw(st.integers(1, (e + 1) // 2)) if cls is MinusOneClass.RAMIFIED else 0
+    return make_params(e, f, d, cls)
 
 
 # -- the quartic layer's monomial tables and their compiled form -------------

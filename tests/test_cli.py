@@ -12,7 +12,7 @@ import q2quartic
 from q2quartic import counts as C
 from q2quartic.cli import run
 from q2quartic.errors import ClassInstability, FormulationMismatch, NonIntegralCount
-from q2quartic.params import MinusOneClass
+from q2quartic.params import GroupTag, MinusOneClass
 
 Q2_FLAGS = ["--e", "1", "--f", "1", "--d-minus-one", "2", "--minus-one-class", "ramified"]
 
@@ -354,20 +354,21 @@ def test_other_package_errors_exit_4(monkeypatch, tmp_path, capsys, raiser, name
     assert "Traceback" not in err
 
 
-def _raise_at_one_cell(monkeypatch, name, error):
-    real = getattr(C, name)
+def _raise_for_one_tuple(monkeypatch, error):
+    # the counts of the tuple e = 1, -1 ramified fail to build
+    real = C.count_rows
 
-    def patched(params, m):
-        if (params.e, params.minus_one_class, m) == (1, MinusOneClass.RAMIFIED, 11):
-            raise error(f"{name} failed at m={m}")
-        return real(params, m)
+    def patched(params):
+        if (params.e, params.minus_one_class) == (1, MinusOneClass.RAMIFIED):
+            raise error("count rows failed")
+        return real(params)
 
-    monkeypatch.setattr(C, name, patched)
+    monkeypatch.setattr(C, "count_rows", patched)
 
 
 @pytest.mark.parametrize("error", [FormulationMismatch, NonIntegralCount])
 def test_sweep_counts_failing_tuple(monkeypatch, capsys, error):
-    _raise_at_one_cell(monkeypatch, "count_C4", error)
+    _raise_for_one_tuple(monkeypatch, error)
     code, out = _run(capsys, ["sweep", "--e-max", "2", "--f-max", "1", "--check", "c4-dual"])
     assert code == 1
     assert out.count("FAIL ") == 1
@@ -375,12 +376,61 @@ def test_sweep_counts_failing_tuple(monkeypatch, capsys, error):
 
 
 def test_sweep_internal_error_exit_4(monkeypatch, capsys):
-    _raise_at_one_cell(monkeypatch, "count_C4", ClassInstability)
+    _raise_for_one_tuple(monkeypatch, ClassInstability)
     code = run(["sweep", "--e-max", "2", "--f-max", "1", "--check", "c4-dual"])
     captured = capsys.readouterr()
     assert code == 4
     assert "internal inconsistency" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_sweep_fails_a_tuple_whose_division_is_rejected(monkeypatch, capsys):
+    # a cell whose division _exact rejects fails its tuple's rows, and the
+    # sweep reports that tuple; count_tow(m=18) exists only for e = 2
+    real = C._exact
+
+    def reject_one(num, den, what, *args):
+        if what % args == "count_tow(m=18)":
+            raise NonIntegralCount("count_tow(m=18) rejected")
+        return real(num, den, what, *args)
+
+    monkeypatch.setattr(C, "_exact", reject_one)
+    C.count_rows.cache_clear()
+    code = run(["sweep", "--e-max", "2", "--f-max", "1"])
+    captured = capsys.readouterr()
+    fails = [line for line in captured.out.splitlines() if line.startswith("FAIL ")]
+    assert code == 1
+    assert len(fails) == 3  # the e = 2, f = 1 tuples: -1 square, unramified, ramified
+    assert all("{'e': 2, " in line and "count_tow(m=18) rejected" in line for line in fails)
+    assert "failures=3" in captured.out
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        (1, "A4 total 2 != (q^(2e)-1)/3 = 1"),
+        (2, "A4 at m=6: 1-Aut count 5 != A4 count 6 for even f"),
+    ],
+)
+def test_sweep_a4_total_names_the_values(monkeypatch, capsys, f, message):
+    # the A4 row of one tuple is off by one at m = 6
+    real = C.count_rows
+
+    def skewed(params):
+        rows = real(params)
+        if (params.e, params.f, params.minus_one_class) == (1, f, MinusOneClass.RAMIFIED):
+            a4 = list(rows.groups[GroupTag.A4])
+            a4[6] += 1
+            return rows._replace(groups={**rows.groups, GroupTag.A4: tuple(a4)})
+        return rows
+
+    monkeypatch.setattr(C, "count_rows", skewed)
+    code, out = _run(capsys, ["sweep", "--e-max", "1", "--f-max", "2", "--check", "a4-total"])
+    assert code == 1
+    assert out.count("FAIL ") == 1
+    assert f"FAIL {{'e': 1, 'f': {f}, 'q': {2**f}, " in out
+    assert message in out
 
 
 def test_sweep_c4_dual_compares_both_forms(monkeypatch, capsys):

@@ -1,7 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
-from helpers import Q2_TABLE
+from helpers import COUNT_CELLS, Q2_TABLE, count_one_aut_cell, count_tow_cell, valid_params
+from hypothesis import given, settings
 
 from q2quartic import counts as C
 from q2quartic.errors import NonIntegralCount
@@ -147,3 +149,72 @@ def test_A4_totals_sweep():
         total = sum(C.count_A4(p, m) for m in range(0, 8 * p.e + 4))
         if p.f % 2 == 1:
             assert total == (p.q ** (2 * p.e) - 1) // 3
+
+
+def _assert_rows_equal_cells(p):
+    # every row of count_rows equals the published per-cell form, cell by
+    # cell, and the readers give 0 outside m = 0 .. 8e+3
+    rows = C.count_rows(p)
+    top = C.max_support(p)
+    ms = range(top + 1)
+    for g in GROUP_ORDER:
+        assert list(rows.groups[g]) == [COUNT_CELLS[g](p, m) for m in ms], (p, g)
+    assert list(rows.tow) == [count_tow_cell(p, m) for m in ms], p
+    assert list(rows.one_aut) == [count_one_aut_cell(p, m) for m in ms], p
+    for m in (-2, -1, top + 1, top + 6):
+        assert [C.count(p, m, g) for g in GROUP_ORDER] == [0] * len(GROUP_ORDER)
+        assert C.count_tow(p, m) == C.count_one_aut(p, m) == 0
+
+
+def test_rows_equal_per_cell_forms_sweep():
+    for p in valid_param_sweep(12, 8):
+        _assert_rows_equal_cells(p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(valid_params(64, 12))
+def test_rows_equal_per_cell_forms_drawn(p):
+    _assert_rows_equal_cells(p)
+
+
+def test_rows_route_each_division_through_exact(monkeypatch):
+    p = make_params(3, 2, 2, MinusOneClass.RAMIFIED)
+    e, real, seen = p.e, C._exact, []
+
+    def spy(num, den, what, *args):
+        seen.append(what % args)
+        return real(num, den, what, *args)
+
+    monkeypatch.setattr(C, "_exact", spy)
+    C.count_rows.cache_clear()
+    C.count_rows(p)
+    evens = range(0, 8 * e + 4, 2)
+    assert sorted(seen) == sorted(
+        [f"count_one_aut(m={m})" for m in evens if 4 <= m <= 6 * e + 2]
+        + [f"count_A4(m={m})" for m in evens if 4 <= m <= 6 * e + 2 and m % 3 == 0]
+        + [f"count_V4(m={m})" for m in evens if 6 <= m <= 6 * e + 2]
+        + [f"count_C4(m={m})" for m in evens if 8 <= m <= 8 * e]
+        + [f"count_tow(m={m})" for m in evens if 6 <= m <= 8 * e + 2]
+    )
+
+
+@pytest.mark.parametrize(
+    "cell", ["count_one_aut(m=6)", "count_A4(m=6)", "count_V4(m=8)", "count_C4(m=16)", "count_tow(m=18)"]
+)
+def test_a_rejected_division_fails_the_rows(monkeypatch, cell):
+    real = C._exact
+
+    def reject_one(num, den, what, *args):
+        if what % args == cell:
+            raise NonIntegralCount(f"{cell} rejected")
+        return real(num, den, what, *args)
+
+    monkeypatch.setattr(C, "_exact", reject_one)
+    C.count_rows.cache_clear()
+    with pytest.raises(NonIntegralCount, match=re.escape(cell)):
+        C.count_rows(make_params(2, 1, 2, MinusOneClass.RAMIFIED))
+
+
+def test_odd_twice_D4_is_rejected():
+    with pytest.raises(NonIntegralCount, match=re.escape("odd 2*D4 = 1 at m=1")):
+        C._d4_row([0, 4, 0], [0, 0, 0], [0, 1, 0])

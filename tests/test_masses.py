@@ -2,8 +2,16 @@ from fractions import Fraction
 
 from helpers import C4_MASS_QUANTITIES
 
+from q2quartic import counts as C
 from q2quartic import masses as M
-from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, make_params, valid_param_sweep
+from q2quartic.params import (
+    GROUP_ORDER,
+    GroupTag,
+    MinusOneClass,
+    aut_order,
+    make_params,
+    valid_param_sweep,
+)
 
 Q2P = make_params(1, 1, 2, MinusOneClass.RAMIFIED)
 
@@ -66,3 +74,19 @@ def test_closed_equals_summed_mini_sweep():
     for p in valid_param_sweep(6, 3):
         for g in GROUP_ORDER:
             assert M.mass_closed_form(p, g) == M.mass_from_counts(p, g), (p, g)
+
+
+def _per_term_sum(p, row, denom):
+    return sum((Fraction(c, denom * p.q**m) for m, c in enumerate(row)), Fraction(0))
+
+
+def test_support_sum_equals_per_term_sum():
+    # Horner's one numerator against a Fraction per term, on every row of
+    # small tuples and on rows with negative and trailing entries
+    for p in valid_param_sweep(6, 3):
+        rows = C.count_rows(p)
+        for row, denom in [(rows.tow, 4), *((rows.groups[g], aut_order(g)) for g in GROUP_ORDER)]:
+            assert M._support_sum(p, row, denom) == _per_term_sum(p, row, denom), p
+    p = make_params(1, 2, 2, MinusOneClass.RAMIFIED)
+    for row in [(0,) * 12, (5,) + (0,) * 11, (0,) * 11 + (7,), tuple(range(-5, 7))]:
+        assert M._support_sum(p, row, 3) == _per_term_sum(p, row, 3), row

@@ -6,14 +6,14 @@ that range.
 
 from fractions import Fraction
 
-from helpers import n_c4, published_masses
+from helpers import n_c4, published_masses, valid_params
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from q2quartic import counts as C
 from q2quartic import masses as M
 from q2quartic.errors import InvalidParams
-from q2quartic.params import GROUP_ORDER, FieldParams, MinusOneClass, make_params
+from q2quartic.params import GROUP_ORDER, FieldParams, MinusOneClass
 
 
 @st.composite
@@ -25,15 +25,6 @@ def raw_tuples(draw):
     k = max(e, 0) + 2
     d = draw(st.one_of(st.just(0), st.integers(-1, k).map(lambda i: 2 * i), st.integers(-2, 2 * k)))
     return e, f, q, d, draw(st.sampled_from(list(MinusOneClass)))
-
-
-@st.composite
-def valid_params(draw, e_max, f_max):
-    e = draw(st.integers(1, e_max))
-    f = draw(st.integers(1, f_max))
-    cls = draw(st.sampled_from(list(MinusOneClass)))
-    d = 2 * draw(st.integers(1, (e + 1) // 2)) if cls is MinusOneClass.RAMIFIED else 0
-    return make_params(e, f, d, cls)
 
 
 @settings(max_examples=150, deadline=None)
