@@ -39,9 +39,10 @@ Cross-check.  Every leaf is recorded through density's ``_add_leaf``, so
 one leaf in ``_CROSS_CHECK_EVERY`` (64, the tower oracle's one sampling
 rule ``_sampled``) is classified afresh by root counting and must agree
 with the (m, G) of the field it was matched to.
-The walk's counts (``leaves``, ``dropped``, ``stem_tests``, ``classified``,
+The walk's counts (``dropped``, ``stem_tests``, ``classified``,
 ``root_count_cross_checks``) share density's ``stats`` counter and go into
-the metadata.
+the metadata, with ``leaves``, the ``leaves_krasner`` density counts plus
+``dropped``.
 
 This is the slowest oracle and the arbiter when the density and formula
 counts disagree.
@@ -104,7 +105,6 @@ class _DedupWalk(_Enumerator):
     def _krasner_leaf(self, digits):
         fq = self._build(digits)
         m = disc_valuation(fq)
-        self.stats["leaves"] += 1
         if m > self.m_max:
             self.stats["dropped"] += 1
             self._add_leaf((m, None), fq, digits, "krasner")  # its group is never read
@@ -144,7 +144,7 @@ def dedup_counts(field: LocalField, m_max: int):
     counts = dict(sorted(found.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))
     stats = walk.stats
     meta = {
-        "leaves": stats["leaves"],
+        "leaves": stats["leaves_krasner"] + stats["dropped"],
         "dropped": stats["dropped"],
         "fields": len(walk.fields),
         "stem_tests": stats["stem_tests"],

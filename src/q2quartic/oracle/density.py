@@ -33,8 +33,13 @@ for the last two, from the square class of its discriminant:
   K(sqrt(pi u)); Hasse-Arf and the break relation of cyclic 2-power
   extensions (ch. IV-V) then force u2 = 3e, so m = 8e+3.  The test needs
   no square class and no resolvent root.
-* tower certificate: when every member visibly fails the one-automorphism
-  valuation pattern, the classification only needs the square class of
+* tower certificate: when the representative's valuations fail the T_m
+  pattern (``t_m_pattern``, the one ``in_Tm`` reads), so does every
+  member, and no member has one automorphism.  Members share the pinned m,
+  and for even m Ore's formula puts every member's v(a1) and v(a3) on the
+  pattern, so the representative fails by an m outside the domain or by
+  v(a2) < ceil(m/6) at a nonzero digit the node fixes, both shared by
+  every member.  The classification then only needs the square class of
   disc (V4 when square) and, for the C4/D4 split, the square class of
   disc * W, W = w^2 - 4 a0 for the unique root w of the resolvent cubic R;
   the class of W is pinned by a Hensel window, so stability follows from
@@ -76,13 +81,14 @@ for the last two, from the square class of its discriminant:
   >= k and, for k <= 2e, the unramified bit.  h never has the unramified
   bit, as (u, -1) = 1 for the unramified class u (v(-1) is even), so W_k
   lies in H exactly when k > h_top, the highest odd level carrying a bit
-  of h.  A visibly non-1-Aut node with k > h_top and h(cd) = 1 therefore
-  has no member whose disc lies in H: none is V4, as 0 lies in H, and none
-  is C4, whose disc generates its quadratic subfield; all are D4.  A tower
-  node walks the square class of the unit part of its disc at most once:
-  stopped above level h_top when the coset test runs, which reads the bits
-  of cd up to there, and at its first obstruction otherwise; the walk's
-  reach also answers the square test of the tower certificate.  At odd m
+  of h.  A node failing the T_m pattern with k > h_top and h(cd) = 1
+  therefore has no member whose disc lies in H: none is V4, as 0 lies in
+  H, and none is C4, whose disc generates its quadratic subfield; all are
+  D4.  A tower node walks the square class of the unit part of its disc
+  at most once: stopped above level h_top when the coset test runs, which
+  reads the bits of cd up to there, and at its first obstruction
+  otherwise; the walk's reach also answers the square test of the tower
+  certificate.  At odd m
   without the coset test nothing reads the walk, and it does not run.
   When h(cd) = 0 instead, the whole coset lies in H, and so does the coset
   of every descendant, whose members are members of the node: the children
@@ -117,7 +123,7 @@ keys of ``_STATS`` from ``stats``: ``leaves_krasner``, ``leaves_parity``,
 ``root_count_cross_checks`` counts the sampled leaves (see Cross-checks),
 and the ``splits_*`` counts split the enumerated root's inner nodes by the
 reason each was refined: ``unpinned`` (v(disc) not certified yet),
-``one_aut`` (a member may still fit the 1-Aut pattern), ``headroom``
+``one_aut`` (the representative fits the T_m pattern), ``headroom``
 (k = bound - m below 2e+1 and no coset certificate) and ``window`` (the
 resolvent root is not pinned).  Each split node has q children, so
 (q - 1) * sum(splits) + 1 = leaves + pruned.
@@ -166,18 +172,17 @@ from ..errors import FormulationMismatch, InvalidParams, NonIntegralCount, Q2Qua
 from ..padic._compiled import disc_bound, r0_bound, r1_bound, r2_bound
 from ..padic.field import LocalField, ramified_quadratic
 from ..padic.quartic import (
+    _INF,
     EisensteinQuartic,
     _pins_class,
     _resolvent_split,
     classify_by_invariants,
     classify_quartic,
-    in_Tm_domain,
+    t_m_pattern,
 )
 from ..params import GroupTag, MinusOneClass, aut_order
 from .tower import _norm_images, _sampled
 
-
-_INF = 10**9
 
 # The parent of a parallel split opens this many nodes per process before it
 # hands them out.
@@ -309,12 +314,6 @@ class _Enumerator:
         y2 = min(4 * v3, 8 * e + 1)
         return max(12 * (y0 - y1), 6 * (y0 - y2), 4 * y0)
 
-    def _visibly_non_one_aut(self, vrep, m) -> bool:
-        """True when every member of a node with v(disc) = m pinned fails the
-        1-Aut valuation pattern.  With m read from Ore's formula, v(a1) and
-        v(a3) already follow the T_m pattern, so only v(a2) >= ceil(m/6) is left."""
-        return not in_Tm_domain(m, self.e) or vrep[2] < -(m // -6)
-
     @cached_property
     def _minus_one(self):
         """(h, h_top) of ``_minus_one_functional``, computed in each process
@@ -413,7 +412,7 @@ class _Enumerator:
             self._add_leaf((m, GroupTag.D4), self._build(digits), digits, "parity")
             return None
         in_h = isinstance(digits, _InH)
-        if not self._visibly_non_one_aut(vrep, m):
+        if t_m_pattern(m, e, *vrep[1:]):
             self.stats["splits_one_aut"] += 1
             return in_h
         K = self.K

@@ -29,21 +29,18 @@ from ..errors import (
     ClassInstability,
     FormulationMismatch,
     InvalidParams,
-    PrecisionExhausted,
 )
 from ..padic import _compiled
 from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
-    _power,
-    _unit_teich_pairs,
     count_roots_in_stem,
+    cubic_leading_digits,
     disc_raw,
     disc_valuation,
     in_Tm,
     in_Tm_domain,
 )
-from ..padic.rings import leading_residue
 from .tower import _sampled
 
 # measure_set and cubic_congruence_measure refuse to enumerate more
@@ -183,35 +180,26 @@ def cubic_congruence_measure(field: LocalField, a: int, b: int) -> Fraction:
     The set consists of (x0, x1, x2) with v(x0) = 1, v(x1) = a + b,
     v(x2) >= b such that x1 + u x2 x0^a + u^3 x0^{a+b} = 0 mod p^{a+b+1}
     for some unit residue representative u.  x1 only matters modulo
-    p^{a+b+1}, where it is [t1] pi^(a+b) for a unit residue t1, and a
-    target -(u x2 x0^a + u^3 x0^(a+b)) matches that class exactly when its
-    valuation is a + b and its leading digit is t1: each (x0, x2) counts the
-    distinct leading digits of its targets of valuation a + b.  A target's
-    valuation is at least a + b, so its digit at a + b is 0 exactly when the
-    valuation is larger.  The (q-1) q^(2a+b) pairs (x0, x2) are refused with
-    BudgetExceeded beyond ``_CLASS_BUDGET``.
+    p^{a+b+1}, where it is [t1] pi^(a+b) for a unit residue t1, and it
+    solves the congruence for some u exactly when t1 is among the nonzero
+    leading digits that ``cubic_leading_digits``, the test ``is_one_aut``
+    reads, finds for x2 at level a + b (its precondition holds, as
+    v(x2 x0^a) >= a + b): each (x0, x2) counts those digits.  The helper
+    runs once per x0, on the list of every x2.  PrecisionExhausted when
+    pi^(a+b+1) is beyond the ring's cap; the (q-1) q^(2a+b) pairs (x0, x2)
+    are refused with BudgetExceeded beyond ``_CLASS_BUDGET``.
     """
     if a <= 0 or b <= 0:
         raise InvalidParams(f"a and b must be positive, got a={a}, b={b}")
     q = field.q
-    ring = field.ring
     depth = a + b + 1
-    if depth > ring.cap:
-        raise PrecisionExhausted(f"congruence mod pi^{depth} beyond cap {ring.cap}")
+    digit_sets = cubic_leading_digits(field, a, a + b)
     _check_budget((q - 1) * q ** (2 * a + b), f"(x0, x2) pairs at (a, b) = ({a}, {b})")
-    mul, add = ring.mul, ring.add
-    units = _unit_teich_pairs(field)
     x2s = [field.from_digits((0,) * b + d2) for d2 in _digit_tuples(q, a + 1)]
     count = 0
     for lead in range(1, q):
         for rest in _digit_tuples(q, depth - 2):
             x0 = field.from_digits((0, lead) + rest)
-            x0_a = _power(ring, x0, a)
-            x0_ab = _power(ring, x0, a + b)
-            scaled = [(mul(u, x0_a), mul(u3, x0_ab)) for u, u3 in units]
-            for x2 in x2s:
-                # a target is minus this sum; in characteristic 2 both have one leading digit
-                leading = {leading_residue(ring, add(mul(x2, ux), u3x), a + b) for ux, u3x in scaled}
-                leading.discard(0)
-                count += len(leading)
+            for digits in digit_sets(x0, x2s):
+                count += len(digits) - (0 in digits)
     return Fraction(count, q ** (3 * depth))

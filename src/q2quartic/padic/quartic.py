@@ -28,15 +28,17 @@ from functools import cached_property
 from itertools import chain
 from math import inf
 
-from ..errors import FormulationMismatch, PrecisionExhausted
+from ..errors import FormulationMismatch, InvalidParams, PrecisionExhausted
 from ..params import GroupTag
 from . import _compiled
 from .field import LocalField
-from .rings import EisensteinStep, _check_eisenstein, eq_mod
+from .rings import EisensteinStep, _check_eisenstein, leading_residue
 
 _PANAYI_DEPTH_SLACK = 64
 
 _NEWTON_STEPS = 64  # ``_newton`` gives up with PrecisionExhausted after this many
+
+_INF = 10**9  # an infinite valuation where valuations are compared as ints
 
 # discriminant monomials of X^4 + p X^3 + q X^2 + r X + s as
 # (integer coefficient, (exp_s, exp_r, exp_q, exp_p)) in the a0,a1,a2,a3 order
@@ -119,62 +121,75 @@ def in_Tm_domain(m: int, e: int) -> bool:
     return m % 2 == 0 and 4 <= m <= 6 * e + 2
 
 
+def t_m_pattern(m: int, e: int, v1, v2, v3) -> bool:
+    """Whether v(a1), v(a2), v(a3), ``_INF`` when infinite, fit the T_m
+    pattern: v(a2) >= ceil(m/6), and v(a1) = m/4 <= v(a3) when 4 | m,
+    v(a3) = (m-2)/4 < v(a1) otherwise.  False outside ``in_Tm_domain``."""
+    if not in_Tm_domain(m, e) or v2 < -(m // -6):
+        return False
+    if m % 4 == 0:
+        return v1 == m // 4 and v3 >= m // 4
+    return v3 == (m - 2) // 4 and v1 >= (m + 2) // 4
+
+
 def in_Tm(fq: EisensteinQuartic, m: int) -> bool:
     """The coefficient-valuation congruence set containing all 1-Aut quartics."""
     K = fq.field
     if not in_Tm_domain(m, K.e_abs):
-        raise ValueError(f"T_m is defined for even 4 <= m <= 6e+2, got m={m}")
+        raise InvalidParams(f"T_m is defined for even 4 <= m <= 6e+2, got m={m}")
     v1, v2, v3 = K.val(fq.a1), K.val(fq.a2), K.val(fq.a3)
-    lo2 = -(m // -6)  # ceil(m/6)
-    if v2 is not None and v2 < lo2:
-        return False
-    if m % 4 == 0:
-        if v1 != m // 4:
-            return False
-        return v3 is None or v3 >= m // 4
-    if v3 != (m - 2) // 4:
-        return False
-    return v1 is None or v1 >= (m + 2) // 4
+    return t_m_pattern(
+        m,
+        K.e_abs,
+        _INF if v1 is None else v1,
+        _INF if v2 is None else v2,
+        _INF if v3 is None else v3,
+    )
 
 
 def is_one_aut(fq: EisensteinQuartic, m: int) -> bool:
     """Whether the stem field, with v(disc) = m, has trivial automorphism
-    group (S4 or A4 closure)."""
+    group (S4 or A4 closure): f lies in T_m and, when 6 | m, no unit
+    residue u solves base + [u] a2 a0^(m/12) + [u]^3 a0^k = 0 mod pi^(k+1),
+    k = m//4, base = a1 (4 | m) or a3.  That is, base's leading digit at
+    pi^k is not among the ``cubic_leading_digits`` of x = a2 for x0 = a0,
+    a = m//12 and level k: exact as T_m gives v(base) = k and
+    v(a2) + m//12 >= ceil(m/6) + floor(m/12) = k."""
     K = fq.field
-    if not in_Tm_domain(m, K.e_abs):
-        return False
-    if not in_Tm(fq, m):
+    if not in_Tm_domain(m, K.e_abs) or not in_Tm(fq, m):
         return False
     if m % 3 != 0:
         return True
-    # m divisible by 6: trivial automorphisms iff no unit residue u solves
-    # base + [u] a2 a0^(m/12) + [u]^3 a0^k = 0 mod pi^(k+1), k = m//4.
-    R = K.ring
     k = m // 4
-    a0, a1, a2, a3 = fq.coeffs()
-    base = a1 if m % 4 == 0 else a3
-    mid = R.mul(a2, _power(R, a0, m // 12))
-    targets = _cubic_congruence(K)(mid, _power(R, a0, k))
-    return not any(eq_mod(R, base, t, k + 1) for t in targets)
+    base = fq.a1 if m % 4 == 0 else fq.a3
+    (digits,) = cubic_leading_digits(K, m // 12, k)(fq.a0, [fq.a2])
+    return leading_residue(K.ring, base, k) not in digits
 
 
-def _cubic_congruence(K: LocalField):
-    """The map (mid, top) -> [-([u] mid + [u]^3 top) for each unit residue u],
-    [u] the Teichmueller lift: base + [u] mid + [u]^3 top = 0 mod pi^depth
-    for some u exactly when base is congruent mod pi^depth to one of them."""
+def cubic_leading_digits(K: LocalField, a: int, level: int):
+    """The map (x0, xs) -> [D(x) for x in xs], D(x) the leading digits at
+    pi^level of x [u] x0^a + [u]^3 x0^level over the unit residues u, [u]
+    the Teichmueller lift, with the powers of x0 computed once per call.
+
+    Every sum must have valuation level or more.  An x1 of valuation level
+    solves x1 + [u] x x0^a + [u]^3 x0^level = 0 mod pi^(level+1) for some u
+    exactly when its leading digit lies in D(x): in characteristic 2 minus
+    a sum has the sum's leading digit.  0 in D(x) stands for the sums of
+    larger valuation.  PrecisionExhausted when pi^(level+1) is beyond the
+    ring's cap.
+    """
     R = K.ring
-    units = _unit_teich_pairs(K)
+    if level >= R.cap:
+        raise PrecisionExhausted(f"congruence mod pi^{level + 1} beyond cap {R.cap}")
+    units = [(R.teich(t), R.teich(K.res.pow(t, 3))) for t in range(1, K.q)]
+    mul, add = R.mul, R.add
 
-    def targets(mid, top):
-        return [R.neg(R.add(R.mul(u, mid), R.mul(u3, top))) for u, u3 in units]
+    def digit_sets(x0, xs):
+        x0_a, x0_level = _power(R, x0, a), _power(R, x0, level)
+        scaled = [(mul(u, x0_a), mul(u3, x0_level)) for u, u3 in units]
+        return [{leading_residue(R, add(mul(x, s), t), level) for s, t in scaled} for x in xs]
 
-    return targets
-
-
-def _unit_teich_pairs(K: LocalField):
-    """([u], [u^3]) for each unit residue u, [.] the Teichmueller lift."""
-    R = K.ring
-    return [(R.teich(t), R.teich(K.res.pow(t, 3))) for t in range(1, K.q)]
+    return digit_sets
 
 
 def _power(R, a, n: int):

@@ -59,7 +59,7 @@ consumers budget their downward shifts against the guard digits instead.
 
 from __future__ import annotations
 
-from ..errors import DivisionByNonUnit, InvalidParams, PrecisionExhausted
+from ..errors import DivisionByNonUnit, InvalidParams
 from ..residue import ResidueField
 
 # Bits above 2N in every bottom slot; towers of absolute degree up to
@@ -258,7 +258,7 @@ class EisensteinStep(_PackedRing):
         self.g = tuple(lower_coeffs)  # g_0 .. g_{n-1}
         self.n = n = len(self.g)
         if n < 1:
-            raise ValueError("defining polynomial must have positive degree")
+            raise InvalidParams("defining polynomial must have positive degree")
         _check_eisenstein(base, self.g)
         self.f = base.f
         self.res = base.res
@@ -336,14 +336,6 @@ def _check_eisenstein(ring, lower_coeffs):
         v = ring.val(c)
         if v is not None and v < 1:
             raise InvalidParams("non-constant lower coefficients need positive valuation")
-
-
-def eq_mod(ring, a, b, l: int) -> bool:
-    """Whether v(a - b) >= l, certified against the ring's working precision."""
-    if l > ring.cap:
-        raise PrecisionExhausted(f"congruence mod pi^{l} beyond cap {ring.cap}")
-    v = ring.val(ring.sub(a, b))
-    return v is None or v >= l
 
 
 def leading_residue(ring, a, l: int) -> int:

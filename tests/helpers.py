@@ -51,7 +51,7 @@ from q2quartic.errors import DivisionByNonUnit, NonIntegralCount, PrecisionExhau
 from q2quartic.padic import quartic
 from q2quartic.padic.field import LocalField, field_from_spec
 from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
-from q2quartic.padic.rings import EisensteinStep, eq_mod
+from q2quartic.padic.rings import EisensteinStep
 from q2quartic.params import FieldParams, GroupTag, MinusOneClass, make_params
 from q2quartic.residue import ResidueField
 
@@ -201,23 +201,31 @@ def resolvent_split_at_target(fq, window=None):
 
 def cubic_congruence_count_pairwise(field, a, b) -> int:
     """The numerator of ``cubic_congruence_measure`` over q^(3(a+b+1)), by
-    testing every x1 = [t1] pi^(a+b) against every target with ``eq_mod``:
-    the reference of its count of distinct leading digits."""
+    testing every x1 = [t1] pi^(a+b) against every target
+    -([u] x2 x0^a + [u]^3 x0^(a+b)) with v(x1 - target) >= a+b+1: the
+    reference of its count of distinct leading digits."""
     q, ring = field.q, field.ring
     depth = a + b + 1
-    targets_of = quartic._cubic_congruence(field)
+    mul = ring.mul
+    units = [(u, mul(mul(u, u), u)) for u in map(ring.teich, range(1, q))]
     count = 0
     for lead in range(1, q):
         for rest in product(range(q), repeat=depth - 2):
             x0 = field.from_digits((0, lead) + rest)
-            x0_a = quartic._power(ring, x0, a)
-            x0_ab = quartic._power(ring, x0, a + b)
+            powers = [ring.one]
+            for _ in range(a + b):
+                powers.append(mul(powers[-1], x0))
             for d2 in product(range(q), repeat=a + 1):
                 x2 = field.from_digits((0,) * b + d2)
-                targets = targets_of(ring.mul(x2, x0_a), x0_ab)
+                mid, top = mul(x2, powers[a]), powers[a + b]
+                targets = [ring.neg(ring.add(mul(u, mid), mul(u3, top))) for u, u3 in units]
                 for t1 in range(1, q):
                     x1 = field.digit_elt(t1, a + b)
-                    count += any(eq_mod(ring, x1, t, depth) for t in targets)
+                    for t in targets:
+                        v = ring.val(ring.sub(x1, t))
+                        if v is None or v >= depth:
+                            count += 1
+                            break
     return count
 
 

@@ -5,14 +5,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import q2quartic
 from q2quartic import counts as C
-from q2quartic.cli import run
+from q2quartic import masses
+from q2quartic.cli import _LMFDB_GROUPS, run
 from q2quartic.errors import ClassInstability, FormulationMismatch, NonIntegralCount
-from q2quartic.params import GroupTag, MinusOneClass
+from q2quartic.params import GroupTag, MinusOneClass, aut_order
 
 Q2_FLAGS = ["--e", "1", "--f", "1", "--d-minus-one", "2", "--minus-one-class", "ramified"]
 
@@ -57,6 +59,48 @@ def test_mass_check_serre(capsys):
     assert code == 0
     assert "total" in out and "1/8" in out
     assert "serre: ok" in out
+
+
+def _q2_masses_from_lmfdb_table():
+    """Q2's masses sum_m count / (#Aut q^m) per group, from the LMFDB field list."""
+    out = dict.fromkeys(GroupTag, Fraction(0))
+    for c, glabel, count in Q2_LMFDB_TABLE:
+        g = _LMFDB_GROUPS[glabel]
+        out[g] += Fraction(count, aut_order(g) * 2**c)
+    return out
+
+
+def test_mass_csv_and_json_q2(capsys):
+    code, out_csv = _run(capsys, ["mass", *Q2_FLAGS, "--format", "csv"])
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out_csv)))
+    assert all(
+        (r["e"], r["f"], r["q"], r["d_minus_one"], r["minus_one_class"])
+        == ("1", "1", "2", "2", "ramified")
+        for r in rows
+    )
+    from_csv = {r["group"]: Fraction(r["mass"]) for r in rows}
+    expected = {g.value: v for g, v in _q2_masses_from_lmfdb_table().items()}
+    assert from_csv == {**expected, "total": Fraction(1, 8)}
+    code, out_json = _run(capsys, ["mass", *Q2_FLAGS, "--format", "json"])
+    assert code == 0
+    blob = json.loads(out_json)
+    assert blob["params"] == {
+        "e": 1, "f": 1, "q": 2, "d_minus_one": 2, "minus_one_class": "ramified",
+    }
+    assert {g: Fraction(v) for g, v in blob["masses"].items()} == expected
+    assert blob["total"] == "1/8"
+
+
+def test_mass_check_serre_failure_exit_1(monkeypatch, capsys):
+    # masses that do not sum to q^-3: the table prints them, the check fails
+    skewed = {g: Fraction(1, 64) for g in GroupTag}
+    monkeypatch.setattr(masses, "closed_masses", lambda params: skewed)
+    code, out = _run(capsys, ["mass", *Q2_FLAGS, "--check-serre"])
+    assert code == 1
+    assert "total" in out and "5/64" in out
+    assert "serre: FAIL (mass total differs from q^-3 by -3/64)" in out
+    assert "serre: ok" not in out
 
 
 def test_usage_errors_exit_2(capsys):
@@ -170,11 +214,13 @@ def _cli_process(*argv):
         ["verify", "--field", "{not_json}", "--m-max", "4"],
         ["lmfdb-check", "--csv", "{missing}", "--field", "{spec}"],
         ["lmfdb-check", "--csv", "{not_utf8}", "--field", "{spec}"],
+        ["lmfdb-check", "--csv", "{directory}", "--field", "{spec}"],
         ["verify", "--field", "{spec}", "--m-max", "4", "--cache", "{spec}"],
         ["verify", "--field", "{spec}", "--m-max", "4", "--cache", "{spec}/sub"],
     ],
     ids=["derive-missing", "derive-not-json", "verify-missing", "verify-not-json",
-         "lmfdb-missing-csv", "lmfdb-not-utf8", "cache-is-file", "cache-under-file"],
+         "lmfdb-missing-csv", "lmfdb-not-utf8", "lmfdb-directory", "cache-is-file",
+         "cache-under-file"],
 )
 def test_file_errors_exit_2_without_traceback(tmp_path, argv):
     spec = tmp_path / "q2.json"
@@ -185,7 +231,7 @@ def test_file_errors_exit_2_without_traceback(tmp_path, argv):
     not_utf8.write_bytes(b"\xff\xfe" + "label,e,c,galois_label\n".encode("utf-16-le"))
     paths = {
         "spec": spec, "not_json": not_json, "not_utf8": not_utf8,
-        "missing": tmp_path / "missing.json",
+        "missing": tmp_path / "missing.json", "directory": tmp_path,
     }
     code, err = _cli_process(*(a.format(**paths) for a in argv))
     assert code == 2
@@ -236,6 +282,36 @@ def test_lmfdb_check_detects_mismatch_and_reports_bad_rows(tmp_path, capsys):
     assert code == 1
     assert "FAIL" in captured.out
     assert "malformed row" in captured.err
+
+
+@pytest.mark.parametrize("header", ["label,n,e,c,extra", ""])
+def test_lmfdb_check_missing_columns_exits_2(tmp_path, capsys, header):
+    spec = tmp_path / "q2.json"
+    spec.write_text('{"f": 1, "e": 1}')
+    csvfile = tmp_path / "lf.csv"
+    csvfile.write_text(header + "\n" if header else "")
+    code = run(["lmfdb-check", "--csv", str(csvfile), "--field", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "lmfdb-check: csv must have columns e, c, galois_label\n"
+    assert captured.out == ""
+
+
+def test_lmfdb_check_skips_quartic_row_with_unknown_galois_label(tmp_path, capsys):
+    # a degree-4 row whose label is no quartic Galois label is malformed and
+    # skipped; the other rows still match the formulas
+    spec = tmp_path / "q2.json"
+    spec.write_text('{"f": 1, "e": 1}')
+    csvfile = tmp_path / "lf.csv"
+    _write_lmfdb_csv(csvfile, Q2_LMFDB_TABLE)
+    lines = csvfile.read_text().splitlines()
+    lines.append("2.4.8.77,4,4,8,4T9,x")
+    csvfile.write_text("\n".join(lines) + "\n")
+    code = run(["lmfdb-check", "--csv", str(csvfile), "--field", str(spec)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "overall: pass" in captured.out
+    assert captured.err == f"lmfdb-check: skipping malformed row at line {len(lines)}\n"
 
 
 def test_sweep_cli(capsys):

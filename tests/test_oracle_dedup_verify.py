@@ -32,6 +32,23 @@ def test_dedup_counts_match_closed_forms(request, field, m_max):
     assert meta["leaves"] >= meta["fields"] + meta["dropped"]
 
 
+def test_dedup_counts_the_leaves_it_drops(monkeypatch, Q2):
+    # with no disc bound nothing is pruned, so the leaves above m_max reach
+    # the Krasner hook and are dropped there; meta["leaves"] counts them all
+    monkeypatch.setattr(D, "disc_bound", lambda cs, vh, e: 0)
+    calls = []
+    krasner_leaf = X._DedupWalk._krasner_leaf
+    monkeypatch.setattr(
+        X._DedupWalk, "_krasner_leaf", lambda walk, d: calls.append(d) or krasner_leaf(walk, d)
+    )
+    got, meta = dedup_counts(Q2, 6)
+    p = Q2.derive_params()
+    assert got == {(m, g): C.count(p, m, g) for m in range(7) for g in GROUP_ORDER
+                   if C.count(p, m, g)}
+    assert meta["dropped"] > 0
+    assert meta["leaves"] == len(calls)
+
+
 def test_dedup_full_range_q2_is_the_paper_table(Q2):
     counts, meta = dedup_counts(Q2, 11)
     assert counts == Q2_TABLE

@@ -587,6 +587,11 @@ def test_cubic_congruence_refuses_depth_beyond_the_cap(Q2):
     # the congruence is read mod pi^(a+b+1), which must lie within the cap
     with pytest.raises(PrecisionExhausted, match="beyond cap"):
         cubic_congruence_measure(Q2, Q2.ring.cap, 1)
+    # the helper it shares with is_one_aut reads digits up to pi^level < pi^cap
+    cap = Q2.ring.cap
+    quartic.cubic_leading_digits(Q2, 1, cap - 1)
+    with pytest.raises(PrecisionExhausted, match=f"mod pi\\^{cap + 1} beyond cap"):
+        quartic.cubic_leading_digits(Q2, 1, cap)
 
 
 # leaves per certificate and splits per reason over the full range, as the

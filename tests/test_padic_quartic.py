@@ -115,6 +115,15 @@ def test_in_Tm_examples(Q2):
     assert in_Tm(f2, 6)
 
 
+@pytest.mark.parametrize("m", [2, 5, 10])
+def test_in_Tm_outside_its_domain_is_invalid(Q2, m):
+    # T_m needs m even and 4 <= m <= 6e+2 = 8 over Q2; is_one_aut reads False there
+    fq = quartic_from_ints(Q2, 2, 2, 0, 0)
+    with pytest.raises(InvalidParams, match="T_m is defined"):
+        in_Tm(fq, m)
+    assert is_one_aut(fq, m) is False
+
+
 def test_is_one_aut_examples(Q2):
     for coeffs, one_aut in (((2, 2, 0, 0), True), ((2, 0, 0, 2), False), ((2, 0, 2, 2), True)):
         fq = quartic_from_ints(Q2, *coeffs)

@@ -4,7 +4,7 @@ import pytest
 
 from q2quartic.errors import DivisionByNonUnit, InvalidParams
 from q2quartic.padic.field import field_from_spec
-from q2quartic.padic.rings import _HEADROOM, EisensteinStep, eq_mod
+from q2quartic.padic.rings import _HEADROOM, EisensteinStep
 
 
 def test_basic_arith_q2(Q2):
@@ -50,7 +50,6 @@ def test_eisenstein_step_valuations(K_sqrt2):
     assert R.val(R.from_int(2)) == 2  # v_K(2) = e = 2
     assert R.mul(pi, pi) == R.from_int(2)  # pi = sqrt(2)
     assert R.val(R.from_int(6)) == 2
-    assert eq_mod(R, R.from_int(2), R.mul(pi, pi), R.cap)
 
 
 def test_eisenstein_division_by_uniformiser(K_sqrt2):
@@ -85,3 +84,8 @@ def test_degree_beyond_slot_headroom_is_refused(Q2):
     n = (1 << (_HEADROOM - 1)) + 1
     with pytest.raises(InvalidParams):
         EisensteinStep(R, [R.from_int(2)] + [R.zero] * (n - 1))
+
+
+def test_empty_defining_polynomial_is_refused(Q2):
+    with pytest.raises(InvalidParams, match="positive degree"):
+        EisensteinStep(Q2.ring, [])

@@ -48,6 +48,7 @@ from q2quartic.padic.quartic import (
     is_one_aut,
     resolvent_cubic,
     stem_ring,
+    t_m_pattern,
 )
 from q2quartic.params import GroupTag
 
@@ -218,16 +219,18 @@ def test_ore_formula_is_disc_valuation(case):
 @settings(max_examples=200, deadline=None)
 @given(eisenstein_quartics(tuple(_SPECS), allow_zero=True))
 def test_t_m_reduces_to_the_a2_bound(case):
-    # with m = v(disc), Ore's formula already puts v(a1) and v(a3) on the
-    # T_m pattern, so membership is v(a2) >= ceil(m/6); the tower
-    # certificate's 1-Aut screen tests only that
-    name, fq, vals = case
+    # the tower certificate's 1-Aut screen reads the T_m pattern off the
+    # enumerator's valuations (_INF for zero); in_Tm reads it off K.val
+    # (None for zero).  With m = v(disc), Ore's formula already puts v(a1)
+    # and v(a3) on the pattern, so membership is v(a2) >= ceil(m/6)
+    _, fq, vals = case
     m = disc_valuation(fq)
     vrep = _vrep(vals)
-    in_domain = in_Tm_domain(m, fq.field.e_abs)
+    e = fq.field.e_abs
+    in_domain = in_Tm_domain(m, e)
+    assert t_m_pattern(m, e, *vrep[1:]) == (in_domain and in_Tm(fq, m))
     if in_domain:
         assert in_Tm(fq, m) == (vrep[2] >= -(m // -6))
-    assert _enumerator(name)._visibly_non_one_aut(vrep, m) == (not in_domain or not in_Tm(fq, m))
 
 
 @settings(max_examples=150, deadline=None)
