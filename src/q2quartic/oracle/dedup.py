@@ -44,6 +44,12 @@ The walk's counts (``dropped``, ``stem_tests``, ``classified``,
 the metadata, with ``leaves``, the ``leaves_krasner`` density counts plus
 ``dropped``.
 
+Dropped leaves.  A leaf with m > m_max is dropped, not classified.  That
+branch is a guard: ``_expand`` prunes a node once its m is certified above
+m_max, so only a Krasner leaf whose m is not yet certified at its depth
+can reach it, and no input of the test suite does (``dropped`` is 0).  The
+test that patches ``disc_bound`` to 0 reaches it.
+
 This is the slowest oracle and the arbiter when the density and formula
 counts disagree.
 """
@@ -105,6 +111,8 @@ class _DedupWalk(_Enumerator):
     def _krasner_leaf(self, digits):
         fq = self._build(digits)
         m = disc_valuation(fq)
+        # a guard: ``_expand`` has pruned every node whose m is certified
+        # above m_max, so only a leaf not yet certified at its depth gets here
         if m > self.m_max:
             self.stats["dropped"] += 1
             self._add_leaf((m, None), fq, digits, "krasner")  # its group is never read

@@ -10,7 +10,10 @@ plus whether disc f is a square in K.  r = 1 splits into S4/A4 by the
 square test, r = 2 is D4, and r = 4 splits into C4/V4.  Root counting uses
 residue refinement: candidate roots are tracked modulo growing powers of
 the stem uniformiser, branches close via the simple-root (Hensel)
-certificate, and f is separable so every branch terminates.
+certificate, and f is separable so every branch terminates.  A branch's
+polynomial p([t] + pi X) is kept as the Taylor shift p([t] + X), and the
+factor pi^i of its X^i is paid in the same ``shift`` that normalises the
+branch: one shift per coefficient and node.
 
 The monomial tables ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS`` are
 the single source of the discriminant and the resolvent cubic: the
@@ -169,25 +172,41 @@ def is_one_aut(fq: EisensteinQuartic, m: int) -> bool:
 def cubic_leading_digits(K: LocalField, a: int, level: int):
     """The map (x0, xs) -> [D(x) for x in xs], D(x) the leading digits at
     pi^level of x [u] x0^a + [u]^3 x0^level over the unit residues u, [u]
-    the Teichmueller lift, with the powers of x0 computed once per call.
+    the Teichmueller lift, each a frozenset.
 
-    Every sum must have valuation level or more.  An x1 of valuation level
+    D(x) is computed in the residue field F_q.  With alpha the leading digit
+    of x x0^a and beta that of x0^level, both at pi^level, D(x) is
+    {u alpha + u^3 beta : u in F_q^x}: the residue map is additive and
+    multiplicative on the elements of valuation level or more.  Each x costs
+    one ring ``mul`` and one ``leading_residue``; the powers of x0 and beta
+    are computed once per call, and the set for each alpha once.
+
+    Every x x0^a must have valuation level or more.  An x1 of valuation level
     solves x1 + [u] x x0^a + [u]^3 x0^level = 0 mod pi^(level+1) for some u
     exactly when its leading digit lies in D(x): in characteristic 2 minus
     a sum has the sum's leading digit.  0 in D(x) stands for the sums of
     larger valuation.  PrecisionExhausted when pi^(level+1) is beyond the
     ring's cap.
     """
-    R = K.ring
+    R, res = K.ring, K.res
     if level >= R.cap:
         raise PrecisionExhausted(f"congruence mod pi^{level + 1} beyond cap {R.cap}")
-    units = [(R.teich(t), R.teich(K.res.pow(t, 3))) for t in range(1, K.q)]
-    mul, add = R.mul, R.add
+    cubes = [(u, res.pow(u, 3)) for u in range(1, K.q)]
+    mul, fmul = R.mul, res.mul
 
     def digit_sets(x0, xs):
-        x0_a, x0_level = _power(R, x0, a), _power(R, x0, level)
-        scaled = [(mul(u, x0_a), mul(u3, x0_level)) for u, u3 in units]
-        return [{leading_residue(R, add(mul(x, s), t), level) for s, t in scaled} for x in xs]
+        x0_a = _power(R, x0, a)
+        beta = leading_residue(R, _power(R, x0, level), level)
+        units = [(u, fmul(u3, beta)) for u, u3 in cubes]
+        by_alpha = {}
+        out = []
+        for x in xs:
+            alpha = leading_residue(R, mul(x, x0_a), level)
+            digits = by_alpha.get(alpha)
+            if digits is None:  # F_q adds by XOR
+                digits = by_alpha[alpha] = frozenset(fmul(u, alpha) ^ ub for u, ub in units)
+            out.append(digits)
+        return out
 
     return digit_sets
 
@@ -219,27 +238,32 @@ def _simple_residue_roots(R, coeffs, depth_cap, search="root refinement"):
     the residue polynomial, and recurse on repeated residue roots t with
     X -> [t] + pi*X.  A simple residue root path[-1] of the normalised ``p``
     lifts uniquely (Hensel); the root is sum_i [path_i] pi^i + O(pi^len(path)).
+
+    A child is pushed as the unscaled Taylor shift p([t] + X) with the scale
+    d = 1: its coefficient c_i stands for c_i pi^i, of valuation v(c_i) + i,
+    and the polynomial has vanished when every such valuation reaches the
+    ring's cap.  The normalisation then pays pi^(d*i - s) in one ``shift``
+    per coefficient (the root has d = 0).
     """
-    res = R.res
-    stack = [(list(coeffs), ())]
+    res, cap = R.res, R.cap
+    stack = [(list(coeffs), (), 0)]
     while stack:
-        poly, path = stack.pop()
+        poly, path, d = stack.pop()
         if len(path) > depth_cap:
             raise PrecisionExhausted(f"{search} exceeded its depth budget")
-        vals = [R.val(c) for c in poly]
-        finite = [v for v in vals if v is not None]
-        if not finite:
+        vals = [None if v is None else v + d * i for i, v in enumerate(map(R.val, poly))]
+        s = min((v for v in vals if v is not None), default=cap)
+        if s >= cap:
             raise PrecisionExhausted("polynomial vanished to working precision")
-        s = min(finite)
-        poly = [R.shift(c, -s) for c in poly]
-        rbar = [R.residue(c) if v is not None and v == s else 0 for c, v in zip(poly, vals)]
+        poly = [R.shift(c, d * i - s) for i, c in enumerate(poly)]
+        rbar = [R.residue(c) if v == s else 0 for c, v in zip(poly, vals)]
         for t in res.elements():
             if _poly_eval(res, rbar, t) != 0:
                 continue
             if _poly_eval_res_deriv(res, rbar, t) != 0:
                 yield poly, path + (t,)
             else:
-                stack.append((_poly_shift_scale(R, poly, t), path + (t,)))
+                stack.append((_taylor_shift(R, poly, R.teich(t)), path + (t,), 1))
 
 
 def _ring_roots(L, coeffs):
@@ -277,11 +301,6 @@ def _taylor_shift(R, poly, x):
         for i in range(n - 2, k - 1, -1):
             c[i] = add(c[i], c[i + 1] if one else mul(x, c[i + 1]))
     return c
-
-
-def _poly_shift_scale(L, poly, t):
-    """Coefficients of p([t] + pi*X) from those of p(X)."""
-    return [L.shift(c, i) for i, c in enumerate(_taylor_shift(L, poly, L.teich(t)))]
 
 
 def count_roots_in_stem(fq: EisensteinQuartic) -> int:

@@ -52,9 +52,13 @@ the valuation as the least e*v_2(coefficient) + weight.
 
 Precision.  Raw data here carries no per-element precision; every element
 is exact modulo pi^cap provided it was produced from exact inputs by ring
-operations, minus one unit of cap per downward shift.  The public wrapper
-in :mod:`q2quartic.padic.field` tracks precision explicitly; internal
-consumers budget their downward shifts against the guard digits instead.
+operations, minus one unit of cap per downward shift.  A step's downward
+``shift(a, -k)`` runs k divisions by t in one loop: each solves x t = a
+from a's constant block (divided by pi_B, times the inverse of
+-g_0/pi_B) and so loses one unit, as k separate divisions would.  The
+public wrapper in :mod:`q2quartic.padic.field` tracks precision
+explicitly; internal consumers budget their downward shifts against the
+guard digits instead.
 """
 
 from __future__ import annotations
@@ -244,7 +248,14 @@ class UnramifiedRing(_PackedRing):
             raise DivisionByNonUnit("2 does not divide element")
         return (a >> 1) & self._mask
 
-    inv_unit = _PackedRing.inv_unit
+    def inv_unit(self, a):
+        """The inverse of the unit a; for f = 1 the unique inverse mod 2^N
+        that ``_PackedRing.inv_unit``'s Newton loop reaches."""
+        if self.f == 1:
+            if not a & 1:
+                raise DivisionByNonUnit("inverse of a non-unit")
+            return pow(a, -1, self._coef + 1)
+        return _PackedRing.inv_unit(self, a)
 
     def __repr__(self):
         return f"UnramifiedRing(f={self.f}, n2={self.n2})"
@@ -308,10 +319,31 @@ class EisensteinStep(_PackedRing):
         return _fold((a >> self._s) + x_top * self._g_over_t, self._final, self._mask)
 
     def shift(self, a, k: int):
-        """a * t^k; for k < 0 requires v(a) >= -k (exact division)."""
+        """a * t^k; for k < 0 requires v(a) >= -k (exact division).
+
+        A downward shift runs ``_div_by_pi``'s step -k times in one loop,
+        with the ring's constants bound once; a stage list that is empty
+        (a base U(1)) is a mask.
+        """
         if k < 0:
+            base = self.base
+            bmask, s, mask = base._mask, self._s, self._mask
+            inv, g_over_t = self._inv_unit_of_neg_g0_shifted, self._g_over_t
+            bstages, final = base._stages, self._final
+            base_div = base._div_by_pi if isinstance(base, EisensteinStep) else None
+            low = 0 if base_div else base._low_bits
             for _ in range(-k):
-                a = self._div_by_pi(a)
+                a0 = a & bmask
+                if base_div:
+                    a0 = base_div(a0)
+                elif a0 & low:
+                    raise DivisionByNonUnit("2 does not divide element")
+                else:
+                    a0 >>= 1
+                x_top = a0 * inv
+                x_top = _fold(x_top, bstages, bmask) if bstages else x_top & bmask
+                a = (a >> s) + x_top * g_over_t
+                a = _fold(a, final, mask) if final else a & mask
             return a
         n = self.n
         while k >= n:

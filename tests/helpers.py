@@ -16,6 +16,11 @@ coefficients' perturbation bounds that density reads from
 the resolvent root to a fixed valuation, the reference of the readings
 the C4/D4 split takes for itself, and ``cubic_congruence_count_pairwise``
 is the pairwise reference of ``cubic_congruence_measure``.
+``cubic_leading_digits_in_ring`` builds the cubic congruence's digit sets
+by ring arithmetic, the reference of ``cubic_leading_digits``'s sets in
+F_q, and ``simple_residue_roots_two_shift`` is the root search with a
+scaling and a normalising shift per coefficient, the reference of
+``_simple_residue_roots``'s one shift.
 
 The published closed forms of the masses (``mass_S4`` .. ``tower_mass``
 and the nine ``c4_mass_q*`` quantities), the per-cell counts
@@ -51,7 +56,7 @@ from q2quartic.errors import DivisionByNonUnit, NonIntegralCount, PrecisionExhau
 from q2quartic.padic import quartic
 from q2quartic.padic.field import LocalField, field_from_spec
 from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
-from q2quartic.padic.rings import EisensteinStep
+from q2quartic.padic.rings import EisensteinStep, leading_residue
 from q2quartic.params import FieldParams, GroupTag, MinusOneClass, make_params
 from q2quartic.residue import ResidueField
 
@@ -227,6 +232,57 @@ def cubic_congruence_count_pairwise(field, a, b) -> int:
                             count += 1
                             break
     return count
+
+
+def cubic_leading_digits_in_ring(K, a, level):
+    """The reference of ``quartic.cubic_leading_digits``: each digit set
+    built in the ring, one sum x [u] x0^a + [u]^3 x0^level and one
+    ``leading_residue`` per unit residue u."""
+    R = K.ring
+    units = [(R.teich(t), R.teich(K.res.pow(t, 3))) for t in range(1, K.q)]
+    mul, add = R.mul, R.add
+
+    def power(x, n):
+        out = R.one
+        for _ in range(n):
+            out = mul(out, x)
+        return out
+
+    def digit_sets(x0, xs):
+        x0_a, x0_level = power(x0, a), power(x0, level)
+        scaled = [(mul(u, x0_a), mul(u3, x0_level)) for u, u3 in units]
+        return [
+            {leading_residue(R, add(mul(x, s), t), level) for s, t in scaled} for x in xs
+        ]
+
+    return digit_sets
+
+
+def simple_residue_roots_two_shift(R, coeffs, depth_cap, search="root refinement"):
+    """The reference of ``quartic._simple_residue_roots``: each child is
+    scaled to p([t] + pi*X) by one upward shift per coefficient, and each
+    node is normalised by a second, downward one."""
+    res = R.res
+    stack = [(list(coeffs), ())]
+    while stack:
+        poly, path = stack.pop()
+        if len(path) > depth_cap:
+            raise PrecisionExhausted(f"{search} exceeded its depth budget")
+        vals = [R.val(c) for c in poly]
+        finite = [v for v in vals if v is not None]
+        if not finite:
+            raise PrecisionExhausted("polynomial vanished to working precision")
+        s = min(finite)
+        poly = [R.shift(c, -s) for c in poly]
+        rbar = [R.residue(c) if v is not None and v == s else 0 for c, v in zip(poly, vals)]
+        for t in res.elements():
+            if quartic._poly_eval(res, rbar, t) != 0:
+                continue
+            if quartic._poly_eval_res_deriv(res, rbar, t) != 0:
+                yield poly, path + (t,)
+            else:
+                child = quartic._taylor_shift(R, poly, R.teich(t))
+                stack.append(([R.shift(c, i) for i, c in enumerate(child)], path + (t,)))
 
 
 def unpack(ring, a):

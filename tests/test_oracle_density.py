@@ -563,12 +563,15 @@ def test_cubic_congruence_q2(Q2):
         assert cubic_congruence_measure(Q2, a, b) == expect
 
 
-@pytest.mark.parametrize("label", ["Q2", "U2", "sqrt2"])
+@pytest.mark.parametrize("label", ["Q2", "U2", "U3", "sqrt2", "x^3-2"])
 def test_cubic_congruence_matches_the_pairwise_count(label, Q2, U2, K_sqrt2):
     # each (x0, x2) counts the distinct leading digits of its targets of
-    # valuation a + b instead of testing every x1 against every target
-    K = {"Q2": Q2, "U2": U2, "sqrt2": K_sqrt2}[label]
-    for a, b in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+    # valuation a + b instead of testing every x1 against every target.
+    # U(f=3) pins f = 3 at (1, 1) alone, where the pairwise count takes
+    # 0.4 s (13 s at (2, 1)); x^3-2 pins a ramified base with e = 3
+    more = {"U3": {"f": 3}, "x^3-2": {"f": 1, "eisenstein": [-2, 0, 0, 1]}}
+    K = {"Q2": Q2, "U2": U2, "sqrt2": K_sqrt2}.get(label) or field_from_spec(more[label])
+    for a, b in [(1, 1)] if label == "U3" else [(1, 1), (1, 2), (2, 1), (2, 2)]:
         n = cubic_congruence_count_pairwise(K, a, b)
         assert cubic_congruence_measure(K, a, b) == Fraction(n, K.q ** (3 * (a + b + 1)))
 

@@ -7,6 +7,7 @@ closure group is reached.
 """
 
 from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
 from helpers import (
@@ -15,19 +16,22 @@ from helpers import (
     REGENERATE,
     compiled_source,
     cubic_disc,
+    cubic_leading_digits_in_ring,
     eval_tables,
     resolvent_bounds,
     resolvent_split_at_target,
     root_distances,
+    simple_residue_roots_two_shift,
     table_bound,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from q2quartic.errors import PrecisionExhausted
 from q2quartic.oracle import tower
 from q2quartic.oracle.dedup import _DedupWalk, _has_root_in
 from q2quartic.oracle.density import _INF, _ROOT, _Enumerator, _resolvent_window
-from q2quartic.padic import _compiled
+from q2quartic.padic import _compiled, quartic
 from q2quartic.padic.field import field_from_spec
 from q2quartic.padic.quartic import (
     _DISC_MONOMIALS,
@@ -37,10 +41,14 @@ from q2quartic.padic.quartic import (
     _poly_deriv,
     _poly_eval,
     _resolvent_split,
+    _ring_roots,
     _root_from_hint,
     classify_by_invariants,
     classify_quartic,
+    count_roots_in_stem,
     cubic_k_roots,
+    cubic_leading_digits,
+    deformation_cubic,
     disc_raw,
     disc_valuation,
     in_Tm,
@@ -50,6 +58,7 @@ from q2quartic.padic.quartic import (
     stem_ring,
     t_m_pattern,
 )
+from q2quartic.padic.rings import UnramifiedRing
 from q2quartic.params import GroupTag
 
 _SPECS = {
@@ -60,11 +69,13 @@ _SPECS = {
 }
 # Q2(i), where -1 is a square, joins them for the parity lemma only
 _Q2I = {"Q2(i)": {"f": 1, "eisenstein": [2, 2, 1]}}
+# U(f=3) joins them for the cubic congruence's digit sets only
+_U3 = {"U3": {"f": 3}}
 
 
 @lru_cache(maxsize=None)
 def _field(name):
-    return field_from_spec({**_SPECS, **_Q2I}[name])
+    return field_from_spec({**_SPECS, **_Q2I, **_U3}[name])
 
 
 @lru_cache(maxsize=None)
@@ -248,6 +259,69 @@ def test_class_stable_below_certified_depth(case, data):
     coeffs = list(fq.coeffs())
     coeffs[i] = K.ring.add(coeffs[i], K.digit_elt(t, c))
     assert classify_quartic(EisensteinQuartic(K, *coeffs)) == (m, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted({**_SPECS, **_U3})), st.data())
+def test_cubic_leading_digits_in_the_residue_field(name, data):
+    # the digit sets built in F_q from the leading digits of x x0^a and of
+    # x0^level are the sets of leading digits of every x [u] x0^a + [u]^3 x0^level
+    K = _field(name)
+    a = data.draw(st.integers(0, 3), label="a")
+    level = data.draw(st.integers(max(a, 1), 2 * K.e_abs + 4), label="level")
+    n = level + 6
+    x0 = K.from_digits(data.draw(_coefficient(K, 1, n), label="x0"))
+    vx = st.one_of(st.none(), st.integers(level - a, level - a + 2))
+    xs = [
+        K.ring.zero if d is None else K.from_digits(d)
+        for d in data.draw(
+            st.lists(vx.flatmap(lambda v: _coefficient(K, v, n)), min_size=1, max_size=8),
+            label="xs",
+        )
+    ]
+    got = cubic_leading_digits(K, a, level)(x0, xs)
+    assert all(isinstance(d, frozenset) for d in got)
+    assert [set(d) for d in got] == cubic_leading_digits_in_ring(K, a, level)(x0, xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(eisenstein_quartics(tuple(_SPECS), allow_zero=True), st.data())
+def test_one_shift_root_search_matches_the_two_shift_reference(case, data):
+    # the root search pays each child's pi^i in its next normalising shift;
+    # the reference scales each child first and normalises it after.  In the
+    # stem (over sqrt2 a step over a step) they find the same residue paths
+    # in the same order and the same root count, and over K the same
+    # resolvent roots up to the valuation asked for
+    _, fq, _ = case
+    K = fq.field
+    R, L = K.ring, stem_ring(fq)
+    stem_polys = ([*deformation_cubic(fq, L), L.one], [*map(L.lift, fq.coeffs()), L.one])
+    rescubic = resolvent_cubic(fq)
+    want = data.draw(st.integers(1, 8 * K.e_abs + 4), label="valuation asked for")
+
+    def search():
+        paths = [[path for _, path in _ring_roots(L, p)] for p in stem_polys]
+        return paths, count_roots_in_stem(fq), cubic_k_roots(K, rescubic, want)
+
+    paths, count, roots = search()
+    with patch.object(quartic, "_simple_residue_roots", simple_residue_roots_two_shift):
+        ref_paths, ref_count, ref_roots = search()
+    assert paths == ref_paths
+    assert count == ref_count and count in (1, 2, 4)
+    assert len(roots) == len(ref_roots)
+    deriv = _poly_deriv(R, rescubic)
+    for root, ref in zip(roots, ref_roots):
+        gap = R.val(R.sub(root, ref))
+        assert gap is None or gap >= want - R.val(_poly_eval(R, deriv, root))
+
+
+def test_root_search_stops_where_the_polynomial_vanishes():
+    # X^2 mod 2: the double residue root 0 gives the child pi^2 X^2, which
+    # has vanished at the cap 1, as in the two-shift reference; a search
+    # that missed it would run on to its depth budget
+    R = UnramifiedRing(1, 1)
+    with pytest.raises(PrecisionExhausted, match="vanished"):
+        list(quartic._simple_residue_roots(R, [0, 0, 1], 8))
 
 
 @lru_cache(maxsize=None)

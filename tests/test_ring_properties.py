@@ -4,22 +4,24 @@ Every operation of ``UnramifiedRing`` and ``EisensteinStep`` is compared,
 after unpacking, with the same operation of the tuple reference in
 ``helpers``, on the shapes the tracer names and more: Q2 (u1), U(f=2) and
 U(f=3) (uf), sqrt(2) and a quartic step over Q2 (eis), a quartic step over
-sqrt(2) (eis2), and a quartic and a linear step over U(f=2).  Coefficients
-are drawn at random and from adversarial values: all-ones slots 2^N - 1,
-which overflow a slot first, 0 and single bits.
+sqrt(2) (eis2), and a quartic, a linear and a quadratic step over U(f=2),
+the last with a non-integer unit -g_0/2.  Coefficients are drawn at random
+and from adversarial values: all-ones slots 2^N - 1, which overflow a slot
+first, 0 and single bits.
 """
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import pack, reference_ring, unpack
+from helpers import TupleUnramifiedRing, pack, reference_ring, unpack
 
 from q2quartic.errors import DivisionByNonUnit
 from q2quartic.padic.field import field_from_spec
-from q2quartic.padic.rings import EisensteinStep
+from q2quartic.padic.rings import EisensteinStep, UnramifiedRing
 
 
 def _quartic_step(spec):
@@ -36,6 +38,13 @@ def _linear_step(spec):
     return EisensteinStep(R, [R.from_int(2)])
 
 
+def _twisted_step(spec):
+    """O_K[t]/(t^2 + 2[x]), [x] the lift of the residue generator: -g_0/2 is
+    a unit outside Z_2, so a division by t reduces its product in the base."""
+    R = field_from_spec(spec).ring
+    return EisensteinStep(R, [R.shift(R.teich(2), 1), R.zero])
+
+
 _SHAPES = {
     "u1": lambda: field_from_spec({"f": 1}).ring,
     "uf2": lambda: field_from_spec({"f": 2}).ring,
@@ -45,6 +54,7 @@ _SHAPES = {
     "eis2-quartic-sqrt2": lambda: _quartic_step({"f": 1, "eisenstein": [-2, 0, 1]}),
     "eis-quartic-u2": lambda: _quartic_step({"f": 2}),
     "eis-linear-u2": lambda: _linear_step({"f": 2}),
+    "eis-twisted-u2": lambda: _twisted_step({"f": 2}),
 }
 
 
@@ -124,3 +134,35 @@ def test_teichmueller_lifts_and_constants(name):
     for c in (ring.zero, ring.one, ring.from_int(-1), ring.from_int(6)):
         assert isinstance(c, int)
     assert unpack(ring, ring.from_int(-1)) == ref.from_int(-1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SHAPES)), st.data())
+def test_downward_shift_is_repeated_division_by_pi(name, data):
+    # shift(a, -k) runs k single divisions in one loop: the same element,
+    # and DivisionByNonUnit exactly where one of k _div_by_pi steps raises
+    ring, _ = _rings(name)
+    n = getattr(ring, "n", 2)
+    b = pack(ring, data.draw(_nested(ring), label="b"))
+    a = ring.shift(b, data.draw(st.integers(0, 3 * n), label="up"))
+    for k in range(1, 3 * n + 1):
+        want = a
+        try:
+            for _ in range(k):
+                want = ring._div_by_pi(want)
+        except DivisionByNonUnit:
+            want = DivisionByNonUnit
+        assert _outcome(ring.shift, a, -k) == want, k
+
+
+@pytest.mark.parametrize("n2", [1, 2, 3, 17, 64, 75])
+def test_q2_inverse_is_the_schoolbook_inverse(n2):
+    # U(f=1) inverts a unit by pow(a, -1, 2^N): the unique inverse that
+    # the Newton loop of the reference reaches
+    ring, ref = UnramifiedRing(1, n2), TupleUnramifiedRing(1, n2)
+    top = (1 << n2) - 1
+    for a in {1, top, *(random.Random(n2 * 1009 + i).randrange(1, top + 1, 2) for i in range(50))}:
+        assert ring.inv_unit(a) == ref.inv_unit(a), a
+    for a in {0, top - 1, *(1 << i for i in range(1, n2))}:
+        with pytest.raises(DivisionByNonUnit):
+            ring.inv_unit(a)
