@@ -478,10 +478,15 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _effective_jobs(jobs: int) -> int:
-    """``jobs`` clamped to the cores this process may run on (1 without fork)."""
+def check_jobs(jobs: int):
+    """InvalidParams unless ``jobs`` is at least 1."""
     if jobs < 1:
         raise InvalidParams(f"jobs must be at least 1, got {jobs}")
+
+
+def _effective_jobs(jobs: int) -> int:
+    """``jobs`` clamped to the cores this process may run on (1 without fork)."""
+    check_jobs(jobs)
     cores = _available_cores() if hasattr(os, "fork") else 1
     if jobs > cores:
         import logging  # deferred: its import costs a fifth of the package's

@@ -2,14 +2,12 @@
 
 measure_set enumerates every Eisenstein coefficient class modulo pi^c and
 sums q^{-4c} over classes whose representative satisfies the predicate.
-A representative's discriminant is computed only when read (the predicate
-or the cross-check asks for it), from its a3-free prefix (a0, a1, a2):
-``disc_by_a3`` gives disc as a polynomial in a3, at most once per prefix,
-read at each a3 by Horner.  The caller asserts the predicate is constant on
-classes at this depth; the classes the oracles' one sampling rule picks
-(``_sampled`` of the class digits) are checked twice: the prefix
-discriminant must equal ``disc_raw``, else FormulationMismatch, and the
-predicate is re-tested one digit deeper, where any flip raises
+A representative's discriminant is computed only when the predicate reads
+it, by ``disc_raw``: the classes run a3 innermost, so consecutive reads
+share their prefix (a0, a1, a2) and its polynomial in a3.  The caller
+asserts the predicate is constant on classes at this depth; on the classes
+the oracles' one sampling rule picks (``_sampled`` of the class digits)
+the predicate is re-tested one digit deeper, where any flip raises
 ClassInstability.
 
 Every public function checks its arguments first and raises InvalidParams
@@ -21,25 +19,17 @@ BudgetExceeded before the first one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 
-from ..errors import (
-    BudgetExceeded,
-    ClassInstability,
-    FormulationMismatch,
-    InvalidParams,
-)
-from ..padic import _compiled
+from ..errors import BudgetExceeded, ClassInstability, InvalidParams
 from ..padic.field import LocalField
 from ..padic.quartic import (
     EisensteinQuartic,
+    check_Tm_domain,
     count_roots_in_stem,
     cubic_leading_digits,
-    disc_raw,
     disc_valuation,
     in_Tm,
-    in_Tm_domain,
 )
 from .tower import _sampled
 
@@ -57,39 +47,6 @@ def _check_budget(n: int, what: str):
         raise BudgetExceeded(f"{n} {what} exceed budget {_CLASS_BUDGET}")
 
 
-class _PrefixDisc:
-    """The discriminant as a polynomial in a3 for one prefix (a0, a1, a2).
-
-    ``disc_by_a3`` runs at the first read, so a prefix none of whose
-    classes has its disc read costs nothing; each read is one Horner pass.
-    """
-
-    __slots__ = ("ring", "prefix", "by_a3")
-
-    def __init__(self, ring, a0, a1, a2):
-        self.ring, self.prefix, self.by_a3 = ring, (a0, a1, a2), None
-
-    def at(self, a3):
-        if self.by_a3 is None:
-            self.by_a3 = _compiled.disc_by_a3(self.ring, *self.prefix)
-        mul, add = self.ring.mul, self.ring.add
-        d0, d1, d2, d3, d4 = self.by_a3
-        return add(mul(add(mul(add(mul(add(mul(d4, a3), d3), a3), d2), a3), d1), a3), d0)
-
-
-class _ClassQuartic(EisensteinQuartic):
-    """A class representative whose ``disc``, on first read, is its prefix's polynomial at a3.
-
-    Its ``prefix_disc``, the shared :class:`_PrefixDisc`, is set in the
-    instance dict after construction: the dataclass is frozen, and an
-    ``__init__`` of its own would cost every class a second call.
-    """
-
-    @cached_property
-    def disc(self):
-        return self.prefix_disc.at(self.a3)
-
-
 def _eisenstein_classes(field: LocalField, c: int):
     """Yield (digits, quartic) once per Eisenstein coefficient class modulo pi^c.
 
@@ -97,11 +54,10 @@ def _eisenstein_classes(field: LocalField, c: int):
     then a0's digits below pi^c and a1's, a2's and a3's at pi^1 .. pi^(c-1).
     There are (q-1) q^(4c-5) classes; BudgetExceeded is raised before the
     first one if that exceeds ``_CLASS_BUDGET``.  The coefficient tails are
-    built once per call; a quartic's ``disc`` is computed only when read,
-    from its prefix's ``disc_by_a3``, which runs at most once per
-    (a0, a1, a2).
+    built once per call, and a3 runs innermost, so the classes whose disc is
+    read share their prefix's polynomial in a3 (see ``disc_raw``).
     """
-    q, ring = field.q, field.ring
+    q = field.q
     _check_budget((q - 1) * q ** (4 * c - 5), f"classes at depth {c}")
     tails = [(d, field.from_digits((0,) + d)) for d in _digit_tuples(q, c - 1)]
     for lead in range(1, q):
@@ -110,11 +66,8 @@ def _eisenstein_classes(field: LocalField, c: int):
             for t1, a1 in tails:
                 for t2, a2 in tails:
                     prefix = (lead, *rest0, *t1, *t2)
-                    prefix_disc = _PrefixDisc(ring, a0, a1, a2)
                     for t3, a3 in tails:
-                        fq = _ClassQuartic(field, a0, a1, a2, a3)
-                        vars(fq)["prefix_disc"] = prefix_disc
-                        yield prefix + t3, fq
+                        yield prefix + t3, EisensteinQuartic(field, a0, a1, a2, a3)
 
 
 def measure_set(field: LocalField, predicate, c: int) -> Fraction:
@@ -127,8 +80,6 @@ def measure_set(field: LocalField, predicate, c: int) -> Fraction:
         if verdict:
             hits += 1
         if _sampled(digits):
-            if fq.disc != disc_raw(field, *fq.coeffs()):
-                raise FormulationMismatch(f"prefix discriminant differs from disc_raw at depth {c}")
             _check_stability(field, predicate, fq, verdict, c)
     return Fraction(hits, field.q ** (4 * c))
 
@@ -150,8 +101,7 @@ def _check_stability(field, predicate, fq, verdict, c):
 
 def t_m_measure(field: LocalField, m: int) -> Fraction:
     """mu(T_m) by enumeration at the depth where the valuation pattern is decided."""
-    if not in_Tm_domain(m, field.e_abs):
-        raise InvalidParams(f"T_m is defined for even 4 <= m <= 6e+2, got m={m}")
+    check_Tm_domain(m, field.e_abs)
     c = m // 4 + 2
     return measure_set(field, lambda fq: in_Tm(fq, m), c)
 

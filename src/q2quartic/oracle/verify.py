@@ -12,7 +12,7 @@ from ..padic.field import LocalField, with_doubled_precision
 from ..params import GROUP_ORDER, FieldParams, GroupTag
 from . import cache as _cache
 from .dedup import dedup_counts
-from .density import density_counts
+from .density import check_jobs, density_counts
 from .tower import tower_counts
 
 _TOWER_GROUPS = (GroupTag.V4, GroupTag.C4, GroupTag.D4)
@@ -116,9 +116,9 @@ def verify(
     ``meta["density"]`` and ``meta["dedup"]`` hold those oracles' metadata.
     With ``cache_dir``, ``meta["cache"]`` maps each oracle run to "hit" or
     "miss".  No oracle, an unknown one, a negative ``m_max`` or
-    ``dedup_m_max``, or a ``cache_dir`` that cannot be created raises
-    InvalidParams before any oracle runs.  ``m_max`` above 8e+3, the
-    largest v(disc) of an Eisenstein quartic, is read as 8e+3.
+    ``dedup_m_max``, ``jobs`` below 1, or a ``cache_dir`` that cannot be
+    created raises InvalidParams before any oracle runs.  ``m_max`` above
+    8e+3, the largest v(disc) of an Eisenstein quartic, is read as 8e+3.
     """
     if not methods or not set(methods) <= set(_METHODS):
         raise InvalidParams(
@@ -127,6 +127,7 @@ def verify(
     for name, bound in (("m_max", m_max), ("dedup_m_max", dedup_m_max)):
         if bound is not None and bound < 0:
             raise InvalidParams(f"{name} must be at least 0, got {bound}")
+    check_jobs(jobs)
     m_max = min(m_max, 8 * field.e_abs + 3)
     if cache_dir:
         try:

@@ -6,12 +6,12 @@ After a table changes, regenerate it from the root of a checkout with
 
     PYTHONPATH=src python tests/helpers.py
 
-``disc`` and ``resolvent`` evaluate the tables in a ring R, each power
-a_i^n computed once and the monomials sharing a coefficient k summed
-before they are multiplied by it.  ``disc_by_a3`` evaluates the
-discriminant's monomials grouped by their power of a3, the coefficients
-of disc as a polynomial in a3, for a caller that runs a3 through many
-values with a0, a1 and a2 fixed.  The bound functions take a density
+``disc_by_a3`` and ``resolvent`` evaluate the tables in a ring R, each
+power a_i^n computed once and the monomials sharing a coefficient k summed
+before they are multiplied by it.  ``disc_by_a3`` groups the
+discriminant's monomials by their power of a3: it returns the coefficients
+of disc as a polynomial in a3, which ``disc_raw``, the one discriminant
+evaluation, reads at a3 by Horner.  The bound functions take a density
 node fixing c_i digits of a_i with v(a_i) >= vh_i, and e = v_K(2); each is
 the least valuation of a perturbation term of its table: for a monomial
 k * prod a_j^alpha_j and 0 < beta <= alpha, the binomial term
@@ -19,40 +19,6 @@ k * prod C(alpha_j, beta_j) a^(alpha-beta) delta^beta has valuation at
 least e v2(k prod C) + sum_j ((alpha_j - beta_j) vh_j + beta_j c_j).  Terms
 that another term bounds for every vh <= c are left out.
 """
-
-
-def disc(R, a0, a1, a2, a3):
-    """Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0."""
-    mul, add, sub = R.mul, R.add, R.sub
-    c = R.from_int
-    a0_2 = mul(a0, a0)
-    a0_3 = mul(a0_2, a0)
-    a1_2 = mul(a1, a1)
-    a1_3 = mul(a1_2, a1)
-    a1_4 = mul(a1_3, a1)
-    a2_2 = mul(a2, a2)
-    a2_3 = mul(a2_2, a2)
-    a2_4 = mul(a2_3, a2)
-    a3_2 = mul(a3, a3)
-    a3_3 = mul(a3_2, a3)
-    a3_4 = mul(a3_3, a3)
-    d = mul(c(256), a0_3)
-    t = add(mul(mul(a0, a1_2), a2), mul(mul(a0_2, a2), a3_2))
-    d = add(d, mul(c(144), t))
-    t = add(mul(mul(a1_3, a2), a3), mul(mul(mul(a0, a1), a2), a3_3))
-    d = add(d, mul(c(18), t))
-    d = add(d, mul(c(16), mul(a0, a2_4)))
-    d = add(d, mul(mul(a1_2, a2_2), a3_2))
-    d = sub(d, mul(c(192), mul(mul(a0_2, a1), a3)))
-    d = sub(d, mul(c(128), mul(a0_2, a2_2)))
-    t = add(a1_4, mul(a0_2, a3_4))
-    d = sub(d, mul(c(27), t))
-    d = sub(d, mul(c(6), mul(mul(a0, a1_2), a3_2)))
-    d = sub(d, mul(c(80), mul(mul(mul(a0, a1), a2_2), a3)))
-    t = add(mul(a1_2, a2_3), mul(a1_3, a3_3))
-    t = add(t, mul(mul(a0, a2_3), a3_2))
-    d = sub(d, mul(c(4), t))
-    return d
 
 
 def disc_by_a3(R, a0, a1, a2):

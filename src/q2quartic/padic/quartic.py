@@ -18,16 +18,19 @@ branch: one shift per coefficient and node.
 The monomial tables ``_DISC_MONOMIALS`` and ``_RESOLVENT_MONOMIALS`` are
 the single source of the discriminant and the resolvent cubic: the
 generated module :mod:`._compiled` holds them as straight-line code, both
-their values in a ring (read by ``disc_raw`` and ``resolvent_cubic``) and
-the perturbation bounds the density oracle reads at each node.  After a
-table changes, regenerate that module with ``tests/helpers.py``.
+their values in a ring and the perturbation bounds the density oracle
+reads at each node.  ``resolvent_cubic`` reads the resolvent's values;
+``disc_raw``, the one discriminant evaluation, reads disc as a polynomial
+in a3 (``disc_by_a3``), keeps the last prefix (a0, a1, a2)'s polynomial
+and evaluates it at a3 by Horner.  After a table changes, regenerate that
+module with ``tests/helpers.py``.
 ``_taylor_shift`` serves root refinement and f(Z + pi)/Z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from math import inf
 
@@ -100,9 +103,18 @@ class EisensteinQuartic:
         return self.field.ring.shift(self.disc, -_disc_val(self.field, self.disc))
 
 
+# disc as a polynomial in a3 for the last prefix (ring, a0, a1, a2) read:
+# measure_set runs a3 innermost, so consecutive classes share one entry
+_disc_by_a3 = lru_cache(maxsize=1)(_compiled.disc_by_a3)
+
+
 def disc_raw(field: LocalField, a0, a1, a2, a3):
-    """Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0 as a raw element."""
-    return _compiled.disc(field.ring, a0, a1, a2, a3)
+    """Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0 as a raw element:
+    the polynomial in a3 of the prefix (a0, a1, a2), read at a3 by Horner."""
+    R = field.ring
+    mul, add = R.mul, R.add
+    d0, d1, d2, d3, d4 = _disc_by_a3(R, a0, a1, a2)
+    return add(mul(add(mul(add(mul(add(mul(d4, a3), d3), a3), d2), a3), d1), a3), d0)
 
 
 def _disc_val(K: LocalField, disc) -> int:
@@ -135,11 +147,16 @@ def t_m_pattern(m: int, e: int, v1, v2, v3) -> bool:
     return v3 == (m - 2) // 4 and v1 >= (m + 2) // 4
 
 
+def check_Tm_domain(m: int, e: int):
+    """InvalidParams unless ``in_Tm_domain(m, e)``."""
+    if not in_Tm_domain(m, e):
+        raise InvalidParams(f"T_m is defined for even 4 <= m <= 6e+2, got m={m}")
+
+
 def in_Tm(fq: EisensteinQuartic, m: int) -> bool:
     """The coefficient-valuation congruence set containing all 1-Aut quartics."""
     K = fq.field
-    if not in_Tm_domain(m, K.e_abs):
-        raise InvalidParams(f"T_m is defined for even 4 <= m <= 6e+2, got m={m}")
+    check_Tm_domain(m, K.e_abs)
     v1, v2, v3 = K.val(fq.a1), K.val(fq.a2), K.val(fq.a3)
     return t_m_pattern(
         m,

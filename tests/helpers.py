@@ -938,12 +938,12 @@ After a table changes, regenerate it from the root of a checkout with
 
     {REGENERATE}
 
-``disc`` and ``resolvent`` evaluate the tables in a ring R, each power
-a_i^n computed once and the monomials sharing a coefficient k summed
-before they are multiplied by it.  ``disc_by_a3`` evaluates the
-discriminant's monomials grouped by their power of a3, the coefficients
-of disc as a polynomial in a3, for a caller that runs a3 through many
-values with a0, a1 and a2 fixed.  The bound functions take a density
+``disc_by_a3`` and ``resolvent`` evaluate the tables in a ring R, each
+power a_i^n computed once and the monomials sharing a coefficient k summed
+before they are multiplied by it.  ``disc_by_a3`` groups the
+discriminant's monomials by their power of a3: it returns the coefficients
+of disc as a polynomial in a3, which ``disc_raw``, the one discriminant
+evaluation, reads at a3 by Horner.  The bound functions take a density
 node fixing c_i digits of a_i with v(a_i) >= vh_i, and e = v_K(2); each is
 the least valuation of a perturbation term of its table: for a monomial
 k * prod a_j^alpha_j and 0 < beta <= alpha, the binomial term
@@ -1037,10 +1037,6 @@ def _by_a3(monomials):
 def compiled_source() -> str:
     """The source of :mod:`q2quartic.padic._compiled`, written from the monomial tables."""
     functions = [
-        _ring_function(
-            "disc", (quartic._DISC_MONOMIALS,), ("d",),
-            "Discriminant of X^4 + a3 X^3 + a2 X^2 + a1 X + a0.",
-        ),
         _ring_function(
             "disc_by_a3", _by_a3(quartic._DISC_MONOMIALS), ("d0", "d1", "d2", "d3", "d4"),
             "The discriminant as d0 + d1 a3 + .. + d4 a3^4: (d0, .., d4).",

@@ -152,6 +152,20 @@ def test_verify_rejects_negative_m_max(Q2):
         verify(Q2, 11, methods=("dedup",), dedup_m_max=-1)
 
 
+def test_verify_rejects_jobs_below_one_before_any_oracle(Q2, monkeypatch):
+    # only density reads jobs, but a bad value must not pass with the others
+    V = sys.modules["q2quartic.oracle.verify"]
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("an oracle ran before jobs was checked")
+
+    monkeypatch.setattr(V, "tower_counts", no_oracle)
+    monkeypatch.setattr(V, "dedup_counts", no_oracle)
+    for methods, jobs in ((("tower",), 0), (("dedup",), -3)):
+        with pytest.raises(InvalidParams, match="jobs must be at least 1, got"):
+            verify(Q2, 6, methods=methods, jobs=jobs)
+
+
 def test_isomorphism_root_test(Q2):
     f = quartic_from_ints(Q2, 2, 2, 0, 0)
     stem = stem_ring(f)

@@ -16,7 +16,6 @@ from q2quartic.cli import run
 from q2quartic.errors import (
     BudgetExceeded,
     ClassInstability,
-    FormulationMismatch,
     InvalidParams,
     NonIntegralCount,
     PrecisionExhausted,
@@ -33,7 +32,7 @@ from q2quartic.oracle.measure import (
     t_m_measure,
 )
 from q2quartic.oracle.verify import verify
-from q2quartic.padic import _compiled, quartic
+from q2quartic.padic import quartic
 from q2quartic.padic.field import field_from_spec, ramified_quadratic
 from q2quartic.params import GROUP_ORDER, aut_order
 
@@ -486,23 +485,6 @@ def test_measure_set_instability_detected(Q2, check_every):
     check_every(1)  # re-test every class
     with pytest.raises(ClassInstability):
         measure_set(Q2, unstable, 3)
-
-
-def test_measure_set_cross_checks_the_prefix_discriminant(Q2, check_every, monkeypatch):
-    # a class's disc comes from its prefix by Horner in a3; on a sampled
-    # class it must equal disc_raw
-    disc_by_a3 = _compiled.disc_by_a3
-
-    def off_by_one(R, a0, a1, a2):
-        d0, *rest = disc_by_a3(R, a0, a1, a2)
-        return (R.add(d0, R.one), *rest)
-
-    monkeypatch.setattr(_compiled, "disc_by_a3", off_by_one)
-    check_every(0)
-    assert measure_set(Q2, lambda fq: True, 3) == Fraction(1, 2**5)
-    check_every(1)
-    with pytest.raises(FormulationMismatch, match="prefix discriminant"):
-        measure_set(Q2, lambda fq: True, 3)
 
 
 @pytest.mark.parametrize("label, c", [("Q2", 3), ("U2", 2)])

@@ -128,19 +128,6 @@ def test_resolvent_cubic_has_the_quartics_disc(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(eisenstein_quartics(("Q2", "sqrt2", "U2"), allow_zero=True))
-def test_disc_by_a3_read_at_a3_is_the_disc(case):
-    # measure_set gives each class the Horner value at a3 of its prefix's disc_by_a3
-    _, fq, _ = case
-    R = fq.field.ring
-    a0, a1, a2, a3 = fq.coeffs()
-    d = R.zero
-    for coeff in reversed(_compiled.disc_by_a3(R, a0, a1, a2)):
-        d = R.add(R.mul(d, a3), coeff)
-    assert d == disc_raw(fq.field, a0, a1, a2, a3)
-
-
-@settings(max_examples=200, deadline=None)
 @given(eisenstein_quartics(("Q2", "sqrt2", "U2"), allow_zero=True), st.data())
 def test_root_from_hint_agrees_with_the_search(case, data):
     # from any start the hint helper gives up or finds the one root the
@@ -483,5 +470,32 @@ def test_compiled_disc_and_resolvent_match_table_evaluation(name, data):
     digits = st.lists(st.integers(0, K.q - 1), max_size=8 * K.e_abs + 4)
     coeffs = [K.from_digits(data.draw(digits)) for _ in range(4)]
     R = K.ring
-    assert _compiled.disc(R, *coeffs) == eval_tables(R, coeffs, (_DISC_MONOMIALS,))[0]
+    assert disc_raw(K, *coeffs) == eval_tables(R, coeffs, (_DISC_MONOMIALS,))[0]
     assert list(_compiled.resolvent(R, *coeffs)) == eval_tables(R, coeffs, _RESOLVENT_MONOMIALS)
+
+
+# raw ints below 2^56 are elements of Z_2 in both rings, and the rings give
+# different discriminants for them: sqrt2's base works mod 2^56, Q2 mod 2^88
+_SHARED = st.integers(0, 2**56 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(_SHARED, _SHARED, _SHARED),
+    st.integers(0, 2),
+    _SHARED,
+    st.lists(st.tuples(_SHARED, _SHARED), min_size=8, max_size=8),
+)
+def test_disc_raw_cache_keeps_fields_and_prefixes_apart(prefix, i, other, a3_pairs):
+    # disc_raw keeps the last prefix's polynomial in a3: read it at two a3,
+    # then alternate the ring with the prefix fixed and the prefix, which
+    # differs in one coefficient, with the ring fixed
+    assume(other != prefix[i])
+    prefixes = (prefix, (*prefix[:i], other, *prefix[i + 1:]))
+    names = ("Q2", "sqrt2")
+    calls = [(n, p) for n in names for p in prefixes] + [(n, p) for p in prefixes for n in names]
+    for (name, p), a3s in zip(calls, a3_pairs):
+        K = _field(name)
+        for a3 in a3s:
+            coeffs = (*p, a3)
+            assert disc_raw(K, *coeffs) == eval_tables(K.ring, coeffs, (_DISC_MONOMIALS,))[0]
