@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 precision or budget failure, 4 internal inconsistency (two derivations
 of one quantity disagree, a count is not an integer, or a coefficient
-class changed verdict under refinement) or any other package error.
+class changed verdict under refinement) or any other package error,
+141 (128 + SIGPIPE) when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import counts as _counts
@@ -290,7 +292,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader is gone: send what is left, and the flush at exit, to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

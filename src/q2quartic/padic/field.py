@@ -44,12 +44,13 @@ import json
 
 from ..errors import DivisionByNonUnit, InvalidParams, PrecisionExhausted
 from ..params import FieldParams, MinusOneClass
-from .rings import EisensteinStep, UnramifiedRing, leading_residue
+from .rings import EisensteinStep, UnramifiedRing, leading_residue, unpack
 
 TRIVIAL = "trivial"
 UNRAMIFIED = "unramified"
 
 _PREC_GUARD = 48
+_PRECISION_LIMIT = 8  # a spec's precision is at most 8x the default 16e+16: three doublings
 
 
 class LocalField:
@@ -177,9 +178,7 @@ class LocalField:
         return None
 
     def is_square(self, a) -> bool:
-        v = self.val(a)
-        if v is None:
-            raise PrecisionExhausted("cannot certify element nonzero")
+        v = _certified_val(self, a)
         if v % 2 != 0:
             return False
         u = self.ring.shift(a, -v)
@@ -187,9 +186,7 @@ class LocalField:
 
     def hecke_disc(self, alpha):
         """Discriminant exponent of F(sqrt(alpha))/F: int, UNRAMIFIED, or TRIVIAL."""
-        v = self.val(alpha)
-        if v is None:
-            raise PrecisionExhausted("cannot certify element nonzero")
+        v = _certified_val(self, alpha)
         w = self.e_abs
         if v % 2 != 0:
             return 2 * w + 1
@@ -207,9 +204,7 @@ class LocalField:
         coordinates are the valuation's parity and the bits every
         obstruction records.
         """
-        v = self.val(a)
-        if v is None:
-            raise PrecisionExhausted("cannot certify element nonzero")
+        v = _certified_val(self, a)
         # the walk's last item carries the coordinates of the whole unit part
         *_, (_, coords, _) = self._square_walk(self.ring.shift(a, -v))
         return coords | (v & 1)
@@ -324,6 +319,14 @@ class LocalField:
         return f"LocalField({self.label}, e={self.e_abs}, f={self.f})"
 
 
+def _certified_val(K: LocalField, a, what: str = "element") -> int:
+    """v(a); PrecisionExhausted if a vanishes to working precision."""
+    v = K.val(a)
+    if v is None:
+        raise PrecisionExhausted(f"cannot certify {what} nonzero")
+    return v
+
+
 def _ring_data(ring):
     """f, the residue modulus and, step by step, the Eisenstein lower coefficients."""
     if isinstance(ring, EisensteinStep):
@@ -333,13 +336,7 @@ def _ring_data(ring):
 
 def _coeffs_repr(ring, elements) -> str:
     """repr of the elements as nested coefficient tuples, the form cache keys hash."""
-
-    def unpacked(ring, a):
-        if isinstance(ring, EisensteinStep):
-            return tuple(unpacked(ring.base, c) for c in ring.coeffs(a))
-        return a if ring.f == 1 else ring.coeffs(a)
-
-    return repr(tuple(unpacked(ring, a) for a in elements))
+    return repr(tuple(unpack(ring, a) for a in elements))
 
 
 def ramified_quadratic(K: LocalField, d) -> LocalField:
@@ -350,9 +347,7 @@ def ramified_quadratic(K: LocalField, d) -> LocalField:
     norm map.
     """
     ring = K.ring
-    v = K.val(d)
-    if v is None:
-        raise PrecisionExhausted("cannot certify d nonzero")
+    v = _certified_val(K, d, "d")
     if v % 2:
         u = ring.shift(d, -(v - 1))  # pi * unit
         B, C = ring.zero, ring.neg(u)
@@ -402,7 +397,7 @@ def field_from_spec(spec: dict) -> LocalField:
         {"f": int,                  # residue degree of the unramified part
          "e": int,                  # optional; only e = 1 without "eisenstein"
          "eisenstein": [c0, ..., ce],  # optional; degree-ascending, monic
-         "precision": int}          # optional positive pi-adic digits, default 16e+16
+         "precision": int}          # optional pi-adic digits, default 16e+16, at most 8x that
 
     Each coefficient is an integer, or a little-endian list of 2-adic
     digits whose entries encode residue-field elements (0 <= digit < 2^f).
@@ -427,8 +422,9 @@ def field_from_spec(spec: dict) -> LocalField:
         if "e" in spec and spec["e"] != e:
             raise InvalidParams(f"e={spec['e']} conflicts with eisenstein degree {e}")
     prec = spec.get("precision", 16 * e + 16)
-    if type(prec) is not int or prec < 1:
-        raise InvalidParams(f"precision must be a positive int, got {prec!r}")
+    top = _PRECISION_LIMIT * (16 * e + 16)
+    if type(prec) is not int or not 1 <= prec <= top:
+        raise InvalidParams(f"precision must be a positive int of at most {top}, got {prec!r}")
     n2 = -((prec + 8 * e + _PREC_GUARD) // -e)
     ring = UnramifiedRing(f, n2)
     if eis is None:
@@ -448,6 +444,8 @@ def with_doubled_precision(field: LocalField) -> LocalField:
     """Rebuild a spec-backed field carrying twice the pi-adic precision."""
     if field.spec is None:
         raise PrecisionExhausted("cannot rebuild a derived field at higher precision")
+    if 2 * field.precision > _PRECISION_LIMIT * (16 * field.e_abs + 16):
+        raise PrecisionExhausted(f"doubling precision {field.precision} passes the spec bound")
     spec = dict(field.spec)
     spec["precision"] = 2 * field.precision
     return field_from_spec(spec)

@@ -21,9 +21,9 @@ generated module :mod:`._compiled` holds them as straight-line code, both
 their values in a ring and the perturbation bounds the density oracle
 reads at each node.  ``resolvent_cubic`` reads the resolvent's values;
 ``disc_raw``, the one discriminant evaluation, reads disc as a polynomial
-in a3 (``disc_by_a3``), keeps the last prefix (a0, a1, a2)'s polynomial
-and evaluates it at a3 by Horner.  After a table changes, regenerate that
-module with ``tests/helpers.py``.
+in a3 (``disc_by_a3``), keeps the polynomials of the last four prefixes
+(a0, a1, a2) and evaluates one at a3 by Horner.  After a table changes,
+regenerate that module with ``tests/helpers.py``.
 ``_taylor_shift`` serves root refinement and f(Z + pi)/Z.
 """
 
@@ -37,7 +37,7 @@ from math import inf
 from ..errors import FormulationMismatch, InvalidParams, PrecisionExhausted
 from ..params import GroupTag
 from . import _compiled
-from .field import LocalField
+from .field import LocalField, _certified_val
 from .rings import EisensteinStep, _check_eisenstein, leading_residue
 
 _PANAYI_DEPTH_SLACK = 64
@@ -103,9 +103,10 @@ class EisensteinQuartic:
         return self.field.ring.shift(self.disc, -_disc_val(self.field, self.disc))
 
 
-# disc as a polynomial in a3 for the last prefix (ring, a0, a1, a2) read:
-# measure_set runs a3 innermost, so consecutive classes share one entry
-_disc_by_a3 = lru_cache(maxsize=1)(_compiled.disc_by_a3)
+# disc as a polynomial in a3 for the last four prefixes (ring, a0, a1, a2):
+# measure_set runs a3 innermost, and a class's own prefix outlives the
+# three that its stability check bumps
+_disc_by_a3 = lru_cache(maxsize=4)(_compiled.disc_by_a3)
 
 
 def disc_raw(field: LocalField, a0, a1, a2, a3):
@@ -119,9 +120,7 @@ def disc_raw(field: LocalField, a0, a1, a2, a3):
 
 def _disc_val(K: LocalField, disc) -> int:
     """v_K(disc) of an Eisenstein quartic, checked to be certified and at most 8e+3."""
-    v = K.val(disc)
-    if v is None:
-        raise PrecisionExhausted("discriminant vanishes to working precision")
+    v = _certified_val(K, disc, "discriminant")
     if v > 8 * K.e_abs + 3:
         raise AssertionError(f"Eisenstein quartic with disc valuation {v} > 8e+3")
     return v

@@ -52,13 +52,12 @@ the valuation as the least e*v_2(coefficient) + weight.
 
 Precision.  Raw data here carries no per-element precision; every element
 is exact modulo pi^cap provided it was produced from exact inputs by ring
-operations, minus one unit of cap per downward shift.  A step's downward
-``shift(a, -k)`` runs k divisions by t in one loop: each solves x t = a
-from a's constant block (divided by pi_B, times the inverse of
--g_0/pi_B) and so loses one unit, as k separate divisions would.  The
-public wrapper in :mod:`q2quartic.padic.field` tracks precision
-explicitly; internal consumers budget their downward shifts against the
-guard digits instead.
+operations, minus one unit of cap per downward shift.  ``shift`` is the one
+routine that divides by pi: a step's ``shift(a, -k)`` solves x t = a k times
+in one loop, each from a's constant block divided by pi_B (by the base's
+own ``shift`` over a step), and so loses k units.  The public wrapper in
+:mod:`q2quartic.padic.field` tracks precision explicitly; internal
+consumers budget their downward shifts against the guard digits instead.
 """
 
 from __future__ import annotations
@@ -243,11 +242,6 @@ class UnramifiedRing(_PackedRing):
             raise DivisionByNonUnit(f"2^{k} does not divide element")
         return (a >> k) & self._mask
 
-    def _div_by_pi(self, a):
-        if a & self._low_bits:
-            raise DivisionByNonUnit("2 does not divide element")
-        return (a >> 1) & self._mask
-
     def inv_unit(self, a):
         """The inverse of the unit a; for f = 1 the unique inverse mod 2^N
         that ``_PackedRing.inv_unit``'s Newton loop reaches."""
@@ -308,34 +302,24 @@ class EisensteinStep(_PackedRing):
     def teich(self, t: int):
         return self.base.teich(t)
 
-    def _div_by_pi(self, a):
-        # solve x * t = a; needs v(a) >= 1, i.e. v_B(a_0) >= 1
-        base = self.base
-        x_top = _fold(
-            base._div_by_pi(a & base._mask) * self._inv_unit_of_neg_g0_shifted,
-            base._stages,
-            base._mask,
-        )
-        return _fold((a >> self._s) + x_top * self._g_over_t, self._final, self._mask)
-
     def shift(self, a, k: int):
         """a * t^k; for k < 0 requires v(a) >= -k (exact division).
 
-        A downward shift runs ``_div_by_pi``'s step -k times in one loop,
-        with the ring's constants bound once; a stage list that is empty
-        (a base U(1)) is a mask.
+        A downward shift solves x t = a -k times in one loop, with the
+        ring's constants bound once; a base step divides a_0 by its own
+        ``shift(a_0, -1)``, and an empty stage list (a base U(1)) is a mask.
         """
         if k < 0:
             base = self.base
             bmask, s, mask = base._mask, self._s, self._mask
             inv, g_over_t = self._inv_unit_of_neg_g0_shifted, self._g_over_t
             bstages, final = base._stages, self._final
-            base_div = base._div_by_pi if isinstance(base, EisensteinStep) else None
-            low = 0 if base_div else base._low_bits
+            nested = isinstance(base, EisensteinStep)
+            low = 0 if nested else base._low_bits
             for _ in range(-k):
                 a0 = a & bmask
-                if base_div:
-                    a0 = base_div(a0)
+                if nested:
+                    a0 = base.shift(a0, -1)
                 elif a0 & low:
                     raise DivisionByNonUnit("2 does not divide element")
                 else:
@@ -368,6 +352,13 @@ def _check_eisenstein(ring, lower_coeffs):
         v = ring.val(c)
         if v is not None and v < 1:
             raise InvalidParams("non-constant lower coefficients need positive valuation")
+
+
+def unpack(ring, a):
+    """a as nested tuples: an int for U(1), f ints for U(f), n unpacked entries for a step."""
+    if isinstance(ring, EisensteinStep):
+        return tuple(unpack(ring.base, c) for c in ring.coeffs(a))
+    return a if ring.f == 1 else ring.coeffs(a)
 
 
 def leading_residue(ring, a, l: int) -> int:

@@ -56,7 +56,7 @@ from q2quartic.errors import DivisionByNonUnit, NonIntegralCount, PrecisionExhau
 from q2quartic.padic import quartic
 from q2quartic.padic.field import LocalField, field_from_spec
 from q2quartic.padic.quartic import EisensteinQuartic, deformation_cubic, stem_ring
-from q2quartic.padic.rings import EisensteinStep, leading_residue
+from q2quartic.padic.rings import EisensteinStep, leading_residue, unpack
 from q2quartic.params import FieldParams, GroupTag, MinusOneClass, make_params
 from q2quartic.residue import ResidueField
 
@@ -285,15 +285,8 @@ def simple_residue_roots_two_shift(R, coeffs, depth_cap, search="root refinement
                 stack.append(([R.shift(c, i) for i, c in enumerate(child)], path + (t,)))
 
 
-def unpack(ring, a):
-    """The packed element a of ``ring`` in the nested-tuple layout of the reference."""
-    if isinstance(ring, EisensteinStep):
-        return tuple(unpack(ring.base, c) for c in ring.coeffs(a))
-    return a if ring.f == 1 else ring.coeffs(a)
-
-
 def pack(ring, t):
-    """The inverse of ``unpack``."""
+    """The inverse of ``rings.unpack``: a nested-tuple element packed into ``ring``."""
     if isinstance(ring, EisensteinStep):
         return ring.from_coeffs([pack(ring.base, c) for c in t])
     return ring.from_coeffs([t] if ring.f == 1 else t)

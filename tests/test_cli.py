@@ -186,6 +186,64 @@ def test_non_eisenstein_field_spec_exits_2(tmp_path, capsys):
         assert "Traceback" not in capsys.readouterr().err
 
 
+def test_precision_far_above_the_bound_exits_2_before_any_ring(tmp_path, capsys, monkeypatch):
+    from q2quartic.padic import field
+
+    def no_ring(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(field, "UnramifiedRing", no_ring)
+    spec = tmp_path / "k.json"
+    spec.write_text(json.dumps({"f": 1, "precision": 10**12}))
+    assert run(["derive-params", "--field", str(spec)]) == 2
+    assert "at most 256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read field spec"),
+        ("[1, 2]", "must contain a JSON object"),
+        ('{"f": 1, "eisenstein": [[0, 2], 0, 1]}', "digit 2 out of range"),
+        ('{"f": 1, "eisenstein": ["-2", 0, 1]}', "must be an int or a digit list"),
+        ('{"f": 1, "eisenstein": [1]}', "at least two coefficients"),
+        ('{"f": 1, "e": 3, "eisenstein": [-2, 0, 1]}', "conflicts with eisenstein degree 2"),
+    ],
+    ids=["missing", "not-an-object", "digit-too-large", "entry-type", "one-entry", "e-conflict"],
+)
+def test_bad_field_spec_exits_2_in_process(tmp_path, capsys, text, message):
+    spec = tmp_path / "k.json"
+    if text is not None:
+        spec.write_text(text)
+    assert run(["derive-params", "--field", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+def test_count_group_is_the_full_tables_rows_of_that_group(capsys):
+    _, full = _run(capsys, ["count", *Q2_FLAGS, "--format", "csv"])
+    code, d4 = _run(capsys, ["count", *Q2_FLAGS, "--group", "D4", "--format", "csv"])
+    assert code == 0
+    want = [row for row in csv.DictReader(io.StringIO(full)) if row["group"] == "D4"]
+    assert list(csv.DictReader(io.StringIO(d4))) == want and len(want) == 5
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # about 120 kB of output, more than a pipe holds: the child blocks on a
+    # write until the read end is closed, and then that write fails
+    src = os.path.dirname(os.path.dirname(q2quartic.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "q2quartic.cli", "count", "--e", "80", "--f", "3",
+         "--minus-one-class", "unramified"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
 def test_derive_params_cli(tmp_path, capsys):
     spec = tmp_path / "k.json"
     spec.write_text(json.dumps({"f": 1, "eisenstein": [-2, 0, 1]}))

@@ -538,6 +538,22 @@ def test_one_aut_measures_q2(Q2):
         assert one_aut_measure(Q2, m) == expect
 
 
+def test_disc_cache_computes_no_prefix_twice(Q2, monkeypatch):
+    # _check_stability reads three bumped prefixes and then the class's own:
+    # the cache holds all four, so every miss is a prefix not read before
+    cached = quartic._disc_by_a3
+    keys = []
+
+    def recording(*key):
+        keys.append(key)
+        return cached(*key)
+
+    monkeypatch.setattr(quartic, "_disc_by_a3", recording)
+    cached.cache_clear()
+    one_aut_measure(Q2, 6)
+    assert cached.cache_info().misses == len(set(keys)) < len(keys)
+
+
 def test_cubic_congruence_q2(Q2):
     q = 2
     for a, b in [(1, 1), (1, 2), (2, 2)]:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import q2, quad_elt
 
-from q2quartic.errors import InvalidParams
+from q2quartic.errors import InvalidParams, PrecisionExhausted
 from q2quartic.oracle.cache import _cache_path
 from q2quartic.padic.field import (
     TRIVIAL,
@@ -14,7 +14,9 @@ from q2quartic.padic.field import (
     LocalField,
     field_from_spec,
     ramified_quadratic,
+    with_doubled_precision,
 )
+from q2quartic.padic.quartic import _disc_val
 from q2quartic.padic.rings import EisensteinStep, UnramifiedRing
 from q2quartic.params import MinusOneClass
 
@@ -336,3 +338,30 @@ def test_classify_tower_examples(Q2):
     assert tower(2, 0, 1) is GroupTag.D4
     # alpha = i over E = Q2(i): norm 1 is a square
     assert tower(-1, 0, 1) is GroupTag.V4
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda K: K.is_square(0),
+        lambda K: K.hecke_disc(0),
+        lambda K: K.square_class_coords(0),
+        lambda K: ramified_quadratic(K, 0),
+        lambda K: _disc_val(K, 0),
+    ],
+    ids=["is_square", "hecke_disc", "square_class_coords", "ramified_quadratic", "disc_val"],
+)
+def test_zero_has_no_certified_valuation(Q2, call):
+    with pytest.raises(PrecisionExhausted, match="cannot certify"):
+        call(Q2)
+
+
+def test_precision_bound_is_three_doublings_of_the_default():
+    K = field_from_spec({"f": 1, "eisenstein": [-2, 0, 1]})
+    for _ in range(3):
+        K = with_doubled_precision(K)
+    assert K.precision == 8 * (16 * 2 + 16)
+    with pytest.raises(PrecisionExhausted, match="bound"):
+        with_doubled_precision(K)
+    with pytest.raises(InvalidParams, match="at most"):
+        field_from_spec({**K.spec, "precision": K.precision + 1})

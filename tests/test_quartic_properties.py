@@ -503,7 +503,7 @@ _SHARED = st.integers(0, 2**56 - 1)
     st.lists(st.tuples(_SHARED, _SHARED), min_size=8, max_size=8),
 )
 def test_disc_raw_cache_keeps_fields_and_prefixes_apart(prefix, i, other, a3_pairs):
-    # disc_raw keeps the last prefix's polynomial in a3: read it at two a3,
+    # disc_raw keeps the last prefixes' polynomials in a3: read one at two a3,
     # then alternate the ring with the prefix fixed and the prefix, which
     # differs in one coefficient, with the ring fixed
     assume(other != prefix[i])

@@ -140,7 +140,7 @@ def test_teichmueller_lifts_and_constants(name):
 @given(st.sampled_from(sorted(_SHAPES)), st.data())
 def test_downward_shift_is_repeated_division_by_pi(name, data):
     # shift(a, -k) runs k single divisions in one loop: the same element,
-    # and DivisionByNonUnit exactly where one of k _div_by_pi steps raises
+    # and DivisionByNonUnit exactly where one of k shift(., -1) steps raises
     ring, _ = _rings(name)
     n = getattr(ring, "n", 2)
     b = pack(ring, data.draw(_nested(ring), label="b"))
@@ -149,7 +149,7 @@ def test_downward_shift_is_repeated_division_by_pi(name, data):
         want = a
         try:
             for _ in range(k):
-                want = ring._div_by_pi(want)
+                want = ring.shift(want, -1)
         except DivisionByNonUnit:
             want = DivisionByNonUnit
         assert _outcome(ring.shift, a, -k) == want, k
