@@ -28,9 +28,9 @@ from .errors import (
     Q2QuarticError,
     SerreIdentityViolation,
 )
-from .oracle.verify import verify
+from .oracle.verify import _METHODS, verify
 from .padic.field import field_from_file
-from .params import GROUP_ORDER, GroupTag, MinusOneClass, make_params, valid_param_sweep
+from .params import GroupTag, MinusOneClass, cell_key, check_degree, make_params, valid_param_sweep
 from .tables import count_table, mass_table
 
 _LMFDB_GROUPS = {
@@ -99,7 +99,7 @@ def _cmd_mass(args) -> int:
 
 def _cmd_verify(args) -> int:
     field = field_from_file(args.field)
-    methods = ("density", "tower", "dedup") if args.oracle == "all" else (args.oracle,)
+    methods = _METHODS if args.oracle == "all" else (args.oracle,)
     report = verify(field, args.m_max, methods=methods, jobs=args.jobs, cache_dir=args.cache)
     _write(report, args.format)
     return 0 if report.passed else 1
@@ -113,7 +113,6 @@ def _cmd_derive_params(args) -> int:
 
 def _cmd_lmfdb_check(args) -> int:
     field = field_from_file(args.field)
-    params = field.derive_params()
     observed: dict = {}
     bad_rows = []
     try:
@@ -152,20 +151,13 @@ def _cmd_lmfdb_check(args) -> int:
     for lineno in bad_rows:
         print(f"lmfdb-check: skipping malformed row at line {lineno}", file=sys.stderr)
     mismatches = 0
-    keys = sorted(set(observed) | {
-        (m, g)
-        for m in range(0, _counts.max_support(params) + 1)
-        for g in GROUP_ORDER
-        if _counts.count(params, m, g)
-    }, key=lambda k: (k[0], k[1].value))
+    formula = count_table(field.derive_params()).rows
     print(f"{'c':>4} {'group':<6} {'formula':>10} {'lmfdb':>10} status")
-    for m, g in keys:
-        f = _counts.count(params, m, g)
+    for m, g in sorted(set(observed) | set(formula), key=cell_key):
+        f = formula.get((m, g), 0)
         o = observed.get((m, g), 0)
-        status = "pass" if f == o else "FAIL"
-        if status == "FAIL":
-            mismatches += 1
-        print(f"{m:>4} {g.value:<6} {f:>10} {o:>10} {status}")
+        mismatches += f != o
+        print(f"{m:>4} {g.value:<6} {f:>10} {o:>10} {'pass' if f == o else 'FAIL'}")
     print("overall:", "pass" if mismatches == 0 else f"FAIL ({mismatches} rows)")
     return 0 if mismatches == 0 else 1
 
@@ -175,6 +167,7 @@ _SWEEP_CHECKS = ("serre", "tower-identity", "c4-dual", "a4-total")
 
 def _cmd_sweep(args) -> int:
     checks = list(dict.fromkeys(args.check or _SWEEP_CHECKS))  # each check once, first-seen order
+    check_degree(args.e_max, args.f_max)
     failures = 0
     tuples = 0
     for params in valid_param_sweep(args.e_max, args.f_max):
@@ -227,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(sp)
     sp.add_argument("--m-min", type=int, default=0)
     sp.add_argument("--m-max", type=int, default=None)
-    sp.add_argument("--group", choices=[g.value for g in GROUP_ORDER])
+    sp.add_argument("--group", choices=[g.value for g in GroupTag])
     sp.add_argument("--format", choices=["csv", "json", "table"], default="table")
     sp.set_defaults(func=_cmd_count)
 
@@ -240,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="compare formulas against brute-force oracles")
     sp.add_argument("--field", required=True, help="field spec JSON file")
     sp.add_argument("--m-max", type=int, required=True)
-    sp.add_argument("--oracle", choices=["density", "tower", "dedup", "all"], default="all")
+    sp.add_argument("--oracle", choices=[*_METHODS, "all"], default="all")
     sp.add_argument(
         "--jobs",
         type=_positive_int,

@@ -6,10 +6,11 @@ row, and walks each formula only over the m where its indicators can be
 non-zero.  The last tuple's rows are kept.  ``count(params, m, g)`` and the
 per-group names (``count_S4`` .. ``count_D4``, ``count_tow``,
 ``count_one_aut``) read them, so asking for that tuple's cells one at a
-time builds the rows once; out-of-range m yields 0 rather than an error,
-so tables and sums can be taken over arbitrary ranges.  The published
-per-cell forms are kept in ``tests/helpers.py`` as the reference the tests
-hold the rows to.
+time builds the rows once, and count tables read them through
+:func:`q2quartic.tables.count_table`; out-of-range m yields 0 rather than
+an error, so tables and sums can be taken over arbitrary ranges.  The
+published per-cell forms are kept in ``tests/helpers.py`` as the reference
+the tests hold the rows to.
 
 All arithmetic is in Python integers.  A formula that divides or subtracts
 is evaluated as one integer numerator over one integer denominator, a
@@ -34,7 +35,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NonIntegralCount
-from .params import FieldParams, GroupTag, MinusOneClass
+from .params import FieldParams, GroupTag, MinusOneClass, check_degree
 
 
 def ind(cond: bool) -> int:
@@ -194,9 +195,11 @@ class CountRows(NamedTuple):
 def count_rows(params: FieldParams) -> CountRows:
     """The rows of one tuple, each cell evaluated once; the last tuple's rows are kept.
 
-    Raises NonIntegralCount if any cell is not an integer, or not
-    non-negative where the formula divides.
+    Raises InvalidParams for e*f above ``MAX_DEGREE`` before anything is built,
+    and NonIntegralCount if any cell is not an integer, or not non-negative
+    where the formula divides.
     """
+    check_degree(params.e, params.f)
     q, size = params.q, max_support(params) + 1
     qp = [1]
     for _ in range(4 * params.e):

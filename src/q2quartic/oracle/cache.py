@@ -8,7 +8,7 @@ import json
 import os
 
 from .. import __version__
-from ..params import GroupTag
+from ..params import GroupTag, cell_key
 
 # Bumped whenever an oracle's results or metadata change shape, so files
 # written by an older layout are never read back.
@@ -41,8 +41,9 @@ def _warn(message, *args):
 
 
 def load(cache_dir, field, oracle: str, m_max):
-    """The cached (counts, meta) of one oracle run, or None.  A file that
-    cannot be read, or was written for another key, is ignored with a warning."""
+    """The cached (counts, meta) of one oracle run, or None.  A file that cannot be
+    read, was written for another key, or holds other than [m, group name, n] entries
+    (int m, n >= 0, no bools, no cell twice) and an object ``meta`` is ignored with a warning."""
     if not cache_dir:
         return None
     path = _cache_path(cache_dir, field, oracle, m_max)
@@ -54,8 +55,14 @@ def load(cache_dir, field, oracle: str, m_max):
         other = [k for k, v in _key(field, oracle, m_max).items() if blob[k] != v]
         if other:
             raise ValueError(f"written for another {', '.join(other)}")
-        counts = {(int(m), GroupTag(g)): int(n) for m, g, n in blob["counts"]}
-        meta = blob.get("meta", {})
+        counts, meta = {}, blob["meta"]
+        for m, g, n in blob["counts"]:
+            cell = (m, GroupTag(g))
+            if type(m) is not int or type(n) is not int or m < 0 or n < 0 or cell in counts:
+                raise ValueError(f"bad count entry {[m, g, n]!r}")
+            counts[cell] = n
+        if type(meta) is not dict:
+            raise ValueError(f"meta is not an object: {meta!r}")
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         _warn("cache: ignoring unreadable %s (%s); recomputing", path, exc)
         return None
@@ -70,9 +77,7 @@ def store(cache_dir, field, oracle: str, m_max, counts, meta=None):
     path = _cache_path(cache_dir, field, oracle, m_max)
     blob = {
         **_key(field, oracle, m_max),
-        "counts": [[m, g.value, n] for (m, g), n in sorted(
-            counts.items(), key=lambda kv: (kv[0][0], kv[0][1].value)
-        )],
+        "counts": [[m, g.value, counts[(m, g)]] for m, g in sorted(counts, key=cell_key)],
         "meta": meta or {},
     }
     tmp = f"{path}.{os.getpid()}.tmp"

@@ -68,7 +68,7 @@ from ..padic.quartic import (
     disc_valuation,
     stem_ring,
 )
-from ..params import GroupTag, aut_order
+from ..params import GroupTag, aut_order, cell_key
 from .density import _ROOT, _Enumerator
 
 
@@ -149,7 +149,7 @@ def dedup_counts(field: LocalField, m_max: int):
     walk.check_conservation()
     walk.check_ledger()
     found = Counter(f.mg for f in walk.fields)
-    counts = dict(sorted(found.items(), key=lambda kv: (kv[0][0], kv[0][1].value)))
+    counts = {cell: found[cell] for cell in sorted(found, key=cell_key)}
     stats = walk.stats
     meta = {
         "leaves": stats["leaves_krasner"] + stats["dropped"],

@@ -180,7 +180,7 @@ from ..padic.quartic import (
     classify_quartic,
     t_m_pattern,
 )
-from ..params import GroupTag, MinusOneClass, aut_order
+from ..params import GroupTag, MinusOneClass, aut_order, cell_key
 from .tower import _norm_images, _sampled
 
 
@@ -647,8 +647,8 @@ def density_counts(field: LocalField, m_max: int | None = None, jobs: int = 1):
     measures, meta = density_measures(field, m_max, jobs)
     q = field.q
     counts: dict[tuple[int, GroupTag], int] = {}
-    for (m, g), mu in sorted(measures.items(), key=lambda kv: (kv[0][0], kv[0][1].value)):
-        val = aut_order(g) * Fraction(q) ** (m + 2) * mu / (q - 1)
+    for m, g in sorted(measures, key=cell_key):
+        val = aut_order(g) * Fraction(q) ** (m + 2) * measures[(m, g)] / (q - 1)
         if val.denominator != 1:
             raise NonIntegralCount(f"density count at (m={m}, {g.value}) is {val}")
         counts[(m, g)] = int(val)

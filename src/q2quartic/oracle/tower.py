@@ -30,7 +30,7 @@ from __future__ import annotations
 from ..errors import FormulationMismatch, NonIntegralCount
 from ..padic.field import TRIVIAL, UNRAMIFIED, LocalField, ramified_quadratic
 from ..padic.quartic import classify_tower_from_norm
-from ..params import GroupTag
+from ..params import GroupTag, cell_key
 
 _FIBRE = {GroupTag.C4: 1, GroupTag.D4: 2, GroupTag.V4: 3}
 _SKIP = (TRIVIAL, UNRAMIFIED)
@@ -115,10 +115,10 @@ def tower_counts(K: LocalField):
     the pairs cross-checked by the direct route.
     """
     pairs, meta = _tower_pairs(K)
+    tagged = {(m, _TAGS[g]): n for (m, g), n in pairs.items()}
     counts: dict[tuple[int, GroupTag], int] = {}
-    tagged = ((m, _TAGS[g], n) for (m, g), n in pairs.items())
-    for m, g, n in sorted(tagged, key=lambda t: (t[0], t[1].value)):
-        fibre = _FIBRE[g]
+    for m, g in sorted(tagged, key=cell_key):
+        n, fibre = tagged[(m, g)], _FIBRE[g]
         if n % fibre:
             raise NonIntegralCount(
                 f"{n} towers at (m={m}, {g.value}) not divisible by fibre size {fibre}"

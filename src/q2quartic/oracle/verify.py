@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 
-from .. import counts as formulas
+from ..counts import max_support
 from ..errors import InvalidParams, PrecisionExhausted
 from ..padic.field import LocalField, with_doubled_precision
-from ..params import GROUP_ORDER, FieldParams, GroupTag
+from ..params import FieldParams
+from ..tables import count_table
 from . import cache as _cache
 from .dedup import dedup_counts
 from .density import check_jobs, density_counts
-from .tower import tower_counts
+from .tower import _TAGS, tower_counts
 
-_TOWER_GROUPS = (GroupTag.V4, GroupTag.C4, GroupTag.D4)
 _METHODS = ("density", "tower", "dedup")
 DEDUP_DEFAULT_M_MAX = 6
 _PRECISION_RETRIES = 3
@@ -62,17 +62,7 @@ class VerificationReport:
                 "field_hash": self.field_hash,
                 "params": self.params.to_json(),
                 "passed": self.passed,
-                "rows": [
-                    {
-                        "m": r.m,
-                        "group": r.group,
-                        "method": r.method,
-                        "formula": r.formula,
-                        "oracle": r.oracle,
-                        "status": r.status,
-                    }
-                    for r in self.rows
-                ],
+                "rows": [{**asdict(r), "status": r.status} for r in self.rows],
                 "meta": self.meta,
             },
             indent=1,
@@ -89,17 +79,14 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _rows_from(params, method, oracle_map, m_max, groups):
-    rows = []
-    for m in range(0, m_max + 1):
-        for g in GROUP_ORDER:
-            if g not in groups:
-                continue
-            f = formulas.count(params, m, g)
-            o = oracle_map.get((m, g), 0)
-            if f or o:
-                rows.append(VerificationRow(m, g.value, method, f, o))
-    return rows
+def _rows_from(params, method, oracle_map, m_max, groups=None):
+    """Rows for the cells up to m_max where formula (in ``groups``) or oracle is non-zero."""
+    formula = count_table(params, 0, m_max, groups).rows
+    cells = set(formula) | {c for c, n in oracle_map.items() if n and c[0] <= m_max}
+    return [
+        VerificationRow(m, g.value, method, formula.get((m, g), 0), oracle_map.get((m, g), 0))
+        for m, g in cells
+    ]
 
 
 def verify(
@@ -128,13 +115,14 @@ def verify(
         if bound is not None and bound < 0:
             raise InvalidParams(f"{name} must be at least 0, got {bound}")
     check_jobs(jobs)
-    m_max = min(m_max, 8 * field.e_abs + 3)
     if cache_dir:
         try:
             os.makedirs(cache_dir, exist_ok=True)
         except OSError as exc:
             raise InvalidParams(f"cannot create cache directory {cache_dir!r}: {exc}") from None
     params = field.derive_params()
+    top = max_support(params)
+    m_max = min(m_max, top)
     rows: list[VerificationRow] = []
     meta: dict = {"m_max": m_max}
 
@@ -149,15 +137,15 @@ def verify(
         return counts, oracle_meta
 
     if "tower" in methods:
-        tc, meta["tower"] = fetch("tower", 8 * field.e_abs + 3, tower_counts)
-        rows.extend(_rows_from(params, "tower", tc, m_max, _TOWER_GROUPS))
+        tc, meta["tower"] = fetch("tower", top, tower_counts)
+        rows.extend(_rows_from(params, "tower", tc, m_max, _TAGS))
     if "density" in methods:
         dc, meta["density"] = fetch("density", m_max, lambda K: density_counts(K, m_max, jobs=jobs))
-        rows.extend(_rows_from(params, "density", dc, m_max, set(GROUP_ORDER)))
+        rows.extend(_rows_from(params, "density", dc, m_max))
     if "dedup" in methods:
         dmax = min(m_max, DEDUP_DEFAULT_M_MAX if dedup_m_max is None else dedup_m_max)
         xc, meta["dedup"] = fetch("dedup", dmax, lambda K: dedup_counts(K, dmax))
         meta["dedup_m_max"] = dmax
-        rows.extend(_rows_from(params, "dedup", xc, dmax, set(GROUP_ORDER)))
+        rows.extend(_rows_from(params, "dedup", xc, dmax))
     rows.sort(key=lambda r: (_METHODS.index(r.method), r.m, r.group))
     return VerificationReport(field.spec_hash(), params, rows, meta)

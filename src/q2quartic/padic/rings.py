@@ -63,11 +63,12 @@ consumers budget their downward shifts against the guard digits instead.
 from __future__ import annotations
 
 from ..errors import DivisionByNonUnit, InvalidParams
+from ..params import MAX_DEGREE
 from ..residue import ResidueField
 
 # Bits above 2N in every bottom slot; towers of absolute degree up to
-# 2^(H-1) fit (see the module docstring).
-_HEADROOM = 12
+# 2^(H-1) = MAX_DEGREE fit (see the module docstring).
+_HEADROOM = MAX_DEGREE.bit_length()
 
 
 def _replicate(word: int, count: int, stride: int) -> int:

@@ -41,7 +41,23 @@ class GroupTag(Enum):
     D4 = "D4"
 
 
-GROUP_ORDER = (GroupTag.S4, GroupTag.A4, GroupTag.V4, GroupTag.C4, GroupTag.D4)
+GROUP_ORDER = tuple(GroupTag)
+
+# The largest absolute degree e*f = [K:Q_2] built: the ring layer's slot
+# headroom holds it, and a tuple's count rows, Theta(e^2 f) bits, stay small.
+MAX_DEGREE = 2048
+
+
+def cell_key(cell: tuple[int, GroupTag]) -> tuple[int, str]:
+    """The one order of (m, group) cells: m first, then the group's name."""
+    return cell[0], cell[1].value
+
+
+def check_degree(e: int, f: int) -> None:
+    """Raise InvalidParams when e*f exceeds :data:`MAX_DEGREE`."""
+    if e * f > MAX_DEGREE:
+        raise InvalidParams(f"e*f = {e * f} exceeds {MAX_DEGREE}, the largest degree over Q_2")
+
 
 _AUT_ORDER = {
     GroupTag.S4: 1,

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import counts as _counts
 from . import masses as _masses
-from .params import GROUP_ORDER, FieldParams, GroupTag
+from .params import GROUP_ORDER, FieldParams
 
 CSV_COLUMNS = ["e", "f", "q", "d_minus_one", "minus_one_class", "m", "group", "count"]
 
@@ -18,7 +18,7 @@ CSV_COLUMNS = ["e", "f", "q", "d_minus_one", "minus_one_class", "m", "group", "c
 @dataclass
 class CountTable:
     params: FieldParams
-    rows: dict  # (m, GroupTag) -> int, insertion-ordered by (m, group order)
+    rows: dict  # (m, GroupTag) -> non-zero int, insertion-ordered by (m, group order)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -46,23 +46,16 @@ class CountTable:
 
 
 def count_table(
-    params: FieldParams,
-    m_min: int = 0,
-    m_max: int | None = None,
-    groups=None,
+    params: FieldParams, m_min: int = 0, m_max: int | None = None, groups=None
 ) -> CountTable:
-    # every count is 0 outside 0 <= m <= max_support
+    """The non-zero cells of the tuple's rows with m_min <= m <= m_max in
+    ``groups`` (default all); every count is 0 outside 0 <= m <= 8e+3."""
+    by_group = _counts.count_rows(params).groups
     top = _counts.max_support(params)
     m_max = top if m_max is None else min(m_max, top)
     groups = tuple(groups) if groups else GROUP_ORDER
-    rows = {}
-    for m in range(max(m_min, 0), m_max + 1):
-        for g in GROUP_ORDER:
-            if g not in groups:
-                continue
-            n = _counts.count(params, m, g)
-            if n:
-                rows[(m, g)] = n
+    picked = [(g, by_group[g]) for g in GROUP_ORDER if g in groups]
+    rows = {(m, g): row[m] for m in range(max(m_min, 0), m_max + 1) for g, row in picked if row[m]}
     return CountTable(params, rows)
 
 

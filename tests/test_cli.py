@@ -111,14 +111,21 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_count_m_max_far_above_support_prints_default_table(monkeypatch, capsys):
-    real = C.count
+    real = C.count_rows
 
-    def within_support(params, m, g):
-        assert 0 <= m <= C.max_support(params), m
-        return real(params, m, g)
+    def within_support(params):
+        top = C.max_support(params)
+
+        class Row(tuple):  # a tuple would read a negative index from its end
+            def __getitem__(self, m):
+                assert 0 <= m <= top, m
+                return super().__getitem__(m)
+
+        rows = real(params)
+        return rows._replace(groups={g: Row(row) for g, row in rows.groups.items()})
 
     _, default = _run(capsys, ["count", *Q2_FLAGS])
-    monkeypatch.setattr(C, "count", within_support)
+    monkeypatch.setattr(C, "count_rows", within_support)
     t0 = time.perf_counter()
     code, out = _run(capsys, ["count", *Q2_FLAGS, "--m-min", "-5", "--m-max", "100000000"])
     assert time.perf_counter() - t0 < 5
@@ -133,6 +140,41 @@ def test_sweep_bounds_below_one_exit_2(capsys, bounds):
     captured = capsys.readouterr()
     assert "must be at least 1" in captured.err
     assert "tuples" not in captured.out
+
+
+def test_count_beyond_max_degree_exits_2_before_building_rows(capsys):
+    # the rows of e = 100000 would hold Theta(e^2) bits
+    argv = ["count", "--e", "100000", "--f", "1", "--minus-one-class", "square",
+            "--m-min", "800000"]
+    t0 = time.perf_counter()
+    code = run(argv)
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: e*f = 100000 exceeds 2048")
+
+
+@pytest.mark.parametrize("e, f", [(2048, 1), (1024, 2)])
+def test_count_at_max_degree_still_works(capsys, e, f):
+    argv = ["count", "--e", str(e), "--f", str(f), "--minus-one-class", "square",
+            "--m-min", str(8 * e + 3), "--group", "C4", "--format", "csv"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    (row,) = csv.DictReader(io.StringIO(out))
+    assert int(row["count"]) == 4 * 2 ** (2 * e * f)  # 4 q^(2e) at m = 8e+3
+
+
+def test_sweep_beyond_max_degree_exits_2_before_any_tuple(monkeypatch, capsys):
+    import q2quartic.cli as cli
+
+    def no_tuple(*args):
+        raise AssertionError("a tuple was swept")
+
+    monkeypatch.setattr(cli, "valid_param_sweep", no_tuple)
+    code = run(["sweep", "--e-max", "1025", "--f-max", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: e*f = 2050 exceeds 2048")
 
 
 def test_verify_cli(tmp_path, capsys):
@@ -412,22 +454,22 @@ def test_verify_dedup_unramified_f2_passes(tmp_path, capsys):
 
 def test_verify_exit_1_on_mismatch(monkeypatch, tmp_path, capsys):
     # force a formula/oracle disagreement: exit code must be 1
-    import importlib
+    real = C.count_rows
 
-    V = importlib.import_module("q2quartic.oracle.verify")
-    real = V.formulas.count
+    def skewed(params):
+        rows = real(params)
+        v4 = list(rows.groups[GroupTag.V4])
+        v4[8] += 1
+        return rows._replace(groups={**rows.groups, GroupTag.V4: tuple(v4)})
 
-    def skewed(params, m, g):
-        n = real(params, m, g)
-        return n + 1 if (m, g.value) == (8, "V4") else n
-
-    monkeypatch.setattr(V.formulas, "count", skewed)
+    monkeypatch.setattr(C, "count_rows", skewed)
     spec = tmp_path / "q2.json"
     spec.write_text('{"f": 1, "e": 1}')
     code = run(["verify", "--field", str(spec), "--m-max", "11", "--oracle", "tower"])
     out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL" in out
+    fails = [line.split() for line in out.splitlines() if line.endswith(" FAIL")]
+    assert fails == [["8", "V4", "tower", "5", "4", "FAIL"], ["overall:", "FAIL"]]
 
 
 @pytest.mark.parametrize("error", [FormulationMismatch, NonIntegralCount, ClassInstability])

@@ -10,9 +10,10 @@ from q2quartic.oracle import dedup as X
 from q2quartic.oracle import density as D
 from q2quartic.oracle.dedup import _has_root_in, dedup_counts
 from q2quartic.oracle.measure import measure_set
+from q2quartic.oracle.tower import tower_counts
 from q2quartic.oracle.verify import verify
 from q2quartic.padic.quartic import stem_ring
-from q2quartic.params import GROUP_ORDER, GroupTag
+from q2quartic.params import GROUP_ORDER, GroupTag, cell_key
 
 
 @pytest.mark.parametrize(
@@ -315,3 +316,69 @@ def test_tower_meta_in_report_and_cache(Q2, tmp_path):
     assert again.meta["cache"] == {"tower": "hit"}
     assert again.meta["tower"] == report.meta["tower"]
     assert verify(Q2, 11, methods=("tower",)).meta["tower"] == report.meta["tower"]
+
+
+@pytest.mark.parametrize(
+    "field, spec, m_max", [("Q2", '{"f": 1, "e": 1}', 11), ("U2", '{"f": 2}', 7)]
+)
+def test_count_maps_and_reports_list_cells_in_cell_key_order(
+    request, tmp_path, capsys, field, spec, m_max
+):
+    from q2quartic.cli import run
+
+    K = request.getfixturevalue(field)
+
+    def assert_ordered(cells):
+        cells = list(cells)
+        assert len({m for m, _ in cells}) < len(cells)  # some m holds two groups
+        assert cells == sorted(cells, key=cell_key)
+
+    assert_ordered(D.density_counts(K, m_max)[0])
+    assert_ordered(dedup_counts(K, min(m_max, 8))[0])
+    assert_ordered(tower_counts(K)[0])
+    report = verify(K, m_max, methods=("density",), cache_dir=str(tmp_path))
+    assert_ordered((r.m, GroupTag(r.group)) for r in report.rows)
+    (path,) = tmp_path.iterdir()
+    assert_ordered((m, GroupTag(g)) for m, g, _ in json.loads(path.read_text())["counts"])
+    # lmfdb-check merges the CSV's cells, one at c = 50 outside the support, into the formula's
+    (tmp_path / "field.json").write_text(spec)
+    (tmp_path / "lf.csv").write_text("label,e,c,galois_label\n2.4.50.1,4,50,4T3\n2.4.6.1,4,6,4T4\n")
+    run(["lmfdb-check", "--csv", str(tmp_path / "lf.csv"), "--field", str(tmp_path / "field.json")])
+    lines = capsys.readouterr().out.splitlines()[1:-1]
+    assert_ordered((int(c), GroupTag(g)) for c, g, *_ in map(str.split, lines))
+    assert lines[-1].split()[:2] == ["50", "D4"]
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (0, 6.0),  # m not an int
+        (0, True),
+        (0, "6"),
+        (0, -6),
+        (1, "Q8"),  # not a group
+        (2, 2.9),  # count not an int
+        (2, True),
+        (2, "2"),
+        (2, -2),
+        ("repeat", None),  # one cell twice
+        ("meta", []),  # meta not an object
+    ],
+)
+def test_cache_entry_that_is_not_a_count_is_recomputed(Q2, tmp_path, caplog, where, value):
+    report = verify(Q2, 11, methods=("tower",), cache_dir=str(tmp_path))
+    (path,) = tmp_path.iterdir()
+    blob = json.loads(path.read_text())
+    if where == "meta":
+        blob["meta"] = value
+    elif where == "repeat":
+        m, g, n = blob["counts"][0]
+        blob["counts"].append([m, g, n + 1])
+    else:
+        blob["counts"][0][where] = value
+    path.write_text(json.dumps(blob))
+    with caplog.at_level("WARNING", logger="q2quartic.oracle.cache"):
+        again = verify(Q2, 11, methods=("tower",), cache_dir=str(tmp_path))
+    assert "unreadable" in caplog.text
+    assert again.meta["cache"] == {"tower": "miss"}
+    assert again.passed and again.rows == report.rows
