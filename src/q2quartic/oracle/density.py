@@ -95,6 +95,16 @@ for the last two, from the square class of its discriminant:
   are marked (``_InH``) and no descendant walks for the test again.  The
   mark only skips a test that cannot succeed; it certifies nothing.
 
+Split rule.  A node whose v(disc) is not pinned yet splits on the
+coefficient whose children have the largest least disc bound
+(``_unpinned_split``), ties to the weakest Krasner coordinate, the i of
+least 4 c_i + i; every other node splits on the weakest Krasner
+coordinate.  A digit that leaves the bound where it was only splits the
+node again for the same reason.  Any choice partitions the node, so the
+rule shapes the tree but not the cell measures, and every certificate and
+check holds on any tree.  Along a path c and vh only grow, so the
+bound never falls; an unpinned split either raises every child's bound or
+refines the weakest coordinate, and a bound above 8e+3 pins v(disc).
 delta grows whenever the weakest coordinate is refined and all thresholds
 are bounded in terms of 8e+3, so the recursion terminates.
 
@@ -368,15 +378,30 @@ class _Enumerator:
         if m_rep is None:
             in_h = isinstance(digits, _InH)
             self.stats["splits_unpinned"] += 1
+            split = self._unpinned_split(cs, vh)
         else:
             in_h = self._tower_leaf(digits, cs, vrep, vh, m_rep, bound)
             if in_h is None:
                 return None
+            split = min(range(4), key=lambda i: 4 * cs[i] + i)
         node = _InH if in_h else tuple
-        split = min(range(4), key=lambda i: 4 * cs[i] + i)
         return [
             node(d + (t,) if i == split else d for i, d in enumerate(digits)) for t in range(q)
         ]
+
+    def _unpinned_split(self, cs, vh):
+        """The coefficient to split a node with v(disc) not yet pinned on: the
+        one whose children have the largest least disc bound, ties to the
+        weakest Krasner coordinate.  Refining coefficient i leaves every
+        child's vh at or above the node's, and one child keeps the node's vh:
+        any child when a_i has a non-zero digit, the one with a first non-zero
+        digit otherwise (vh[i] = cs[i]).  The bound grows with vh, so the
+        least bound of the children is read at the node's vh."""
+        e = self.e
+        return max(
+            range(4),
+            key=lambda i: (disc_bound(cs[:i] + (cs[i] + 1,) + cs[i + 1 :], vh, e), -4 * cs[i] - i),
+        )
 
     def numerators(self):
         """(cell -> measure numerator over q^top, top) with top the greatest depth."""

@@ -92,6 +92,8 @@ class ResidueField:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
+        if a < 2 or b < 2:  # a factor 0 or 1: every product over F_2
+            return a * b
         return _pmod(_clmul(a, b), self.modulus)
 
     def pow(self, a: int, n: int) -> int:

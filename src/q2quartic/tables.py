@@ -6,11 +6,12 @@ import io
 import csv
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import counts as _counts
 from . import masses as _masses
-from .params import GROUP_ORDER, FieldParams
+from .params import GROUP_ORDER, FieldParams, check_degree
 
 CSV_COLUMNS = ["e", "f", "q", "d_minus_one", "minus_one_class", "m", "group", "count"]
 
@@ -60,7 +61,9 @@ def count_table(
 
 
 def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    # Decimal prints an int of any length; str(int) stops at 4,300 digits
+    # (sys.get_int_max_str_digits), and a mass at e = 1, f = 2048 has 4,316
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 @dataclass
@@ -98,6 +101,7 @@ class MassTable:
 
 
 def mass_table(params: FieldParams) -> MassTable:
+    check_degree(params.e, params.f)
     per_group = {g: _masses.mass_closed_form(params, g) for g in GROUP_ORDER}
     total = sum(per_group.values(), Fraction(0))
     return MassTable(params, per_group, total)

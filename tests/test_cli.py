@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from q2quartic import counts as C
 from q2quartic import masses
 from q2quartic.cli import _LMFDB_GROUPS, run
 from q2quartic.errors import ClassInstability, FormulationMismatch, NonIntegralCount
-from q2quartic.params import GroupTag, MinusOneClass, aut_order
+from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, aut_order, make_params
 
 Q2_FLAGS = ["--e", "1", "--f", "1", "--d-minus-one", "2", "--minus-one-class", "ramified"]
 
@@ -162,6 +163,33 @@ def test_count_at_max_degree_still_works(capsys, e, f):
     assert code == 0
     (row,) = csv.DictReader(io.StringIO(out))
     assert int(row["count"]) == 4 * 2 ** (2 * e * f)  # 4 q^(2e) at m = 8e+3
+
+
+@pytest.mark.parametrize("e, f, cls", [(4000, 1, "square"), (1, 2049, "unramified")])
+def test_mass_beyond_max_degree_exits_2(capsys, e, f, cls):
+    code = run(["mass", "--e", str(e), "--f", str(f), "--minus-one-class", cls])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: e*f = {e * f} exceeds 2048, the largest degree over Q_2\n"
+
+
+@pytest.mark.parametrize("e, f, cls", [(2048, 1, "square"), (1, 2048, "unramified")])
+def test_mass_at_max_degree_prints_in_full(capsys, e, f, cls):
+    # the denominators pass the 4,300 digits at which str(int) stops
+    p = make_params(e, f, 0, MinusOneClass(cls))
+    argv = ["mass", "--e", str(e), "--f", str(f), "--minus-one-class", cls, "--check-serre"]
+    code, out = _run(capsys, [*argv, "--format", "csv"])
+    assert code == 0 and out.endswith("serre: ok\n")
+    rows = list(csv.DictReader(io.StringIO(out.removesuffix("serre: ok\n"))))
+    longest = max(len(part) for r in rows for part in r["mass"].split("/"))
+    assert longest > 3600
+    read = {r["group"]: Fraction(*(int(Decimal(x)) for x in r["mass"].split("/"))) for r in rows}
+    assert read == {
+        **{g.value: masses.mass_closed_form(p, g) for g in GROUP_ORDER},
+        "total": Fraction(1, p.q**3),
+    }
+    for fmt in ("json", "table"):
+        assert _run(capsys, [*argv, "--format", fmt])[0] == 0
 
 
 def test_sweep_beyond_max_degree_exits_2_before_any_tuple(monkeypatch, capsys):

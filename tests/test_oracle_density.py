@@ -1,3 +1,4 @@
+import contextlib
 import logging
 import os
 import select
@@ -123,6 +124,45 @@ def test_density_without_resolvent_hints_is_unchanged(spec, monkeypatch):
     assert density_counts(K) == hinted
 
 
+@pytest.mark.parametrize(
+    "spec, m_max",
+    [*((s, None) for s, _ in FULL_RANGE_DENSITY_SPECS), ({"f": 3}, 6)],
+    ids=[*(label for _, label in FULL_RANGE_DENSITY_SPECS), "U3-6"],
+)
+def test_density_with_krasner_order_unpinned_splits_is_unchanged(spec, m_max, monkeypatch):
+    # an unpinned node splits on the coefficient that raises its children's
+    # disc bound most; any split partitions the node, so splitting on the
+    # weakest Krasner coordinate instead must give the same cells, and
+    # density_counts checks conservation on both trees
+    K = field_from_spec(spec)
+    counts, meta = density_counts(K, m_max)
+
+    def weakest(self, cs, vh):
+        return min(range(4), key=lambda i: 4 * cs[i] + i)
+
+    monkeypatch.setattr(D._Enumerator, "_unpinned_split", weakest)
+    krasner, kmeta = density_counts(K, m_max)
+    assert krasner == counts
+    assert kmeta["splits_unpinned"] > meta["splits_unpinned"]
+
+
+def test_unpinned_split_raises_the_bound_or_refines_the_weakest_coordinate(Q2):
+    # at cs = (2, 1, 1, 1) the weakest Krasner coordinate is a1; one more
+    # digit of a3 raises the least disc bound from 2 to 3 when v(a3) >= 1,
+    # and with every vh[i] at 0 but vh[0] no coefficient raises it, so the
+    # split refines a1 and delta grows
+    enum = D._Enumerator(Q2, 11)
+    assert enum._unpinned_split((2, 1, 1, 1), (1, 0, 0, 1)) == 3
+    assert enum._unpinned_split((2, 1, 1, 1), (1, 0, 0, 0)) == 1
+
+
+def test_unpinned_splits_pin_the_disc_in_few_steps(U3):
+    # U(f=3) to m <= 5: 154 unpinned splits and 1,072 pruned classes when an
+    # unpinned node splits on the weakest Krasner coordinate
+    _, meta = density_measures(U3, 5)
+    assert meta["splits_unpinned"] <= 10 and meta["pruned"] <= 40
+
+
 def test_density_jobs_parallel_matches_serial(U2):
     serial, _ = density_counts(U2, 8, jobs=1)
     parallel, meta = density_counts(U2, 8, jobs=2)
@@ -225,7 +265,7 @@ def test_splits_by_reason_count_the_inner_nodes(spec, m_max, check_every):
     assert splits * (K.q - 1) + 1 == meta["leaves"] + meta["pruned"]
 
 
-@pytest.mark.parametrize("field, m_max", [("U3", 5), ("U2", 6), ("K_sqrt2", 8)])
+@pytest.mark.parametrize("field, m_max", [("U3", 6), ("U2", 6), ("K_sqrt2", 8)])
 def test_density_jobs2_matches_serial(request, field, m_max):
     K = request.getfixturevalue(field)
     serial, smeta = density_counts(K, m_max, jobs=1)
@@ -259,8 +299,8 @@ def test_every_leaf_cross_checked(K_sqrt2, check_every, walk):
 def test_density_jobs2_field_without_spec(Q2):
     E = ramified_quadratic(Q2, Q2.from_int(2))
     assert E.spec is None
-    serial, _ = density_counts(E, 6, jobs=1)
-    parallel, meta = density_counts(E, 6, jobs=2)
+    serial, _ = density_counts(E, 8, jobs=1)
+    parallel, meta = density_counts(E, 8, jobs=2)
     assert serial == parallel
     assert meta["jobs"] == min(2, D._available_cores())
 
@@ -280,6 +320,7 @@ def worker_first(monkeypatch):
     subtrees wait until the worker has taken a node, so the worker always
     runs ``task`` at least once."""
     r, w = os.pipe()
+    os.set_blocking(r, False)
     run = D._Enumerator.run
 
     def worker_run(node):
@@ -291,6 +332,9 @@ def worker_first(monkeypatch):
         run(self, roots)
 
     def install(task):
+        # a byte left by an earlier split would let the parent start at once
+        with contextlib.suppress(BlockingIOError):
+            os.read(r, 64)
         worker_run.task = task
         monkeypatch.setattr(D, "_worker_run", worker_run)
         monkeypatch.setattr(D._Enumerator, "run", parent_run)
@@ -347,6 +391,7 @@ def test_split_raises_when_a_worker_dies(worker_first, U2, tmp_path, capsys):
     with pytest.raises(Q2QuarticError, match=r"ended without sending its result \(exit code 3\)"):
         density_counts(U2, 6, jobs=2)
     _assert_no_child_left()
+    worker_first(lambda node: os._exit(3))
     spec = tmp_path / "u2.json"
     spec.write_text('{"f": 2}')
     argv = ["verify", "--field", str(spec), "--m-max", "6", "--oracle", "density", "--jobs", "2"]
@@ -538,6 +583,16 @@ def test_one_aut_measures_q2(Q2):
         assert one_aut_measure(Q2, m) == expect
 
 
+@pytest.mark.parametrize("spec", [[-2, 0, 1], [2, 0, 1]], ids=["x^2-2", "x^2+2"])
+def test_one_aut_measures_ramified(spec):
+    # the density relation on a ramified base, where the stem root count
+    # runs in nested stems
+    K = field_from_spec({"f": 1, "eisenstein": spec})
+    q, p = K.q, K.derive_params()
+    for m in (4, 6, 8):
+        assert one_aut_measure(K, m) * Fraction(q) ** (m + 2) / (q - 1) == C.count_one_aut(p, m)
+
+
 def test_disc_cache_computes_no_prefix_twice(Q2, monkeypatch):
     # _check_stability reads three bumped prefixes and then the class's own:
     # the cache holds all four, so every miss is a prefix not read before
@@ -598,8 +653,8 @@ def test_cubic_congruence_refuses_depth_beyond_the_cap(Q2):
 # leaves per certificate and splits per reason over the full range, as the
 # ROADMAP table records them; a change of either is a change of the tree
 _PINNED_TREES = {
-    "x^2-2": ((153, 24, 1792, 112), (166, 128, 1530, 256)),
-    "unramified f=2": ((99, 12, 1856, 176), (46, 24, 260, 384)),
+    "x^2-2": ((153, 2, 1792, 67), (10, 152, 1595, 256)),
+    "unramified f=2": ((99, 3, 1856, 134), (5, 33, 275, 384)),
 }
 
 

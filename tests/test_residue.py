@@ -1,7 +1,9 @@
+import random
+
 import pytest
 
 from q2quartic.errors import DegenerateLeadingCoefficient
-from q2quartic.residue import ResidueField, cubic_image_size, quad_root_count
+from q2quartic.residue import ResidueField, _clmul, _pmod, cubic_image_size, quad_root_count
 
 
 def brute_quad_roots(F, a, b, c):
@@ -13,6 +15,20 @@ def brute_quad_roots(F, a, b, c):
 def brute_cubic_image(F, lam, mu):
     # image size of c -> lam*c + mu*c^3 on the full residue field
     return len({F.add(F.mul(lam, c), F.mul(mu, F.pow(c, 3))) for c in F.elements()})
+
+
+@pytest.mark.parametrize("f", [1, 2, 3, 4, 8, 13, 32, 64])
+def test_mul_is_the_reduced_carry_less_product(f):
+    # mul returns a factor 0 or 1 at once; every other product is reduced
+    F = ResidueField(f)
+    if f <= 4:
+        pairs = [(a, b) for a in F.elements() for b in F.elements()]
+    else:
+        rng = random.Random(f)
+        xs = [0, 1, 2, F.q - 1, *(rng.randrange(F.q) for _ in range(60))]
+        pairs = [(a, b) for a in xs for b in xs]
+    for a, b in pairs:
+        assert F.mul(a, b) == _pmod(_clmul(a, b), F.modulus), (a, b)
 
 
 @pytest.mark.parametrize("f", [1, 2, 3, 4])
