@@ -12,7 +12,7 @@ from ..params import GroupTag, cell_key
 
 # Bumped whenever an oracle's results or metadata change shape, so files
 # written by an older layout are never read back.
-ORACLE_SCHEMA = 8
+ORACLE_SCHEMA = 9
 
 
 def _cache_path(cache_dir: str, field, oracle: str, m_max) -> str:

@@ -108,6 +108,33 @@ refines the weakest coordinate, and a bound above 8e+3 pins v(disc).
 delta grows whenever the weakest coordinate is refined and all thresholds
 are bounded in terms of 8e+3, so the recursion terminates.
 
+Headroom children at the parent.  A node that splits for headroom
+(``splits_headroom``) often has q children that are all tower leaves, and
+then they are decided at the node (``_headroom_children``) instead of
+being built and classified one by one.  Integer tests come first: the
+split is on the weakest Krasner coordinate i, as for the node; the least
+child bound, read at the node's vh as ``_unpinned_split`` argues, is at
+least m + 2e+1; neither child vrep (t = 0, and t != 0 when a_i has no
+non-zero digit yet) passes the Krasner test; and no child takes the coset
+test, as the node has h = 0 or lies in H.  Child 0's representative is the
+node's; child t's is the same with a_i + [t] pi^(c_i), and its disc comes
+from ``disc_raw``, whose prefix polynomial in a3 is cached when i = 3.
+Each child has 2e+1 digits of headroom, so its members' disc square class
+is its representative's.  The node fails the T_m pattern, so every member
+is V4, C4 or D4, and V4 exactly when its disc is a square.  The first
+child B whose disc is not a square takes one resolvent root under the
+node's window, and the window's bounds hold from any member B as base
+point: members agree with B in the node's fixed digits and have
+v(a_i) >= vh_i, which is all the resolvent and disc bounds assume.  So the
+window pins the class of W = w^2 - 4 a0(B) for every member whose
+resolvent has one root in K, every non-V4 member, and each non-square
+child is D4 at odd m + v(W) and otherwise C4 exactly when its disc times W
+is a square (``c4_or_d4``).  When the window fails, or a test above does,
+the node splits as before.  The node still counts one headroom split, and
+``headroom_at_parent`` counts those decided here; the leaves, their
+certificates and the sampled root-count re-checks of the children are
+those the built children give, as the tests compare on each base.
+
 The dedup oracle (:mod:`.dedup`) walks the same tree with the tower and
 coset certificates off: ``_expand`` reaches the leaf certificates through
 the hooks ``_krasner_leaf`` and ``_tower_leaf``, which dedup overrides.
@@ -136,7 +163,9 @@ reason each was refined: ``unpinned`` (v(disc) not certified yet),
 ``one_aut`` (the representative fits the T_m pattern), ``headroom``
 (k = bound - m below 2e+1 and no coset certificate) and ``window`` (the
 resolvent root is not pinned).  Each split node has q children, so
-(q - 1) * sum(splits) + 1 = leaves + pruned.
+(q - 1) * sum(splits) + 1 = leaves + pruned.  ``headroom_at_parent``, not
+a split reason, counts the headroom splits whose children were decided at
+the node.
 
 Parallel split.  With jobs > 1 the parent expands the tree breadth-first
 until at least 16 nodes per process are open, writes their indices into
@@ -186,8 +215,11 @@ from ..padic.quartic import (
     EisensteinQuartic,
     _pins_class,
     _resolvent_split,
+    c4_or_d4,
     classify_by_invariants,
     classify_quartic,
+    disc_raw,
+    resolvent_W,
     t_m_pattern,
 )
 from ..params import GroupTag, MinusOneClass, aut_order, cell_key
@@ -206,6 +238,7 @@ _STATS = (
     *(f"leaves_{c}" for c in ("krasner", "parity", "tower", "coset")),
     *(f"splits_{r}" for r in ("unpinned", "one_aut", "headroom", "window")),
     "root_count_cross_checks",
+    "headroom_at_parent",
 )
 
 
@@ -217,6 +250,16 @@ class _InH(tuple):
     """
 
     __slots__ = ()
+
+
+def _krasner_delta(cs) -> int:
+    """delta = min_i(4 c_i + i) of a node with digit counts ``cs``."""
+    return min(4 * cs[0], 4 * cs[1] + 1, 4 * cs[2] + 2, 4 * cs[3] + 3)
+
+
+def _weakest(cs) -> int:
+    """The weakest Krasner coordinate: the i of least 4 c_i + i."""
+    return min(range(4), key=lambda i: 4 * cs[i] + i)
 
 
 def _reduce(v: int, echelon: list[int]) -> int:
@@ -371,8 +414,7 @@ class _Enumerator:
         elif m_rep > m_max:
             self.tally[None, sum(cs)] += 1
             return None
-        delta = min(4 * cs[0], 4 * cs[1] + 1, 4 * cs[2] + 2, 4 * cs[3] + 3)
-        if 3 * delta > self._distance_polygon_max(vrep):
+        if 3 * _krasner_delta(cs) > self._distance_polygon_max(vrep):
             self._krasner_leaf(digits)
             return None
         if m_rep is None:
@@ -383,7 +425,7 @@ class _Enumerator:
             in_h = self._tower_leaf(digits, cs, vrep, vh, m_rep, bound)
             if in_h is None:
                 return None
-            split = min(range(4), key=lambda i: 4 * cs[i] + i)
+            split = _weakest(cs)
         node = _InH if in_h else tuple
         return [
             node(d + (t,) if i == split else d for i, d in enumerate(digits)) for t in range(q)
@@ -446,6 +488,9 @@ class _Enumerator:
         coset = h != 0 and not in_h and k > h_top
         if not coset and k < 2 * e + 1:
             self.stats["splits_headroom"] += 1
+            # the children of a node outside H would take the coset test
+            if (h == 0 or in_h) and self._headroom_children(digits, cs, vrep, vh, m, None):
+                return None
             return in_h
         fq = self._build(digits)
         # one walk of the unit part of disc where a test reads it: its bits up
@@ -460,6 +505,8 @@ class _Enumerator:
             in_h = True
             if k < 2 * e + 1:
                 self.stats["splits_headroom"] += 1
+                if self._headroom_children(digits, cs, vrep, vh, m, fq):
+                    return None
                 return in_h
         if m % 2 == 0 and reach == 2 * e + 1:  # disc is a square
             self._add_leaf((m, GroupTag.V4), fq, digits, "tower")
@@ -471,6 +518,56 @@ class _Enumerator:
             return in_h
         self._add_leaf((m, g), fq, digits, "tower")
         return None
+
+    def _headroom_children(self, digits, cs, vrep, vh, m, fq) -> bool:
+        """Record the q children of a headroom split as tower leaves and
+        return True, or record nothing and return False when they cannot all
+        be decided here (module docstring, "Headroom children at the
+        parent").  ``fq`` is the node's representative, None when it is not
+        built yet; the caller has ruled out the coset test for the children."""
+        K, e = self.K, self.e
+        R = K.ring
+        i = _weakest(cs)
+        c = cs[i]
+        child_cs = cs[:i] + (c + 1,) + cs[i + 1 :]
+        if disc_bound(child_cs, vh, e) < m + 2 * e + 1:
+            return False
+        vrep_t = vrep[:i] + (min(vrep[i], c),) + vrep[i + 1 :]  # a child with t != 0
+        polygon = min(self._distance_polygon_max(vrep), self._distance_polygon_max(vrep_t))
+        if 3 * _krasner_delta(child_cs) > polygon:
+            return False
+        if fq is None:
+            fq = self._build(digits)
+        coeffs = list(fq.coeffs())
+        a_i = coeffs[i]
+        groups, W = [], None
+        for t in range(self.q):
+            if t:
+                coeffs[i] = R.add(a_i, K.digit_elt(t, c))
+                unit = R.shift(disc_raw(K, *coeffs), -m)
+            else:
+                unit = fq.disc_unit
+            if m % 2 == 0 and K.square_reach(unit)[0] == 2 * e + 1:
+                groups.append(GroupTag.V4)
+            elif W is None:
+                # B: its prefix polynomial in a3 is the last one disc_raw read
+                B = EisensteinQuartic(K, *coeffs) if t else fq
+                window = _resolvent_window(e, cs, vh)  # the node's, read from B
+                g, self.hint = _resolvent_split(B, window, self.hint, _sampled(digits))
+                if g is None:
+                    return False
+                W = resolvent_W(R, self.hint, B.a0)
+                vW = R.val(W)
+                groups.append(g)
+            else:
+                groups.append(c4_or_d4(K, m, unit, W, vW))
+        self.stats["headroom_at_parent"] += 1
+        head, d_i, tail = digits[:i], digits[i], digits[i + 1 :]
+        for t, g in enumerate(groups):
+            child = (*head, d_i + (t,), *tail)
+            # only a sampled leaf's root-count cross-check reads its quartic
+            self._add_leaf((m, g), self._build(child) if _sampled(child) else None, child, "tower")
+        return True
 
     def _build(self, digits):
         K = self.K

@@ -22,10 +22,11 @@ _PRECISION_RETRIES = 3
 
 
 def _with_retry(field, call):
-    """Run an oracle, doubling the field precision on PrecisionExhausted."""
+    """Run an oracle, doubling the field precision on PrecisionExhausted;
+    return its result and the precision of the field it ran on."""
     for attempt in range(_PRECISION_RETRIES + 1):
         try:
-            return call(field)
+            return call(field), field.precision
         except PrecisionExhausted:
             if attempt == _PRECISION_RETRIES or field.spec is None:
                 raise
@@ -100,7 +101,9 @@ def verify(
     """Run the requested oracles and compare them to the closed forms.
 
     Mismatches become failing rows, not exceptions.  ``meta["tower"]``,
-    ``meta["density"]`` and ``meta["dedup"]`` hold those oracles' metadata.
+    ``meta["density"]`` and ``meta["dedup"]`` hold those oracles' metadata,
+    each with the ``precision`` (pi-adic digits of the field's spec, None
+    for a field built in code) it ran at after any doubling.
     With ``cache_dir``, ``meta["cache"]`` maps each oracle run to "hit" or
     "miss".  No oracle, an unknown one, a negative ``m_max`` or
     ``dedup_m_max``, ``jobs`` below 1, or a ``cache_dir`` that cannot be
@@ -132,7 +135,8 @@ def verify(
             meta.setdefault("cache", {})[name] = "miss" if cached is None else "hit"
         if cached is not None:
             return cached
-        counts, oracle_meta = _with_retry(field, compute)
+        (counts, oracle_meta), precision = _with_retry(field, compute)
+        oracle_meta = {**oracle_meta, "precision": precision}
         _cache.store(cache_dir, field, name, key, counts, oracle_meta)
         return counts, oracle_meta
 

@@ -64,6 +64,7 @@ class LocalField:
         self.base_field = base_field  # set for quadratic steps E/K
         self._norm_coeffs = norm_coeffs  # (B, C) with theta^2 + B theta + C = 0
         self.label = label or "K"
+        self.precision = None  # the spec's pi-adic digits; set by field_from_spec
         self._sqbasis = None
         self._reps = {0: ring.one}  # square-class coordinates -> square_class_rep
         self._digit_table = {}

@@ -512,8 +512,7 @@ def _resolvent_split(fq: EisensteinQuartic, window=None, hint=None, check=False)
     at dist = infinity, and is read when it holds at dist = eps, which puts
     W in W*'s class; otherwise Newton takes another step.  With no window
     the test is ``_pins_class`` at eps alone.  The closure is cyclic exactly
-    when disc * W is a square: when v(disc) + v(W) is even and the product
-    of the two unit parts is a square.
+    when disc * W is a square (``c4_or_d4``).
 
     With ``check``, a hinted root w is searched for again at P = v(R(w)),
     or at the ring's cap when R(w) vanishes, and the search must find
@@ -551,11 +550,25 @@ def _resolvent_split(fq: EisensteinQuartic, window=None, hint=None, check=False)
             )
     if not pinned:
         return None, w
-    if (K.val(fq.disc) + vW) & 1:
-        return GroupTag.D4, w
-    W = R.sub(R.mul(w, w), R.mul(R.from_int(4), fq.a0))
-    reach, _ = K.square_reach(R.mul(fq.disc_unit, R.shift(W, -vW)))
-    return (GroupTag.C4 if reach == 2 * e + 1 else GroupTag.D4), w
+    return c4_or_d4(K, K.val(fq.disc), fq.disc_unit, resolvent_W(R, w, fq.a0), vW), w
+
+
+def resolvent_W(R, w, a0):
+    """W = w^2 - 4 a0 for a root w of the resolvent cubic."""
+    return R.sub(R.mul(w, w), R.mul(R.from_int(4), a0))
+
+
+def c4_or_d4(K: LocalField, m: int, disc_unit, W, vW: int) -> GroupTag:
+    """C4 when disc * W is a square, D4 otherwise: the closure group of a
+    {C4, D4} quartic with v(disc) = m, disc / pi^m = ``disc_unit``, and W,
+    of valuation ``vW``, in the square class of w^2 - 4 a0 for the root w
+    of its resolvent cubic in K.  disc * W is a square when m + v(W) is
+    even and the product of the two unit parts is a square."""
+    if (m + vW) & 1:
+        return GroupTag.D4
+    R = K.ring
+    reach, _ = K.square_reach(R.mul(disc_unit, R.shift(W, -vW)))
+    return GroupTag.C4 if reach == 2 * K.e_abs + 1 else GroupTag.D4
 
 
 def classify_by_invariants(fq: EisensteinQuartic, hint=None):

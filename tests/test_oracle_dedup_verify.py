@@ -303,8 +303,38 @@ def test_precision_retry_rebuilds_field(Q2, monkeypatch):
         return {"ok": field.precision}
 
     out = V._with_retry(Q2, flaky)
-    assert out == {"ok": 2 * Q2.precision}
+    assert out == ({"ok": 2 * Q2.precision}, 2 * Q2.precision)
     assert calls == [Q2.precision, 2 * Q2.precision]
+
+
+@pytest.mark.parametrize("oracle", ["tower", "density", "dedup"])
+def test_report_meta_records_the_precision_after_retries(Q2, monkeypatch, tmp_path, oracle):
+    # an oracle that runs out of digits once is run again at twice the
+    # precision; its meta says so, and so does the meta a cache hit reads back
+    import importlib
+
+    from q2quartic.errors import PrecisionExhausted
+
+    V = importlib.import_module("q2quartic.oracle.verify")
+    name = f"{oracle}_counts"
+    real, calls = getattr(V, name), []
+
+    def exhausted_once(field, *args, **kwargs):
+        calls.append(field.precision)
+        if len(calls) == 1:
+            raise PrecisionExhausted("simulated")
+        return real(field, *args, **kwargs)
+
+    monkeypatch.setattr(V, name, exhausted_once)
+    report = V.verify(Q2, 8, methods=(oracle,), cache_dir=str(tmp_path))
+    assert report.passed
+    assert calls == [Q2.precision, 2 * Q2.precision]
+    assert report.meta[oracle]["precision"] == 2 * Q2.precision
+    again = V.verify(Q2, 8, methods=(oracle,), cache_dir=str(tmp_path))
+    assert again.meta["cache"] == {oracle: "hit"}
+    assert again.meta[oracle] == report.meta[oracle]
+    monkeypatch.setattr(V, name, real)
+    assert V.verify(Q2, 8, methods=(oracle,)).meta[oracle]["precision"] == Q2.precision
 
 
 def test_tower_meta_in_report_and_cache(Q2, tmp_path):

@@ -39,7 +39,15 @@ from q2quartic.params import GROUP_ORDER, aut_order
 
 _CERTIFICATES = ("leaves_krasner", "leaves_parity", "leaves_tower", "leaves_coset")
 _SPLITS = ("splits_unpinned", "splits_one_aut", "splits_headroom", "splits_window")
-_RUN_KEYS = ("leaves", "pruned", "max_depth", "root_count_cross_checks", *_CERTIFICATES, *_SPLITS)
+_RUN_KEYS = (
+    "leaves",
+    "pruned",
+    "max_depth",
+    "root_count_cross_checks",
+    "headroom_at_parent",
+    *_CERTIFICATES,
+    *_SPLITS,
+)
 
 # Q2 and the bases of the tower criteria 10 and 13: every class of -1
 _TOWER_BASES = [
@@ -144,6 +152,29 @@ def test_density_with_krasner_order_unpinned_splits_is_unchanged(spec, m_max, mo
     krasner, kmeta = density_counts(K, m_max)
     assert krasner == counts
     assert kmeta["splits_unpinned"] > meta["splits_unpinned"]
+
+
+@pytest.mark.parametrize(
+    "spec, m_max",
+    [
+        *((s, None) for s, _ in FULL_RANGE_DENSITY_SPECS),
+        ({"f": 3}, 8),
+        ({"f": 1, "eisenstein": [-2, 0, 0, 1]}, 14),
+    ],
+    ids=[*(label for _, label in FULL_RANGE_DENSITY_SPECS), "U3-8", "x^3-2-14"],
+)
+def test_headroom_children_decided_at_the_parent_leave_the_tree_unchanged(spec, m_max, monkeypatch):
+    # a headroom split whose q children are all tower leaves records them at
+    # the parent; building and classifying each child instead must give the
+    # same cells, leaves, certificates and splits
+    K = field_from_spec(spec)
+    counts, meta = density_counts(K, m_max)
+    assert meta["headroom_at_parent"] > 0
+    monkeypatch.setattr(D._Enumerator, "_headroom_children", lambda self, *args: False)
+    built, bmeta = density_counts(K, m_max)
+    assert built == counts
+    assert bmeta.pop("headroom_at_parent") == 0
+    assert bmeta == {k: v for k, v in meta.items() if k != "headroom_at_parent"}
 
 
 def test_unpinned_split_raises_the_bound_or_refines_the_weakest_coordinate(Q2):

@@ -420,6 +420,95 @@ def test_coset_leaf_members_are_d4(name, data):
     assert classify_quartic(member) == (m, GroupTag.D4)
 
 
+@lru_cache(maxsize=None)
+def _decided_children(name):
+    """Digits and (m, g) of every leaf decided at its parent, by a headroom
+    split that ``_headroom_children`` closed, over the full range."""
+    leaves = []
+
+    class Recorder(_Enumerator):
+        deciding = None
+
+        def _headroom_children(self, *args):
+            self.deciding = []
+            decided = super()._headroom_children(*args)
+            if decided:
+                leaves.extend(self.deciding)
+            self.deciding = None
+            return decided
+
+        def _add_leaf(self, mg, fq, digits, certificate):
+            if self.deciding is not None:
+                self.deciding.append((digits, mg))
+            return super()._add_leaf(mg, fq, digits, certificate)
+
+    K = _field(name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tower, "_CROSS_CHECK_EVERY", 0)
+        Recorder(K, 8 * K.e_abs + 3).run([_ROOT])
+    return leaves
+
+
+@pytest.mark.parametrize("name", ["sqrt2", "U2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_children_decided_at_the_parent_hold_for_every_member(name, data):
+    # a headroom split decides its q children from one resolvent root of one
+    # child; the sampled root-count re-check sees only each child's
+    # representative, so draw members beyond each child's fixed digits
+    K = _field(name)
+    leaves = _decided_children(name)
+    index = data.draw(st.integers(0, len(leaves) - 1), label="leaf")
+    digits, mg = leaves[index]
+    digit = st.integers(0, K.q - 1)
+    member = EisensteinQuartic(K, *(
+        K.from_digits(d + tuple(data.draw(st.lists(digit, min_size=1, max_size=6))))
+        for d in digits
+    ))
+    assert classify_quartic(member) == mg
+
+
+@st.composite
+def _node_members(draw, names):
+    """(field, cs, vh, two members): a node fixing cs[i] digits of each a_i,
+    as the density tree does (a0 with v = 1, the others with a first digit
+    0 and either a first non-zero digit at vh[i] < cs[i] or none, vh[i] =
+    cs[i]), and two members that extend each a_i by random digits."""
+    K = _field(draw(st.sampled_from(names)))
+    e, q = K.e_abs, K.q
+    digit = st.integers(0, q - 1)
+    cs = (draw(st.integers(2, 4 * e + 4)), *(draw(st.integers(1, 4 * e + 4)) for _ in range(3)))
+    node = [(0, draw(st.integers(1, q - 1)), *draw(st.lists(digit, min_size=cs[0] - 2, max_size=cs[0] - 2)))]
+    vh = [1]
+    for c in cs[1:]:
+        v = draw(st.one_of(st.just(c), st.integers(1, c - 1) if c > 1 else st.just(c)))
+        head = (0,) * v
+        if v < c:
+            head += (draw(st.integers(1, q - 1)), *draw(st.lists(digit, min_size=c - v - 1, max_size=c - v - 1)))
+        node.append(head)
+        vh.append(v)
+
+    def member():
+        return [K.from_digits(d + tuple(draw(st.lists(digit, max_size=4 * e + 4)))) for d in node]
+
+    return K, cs, tuple(vh), member(), member()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_node_members(tuple(_SPECS)))
+def test_node_bounds_hold_between_any_two_members(case):
+    # the window and the disc bound of a node are read at its representative,
+    # and a headroom split reads them from one child B; they hold from any
+    # member, since they assume only the node's fixed digits and v(a_i) >= vh
+    K, cs, vh, B, M = case
+    R, e = K.ring, K.e_abs
+    for name, rB, rM in zip(("r0", "r1", "r2"), _compiled.resolvent(R, *B), _compiled.resolvent(R, *M)):
+        v = R.val(R.sub(rM, rB))
+        assert v is None or v >= getattr(_compiled, f"{name}_bound")(cs, vh, e), name
+    v = R.val(R.sub(disc_raw(K, *M), disc_raw(K, *B)))
+    assert v is None or v >= _compiled.disc_bound(cs, vh, e)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from(sorted(_SPECS)),
