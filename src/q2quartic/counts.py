@@ -3,10 +3,16 @@
 Each parameter tuple's counts are built once, as rows over m = 0 .. 8e+3:
 :func:`count_rows` holds a row for each group, the tower row and the 1-Aut
 row, and walks each formula only over the m where its indicators can be
-non-zero.  The last tuple's rows are kept.  ``count(params, m, g)`` and the
+non-zero.  Only the C4 row reads the class of -1 and d(K(sqrt(-1))/K), and
+the D4 row reads them only through C4 (the tower identity); the S4, A4,
+V4, tower and 1-Aut rows read q = 2^f, e and the parity of f alone.  So
+those five rows, and the powers of q, are kept for the last (e, f), and
+the C4 and D4 rows for the last tuple: the tuples of one (e, f), taken one
+after another as :func:`q2quartic.params.valid_param_sweep` yields them,
+share one build of the five.  ``count(params, m, g)`` and the
 per-group names (``count_S4`` .. ``count_D4``, ``count_tow``,
-``count_one_aut``) read them, so asking for that tuple's cells one at a
-time builds the rows once, and count tables read them through
+``count_one_aut``) read them, so asking for one tuple's cells one at a
+time builds its rows once, and count tables read them through
 :func:`q2quartic.tables.count_table`; out-of-range m yields 0 rather than
 an error, so tables and sums can be taken over arbitrary ranges.  The
 published per-cell forms are kept in ``tests/helpers.py`` as the reference
@@ -29,7 +35,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -65,12 +71,12 @@ def max_support(params: FieldParams) -> int:
 
 
 # Each row builder takes qp, the powers q^0 .. q^(4e): every exponent it
-# reads lies in that range on the m it walks.
+# reads lies in that range on the m it walks.  The builders of the rows
+# shared by every tuple of one (e, f) take q, e and f alone.
 
 
-def _one_aut_row(params: FieldParams, qp, size: int) -> list[int]:
+def _one_aut_row(q: int, e: int, f: int, qp, size: int) -> list[int]:
     """Quartics with trivial automorphism group (S4 plus A4 closures): even m in 4 .. 6e+2."""
-    q, e = params.q, params.e
     row = [0] * size
     for m in range(4, 6 * e + 3, 2):
         # q^(m//3-1) (q-1) (1 + [6 | m] (1-2q)/(3q)), over 3q
@@ -79,22 +85,20 @@ def _one_aut_row(params: FieldParams, qp, size: int) -> list[int]:
     return row
 
 
-def _s4_row(params: FieldParams, qp, size: int) -> list[int]:
+def _s4_row(q: int, e: int, f: int, qp, size: int) -> list[int]:
     """S4: f odd, even m in 4 .. 6e+2 with 6 not dividing m."""
-    q, e = params.q, params.e
     row = [0] * size
-    if params.f % 2 == 1:
+    if f % 2 == 1:
         for m in range(4, 6 * e + 3, 2):
             if m % 6:
                 row[m] = qp[m // 3 - 1] * (q - 1)
     return row
 
 
-def _a4_row(params: FieldParams, qp, size: int) -> list[int]:
+def _a4_row(q: int, e: int, f: int, qp, size: int) -> list[int]:
     """A4: even m in 4 .. 6e+2 for f even, m divisible by 6 in 6 .. 6e for f odd."""
-    q, e = params.q, params.e
     row = [0] * size
-    if params.f % 2 == 0:
+    if f % 2 == 0:
         for m in range(4, 6 * e + 3, 2):
             if m % 3:
                 row[m] = qp[m // 3 - 1] * (q - 1)
@@ -106,9 +110,8 @@ def _a4_row(params: FieldParams, qp, size: int) -> list[int]:
     return row
 
 
-def _v4_row(params: FieldParams, qp, size: int) -> list[int]:
+def _v4_row(q: int, e: int, f: int, qp, size: int) -> list[int]:
     """V4: even m in 6 .. 6e+2."""
-    q, e = params.q, params.e
     row = [0] * size
     for m in range(6, 6 * e + 3, 2):
         # 2 (q-1) q^((m-4)/2) (q^-a (1 + [3 | m] (q-2)/3) - [m <= 4e+2] q^-b), over 3 q^s
@@ -149,10 +152,9 @@ def _c4_row(params: FieldParams, qp, size: int) -> list[int]:
     return row
 
 
-def _tow_row(params: FieldParams, qp, size: int) -> list[int]:
+def _tow_row(q: int, e: int, f: int, qp, size: int) -> list[int]:
     """m-towers, pairs (E, L) of totally ramified quadratic steps with total exponent m:
     even m in 6 .. 8e+2, m = 1 (mod 4) in 4e+5 .. 8e+1, and 8e+3."""
-    q, e = params.q, params.e
     row = [0] * size
     for m in range(6, 8 * e + 3, 2):
         # 4 (q-1) q^(m/2-2) ([m >= 4e+4] q^-e + [m <= 8e] (q^u - q^-v)), over q^e;
@@ -167,7 +169,7 @@ def _tow_row(params: FieldParams, qp, size: int) -> list[int]:
     return row
 
 
-def _d4_row(tow: list[int], c4: list[int], v4: list[int]) -> list[int]:
+def _d4_row(tow: Sequence[int], c4: Sequence[int], v4: Sequence[int]) -> list[int]:
     """Dihedral counts from the tower identity #C4 + 2 #D4 + 3 #V4 = #Tow.
 
     On parameter tuples realised by an actual field each entry is a
@@ -183,6 +185,19 @@ def _d4_row(tow: list[int], c4: list[int], v4: list[int]) -> list[int]:
     return [diff // 2 for diff in diffs]
 
 
+@lru_cache(maxsize=1)
+def _ef_rows(e: int, f: int) -> tuple[tuple[int, ...], ...]:
+    """qp = q^0 .. q^(4e) and the S4, A4, V4, tower and 1-Aut rows, in that
+    order: the rows that read only q = 2^f, e and the parity of f, shared
+    by every tuple of one (e, f).  The last (e, f)'s are kept."""
+    q, size = 2**f, 8 * e + 4  # m = 0 .. 8e+3
+    qp = [1]
+    for _ in range(4 * e):
+        qp.append(qp[-1] * q)
+    builders = (_s4_row, _a4_row, _v4_row, _tow_row, _one_aut_row)
+    return tuple(qp), *(tuple(build(q, e, f, qp, size)) for build in builders)
+
+
 class CountRows(NamedTuple):
     """One tuple's counts for m = 0 .. 8e+3, each row a tuple indexed by m."""
 
@@ -195,28 +210,25 @@ class CountRows(NamedTuple):
 def count_rows(params: FieldParams) -> CountRows:
     """The rows of one tuple, each cell evaluated once; the last tuple's rows are kept.
 
+    The S4, A4, V4, tower and 1-Aut rows are those of the tuple's (e, f),
+    built once for the last (e, f) (:func:`_ef_rows`); only the C4 row and
+    the D4 row, from the tower identity, are built per tuple.
+
     Raises InvalidParams for e*f above ``MAX_DEGREE`` before anything is built,
     and NonIntegralCount if any cell is not an integer, or not non-negative
     where the formula divides.
     """
     check_degree(params.e, params.f)
-    q, size = params.q, max_support(params) + 1
-    qp = [1]
-    for _ in range(4 * params.e):
-        qp.append(qp[-1] * q)
-    v4, c4, tow = _v4_row(params, qp, size), _c4_row(params, qp, size), _tow_row(params, qp, size)
+    qp, s4, a4, v4, tow, one_aut = _ef_rows(params.e, params.f)
+    c4 = _c4_row(params, qp, max_support(params) + 1)
     groups = {
-        GroupTag.S4: _s4_row(params, qp, size),
-        GroupTag.A4: _a4_row(params, qp, size),
+        GroupTag.S4: s4,
+        GroupTag.A4: a4,
         GroupTag.V4: v4,
-        GroupTag.C4: c4,
-        GroupTag.D4: _d4_row(tow, c4, v4),
+        GroupTag.C4: tuple(c4),
+        GroupTag.D4: tuple(_d4_row(tow, c4, v4)),
     }
-    return CountRows(
-        MappingProxyType({g: tuple(row) for g, row in groups.items()}),
-        tuple(tow),
-        tuple(_one_aut_row(params, qp, size)),
-    )
+    return CountRows(MappingProxyType(groups), tow, one_aut)
 
 
 def _cell(row: tuple[int, ...], m: int) -> int:

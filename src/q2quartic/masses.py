@@ -7,6 +7,12 @@ Fraction; the nine published C4 quantities become nine terms of one
 numerator.  The published forms, as sums and products of Fractions, are
 kept in ``tests/helpers.py`` as the reference the tests hold these to.
 There is no floating point in this module.
+
+Only the C4 mass reads the class of -1 and d(K(sqrt(-1))/K); the S4, A4
+and V4 masses and the tower mass read q = 2^f, e and the parity of f
+alone.  Those four are kept for the last (e, f), and a tuple's five
+masses for the last tuple, so the tuples of one (e, f), taken one after
+another, share one evaluation of the four.
 """
 
 from __future__ import annotations
@@ -20,17 +26,15 @@ from .errors import FormulationMismatch, SerreIdentityViolation
 from .params import FieldParams, GroupTag, MinusOneClass, aut_order
 
 
-def _mass_S4(p: FieldParams) -> Fraction:
-    q, e = p.q, p.e
-    if p.f % 2 == 0:
+def _mass_S4(q: int, e: int, f: int) -> Fraction:
+    if f % 2 == 0:
         return Fraction(0)
     # (q^3+1)(q^4e-1) / ((q^3+q^2+q+1) q^(4e+3))
     return Fraction((q**3 + 1) * (q ** (4 * e) - 1), (q**3 + q**2 + q + 1) * q ** (4 * e + 3))
 
 
-def _mass_A4(p: FieldParams) -> Fraction:
-    q, e = p.q, p.e
-    if p.f % 2 == 0:
+def _mass_A4(q: int, e: int, f: int) -> Fraction:
+    if f % 2 == 0:
         # (q-1)(q^4e-1)(3q^3+q^2+q+3) / (3 (q^4-1) q^(4e+3))
         return Fraction(
             (q - 1) * (q ** (4 * e) - 1) * (3 * q**3 + q**2 + q + 3),
@@ -40,8 +44,7 @@ def _mass_A4(p: FieldParams) -> Fraction:
     return Fraction(q ** (4 * e) - 1, 3 * (q**2 + 1) * q ** (4 * e + 2))
 
 
-def _mass_V4(p: FieldParams) -> Fraction:
-    q, e = p.q, p.e
+def _mass_V4(q: int, e: int) -> Fraction:
     # (q-1)/6 (q^-(4e+3) (q^4e-1)/(q^4-1) (3q^3+q^2+q+3) - 3 q^-(3e+3) (q^3e-1)/(q^3-1) (q^2+1))
     p4, p3 = q**4 - 1, q**3 - 1
     first = (q ** (4 * e) - 1) * (3 * q**3 + q**2 + q + 3) * p3
@@ -90,27 +93,38 @@ def _mass_C4(p: FieldParams) -> Fraction:
     return Fraction(num, 2 * p7 * p5 * p3 * q ** (6 * e + 6))
 
 
-def _tower_mass(p: FieldParams) -> Fraction:
-    q, e = p.q, p.e
+def _tower_mass(q: int, e: int) -> Fraction:
     # (1 + q^2 + q^(3e+1)) / ((q^2+q+1) q^(3e+3))
     return Fraction(1 + q**2 + q ** (3 * e + 1), (q**2 + q + 1) * q ** (3 * e + 3))
+
+
+@lru_cache(maxsize=1)
+def _ef_masses(e: int, f: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The S4, A4 and V4 masses and the tower mass, in that order: the masses
+    that read only q = 2^f, e and the parity of f, shared by every tuple of
+    one (e, f).  The last (e, f)'s are kept."""
+    q = 2**f
+    return _mass_S4(q, e, f), _mass_A4(q, e, f), _mass_V4(q, e), _tower_mass(q, e)
 
 
 @lru_cache(maxsize=1)
 def closed_masses(params: FieldParams):
     """The five closed-form masses of one tuple, by group, each formula evaluated once.
 
-    D4 is the tower mass less the C4 mass and three times the V4 mass.  The
-    last tuple's masses are kept, so asking for its groups one at a time
-    evaluates the formulas once.
+    The S4, A4 and V4 masses and the tower mass are those of the tuple's
+    (e, f), kept for the last (e, f) (:func:`_ef_masses`); only the C4 mass
+    is evaluated per tuple, and D4 is the tower mass less the C4 mass and
+    three times the V4 mass.  The last tuple's masses are kept, so asking
+    for its groups one at a time evaluates the formulas once.
     """
-    v4, c4 = _mass_V4(params), _mass_C4(params)
+    s4, a4, v4, tow = _ef_masses(params.e, params.f)
+    c4 = _mass_C4(params)
     return MappingProxyType({
-        GroupTag.S4: _mass_S4(params),
-        GroupTag.A4: _mass_A4(params),
+        GroupTag.S4: s4,
+        GroupTag.A4: a4,
         GroupTag.V4: v4,
         GroupTag.C4: c4,
-        GroupTag.D4: _tower_mass(params) - c4 - 3 * v4,
+        GroupTag.D4: tow - c4 - 3 * v4,
     })
 
 
@@ -139,7 +153,7 @@ def mass_from_counts(params: FieldParams, g: GroupTag) -> Fraction:
 def tower_mass_sum(params: FieldParams) -> Fraction:
     """(1/4) * sum_m q^-m * #Tow_m, asserted equal to its closed form."""
     total = _support_sum(params, counts.count_rows(params).tow, 4)
-    closed = _tower_mass(params)
+    closed = _ef_masses(params.e, params.f)[3]  # the tower mass
     if total != closed:
         raise FormulationMismatch(
             f"tower mass sum {total} differs from closed form {closed} at {params}"

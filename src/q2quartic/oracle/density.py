@@ -122,7 +122,8 @@ from ``disc_raw``, whose prefix polynomial in a3 is cached when i = 3.
 Each child has 2e+1 digits of headroom, so its members' disc square class
 is its representative's.  The node fails the T_m pattern, so every member
 is V4, C4 or D4, and V4 exactly when its disc is a square.  The first
-child B whose disc is not a square takes one resolvent root under the
+child B whose disc is not a square, built with the disc its square test
+read (``EisensteinQuartic.with_disc``), takes one resolvent root under the
 node's window, and the window's bounds hold from any member B as base
 point: members agree with B in the node's fixed digits and have
 v(a_i) >= vh_i, which is all the resolvent and disc bounds assume.  So the
@@ -544,14 +545,15 @@ class _Enumerator:
         for t in range(self.q):
             if t:
                 coeffs[i] = R.add(a_i, K.digit_elt(t, c))
-                unit = R.shift(disc_raw(K, *coeffs), -m)
+                disc = disc_raw(K, *coeffs)
+                unit = R.shift(disc, -m)
             else:
                 unit = fq.disc_unit
             if m % 2 == 0 and K.square_reach(unit)[0] == 2 * e + 1:
                 groups.append(GroupTag.V4)
             elif W is None:
-                # B: its prefix polynomial in a3 is the last one disc_raw read
-                B = EisensteinQuartic(K, *coeffs) if t else fq
+                # B: _resolvent_split reads the disc its square test read
+                B = EisensteinQuartic.with_disc(K, coeffs, disc) if t else fq
                 window = _resolvent_window(e, cs, vh)  # the node's, read from B
                 g, self.hint = _resolvent_split(B, window, self.hint, _sampled(digits))
                 if g is None:

@@ -1,6 +1,7 @@
 import pytest
 from helpers import q2
 
+from q2quartic import counts
 from q2quartic.oracle import tower
 from q2quartic.padic.field import field_from_spec
 
@@ -29,3 +30,18 @@ def check_every(monkeypatch):
         monkeypatch.setattr(tower, "_CROSS_CHECK_EVERY", n)
 
     return set_rate
+
+
+@pytest.fixture
+def fresh_count_rows():
+    """Empty the count rows kept per tuple and per (e, f) before and after
+    the test, so it builds every row under what it patches and leaves none
+    built that way behind."""
+
+    def clear():
+        counts.count_rows.cache_clear()
+        counts._ef_rows.cache_clear()
+
+    clear()
+    yield
+    clear()

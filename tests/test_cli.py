@@ -15,7 +15,14 @@ from q2quartic import counts as C
 from q2quartic import masses
 from q2quartic.cli import _LMFDB_GROUPS, run
 from q2quartic.errors import ClassInstability, FormulationMismatch, NonIntegralCount
-from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, aut_order, make_params
+from q2quartic.params import (
+    GROUP_ORDER,
+    GroupTag,
+    MinusOneClass,
+    aut_order,
+    make_params,
+    valid_param_sweep,
+)
 
 Q2_FLAGS = ["--e", "1", "--f", "1", "--d-minus-one", "2", "--minus-one-class", "ramified"]
 
@@ -588,7 +595,7 @@ def test_sweep_internal_error_exit_4(monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
-def test_sweep_fails_a_tuple_whose_division_is_rejected(monkeypatch, capsys):
+def test_sweep_fails_a_tuple_whose_division_is_rejected(monkeypatch, capsys, fresh_count_rows):
     # a cell whose division _exact rejects fails its tuple's rows, and the
     # sweep reports that tuple; count_tow(m=18) exists only for e = 2
     real = C._exact
@@ -599,7 +606,6 @@ def test_sweep_fails_a_tuple_whose_division_is_rejected(monkeypatch, capsys):
         return real(num, den, what, *args)
 
     monkeypatch.setattr(C, "_exact", reject_one)
-    C.count_rows.cache_clear()
     code = run(["sweep", "--e-max", "2", "--f-max", "1"])
     captured = capsys.readouterr()
     fails = [line for line in captured.out.splitlines() if line.startswith("FAIL ")]
@@ -608,6 +614,28 @@ def test_sweep_fails_a_tuple_whose_division_is_rejected(monkeypatch, capsys):
     assert all("{'e': 2, " in line and "count_tow(m=18) rejected" in line for line in fails)
     assert "failures=3" in captured.out
     assert "Traceback" not in captured.err
+
+
+def test_sweep_fails_every_tuple_of_an_e_f_whose_shared_row_fails(
+    monkeypatch, capsys, fresh_count_rows
+):
+    # a row kept per (e, f) that fails to build is not kept, so each tuple
+    # of that (e, f) builds it again and is reported; e = 3 has four tuples
+    real = C._v4_row
+
+    def failing(q, e, f, qp, size):
+        if (e, f) == (3, 1):
+            raise NonIntegralCount("V4 row rejected")
+        return real(q, e, f, qp, size)
+
+    monkeypatch.setattr(C, "_v4_row", failing)
+    code, out = _run(capsys, ["sweep", "--e-max", "4", "--f-max", "2"])
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert code == 1
+    assert fails == [
+        f"FAIL {p.to_json()}: V4 row rejected" for p in valid_param_sweep(3, 1) if p.e == 3
+    ]
+    assert len(fails) == 4 and "failures=4" in out
 
 
 @pytest.mark.parametrize(

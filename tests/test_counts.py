@@ -2,10 +2,19 @@ import re
 from fractions import Fraction
 
 import pytest
-from helpers import COUNT_CELLS, Q2_TABLE, count_one_aut_cell, count_tow_cell, valid_params
+from helpers import (
+    COUNT_CELLS,
+    Q2_TABLE,
+    count_one_aut_cell,
+    count_tow_cell,
+    published_masses,
+    valid_params,
+)
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from q2quartic import counts as C
+from q2quartic import masses as M
 from q2quartic.errors import NonIntegralCount
 from q2quartic.params import GROUP_ORDER, GroupTag, MinusOneClass, make_params, valid_param_sweep
 
@@ -177,7 +186,33 @@ def test_rows_equal_per_cell_forms_drawn(p):
     _assert_rows_equal_cells(p)
 
 
-def test_rows_route_each_division_through_exact(monkeypatch):
+def _tuples_of(e, f):
+    return [p for p in valid_param_sweep(e, f) if (p.e, p.f) == (e, f)]
+
+
+@st.composite
+def interleaved_tuples(draw):
+    """Every tuple of one (e, f) and some of another (e', f'), in a random order."""
+    e, f = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    other = draw(st.tuples(st.integers(1, 8), st.integers(1, 4)).filter(lambda ef: ef != (e, f)))
+    some = draw(st.lists(st.sampled_from(_tuples_of(*other)), min_size=1, max_size=4))
+    return draw(st.permutations(_tuples_of(e, f) + some))
+
+
+@settings(max_examples=40, deadline=None)
+@given(interleaved_tuples())
+def test_tuples_sharing_e_f_read_their_own_rows_and_masses(tuples):
+    # what is kept per (e, f) must not leak one tuple's C4 row or mass into
+    # another's, whichever tuple of which (e, f) came before
+    for p in tuples:
+        _assert_rows_equal_cells(p)
+        published = published_masses(p)
+        assert dict(M.closed_masses(p)) == published, p
+        for g in GROUP_ORDER:
+            assert M.mass_from_counts(p, g) == published[g], (p, g)
+
+
+def test_rows_route_each_division_through_exact(monkeypatch, fresh_count_rows):
     p = make_params(3, 2, 2, MinusOneClass.RAMIFIED)
     e, real, seen = p.e, C._exact, []
 
@@ -186,7 +221,6 @@ def test_rows_route_each_division_through_exact(monkeypatch):
         return real(num, den, what, *args)
 
     monkeypatch.setattr(C, "_exact", spy)
-    C.count_rows.cache_clear()
     C.count_rows(p)
     evens = range(0, 8 * e + 4, 2)
     assert sorted(seen) == sorted(
@@ -201,7 +235,7 @@ def test_rows_route_each_division_through_exact(monkeypatch):
 @pytest.mark.parametrize(
     "cell", ["count_one_aut(m=6)", "count_A4(m=6)", "count_V4(m=8)", "count_C4(m=16)", "count_tow(m=18)"]
 )
-def test_a_rejected_division_fails_the_rows(monkeypatch, cell):
+def test_a_rejected_division_fails_the_rows(monkeypatch, fresh_count_rows, cell):
     real = C._exact
 
     def reject_one(num, den, what, *args):
@@ -210,7 +244,6 @@ def test_a_rejected_division_fails_the_rows(monkeypatch, cell):
         return real(num, den, what, *args)
 
     monkeypatch.setattr(C, "_exact", reject_one)
-    C.count_rows.cache_clear()
     with pytest.raises(NonIntegralCount, match=re.escape(cell)):
         C.count_rows(make_params(2, 1, 2, MinusOneClass.RAMIFIED))
 
