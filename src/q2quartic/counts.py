@@ -25,6 +25,8 @@ checks that the quotient is a non-negative integer before it is stored.
 
 :func:`count_C4_towers` is the independent N_ext/N_C4 formulation of the
 C4 row; the acceptance suite and ``sweep --check c4-dual`` compare the two.
+Its N_C4 rows read only q and e, so they too are kept for the last (e, f)
+(:func:`_ef_n_c4_rows`); N_ext reads the class of -1 and is per tuple.
 
 Conventions used throughout:
 
@@ -189,7 +191,10 @@ def _d4_row(tow: Sequence[int], c4: Sequence[int], v4: Sequence[int]) -> list[in
 def _ef_rows(e: int, f: int) -> tuple[tuple[int, ...], ...]:
     """qp = q^0 .. q^(4e) and the S4, A4, V4, tower and 1-Aut rows, in that
     order: the rows that read only q = 2^f, e and the parity of f, shared
-    by every tuple of one (e, f).  The last (e, f)'s are kept."""
+    by every tuple of one (e, f).  The last (e, f)'s are kept.
+
+    Raises InvalidParams for e*f above ``MAX_DEGREE`` before anything is built."""
+    check_degree(e, f)
     q, size = 2**f, 8 * e + 4  # m = 0 .. 8e+3
     qp = [1]
     for _ in range(4 * e):
@@ -218,7 +223,6 @@ def count_rows(params: FieldParams) -> CountRows:
     and NonIntegralCount if any cell is not an integer, or not non-negative
     where the formula divides.
     """
-    check_degree(params.e, params.f)
     qp, s4, a4, v4, tow, one_aut = _ef_rows(params.e, params.f)
     c4 = _c4_row(params, qp, max_support(params) + 1)
     groups = {
@@ -290,14 +294,8 @@ def n_ext(params: FieldParams, m1: int) -> int:
     return _exact(num, 1, "n_ext(m1=%d)", m1)
 
 
-def n_c4_row(params: FieldParams, m1: int) -> dict[int, int]:
-    """The non-zero N_C4(m1, m2) by m2: the number of quadratic L/E with v_E(d) = m2
-    making L/K cyclic quartic.
-
-    E is any totally ramified C4-extendable quadratic with v_K(d_{E/K}) = m1;
-    the answer depends on E only through m1.
-    """
-    q, e = params.q, params.e
+def _n_c4_row(q: int, e: int, m1: int) -> dict[int, int]:
+    """The non-zero N_C4(m1, m2) by m2, from q = 2^f and e alone."""
     if m1 == 2 * e + 1 or (m1 % 2 == 0 and e < m1 <= 2 * e):
         return {m1 + 2 * e: 2 * q**e}
     if m1 % 2 != 0 or not (2 <= m1 <= e):
@@ -310,19 +308,45 @@ def n_c4_row(params: FieldParams, m1: int) -> dict[int, int]:
     return row
 
 
+def n_c4_row(params: FieldParams, m1: int) -> dict[int, int]:
+    """The non-zero N_C4(m1, m2) by m2: the number of quadratic L/E with v_E(d) = m2
+    making L/K cyclic quartic.
+
+    E is any totally ramified C4-extendable quadratic with v_K(d_{E/K}) = m1;
+    the answer depends on E only through m1, and on K only through q and e.
+    """
+    return _n_c4_row(params.q, params.e, m1)
+
+
 def n_c4(params: FieldParams, m1: int, m2: int) -> int:
     """N_C4(m1, m2), the entry of :func:`n_c4_row` at m2."""
     return n_c4_row(params, m1).get(m2, 0)
 
 
+@lru_cache(maxsize=1)
+def _ef_n_c4_rows(e: int, f: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """(m1, the non-zero (m2, N_C4(m1, m2))) for m1 = 2, 4, .., 2e and 2e+1: the
+    N_C4 rows every tuple of one (e, f) shares.  The last (e, f)'s are kept."""
+    q = 2**f
+    return tuple(
+        (m1, tuple(_n_c4_row(q, e, m1).items())) for m1 in (*range(2, 2 * e + 1, 2), 2 * e + 1)
+    )
+
+
 def count_C4_towers(params: FieldParams) -> list[int]:
-    """Cyclic quartic counts for m = 0 .. 8e+3, as sum over m1 of N_ext(m1) * N_C4(m1, m - 2 m1)."""
-    e = params.e
+    """Cyclic quartic counts for m = 0 .. 8e+3, as sum over m1 of N_ext(m1) * N_C4(m1, m - 2 m1).
+
+    The N_C4 rows read only q and e, so they are built once for the last
+    (e, f) (:func:`_ef_n_c4_rows`); N_ext, which reads the class of -1 and
+    d(K(sqrt(-1))/K), is evaluated per tuple.  Neither reads the explicit
+    C4 row of :func:`count_rows`, which ``sweep --check c4-dual`` compares
+    this row with.
+    """
     row = [0] * (max_support(params) + 1)
-    for m1 in list(range(2, 2 * e + 1, 2)) + [2 * e + 1]:
+    for m1, n_c4_cells in _ef_n_c4_rows(params.e, params.f):
         n = n_ext(params, m1)
         if n:
-            for m2, c in n_c4_row(params, m1).items():
+            for m2, c in n_c4_cells:
                 row[2 * m1 + m2] += n * c
     return row
 

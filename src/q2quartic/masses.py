@@ -151,8 +151,15 @@ def mass_from_counts(params: FieldParams, g: GroupTag) -> Fraction:
 
 
 def tower_mass_sum(params: FieldParams) -> Fraction:
-    """(1/4) * sum_m q^-m * #Tow_m, asserted equal to its closed form."""
-    total = _support_sum(params, counts.count_rows(params).tow, 4)
+    """(1/4) * sum_m q^-m * #Tow_m, asserted equal to its closed form.
+
+    Both sides read only (e, f): the sum reads the tower row kept for the
+    last (e, f) (:func:`q2quartic.counts._ef_rows`), not the tuple's
+    :func:`~q2quartic.counts.count_rows`, so it builds no C4 or D4 row, and
+    the closed side is the tower mass kept likewise (:func:`_ef_masses`).
+    """
+    tow = counts._ef_rows(params.e, params.f)[4]  # the tower row
+    total = _support_sum(params, tow, 4)
     closed = _ef_masses(params.e, params.f)[3]  # the tower mass
     if total != closed:
         raise FormulationMismatch(
@@ -162,7 +169,13 @@ def tower_mass_sum(params: FieldParams) -> Fraction:
 
 
 def serre_total(params: FieldParams) -> Fraction:
-    """Sum of the five closed-form masses; must equal q^-3 exactly."""
+    """Sum of the five closed-form masses; must equal q^-3 exactly.
+
+    :func:`closed_masses` sets the D4 mass to tower - C4 - 3 V4, so the
+    total is S4 + A4 - 2 V4 + tower: the C4 mass cancels out, the total
+    depends on (e, f) alone, and no fault in the C4 formula can show in it
+    (``sweep --check c4-dual`` is the sweep's only check of that formula).
+    """
     total = sum(closed_masses(params).values(), Fraction(0))
     expected = Fraction(1, params.q**3)
     if total != expected:

@@ -1,7 +1,7 @@
 import pytest
 from helpers import q2
 
-from q2quartic import counts
+from q2quartic import counts, masses
 from q2quartic.oracle import tower
 from q2quartic.padic.field import field_from_spec
 
@@ -34,13 +34,19 @@ def check_every(monkeypatch):
 
 @pytest.fixture
 def fresh_count_rows():
-    """Empty the count rows kept per tuple and per (e, f) before and after
-    the test, so it builds every row under what it patches and leaves none
-    built that way behind."""
+    """Empty every closed-form cache, the count rows, N_C4 rows and masses
+    kept per tuple and per (e, f), before and after the test, so it builds
+    every value under what it patches and leaves none built that way behind."""
 
     def clear():
-        counts.count_rows.cache_clear()
-        counts._ef_rows.cache_clear()
+        for cached in (
+            counts.count_rows,
+            counts._ef_rows,
+            counts._ef_n_c4_rows,
+            masses.closed_masses,
+            masses._ef_masses,
+        ):
+            cached.cache_clear()
 
     clear()
     yield

@@ -639,6 +639,84 @@ def test_sweep_fails_every_tuple_of_an_e_f_whose_shared_row_fails(
 
 
 @pytest.mark.parametrize(
+    "delta, message",
+    [
+        (1, "tower identity gives odd 2*D4 = 95 at m=16"),
+        (2, "C4 at m=16: explicit form 34 != tower form 32"),
+    ],
+)
+def test_sweep_fails_only_the_tuple_whose_c4_row_is_wrong(
+    monkeypatch, capsys, fresh_count_rows, delta, message
+):
+    # the (e, f) checks read no C4 row, so a fault in the C4 row of the
+    # first tuple of (2, 1), where they run, is reported against that tuple
+    # alone, by c4-dual
+    bad = make_params(2, 1, 0, MinusOneClass.SQUARE)
+    real = C._c4_row
+
+    def skewed(params, qp, size):
+        row = real(params, qp, size)
+        if params == bad:
+            row[16] += delta
+        return row
+
+    monkeypatch.setattr(C, "_c4_row", skewed)
+    code, out = _run(capsys, ["sweep", "--e-max", "2", "--f-max", "1"])
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert code == 1
+    assert fails == [f"FAIL {bad.to_json()}: {message}"]
+    assert "failures=1" in out
+
+
+@pytest.mark.parametrize(
+    "builder, residual", [("_mass_S4", "1/1024"), ("_mass_A4", "1/1024"), ("_mass_V4", "-1/512")]
+)
+def test_sweep_fails_every_tuple_of_an_e_f_whose_shared_mass_is_wrong(
+    monkeypatch, capsys, fresh_count_rows, builder, residual
+):
+    # the S4, A4 and V4 masses are kept per (e, f); one wrong for (2, 1)
+    # fails its three tuples with one Serre line (V4 enters the total as
+    # -2 V4) and no other tuple
+    real = getattr(masses, builder)
+
+    def wrong(q, e, *f):
+        return real(q, e, *f) + (Fraction(1, 1024) if (q, e) == (2, 2) else 0)
+
+    monkeypatch.setattr(masses, builder, wrong)
+    code, out = _run(capsys, ["sweep", "--e-max", "3", "--f-max", "2"])
+    fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert code == 1
+    assert fails == [
+        f"FAIL {p.to_json()}: mass total differs from q^-3 by {residual}"
+        for p in valid_param_sweep(2, 1)
+        if p.e == 2
+    ]
+    assert "sweep: 20 tuples" in out and "failures=3" in out
+
+
+def test_sweep_e_f_checks_run_once_per_e_f_and_build_no_tuple_rows(monkeypatch, capsys):
+    calls = {"count_rows": 0, "serre_total": 0, "tower_mass_sum": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(params):
+            calls[name] += 1
+            return real(params)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(C, "count_rows")
+    counted(masses, "serre_total")
+    counted(masses, "tower_mass_sum")
+    argv = ["sweep", "--e-max", "3", "--f-max", "2", "--check", "serre", "--check", "tower-identity"]
+    code, out = _run(capsys, argv)
+    assert code == 0
+    assert "sweep: 20 tuples, checks=serre,tower-identity, failures=0" in out
+    assert calls == {"count_rows": 0, "serre_total": 6, "tower_mass_sum": 6}  # 3 e by 2 f
+
+
+@pytest.mark.parametrize(
     "f, message",
     [
         (1, "A4 total 2 != (q^(2e)-1)/3 = 1"),

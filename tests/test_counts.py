@@ -203,13 +203,19 @@ def interleaved_tuples(draw):
 @given(interleaved_tuples())
 def test_tuples_sharing_e_f_read_their_own_rows_and_masses(tuples):
     # what is kept per (e, f) must not leak one tuple's C4 row or mass into
-    # another's, whichever tuple of which (e, f) came before
+    # another's, nor one (e, f)'s N_C4 rows or tower row into another's,
+    # whichever tuple of which (e, f) came before
     for p in tuples:
         _assert_rows_equal_cells(p)
+        assert C.count_C4_towers(p) == list(C.count_rows(p).groups[GroupTag.C4]), p
         published = published_masses(p)
         assert dict(M.closed_masses(p)) == published, p
         for g in GROUP_ORDER:
             assert M.mass_from_counts(p, g) == published[g], (p, g)
+        # a C4 quartic holds one tower, a D4 two and a V4 three; with #Aut
+        # 4, 2 and 4 the tower mass is C4 + D4 + 3 V4
+        tower = published[GroupTag.C4] + published[GroupTag.D4] + 3 * published[GroupTag.V4]
+        assert M.tower_mass_sum(p) == tower, p
 
 
 def test_rows_route_each_division_through_exact(monkeypatch, fresh_count_rows):
