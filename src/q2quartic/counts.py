@@ -43,7 +43,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import NonIntegralCount
-from .params import FieldParams, GroupTag, MinusOneClass, check_degree
+from .params import FieldParams, GroupTag, MinusOneClass
 
 
 def ind(cond: bool) -> int:
@@ -191,10 +191,7 @@ def _d4_row(tow: Sequence[int], c4: Sequence[int], v4: Sequence[int]) -> list[in
 def _ef_rows(e: int, f: int) -> tuple[tuple[int, ...], ...]:
     """qp = q^0 .. q^(4e) and the S4, A4, V4, tower and 1-Aut rows, in that
     order: the rows that read only q = 2^f, e and the parity of f, shared
-    by every tuple of one (e, f).  The last (e, f)'s are kept.
-
-    Raises InvalidParams for e*f above ``MAX_DEGREE`` before anything is built."""
-    check_degree(e, f)
+    by every tuple of one (e, f).  The last (e, f)'s are kept."""
     q, size = 2**f, 8 * e + 4  # m = 0 .. 8e+3
     qp = [1]
     for _ in range(4 * e):
@@ -219,9 +216,10 @@ def count_rows(params: FieldParams) -> CountRows:
     built once for the last (e, f) (:func:`_ef_rows`); only the C4 row and
     the D4 row, from the tower identity, are built per tuple.
 
-    Raises InvalidParams for e*f above ``MAX_DEGREE`` before anything is built,
-    and NonIntegralCount if any cell is not an integer, or not non-negative
-    where the formula divides.
+    Raises NonIntegralCount if any cell is not an integer, or not
+    non-negative where the formula divides.  A tuple with e*f above
+    ``MAX_DEGREE`` never reaches here: constructing its FieldParams raises
+    InvalidParams.
     """
     qp, s4, a4, v4, tow, one_aut = _ef_rows(params.e, params.f)
     c4 = _c4_row(params, qp, max_support(params) + 1)

@@ -95,6 +95,14 @@ for the last two, from the square class of its discriminant:
   are marked (``_InH``) and no descendant walks for the test again.  The
   mark only skips a test that cannot succeed; it certifies nothing.
 
+Certificate order.  ``_expand`` prunes a node with pinned m > m_max,
+tries the Krasner certificate and splits a node whose v(disc) is not
+pinned.  ``_tower_leaf`` takes the rest once each: parity; the T_m pattern
+(``splits_one_aut``); the coset test, when h != 0, the node is not marked
+and k > h_top; the headroom split when k < 2e+1, whose children are tried
+at the node when h = 0 or the node lies in H (outside H, k <= h_top, and
+they would take the coset test); the square test; the resolvent window.
+
 Split rule.  A node whose v(disc) is not pinned yet splits on the
 coefficient whose children have the largest least disc bound
 (``_unpinned_split``), ties to the weakest Krasner coordinate, the i of
@@ -122,10 +130,11 @@ from ``disc_raw``, whose prefix polynomial in a3 is cached when i = 3.
 Each child has 2e+1 digits of headroom, so its members' disc square class
 is its representative's.  The node fails the T_m pattern, so every member
 is V4, C4 or D4, and V4 exactly when its disc is a square.  The first
-child B whose disc is not a square, built with the disc its square test
-read (``EisensteinQuartic.with_disc``), takes one resolvent root under the
-node's window, and the window's bounds hold from any member B as base
-point: members agree with B in the node's fixed digits and have
+child B whose disc is not a square takes one resolvent root under the
+node's window.  B is built as any quartic is, and its disc is
+``disc_raw``'s again: one Horner step on the prefix polynomial that its
+square test left cached.  The window's bounds hold from any member B as
+base point: members agree with B in the node's fixed digits and have
 v(a_i) >= vh_i, which is all the resolvent and disc bounds assume.  So the
 window pins the class of W = w^2 - 4 a0(B) for every member whose
 resolvent has one root in K, every non-V4 member, and each non-square
@@ -471,10 +480,11 @@ class _Enumerator:
         self._add_leaf(mg, fq, digits, "krasner")
 
     def _tower_leaf(self, digits, cs, vrep, vh, m, bound) -> bool | None:
-        """Parity, coset and tower certificates of a node with v(disc) = m
-        pinned below ``bound``: record it as a leaf and return None, or count
-        the reason it splits and return whether every member's disc class lies
-        in H, which the children inherit."""
+        """The certificates of a node with v(disc) = m pinned below ``bound``,
+        once each in the module docstring's "Certificate order": record it as
+        a leaf and return None, or count the reason it splits and return
+        whether every member's disc class lies in H, which the children
+        inherit."""
         e = self.e
         if m & 1 and m < 8 * e + 3:
             self._add_leaf((m, GroupTag.D4), self._build(digits), digits, "parity")
@@ -486,30 +496,26 @@ class _Enumerator:
         K = self.K
         h, h_top = self._minus_one
         k = bound - m  # every member's disc lies in disc(rep) (1 + pi^k O)
-        coset = h != 0 and not in_h and k > h_top
-        if not coset and k < 2 * e + 1:
-            self.stats["splits_headroom"] += 1
-            # the children of a node outside H would take the coset test
-            if (h == 0 or in_h) and self._headroom_children(digits, cs, vrep, vh, m, None):
-                return None
-            return in_h
-        fq = self._build(digits)
-        # one walk of the unit part of disc where a test reads it: its bits up
-        # to h_top for the coset test, its first obstruction for the square
-        # test, which odd m fails without it
-        if coset or m % 2 == 0:
-            reach, coords = K.square_class_prefix(fq.disc_unit, h_top if coset else 0)
-        if coset:
+        fq = reach = None
+        if h and not in_h and k > h_top:
+            fq = self._build(digits)
+            # one walk: stopped above h_top, its reach read by the square test
+            reach, coords = K.square_class_prefix(fq.disc_unit, h_top)
             if (h & (coords | m & 1)).bit_count() & 1:
                 self._add_leaf((m, GroupTag.D4), fq, digits, "coset")
                 return None
             in_h = True
-            if k < 2 * e + 1:
-                self.stats["splits_headroom"] += 1
-                if self._headroom_children(digits, cs, vrep, vh, m, fq):
-                    return None
-                return in_h
-        if m % 2 == 0 and reach == 2 * e + 1:  # disc is a square
+        if k < 2 * e + 1:
+            self.stats["splits_headroom"] += 1
+            # outside H, k <= h_top: the children would take the coset test
+            if (h == 0 or in_h) and self._headroom_children(digits, cs, vrep, vh, m, fq):
+                return None
+            return in_h
+        if fq is None:
+            fq = self._build(digits)
+        # odd m fails the square test without a walk; after the coset test's
+        # walk the reach is known
+        if m % 2 == 0 and (reach or K.square_reach(fq.disc_unit)[0]) == 2 * e + 1:
             self._add_leaf((m, GroupTag.V4), fq, digits, "tower")
             return None
         window = _resolvent_window(e, cs, vh)
@@ -524,8 +530,9 @@ class _Enumerator:
         """Record the q children of a headroom split as tower leaves and
         return True, or record nothing and return False when they cannot all
         be decided here (module docstring, "Headroom children at the
-        parent").  ``fq`` is the node's representative, None when it is not
-        built yet; the caller has ruled out the coset test for the children."""
+        parent").  ``fq`` is the node's representative, built when the
+        coset test ran and None otherwise; the caller has ruled out the
+        coset test for the children (h = 0 or the node lies in H)."""
         K, e = self.K, self.e
         R = K.ring
         i = _weakest(cs)
@@ -545,15 +552,13 @@ class _Enumerator:
         for t in range(self.q):
             if t:
                 coeffs[i] = R.add(a_i, K.digit_elt(t, c))
-                disc = disc_raw(K, *coeffs)
-                unit = R.shift(disc, -m)
+                unit = R.shift(disc_raw(K, *coeffs), -m)
             else:
                 unit = fq.disc_unit
             if m % 2 == 0 and K.square_reach(unit)[0] == 2 * e + 1:
                 groups.append(GroupTag.V4)
             elif W is None:
-                # B: _resolvent_split reads the disc its square test read
-                B = EisensteinQuartic.with_disc(K, coeffs, disc) if t else fq
+                B = EisensteinQuartic(K, *coeffs) if t else fq
                 window = _resolvent_window(e, cs, vh)  # the node's, read from B
                 g, self.hint = _resolvent_split(B, window, self.hint, _sampled(digits))
                 if g is None:

@@ -89,14 +89,6 @@ class EisensteinQuartic:
     def __post_init__(self):
         _check_eisenstein(self.field.ring, self.coeffs())
 
-    @classmethod
-    def with_disc(cls, field: LocalField, coeffs, disc) -> EisensteinQuartic:
-        """The quartic of ``coeffs`` whose discriminant ``disc`` the caller
-        has already computed by ``disc_raw``: :attr:`disc` reads it."""
-        fq = cls(field, *coeffs)
-        fq.__dict__["disc"] = disc  # where the cached property keeps it
-        return fq
-
     def coeffs(self):
         return (self.a0, self.a1, self.a2, self.a3)
 

@@ -11,10 +11,10 @@ the tuple (e, f, q, d_minus_one, minus_one_class):
   ramified or unramified quadratic extension.
 
 Construction runs the validator, so every FieldParams in existence
-satisfies its invariants.  The validator enforces only the necessary
-invariants; it does not attempt to decide which tuples are realised by an
-actual 2-adic field.  The padic
-module derives the tuple from a concrete field.
+satisfies its invariants, e*f <= MAX_DEGREE among them.  The validator
+enforces only the necessary invariants; it does not attempt to decide which
+tuples are realised by an actual 2-adic field.  The padic module derives
+the tuple from a concrete field.
 """
 
 from __future__ import annotations
@@ -54,7 +54,12 @@ def cell_key(cell: tuple[int, GroupTag]) -> tuple[int, str]:
 
 
 def check_degree(e: int, f: int) -> None:
-    """Raise InvalidParams when e*f exceeds :data:`MAX_DEGREE`."""
+    """Raise InvalidParams unless e and f are positive integers with e*f at
+    most :data:`MAX_DEGREE`."""
+    if not (isinstance(e, int) and e >= 1):
+        raise InvalidParams(f"e must be a positive integer, got {e!r}")
+    if not (isinstance(f, int) and f >= 1):
+        raise InvalidParams(f"f must be a positive integer, got {f!r}")
     if e * f > MAX_DEGREE:
         raise InvalidParams(f"e*f = {e * f} exceeds {MAX_DEGREE}, the largest degree over Q_2")
 
@@ -95,7 +100,8 @@ class FieldParams:
 
 
 def make_params(e: int, f: int, d_minus_one: int, minus_one_class: MinusOneClass) -> FieldParams:
-    """Build a FieldParams with q computed from f."""
+    """Build a FieldParams with q computed from f, once e and f are checked."""
+    check_degree(e, f)
     return FieldParams(e, f, 2**f, d_minus_one, minus_one_class)
 
 
@@ -103,10 +109,7 @@ def validate(params: FieldParams) -> None:
     """Raise InvalidParams naming the violated invariant, or return None."""
     e, f, q, d = params.e, params.f, params.q, params.d_minus_one
     cls = params.minus_one_class
-    if not (isinstance(e, int) and e >= 1):
-        raise InvalidParams(f"e must be a positive integer, got {e!r}")
-    if not (isinstance(f, int) and f >= 1):
-        raise InvalidParams(f"f must be a positive integer, got {f!r}")
+    check_degree(e, f)
     if q != 2**f:
         raise InvalidParams(f"q must equal 2^f = {2 ** f}, got {q}")
     if not isinstance(d, int) or d < 0:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from . import counts as _counts
 from . import masses as _masses
-from .params import GROUP_ORDER, FieldParams, check_degree
+from .params import GROUP_ORDER, FieldParams
 
 CSV_COLUMNS = ["e", "f", "q", "d_minus_one", "minus_one_class", "m", "group", "count"]
 
@@ -101,7 +101,6 @@ class MassTable:
 
 
 def mass_table(params: FieldParams) -> MassTable:
-    check_degree(params.e, params.f)
     per_group = {g: _masses.mass_closed_form(params, g) for g in GROUP_ORDER}
     total = sum(per_group.values(), Fraction(0))
     return MassTable(params, per_group, total)

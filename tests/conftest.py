@@ -34,19 +34,16 @@ def check_every(monkeypatch):
 
 @pytest.fixture
 def fresh_count_rows():
-    """Empty every closed-form cache, the count rows, N_C4 rows and masses
-    kept per tuple and per (e, f), before and after the test, so it builds
+    """Empty every closed-form cache, each attribute of ``counts`` and
+    ``masses`` with a ``cache_clear`` (the count rows, N_C4 rows and masses
+    kept per tuple and per (e, f)), before and after the test, so it builds
     every value under what it patches and leaves none built that way behind."""
 
     def clear():
-        for cached in (
-            counts.count_rows,
-            counts._ef_rows,
-            counts._ef_n_c4_rows,
-            masses.closed_masses,
-            masses._ef_masses,
-        ):
-            cached.cache_clear()
+        for module in (counts, masses):
+            for cached in vars(module).values():
+                if hasattr(cached, "cache_clear"):
+                    cached.cache_clear()
 
     clear()
     yield

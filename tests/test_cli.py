@@ -162,6 +162,18 @@ def test_count_beyond_max_degree_exits_2_before_building_rows(capsys):
     assert captured.err.startswith("error: e*f = 100000 exceeds 2048")
 
 
+@pytest.mark.parametrize("command", ["count", "mass"])
+def test_huge_f_exits_2_before_forming_q(capsys, command):
+    # q = 2^f at f = 10^9 would take seconds and hundreds of MB to form
+    argv = [command, "--e", "1", "--f", "1000000000", "--minus-one-class", "square"]
+    t0 = time.perf_counter()
+    code = run(argv)
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: e*f = 1000000000 exceeds 2048, the largest degree over Q_2\n"
+
+
 @pytest.mark.parametrize("e, f", [(2048, 1), (1024, 2)])
 def test_count_at_max_degree_still_works(capsys, e, f):
     argv = ["count", "--e", str(e), "--f", str(f), "--minus-one-class", "square",

@@ -681,21 +681,54 @@ def test_cubic_congruence_refuses_depth_beyond_the_cap(Q2):
         quartic.cubic_leading_digits(Q2, 1, cap)
 
 
-# leaves per certificate and splits per reason over the full range, as the
-# ROADMAP table records them; a change of either is a change of the tree
+_SPECS = {label: s for s, label in FULL_RANGE_DENSITY_SPECS}
+
+# (spec, m_max, leaves per certificate, splits per reason, headroom_at_parent)
+# on a base of every class of -1 (Q2(i) square, Q2(sqrt3) unramified, the
+# rest ramified; x^3-2 has h_top = 3), over the full range unless m_max says
+# otherwise; a change of any of them is a change of the tree
 _PINNED_TREES = {
-    "x^2-2": ((153, 2, 1792, 67), (10, 152, 1595, 256)),
-    "unramified f=2": ((99, 3, 1856, 134), (5, 33, 275, 384)),
+    "x^2-2": (_SPECS["x^2-2"], None, (153, 2, 1792, 67), (10, 152, 1595, 256), 640),
+    "unramified f=2": (_SPECS["unramified f=2"], None, (99, 3, 1856, 134), (5, 33, 275, 384), 80),
+    "Q2(i)": (_SPECS["Q2(i)"], None, (153, 2, 2816, 0), (10, 152, 2552, 256), 1152),
+    "Q2(sqrt3)": (_SPECS["Q2(sqrt3)"], None, (153, 2, 2304, 1), (10, 152, 2041, 256), 896),
+    "x^3-2-14": (
+        {"f": 1, "eisenstein": [-2, 0, 0, 1]}, 14, (409, 0, 13312, 64), (15, 153, 13114, 512), 6144
+    ),
 }
 
 
 @pytest.mark.parametrize("label", sorted(_PINNED_TREES))
 def test_density_tree_is_pinned(label):
-    spec = dict((lab, s) for s, lab in FULL_RANGE_DENSITY_SPECS)[label]
-    _, meta = density_counts(field_from_spec(spec))
-    leaves, splits = _PINNED_TREES[label]
+    spec, m_max, leaves, splits, at_parent = _PINNED_TREES[label]
+    _, meta = density_counts(field_from_spec(spec), m_max)
     assert tuple(meta[k] for k in _CERTIFICATES) == leaves
     assert tuple(meta[k] for k in _SPLITS) == splits
+    assert meta["headroom_at_parent"] == at_parent
+
+
+@pytest.mark.parametrize(
+    "label, undecided", [("x^2-2", 130), ("x^3-2-14", 146), ("unramified f=2", 85)]
+)
+def test_headroom_children_are_tried_only_where_no_child_takes_the_coset_test(
+    label, undecided, monkeypatch
+):
+    # a headroom split tries its children at the node only when h = 0, the
+    # node lies in H (marked, or its coset test passed it its representative
+    # with h(cd) = 0); outside H the children would take the coset test, and
+    # on these ramified bases that leaves ``undecided`` splits untried
+    spec, m_max = _PINNED_TREES[label][:2]
+    real, calls = D._Enumerator._headroom_children, []
+
+    def spy(self, digits, cs, vrep, vh, m, fq):
+        h = self._minus_one[0]
+        calls.append(h == 0 or isinstance(digits, D._InH) or fq is not None)
+        return real(self, digits, cs, vrep, vh, m, fq)
+
+    monkeypatch.setattr(D._Enumerator, "_headroom_children", spy)
+    _, meta = density_counts(field_from_spec(spec), m_max)
+    assert calls and all(calls)
+    assert meta["splits_headroom"] - len(calls) == undecided
 
 
 def test_density_equals_tower_on_common_scope(Q2):

@@ -67,3 +67,15 @@ def test_construction_validates():
         make_params(0, 1, 2, MinusOneClass.RAMIFIED)
     with pytest.raises(InvalidParams, match="bound"):
         FieldParams(1, 1, 2, 4, MinusOneClass.RAMIFIED)
+
+
+def test_degree_bound_is_a_field_params_invariant():
+    # e*f above MAX_DEGREE fails construction, and make_params refuses it
+    # before it forms 2**f (test_cli times a refusal at f = 10**9)
+    with pytest.raises(InvalidParams, match="e\\*f = 2049 exceeds 2048"):
+        make_params(2049, 1, 0, MinusOneClass.SQUARE)
+    with pytest.raises(InvalidParams, match="exceeds 2048"):
+        FieldParams(2049, 1, 2, 0, MinusOneClass.SQUARE)
+    with pytest.raises(InvalidParams, match="exceeds 2048"):
+        make_params(1, 2049, 0, MinusOneClass.UNRAMIFIED)
+    assert make_params(2048, 1, 0, MinusOneClass.SQUARE).q == 2
